@@ -118,7 +118,7 @@ class ExperimentConfig:
     stop_inradius: float = 1e-3
     initial_body: dict | None = None
     t_max: float | None = None
-    store_every: int = 8
+    store_every: int | None = None
     snapshot_every: int = 0
     mode: int = 2
     eps: float = 1e-3
@@ -147,6 +147,10 @@ def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
@@ -169,11 +173,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for name in ("alpha", "cfl", "stop_inradius", "eps", "tau_end", "x_max",
                  "p_lo", "p_hi", "delta", "radius"):
         _require(_is_num(getattr(cfg, name)), f"field '{name}' must be a number")
-    for name in ("seed", "m", "store_every", "snapshot_every", "mode",
-                 "keep_every", "n_points"):
-        value = getattr(cfg, name)
-        _require(isinstance(value, int) and not isinstance(value, bool),
-                 f"field '{name}' must be an integer")
+    for name in ("seed", "m", "snapshot_every", "mode", "keep_every", "n_points"):
+        _require(_is_int(getattr(cfg, name)), f"field '{name}' must be an integer")
+    _require(cfg.store_every is None or _is_int(cfg.store_every),
+             "field 'store_every' must be an integer")
     for name in ("sigma", "t_max", "step_size", "r_max", "h"):
         value = getattr(cfg, name)
         _require(value is None or _is_num(value),
@@ -191,6 +194,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
              "field 'initial_body' must be an object")
 
     cfg = _resolve_defaults(cfg)
+    _require(cfg.store_every >= 1, "field 'store_every' must be >= 1")
 
     if cfg.experiment in _FLOW_FAMILY:
         try:
@@ -229,6 +233,10 @@ def _resolve_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
     updates: dict = {}
     if cfg.sigma is None:
         updates["sigma"] = 1.0 if cfg.experiment in _RADIAL_FAMILY else 0.0
+    if cfg.store_every is None:
+        # The rescaled flow takes a few hundred ETD steps; its rate fit
+        # wants every one of them.
+        updates["store_every"] = 1 if cfg.experiment == "normalized-rate" else 8
     if cfg.experiment == "comparison-ode" and cfg.t_max is None:
         updates["t_max"] = 3.0
     if cfg.experiment == "blowdown" and cfg.h is not None:
@@ -798,9 +806,11 @@ def cmd_sweep(config_path: str, param: str, values_text: str,
         configs.append(entry)
         labels.append(label)
 
-    cap = _thread_cap()
-    if cap > 1 and len(configs) > 1:
-        with ProcessPoolExecutor(max_workers=cap) as pool:
+    # The pool forks all its workers up front, so never ask for more than
+    # there are values or cores.
+    workers = min(_thread_cap(), len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, configs))
     else:
         results = [_sweep_entry(entry) for entry in configs]

@@ -3,23 +3,23 @@
 In support-function form the unnormalized flow is ds/dt = -(s'' + s)^(-alpha)
 and the rescaled (self-similar) flow is ds/dtau = -(s'' + s)^(-alpha) + s.
 
-run_to_extinction marches the unnormalized flow with exponential time
-differencing (ETDRK4, Cox & Matthews, J. Comput. Phys. 176, 2002) on the
-Fourier coefficients of s.  The linear part A(1 - k^2) freezes the largest
-local diffusivity A = alpha * r_min^-(alpha+1) for one step and is
-integrated exactly, so the step is set by accuracy rather than by the
-parabolic bound; the phi-functions are contour means (Kassam & Trefethen,
-SIAM J. Sci. Comput. 26, 2005).  The rescaled flow, and the single `step`,
-use the classical 4-stage Runge-Kutta scheme under the explicit parabolic
-step bound.  In both, convexity failures reject the step rather than
-projecting the state back.
+Both flows march by exponential time differencing (ETDRK4, Cox & Matthews,
+J. Comput. Phys. 176, 2002) on the Fourier coefficients of s, through one
+loop, _etd_march.  The linear part A(1 - k^2), plus 1 for the rescaling
+term of the rescaled flow, freezes the largest local diffusivity
+A = alpha * r_min^-(alpha+1) for one step and is integrated exactly, so the
+step is set by accuracy rather than by the parabolic bound; the
+phi-functions are contour means (Kassam & Trefethen, SIAM J. Sci. Comput.
+26, 2005).  The single `step`, the classical 4-stage Runge-Kutta scheme
+under the explicit parabolic bound `stable_dt`, is kept as the reference
+the ETD march is tested against.  Convexity failures reject the step
+rather than projecting the state back.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -29,6 +29,7 @@ import numpy as np
 from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
+    area,
     curvature_radius_samples,
     mode_amplitude,
     recenter,
@@ -37,8 +38,8 @@ from gcsf.geometry import (
 #: Steps are rejected and halved at most this many times before giving up.
 MAX_STEP_HALVINGS = 60
 
-#: On a circle an ETD step of run_to_extinction lasts ETD_STEP_SCALE * cfl
-#: * r^(alpha+1): 1% of that time scale at the default cfl = 0.2.
+#: On a circle an ETD step lasts ETD_STEP_SCALE * cfl * r^(alpha+1): 1% of
+#: that time scale at the default cfl = 0.2.
 ETD_STEP_SCALE = 0.05
 
 #: Points of the contour that averages the ETDRK4 phi-functions: the upper
@@ -66,11 +67,12 @@ class FlowParams:
     alpha is the curvature power.  sigma is carried along for the soliton
     experiments; the curve flow itself always runs at sigma = 0.
 
-    cfl scales every time step.  For the Runge-Kutta paths (step,
-    stable_dt, run_normalized) it is the parabolic fraction cfl * dtheta^2
-    of the fastest diffusive time; for the ETD march of run_to_extinction
-    it scales the accuracy step ETD_STEP_SCALE * cfl * r_min^(alpha+1),
-    which the step rule there shrinks on eccentric bodies.
+    cfl scales every time step.  For the Runge-Kutta reference (step,
+    stable_dt) it is the parabolic fraction cfl * dtheta^2 of the fastest
+    diffusive time; for the ETD march of both flows (run_to_extinction,
+    run_normalized) it scales the accuracy step
+    ETD_STEP_SCALE * cfl * r_min^(alpha+1), which the step rule shrinks on
+    eccentric bodies.
     """
 
     alpha: float
@@ -220,13 +222,6 @@ def _inradius_array(y: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> floa
     return float(np.min(y - px * cos_t - py * sin_t))
 
 
-def _area_array(y: np.ndarray) -> float:
-    from gcsf.geometry import trig_derivative
-
-    ds = trig_derivative(y, 1)
-    return 0.5 * (2.0 * np.pi / y.size) * float(np.sum(y**2 - ds**2))
-
-
 def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
     """Safe horizon: the circumscribed disc is extinct by R^(1+a)/(1+a)."""
     from gcsf.geometry import circumradius
@@ -246,7 +241,7 @@ def _etd_step_size(radius: np.ndarray, p: FlowParams) -> float:
     is measured, not derived: on a 6:1 ellipse at m = 128 and alpha = 2 it
     keeps T within 3e-7 of the RK4 march, where the plain ratio
     r_min / r_max left an error of 7e-6.  z never drops below the
-    parabolic fraction cfl * dtheta^2 of the Runge-Kutta paths, where the
+    parabolic fraction cfl * dtheta^2 of the Runge-Kutta reference, where the
     linear part is no longer stiff on the grid and ETDRK4 is as accurate
     as classical RK4.
     """
@@ -291,8 +286,9 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, m):
     samples and curvature radius.
 
     n_v is the remainder rfft(-r^-alpha) - lin * v at v, weights the
-    output of _etd_weights(dt * lin).  Stages and the result must stay
-    convex, or _StageFailure is raised.
+    output of _etd_weights for dt times the linear part (lin, plus 1 on
+    the rescaled flow).  Stages and the result must stay convex, or
+    _StageFailure is raised.
     """
     e, e2, q, f1, f2, f3 = weights
 
@@ -309,6 +305,60 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, m):
     return (v_new, *_etd_state(v_new, m))
 
 
+def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool):
+    """Yield (t, samples) for the start state and after every accepted
+    ETDRK4 step of the flow, until t reaches t_end.
+
+    Each step is ETDRK4 on the rfft coefficients of s with the linear part
+    L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step,
+    plus 1 on the rescaled flow, whose rescaling term +s is then integrated
+    exactly; the remainder rfft(-(s''+s)^-alpha) - A(1 - k^2) s is the same
+    for both flows.  The step dt = z / A (z from _etd_step_size) is
+    ETD_STEP_SCALE * cfl * r_min^(alpha+1) on a circle, shrinks with the
+    curvature-radius contrast on eccentric bodies, and never falls below
+    the parabolic bound stable_dt.  A step whose stages or result leave the
+    convex cone is halved and retried; after MAX_STEP_HALVINGS halvings
+    ConvexityLostError is raised.  y is never written to.
+    """
+    m = y.size
+    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
+    shift = 1.0 if rescaled else 0.0
+    v = np.fft.rfft(y)
+    radius = curvature_radius_samples(y)
+    t = 0.0
+    # The weights depend on the diagonal dt * L = z * symbol + shift * dt
+    # alone; consecutive steps with the same pair (the parabolic floor of
+    # the unnormalized flow, say) reuse them.
+    weights_key = None
+    weights = None
+    yield t, y
+    while t < t_end:
+        a_max = p.alpha * float(np.min(radius)) ** -(p.alpha + 1.0)
+        z = _etd_step_size(radius, p)
+        dt = z / a_max
+        if dt > t_end - t:
+            dt = t_end - t
+            z = dt * a_max
+        lin = a_max * symbol
+        n_v = np.fft.rfft(-np.power(radius, -p.alpha)) - lin * v
+        for _ in range(MAX_STEP_HALVINGS):
+            key = (z, shift * dt)
+            if key != weights_key:
+                weights_key, weights = key, _etd_weights(z * symbol + key[1])
+            try:
+                v_new, y_new, radius_new = _etdrk4_step(v, n_v, lin, weights, dt,
+                                                        p.alpha, m)
+                break
+            except _StageFailure:
+                dt *= 0.5
+                z *= 0.5
+        else:
+            raise ConvexityLostError(f"flow lost convexity at t = {t:.6f}")
+        v, y, radius = v_new, y_new, radius_new
+        t += dt
+        yield t, y
+
+
 def run_to_extinction(
     s0: SupportFunction,
     p: FlowParams,
@@ -317,20 +367,12 @@ def run_to_extinction(
 ) -> FlowTrace:
     """March the unnormalized flow until the body is numerically extinct.
 
-    Each step is ETDRK4 on the rfft coefficients of s with the linear part
-    L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step, and
-    the remainder rfft(-(s''+s)^-alpha) - L s.  The step dt = z / A (z
-    from _etd_step_size) is ETD_STEP_SCALE * cfl * r_min^(alpha+1) on a
-    circle, shrinks with the curvature-radius contrast on eccentric bodies,
-    and never falls below the parabolic bound stable_dt.  A step whose
-    stages or result leave the convex cone is halved and retried.
-
-    Integration stops once the inradius drops below p.stop_inradius
-    (stop_reason extinct), at t_max (time_limit), or when no acceptable
-    step exists (convexity_lost).  Every store_every-th accepted step is
-    recorded, plus the final state; the default of every step keeps the
-    area series fine enough for its second-order differencing
-    (area_defect).
+    The march is _etd_march without the rescaling term.  Integration stops
+    once the inradius drops below p.stop_inradius (stop_reason extinct), at
+    t_max (time_limit), or when no acceptable step exists
+    (convexity_lost).  Every store_every-th accepted step is recorded, plus
+    the final state; the default of every step keeps the area series fine
+    enough for its second-order differencing (area_defect).
 
     On extinction the extinction time is estimated by fitting
     inradius^(1+alpha), which is linear in t for shrinking circles, over
@@ -345,67 +387,32 @@ def run_to_extinction(
 
     m = s0.m
     cos_t, sin_t = _trig_tables(m)
-    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
-
-    y = np.array(s0.samples, dtype=float)
-    v = np.fft.rfft(y)
-    radius = curvature_radius_samples(y)
-    t = 0.0
-    stored_t: list[float] = [0.0]
-    stored_y: list[np.ndarray] = [y.copy()]
-    stored_inr: list[float] = [_inradius_array(y, cos_t, sin_t)]
-    accepted = 0
+    stored_t: list[float] = []
+    stored_y: list[np.ndarray] = []
+    stored_inr: list[float] = []
     stop = StopReason.TIME_LIMIT
-    # The weights depend on z = dt * A alone; consecutive steps at the same
-    # z (the parabolic floor, say) reuse them.
-    weights_z = math.nan
-    weights = None
-
-    def snapshot() -> None:
-        stored_t.append(t)
-        stored_y.append(y.copy())
-        stored_inr.append(_inradius_array(y, cos_t, sin_t))
-
-    while True:
-        if _inradius_array(y, cos_t, sin_t) < p.stop_inradius:
-            stop = StopReason.EXTINCT
-            break
-        if t >= t_max:
-            stop = StopReason.TIME_LIMIT
-            break
-        a_max = p.alpha * float(np.min(radius)) ** -(p.alpha + 1.0)
-        z = _etd_step_size(radius, p)
-        dt = z / a_max
-        if dt > t_max - t:
-            dt = t_max - t
-            z = dt * a_max
-        lin = a_max * symbol
-        n_v = np.fft.rfft(-np.power(radius, -p.alpha)) - lin * v
-        for _ in range(MAX_STEP_HALVINGS):
-            if z != weights_z:
-                weights_z, weights = z, _etd_weights(z * symbol)
-            try:
-                v_new, y_new, radius_new = _etdrk4_step(v, n_v, lin, weights, dt,
-                                                        p.alpha, m)
+    march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False)
+    try:
+        for accepted, (t, y) in enumerate(march):
+            inr = _inradius_array(y, cos_t, sin_t)
+            if accepted % store_every == 0:
+                stored_t.append(t)
+                stored_y.append(y)
+                stored_inr.append(inr)
+            if inr < p.stop_inradius:
+                stop = StopReason.EXTINCT
                 break
-            except _StageFailure:
-                dt *= 0.5
-                z *= 0.5
-        else:
-            stop = StopReason.CONVEXITY_LOST
-            break
-        v, y, radius = v_new, y_new, radius_new
-        t += dt
-        accepted += 1
-        if accepted % store_every == 0:
-            snapshot()
+    except ConvexityLostError:
+        stop = StopReason.CONVEXITY_LOST
 
     if stored_t[-1] != t:
-        snapshot()
+        stored_t.append(t)
+        stored_y.append(y)
+        stored_inr.append(_inradius_array(y, cos_t, sin_t))
 
     times = np.array(stored_t)
     states = [SupportFunction(arr) for arr in stored_y]
-    areas = np.array([_area_array(arr) for arr in stored_y])
+    areas = np.array([area(state) for state in states])
     lengths = np.array([(2.0 * np.pi / m) * float(np.sum(arr)) for arr in stored_y])
 
     extinction = None
@@ -433,39 +440,31 @@ def run_normalized(
     s0: SupportFunction,
     p: FlowParams,
     tau_end: float,
-    store_every: int = 8,
+    store_every: int = 1,
 ) -> tuple[np.ndarray, list[SupportFunction]]:
-    """Integrate the rescaled flow to tau_end, recording every store_every-th step."""
+    """Integrate the rescaled flow to tau_end, recording every
+    store_every-th accepted step and the final state.
+
+    The march is _etd_march with the rescaling term in its linear part.
+    ConvexityLostError is raised when no acceptable step exists.
+    """
     if s0.m != p.m:
         raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
-    dtheta2 = (2.0 * np.pi / s0.m) ** 2
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
 
-    y = np.array(s0.samples, dtype=float)
-    radius = curvature_radius_samples(y)
-    tau = 0.0
-    stored_t = [0.0]
-    stored_y = [y.copy()]
-    accepted = 0
-
-    while tau < tau_end:
-        dt = p.cfl * dtheta2 * float(np.min(radius)) ** (p.alpha + 1.0) / p.alpha
-        dt = min(dt, tau_end - tau)
-        for _ in range(MAX_STEP_HALVINGS):
-            try:
-                y_new, radius_new = _rk4_flow_step(y, radius, p.alpha, dt, True)
-                break
-            except _StageFailure:
-                dt *= 0.5
-        else:
-            raise ConvexityLostError(f"rescaled flow lost convexity at tau = {tau:.6f}")
-        y, radius = y_new, radius_new
-        tau += dt
-        accepted += 1
-        if accepted % store_every == 0 or tau >= tau_end:
+    stored_t: list[float] = []
+    stored_y: list[np.ndarray] = []
+    march = _etd_march(np.array(s0.samples, dtype=float), p, tau_end, rescaled=True)
+    for accepted, (tau, y) in enumerate(march):
+        if accepted % store_every == 0:
             stored_t.append(tau)
-            stored_y.append(y.copy())
+            stored_y.append(y)
+    if stored_t[-1] != tau:
+        stored_t.append(tau)
+        stored_y.append(y)
 
     return np.array(stored_t), [SupportFunction(arr) for arr in stored_y]
 
@@ -548,7 +547,7 @@ def mode_decay_series(
     tau_end: float = 3.5,
     m: int = 256,
     cfl: float = 0.2,
-    store_every: int = 8,
+    store_every: int = 1,
 ) -> np.ndarray:
     """Amplitude of one harmonic along the rescaled flow started from
     the unit circle plus eps*cos(mode*theta); rows are (tau, amplitude)."""
@@ -689,18 +688,3 @@ def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[s
             f.write(support_to_json(state))
         written.append(name)
     return written
-
-
-def write_flow_manifest(trace: FlowTrace, p: FlowParams, path) -> None:
-    payload = {
-        "alpha": p.alpha,
-        "sigma": p.sigma,
-        "m": p.m,
-        "cfl": p.cfl,
-        "stop_inradius": p.stop_inradius,
-        "extinction_time": trace.extinction_time,
-        "stop_reason": trace.stop_reason.value,
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")

@@ -229,7 +229,57 @@ def test_thread_cap_must_be_a_positive_integer(tmp_path, monkeypatch, capsys):
     assert "GCSF_THREADS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cores, values, expected", [
+    (3, "0.7,1,2,3", [3]),   # capped by the cores
+    (8, "0.7,1", [2]),       # capped by the values
+    (None, "0.7,1", []),     # unknown core count: serial
+])
+def test_sweep_worker_count_is_clamped(tmp_path, monkeypatch, cores, values, expected):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and runs the sweep in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("GCSF_THREADS", "1000")
+    cfg = write_config(tmp_path, experiment="log-convexity",
+                       output_dir=str(tmp_path / "s"))
+    assert cli.main(["sweep", cfg, "--param", "alpha", "--values", values]) == 0
+    assert sizes == expected
+    assert len(read_summary(tmp_path / "s")) == 1 + len(values.split(","))
+
+
 # -- usage errors ------------------------------------------------------------
+
+@pytest.mark.parametrize("experiment", ["normalized-rate", "flow", "area-identity"])
+def test_store_every_zero_is_a_usage_error(tmp_path, capsys, experiment):
+    cfg = write_config(tmp_path, experiment=experiment,
+                       output_dir=str(tmp_path / "r"), store_every=0)
+    assert cli.main(["run", cfg]) == 1
+    assert "store_every" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+def test_store_every_resolves_per_experiment(tmp_path):
+    for experiment, expected in (("normalized-rate", 1), ("flow", 8),
+                                 ("area-identity", 8)):
+        raw = {"experiment": experiment, "output_dir": str(tmp_path / experiment)}
+        assert cli.config_from_dict(raw).store_every == expected
+        assert cli.config_from_dict(dict(raw, store_every=3)).store_every == 3
+
 
 def test_unknown_config_field_is_named(tmp_path, capsys):
     cfg = write_config(tmp_path, experiment="log-convexity",

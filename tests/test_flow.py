@@ -97,6 +97,8 @@ def test_grid_mismatch_is_rejected():
         fl.run_to_extinction(circle(m=128), P64)
     with pytest.raises(ValueError):
         fl.run_to_extinction(circle(), P64, store_every=0)
+    with pytest.raises(ValueError):
+        fl.run_normalized(circle(), P64, 1.0, store_every=0)
 
 
 # -- extinction --------------------------------------------------------------
@@ -166,6 +168,41 @@ def test_normalized_circle_is_a_fixed_point():
     assert taus[-1] == pytest.approx(2.0, abs=1e-12)
     for s in states:
         assert geo.hausdorff_to_circle(s, (0.0, 0.0), 1.0) <= 1e-9
+
+
+def _rk4_normalized(s, p, tau_end):
+    # The Runge-Kutta reference: classical RK4 under the parabolic bound.
+    tau = 0.0
+    while tau < tau_end:
+        dt = min(fl.stable_dt(s, p), tau_end - tau)
+        s = fl.step(s, p, dt, rhs=fl.rhs_normalized)
+        tau += dt
+    return s
+
+
+def _sup_rel(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_normalized_march_matches_rk4_near_the_circle(alpha):
+    p = FlowParams(alpha=alpha, m=64)
+    theta = np.arange(64) * (2.0 * np.pi / 64)
+    s0 = geo.SupportFunction(1.0 + 1e-3 * np.cos(2.0 * theta))
+    taus, states = fl.run_normalized(s0, p, 0.5)
+    assert taus[-1] == pytest.approx(0.5, abs=1e-12)
+    reference = _rk4_normalized(s0, p, 0.5)
+    assert _sup_rel(states[-1].samples, reference.samples) <= 1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_normalized_march_matches_rk4_on_random_bodies(seed, alpha):
+    p = FlowParams(alpha=alpha, m=64)
+    s0 = geo.random_convex_body(np.random.default_rng(seed), m=64)
+    _, states = fl.run_normalized(s0, p, 0.5)
+    reference = _rk4_normalized(s0, p, 0.5)
+    assert _sup_rel(states[-1].samples, reference.samples) <= 1e-6
 
 
 def test_normalize_trace_rescales_onto_unit_circle():
