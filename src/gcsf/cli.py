@@ -49,6 +49,7 @@ RATE_TOL = 0.05
 HALF_WIDTH_TOL = 1e-6
 SINH_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
+INCREMENT_TOL = 1e-6
 GROWTH_FACTOR = 1.1
 DUAL_EXPONENT_TOL = 0.01
 DUAL_COEFFICIENT_TOL = 0.02
@@ -125,9 +126,7 @@ class ExperimentConfig:
     tau_end: float = 3.5
     fit_window: list = field(default_factory=lambda: [1.0, 3.0])
     x_max: float = 20.0
-    step_size: float | None = None
     r_max: float | None = None
-    keep_every: int = 1
     h: float | None = None
     scales: list = field(default_factory=lambda: [10.0, 100.0, 1000.0, 10000.0])
     p_lo: float = 50.0
@@ -144,7 +143,8 @@ _RADIAL_FAMILY = {"radial-translator", "blowdown", "legendre"}
 
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A finite JSON number; JSON's Infinity and NaN parse but are rejected."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def _is_int(x) -> bool:
@@ -172,24 +172,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     for name in ("alpha", "cfl", "stop_inradius", "eps", "tau_end", "x_max",
                  "p_lo", "p_hi", "delta", "radius"):
-        _require(_is_num(getattr(cfg, name)), f"field '{name}' must be a number")
-    for name in ("seed", "m", "snapshot_every", "mode", "keep_every", "n_points"):
+        _require(_is_num(getattr(cfg, name)), f"field '{name}' must be a finite number")
+    for name in ("seed", "m", "snapshot_every", "mode", "n_points"):
         _require(_is_int(getattr(cfg, name)), f"field '{name}' must be an integer")
     _require(cfg.store_every is None or _is_int(cfg.store_every),
              "field 'store_every' must be an integer")
-    for name in ("sigma", "t_max", "step_size", "r_max", "h"):
+    for name in ("sigma", "t_max", "r_max", "h"):
         value = getattr(cfg, name)
         _require(value is None or _is_num(value),
-                 f"field '{name}' must be a number")
+                 f"field '{name}' must be a finite number")
     _require(cfg.seed >= 0, "field 'seed' must be nonnegative")
     _require(cfg.alpha > 0.0, "field 'alpha' must be positive")
     _require(isinstance(cfg.fit_window, (list, tuple)) and len(cfg.fit_window) == 2
              and all(_is_num(v) for v in cfg.fit_window)
              and cfg.fit_window[0] < cfg.fit_window[1],
-             "field 'fit_window' must be a [lo, hi] pair with lo < hi")
+             "field 'fit_window' must be a finite [lo, hi] pair with lo < hi")
     _require(isinstance(cfg.scales, (list, tuple)) and len(cfg.scales) > 0
              and all(_is_num(v) and v > 0 for v in cfg.scales),
-             "field 'scales' must be a non-empty list of positive numbers")
+             "field 'scales' must be a non-empty list of positive finite numbers")
     _require(cfg.initial_body is None or isinstance(cfg.initial_body, dict),
              "field 'initial_body' must be an object")
 
@@ -208,7 +208,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         _require(cfg.sigma is not None and 0.0 < cfg.sigma <= 1.0,
                  "field 'sigma' must lie in (0, 1] for translator experiments")
         _require(cfg.r_max > 1e-3, "field 'r_max' must exceed 1e-3")
-        _require(cfg.keep_every >= 1, "field 'keep_every' must be >= 1")
     if cfg.experiment == "blowdown":
         _require(all(a < b for a, b in zip(cfg.scales, cfg.scales[1:])),
                  "field 'scales' must increase strictly")
@@ -224,8 +223,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if cfg.experiment == "log-convexity":
         _require(cfg.radius > 0.0, "field 'radius' must be positive")
         _require(cfg.n_points >= 2, "field 'n_points' must be >= 2")
-    _require(cfg.step_size is None or cfg.step_size > 0.0,
-             "field 'step_size' must be positive")
     return cfg
 
 
@@ -282,7 +279,7 @@ def _build_body(cfg: ExperimentConfig) -> SupportFunction:
         if kind == "ellipse":
             for name in ("a", "b"):
                 _require(_is_num(desc.get(name)),
-                         f"initial_body.{name} must be a number")
+                         f"initial_body.{name} must be a finite number")
             return geo.make_ellipse(desc["a"], desc["b"], m=cfg.m)
         if kind == "fourier":
             cos_coeffs = desc.get("cos", [])
@@ -345,6 +342,7 @@ def _translator_checks(cfg: ExperimentConfig, x, dv, half_width) -> list[Check]:
 def _radial_checks(cfg: ExperimentConfig, profile: so.RadialProfile) -> list[Check]:
     residual = so.l_sigma_residual(profile, cfg.alpha, cfg.sigma)
     growth = so.growth_bound_check(profile, cfg.alpha)
+    increments = so.hermite_increment_defect(profile)
     try:
         profile.check_convex()
         convex = True
@@ -354,6 +352,7 @@ def _radial_checks(cfg: ExperimentConfig, profile: so.RadialProfile) -> list[Che
         Check("convex", convex, None, "true"),
         Check("operator-residual", residual, RESIDUAL_TOL, "le"),
         Check("growth-bound", growth, GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
+        Check("increment-consistency", increments, INCREMENT_TOL, "le"),
     ]
 
 
@@ -439,7 +438,7 @@ def _run_normalized_rate(cfg: ExperimentConfig, out: str):
 
 
 def _run_translator1d(cfg: ExperimentConfig, out: str):
-    profile = so.translator_1d(cfg.alpha, cfg.x_max, step_size=cfg.step_size)
+    profile = so.translator_1d(cfg.alpha, cfg.x_max)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
     scalars = {
         "half_width": _scalar(profile.domain_half_width, "profile1d.csv"),
@@ -450,15 +449,8 @@ def _run_translator1d(cfg: ExperimentConfig, out: str):
     return scalars, checks
 
 
-def _solve_radial(cfg: ExperimentConfig) -> so.RadialProfile:
-    kwargs = {"keep_every": cfg.keep_every}
-    if cfg.step_size is not None:
-        kwargs["step_size"] = cfg.step_size
-    return so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, **kwargs)
-
-
 def _run_radial_translator(cfg: ExperimentConfig, out: str):
-    profile = _solve_radial(cfg)
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
     checks = _radial_checks(cfg, profile)
     scalars = {
@@ -470,7 +462,7 @@ def _run_radial_translator(cfg: ExperimentConfig, out: str):
 
 
 def _run_blowdown(cfg: ExperimentConfig, out: str):
-    profile = _solve_radial(cfg)
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
     sups = []
     with open(os.path.join(out, "blowdown.csv"), "w", newline="") as f:
@@ -485,7 +477,7 @@ def _run_blowdown(cfg: ExperimentConfig, out: str):
 
 
 def _run_legendre(cfg: ExperimentConfig, out: str):
-    profile = _solve_radial(cfg)
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
     dual = so.legendre(profile)
     with open(os.path.join(out, "dual.csv"), "w", newline="") as f:
@@ -503,10 +495,7 @@ def _run_legendre(cfg: ExperimentConfig, out: str):
 
 
 def _run_comparison_ode(cfg: ExperimentConfig, out: str):
-    kwargs = {}
-    if cfg.step_size is not None:
-        kwargs["step_size"] = cfg.step_size
-    sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, **kwargs)
+    sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max)
     so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
     rel_err = _ode_rel_err(cfg.alpha, cfg.delta, sol.t, sol.drho)
     ratio = None
@@ -585,7 +574,7 @@ def run_config(cfg: ExperimentConfig) -> dict:
     checks: list[Check] = []
     try:
         scalars, checks = _RUNNERS[cfg.experiment](cfg, cfg.output_dir)
-    except (ConvexityLostError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, ConvexityLostError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
         "artifact": "gcsf",
@@ -630,9 +619,7 @@ def _verify_rate(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
 def _verify_translator1d(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
     data = _load_columns(run_dir, "profile1d.csv")
     x, dv = data[:, 0], data[:, 2]
-    half_width = None
-    if cfg.alpha > 0.5 and dv[-1] >= so.SLOPE_SWITCH:
-        half_width = so.tail_half_width(cfg.alpha, float(x[-1]), float(dv[-1]))
+    half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     return _translator_checks(cfg, x, dv, half_width)
 
 

@@ -8,12 +8,13 @@ solves, in the graph radius r,
 
     u'' = ((sigma + u'^2) / sigma) * ((sigma + u'^2)^(1/2 - 1/(2*alpha)) - u'/r)
 
-started from a quartic Taylor expansion at the origin.  On top of the
-profiles: pointwise operator residuals, the sigma = 0 comparison, parabolic
-blow-down toward the cone |x|^(1+alpha)/(1+alpha), a discrete Legendre
-transform, a growth-bound check, the slope comparison ODE with its
-integrating-factor closed form, and the log-convexity margin of the radial
-separated solution.
+started from a quartic Taylor expansion at the origin.  Both translator
+ODEs and the slope comparison ODE are solved by scipy's solve_ivp.  On top
+of the profiles: pointwise operator residuals, a quadrature check that ties
+u' to u, the sigma = 0 comparison, parabolic blow-down toward the cone
+|x|^(1+alpha)/(1+alpha), a discrete Legendre transform, a growth-bound
+check, the slope comparison ODE with its integrating-factor closed form,
+and the log-convexity margin of the radial separated solution.
 """
 
 from __future__ import annotations
@@ -31,10 +32,17 @@ from scipy.special import beta as beta_fn, betainc
 #: variable once the slope exceeds this.
 SLOPE_SWITCH = 1e3
 
-#: Fixed-step solvers refine so the slope grows at most ~2% per step.
-_GROWTH_CAP = 0.02
-
 _SERIES_RADIUS = 1e-3
+
+#: Largest spacing of the stored radial nodes.
+_NODE_SPACING = 5e-3
+
+#: Spacing of the comparison ODE's output grid.
+_ODE_SPACING = 1.25e-4
+
+#: solve_ivp tolerances of every soliton ODE.
+_RTOL = 1e-12
+_ATOL = 1e-14
 
 
 @dataclass
@@ -96,79 +104,61 @@ class OdeSolution:
     a_cross: float | None
 
 
-def _rk4_scalar2(f, t, y0, y1, h):
-    # One classical step for a 2-vector kept as plain floats; the scalar
-    # loops here are too fine-grained for array overhead to pay off.
-    a0, a1 = f(t, y0, y1)
-    b0, b1 = f(t + 0.5 * h, y0 + 0.5 * h * a0, y1 + 0.5 * h * a1)
-    c0, c1 = f(t + 0.5 * h, y0 + 0.5 * h * b0, y1 + 0.5 * h * b1)
-    d0, d1 = f(t + h, y0 + h * c0, y1 + h * c1)
-    return (y0 + (h / 6.0) * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
-            y1 + (h / 6.0) * (a1 + 2.0 * b1 + 2.0 * c1 + d1))
+def _require_length(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _step_from_tol(tol: float, base: float) -> float:
-    # Classical RK4 is 4th order, so the step scales like tol^(1/4) around
-    # the base resolution tuned for the default tol of 1e-10.
-    return min(max(base * (max(tol, 1e-16) / 1e-10) ** 0.25, 1e-5), 2e-2)
+def _solve(rhs, span, y0, method, atol=_ATOL, **options):
+    """solve_ivp at the module tolerances; a failed solve is a RuntimeError."""
+    # Imported on first use: the flow experiments never solve an ODE here,
+    # and loading scipy.integrate adds about 2.5 MB of resident memory.
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(rhs, span, y0, method=method, rtol=_RTOL, atol=atol, **options)
+    if not sol.success or not np.all(np.isfinite(sol.y)):
+        raise RuntimeError(f"{method} failed near t = {sol.t[-1]:.6g}: {sol.message}")
+    return sol
 
 
-def translator_1d(
-    alpha: float,
-    x_max: float,
-    tol: float = 1e-10,
-    step_size: float | None = None,
-) -> Profile1D:
+def translator_1d(alpha: float, x_max: float) -> Profile1D:
     """Solve the 1-D translator ODE v'' = (1 + v'^2)^(3/2 - 1/(2*alpha)).
 
-    Marches v, v' from v(0) = v'(0) = 0 with fixed-step classical RK4,
-    shrinking the step so the slope grows a few percent per step at most.
-    For alpha > 1/2 the inverse abscissa x(v') = integral of
-    (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so once the slope
-    passes SLOPE_SWITCH the remaining distance to the asymptote is that
-    tail integral (an incomplete beta function under t = 1/(1+v'^2)) and
-    domain_half_width reports the blow-up abscissa.  For alpha <= 1/2 the
-    profile is entire and the march always reaches x_max; in both cases a
-    profile that never diverged reports domain_half_width None.
+    Integrates v, v' from v(0) = v'(0) = 0 with DOP853 and stores its
+    accepted steps.  For alpha > 1/2 the inverse abscissa
+    x(v') = integral of (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so a
+    terminal event stops the march where the slope reaches SLOPE_SWITCH, and
+    the remaining distance to the asymptote is the tail integral of
+    tail_half_width.  A profile whose march stopped short of x_max has
+    blown up and reports that domain_half_width; one that reached x_max
+    reports None (entire so far; always the case for alpha <= 1/2).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if x_max <= 0.0:
-        raise ValueError(f"x_max must be positive, got {x_max}")
+    _require_length("x_max", x_max)
     q = 1.5 - 0.5 / alpha
-    can_blow_up = q > 0.5
-    if step_size is None:
-        step_size = _step_from_tol(tol, 1e-3)
 
-    def rhs(_x, _v, w):
-        return w, (1.0 + w * w) ** q
+    def rhs(_x, y):
+        return [y[1], (1.0 + y[1] * y[1]) ** q]
 
-    x = 0.0
-    v = 0.0
-    w = 0.0
-    xs = [0.0]
-    vs = [0.0]
-    ws = [0.0]
-    while x < x_max and not (can_blow_up and w >= SLOPE_SWITCH):
-        slope_rate = (1.0 + w * w) ** q
-        h = min(step_size, x_max - x, _GROWTH_CAP * (1.0 + w) / slope_rate)
-        v_new, w_new = _rk4_scalar2(rhs, x, v, w, h)
-        if not (math.isfinite(v_new) and math.isfinite(w_new)):
-            if not can_blow_up:
-                raise RuntimeError(f"translator march overflowed near x = {x:.6g}")
-            # The step jumped past the asymptote; resolve the rest in the
-            # inverse variable from the last good state.
-            break
-        x += h
-        v, w = v_new, w_new
-        xs.append(x)
-        vs.append(v)
-        ws.append(w)
+    def steep(_x, y):
+        return y[1] - SLOPE_SWITCH
 
-    half_width = None
-    if can_blow_up and (w >= SLOPE_SWITCH or not math.isfinite(w)):
-        half_width = tail_half_width(alpha, xs[-1], ws[-1])
-    return Profile1D(np.array(xs), np.array(vs), np.array(ws), half_width)
+    steep.terminal = q > 0.5  # only a strip profile hands over to the tail
+    sol = _solve(rhs, (0.0, x_max), [0.0, 0.0], "DOP853", events=steep)
+    x, v, dv = sol.t, sol.y[0], sol.y[1]
+    return Profile1D(x, v, dv, blow_up_half_width(alpha, x_max, x, dv))
+
+
+def blow_up_half_width(alpha: float, x_max: float, x, dv) -> float | None:
+    """Half-width read off a stored 1-D profile's last row.
+
+    For alpha > 1/2, a march that stopped short of x_max stopped at the
+    slope event, so it blew up; anything else reports None.
+    """
+    if alpha > 0.5 and x[-1] < x_max:
+        return tail_half_width(alpha, float(x[-1]), float(dv[-1]))
+    return None
 
 
 def _inverse_tail(q: float, w: float) -> float:
@@ -193,14 +183,23 @@ def tail_half_width(alpha: float, x_last: float, slope_last: float) -> float:
     return float(x_last + _inverse_tail(1.5 - 0.5 / alpha, slope_last))
 
 
-def radial_translator(
-    alpha: float,
-    sigma: float,
-    r_max: float,
-    tol: float = 1e-10,
-    step_size: float | None = None,
-    keep_every: int = 1,
-) -> RadialProfile:
+def _radial_nodes(r_max: float) -> np.ndarray:
+    """Output radii r_(k+1) = r_k + min(_NODE_SPACING, r_k) from the series
+    radius, landing on r_max.
+
+    A node closer to r_max than a tenth of its spacing is dropped: that
+    sliver of an interval would leave an increment of u below its roundoff.
+    """
+    head = [_SERIES_RADIUS]
+    while head[-1] < _NODE_SPACING:
+        head.append(2.0 * head[-1])
+    count = math.ceil((r_max - head[-1]) / _NODE_SPACING)
+    nodes = np.concatenate([head, head[-1] + _NODE_SPACING * np.arange(1, count + 1)])
+    nodes = nodes[nodes + 0.1 * np.minimum(nodes, _NODE_SPACING) < r_max]
+    return np.append(nodes, r_max)
+
+
+def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile:
     """Rotationally symmetric translator profile on [0, r_max].
 
     The origin is degenerate (u'/r appears in the ODE), so integration
@@ -209,26 +208,20 @@ def radial_translator(
         u(r) = c r^2 / 2 + c3 r^4 / 4,   c = sigma^(1/2 - 1/(2*alpha)) / 2,
         c3 = c^3 (1 + 2 e1) / (4 sigma), e1 = 1/2 - 1/(2*alpha),
 
-    applied on [0, 1e-3], then classical RK4 to r_max.  The translator
-    branch is strongly attracting at large radius (the slope relaxes onto
-    u' ~ r^alpha at rate ~ r^(2*alpha-1)/alpha), which makes the equation
-    stiff for an explicit scheme; each step is therefore capped by the
-    local stability bound |dg/dw| h <= 1 in addition to step_size.
-
-    keep_every > 1 stores every keep_every-th accepted node (the landing
-    node at r_max always included); far marches at alpha > 1 take millions
-    of stability-limited steps, far more than any stored use needs.
+    applied on [0, 1e-3], then LSODA with the analytic Jacobian to r_max.
+    The translator branch is strongly attracting at large radius (the slope
+    relaxes onto u' ~ r^alpha at rate ~ r^(2*alpha-1)/alpha), which makes
+    the equation stiff there; LSODA switches to its stiff method on its own.
+    The profile is stored on the nodes of _radial_nodes, with u'' from the
+    ODE at each node.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
+    _require_length("r_max", r_max)
     if r_max <= _SERIES_RADIUS:
         raise ValueError(f"r_max must exceed the series radius {_SERIES_RADIUS}")
-    if keep_every < 1:
-        raise ValueError(f"keep_every must be a positive integer, got {keep_every}")
-    if step_size is None:
-        step_size = _step_from_tol(tol, 5e-3)
 
     e1 = 0.5 - 0.5 / alpha
     c = 0.5 * sigma**e1
@@ -237,39 +230,22 @@ def radial_translator(
     def curvature_term(r, w):
         return ((sigma + w * w) / sigma) * ((sigma + w * w) ** e1 - w / r)
 
-    def rhs(r, _u, w):
-        return w, curvature_term(r, w)
+    def rhs(r, y):
+        return [y[1], curvature_term(r, y[1])]
 
-    def slope_jacobian(r, w):
+    def jacobian(r, y):
+        w = y[1]
         g2 = sigma + w * w
-        return ((2.0 + 2.0 * e1) * w * g2**e1 - g2 / r - 2.0 * w * w / r) / sigma
+        slope = ((2.0 + 2.0 * e1) * w * g2**e1 - g2 / r - 2.0 * w * w / r) / sigma
+        return [[0.0, 1.0], [0.0, slope]]
 
     r1 = _SERIES_RADIUS
-    u = c * r1**2 / 2.0 + c3 * r1**4 / 4.0
-    w = c * r1 + c3 * r1**3
-    rs = [0.0, r1]
-    us = [0.0, u]
-    ws = [0.0, w]
-    d2 = [c, curvature_term(r1, w)]
-    r = r1
-    step_count = 0
-    while r < r_max:
-        h = min(step_size, r_max - r)
-        lam = abs(slope_jacobian(r, w))
-        if lam * h > 1.0:
-            h = 1.0 / lam
-        u, w = _rk4_scalar2(rhs, r, u, w, h)
-        r = r_max if r_max - r <= h * (1.0 + 1e-12) else r + h
-        if not (math.isfinite(u) and math.isfinite(w)):
-            raise RuntimeError(f"radial translator solver diverged near r = {r:.6g}")
-        step_count += 1
-        if step_count % keep_every == 0 or r == r_max:
-            rs.append(r)
-            us.append(u)
-            ws.append(w)
-            d2.append(curvature_term(r, w))
-
-    profile = RadialProfile(np.array(rs), np.array(us), np.array(ws), np.array(d2))
+    start = [c * r1**2 / 2.0 + c3 * r1**4 / 4.0, c * r1 + c3 * r1**3]
+    nodes = _radial_nodes(r_max)
+    sol = _solve(rhs, (r1, r_max), start, "LSODA", t_eval=nodes, jac=jacobian)
+    u, w = sol.y
+    profile = RadialProfile(np.append(0.0, nodes), np.append(0.0, u), np.append(0.0, w),
+                            np.append(c, curvature_term(nodes, w)))
     profile.check_convex()
     return profile
 
@@ -316,6 +292,24 @@ def l_sigma_residual(profile: RadialProfile, alpha: float, sigma: float) -> floa
         origin = sigma**expo * 2.0 * profile.d2u[0]
         worst = max(worst, abs(origin - 1.0))
     return worst
+
+
+def hermite_increment_defect(profile: RadialProfile) -> float:
+    """Largest relative gap between the increments of u and the cubic-Hermite
+    quadrature of u' with slopes u'' over each interval,
+
+        integral_{r_i}^{r_i+1} u' = h (u'_i + u'_i+1) / 2 + h^2 (u''_i - u''_i+1) / 12 + O(h^5).
+
+    Unlike l_sigma_residual, which reads only (u', u''), this ties u' to u,
+    so a profile whose slope is off is detected even when its u'' was
+    recomputed from the ODE.
+    """
+    h = np.diff(profile.r)
+    increments = np.diff(profile.u)
+    quadrature = (0.5 * h * (profile.du[:-1] + profile.du[1:])
+                  + h * h * (profile.d2u[:-1] - profile.d2u[1:]) / 12.0)
+    scale = np.maximum(np.abs(increments), np.finfo(float).tiny)
+    return float(np.max(np.abs(increments - quadrature) / scale))
 
 
 def l0_vs_lsigma(profile: RadialProfile, alpha: float, sigma: float) -> float:
@@ -451,73 +445,34 @@ def dual_power_fit(dual: RadialProfile, p_lo: float = 50.0, p_hi: float = 100.0)
                         offset=float(popt[2]))
 
 
-def comparison_ode(
-    alpha: float,
-    delta: float,
-    t_max: float,
-    tol: float = 1e-10,
-    step_size: float = 1.25e-4,
-) -> OdeSolution:
+def comparison_ode(alpha: float, delta: float, t_max: float) -> OdeSolution:
     """Integrate rho'' = 10 t^(1/alpha) rho' + 10 delta, rho(0) = -delta, rho'(0) = 0.
 
-    Fixed-step classical RK4 on a uniform grid over [0, t_max].  a_cross is
-    the first time with rho' = 1, located by bisection of the cubic Hermite
-    interpolant on the bracketing interval (None if the slope never gets
-    there).
+    DOP853, stored on a uniform grid of spacing about _ODE_SPACING over
+    [0, t_max].  The solution scales with delta, so the absolute tolerance
+    does too.  a_cross is the first time with rho' = 1, located by a rising
+    event (None if the slope never gets there).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if delta <= 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    _require_length("t_max", t_max)
     inv_alpha = 1.0 / alpha
 
-    def rhs(t, _rho, w):
-        return w, 10.0 * t**inv_alpha * w + 10.0 * delta
+    def rhs(t, y):
+        return [y[1], 10.0 * t**inv_alpha * y[1] + 10.0 * delta]
 
-    n = max(int(math.ceil(t_max / step_size)), 2)
-    h = t_max / n
-    ts = np.linspace(0.0, t_max, n + 1)
-    rho = np.empty(n + 1)
-    drho = np.empty(n + 1)
-    rho[0], drho[0] = -delta, 0.0
-    y0, y1 = -delta, 0.0
-    for i in range(n):
-        y0, y1 = _rk4_scalar2(rhs, ts[i], y0, y1, h)
-        rho[i + 1], drho[i + 1] = y0, y1
+    def slope_one(_t, y):
+        return y[1] - 1.0
 
-    a_cross = None
-    above = np.nonzero(drho >= 1.0)[0]
-    if above.size > 0 and above[0] > 0:
-        k = int(above[0])
-        a_cross = float(
-            _hermite_crossing(ts[k - 1], drho[k - 1], rhs(ts[k - 1], 0.0, drho[k - 1])[1],
-                              ts[k], drho[k], rhs(ts[k], 0.0, drho[k])[1],
-                              1.0, max(tol, 1e-14)))
-    return OdeSolution(ts, rho, drho, a_cross)
-
-
-def _hermite_crossing(t0, f0, g0, t1, f1, g1, target, tol):
-    """Bisection for f = target on [t0, t1] with f cubic Hermite in (f, f')."""
-    h = t1 - t0
-
-    def interp(t):
-        s = (t - t0) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return h00 * f0 + h10 * h * g0 + h01 * f1 + h11 * h * g1
-
-    lo, hi = t0, t1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if interp(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    slope_one.direction = 1.0
+    ts = np.linspace(0.0, t_max, max(math.ceil(t_max / _ODE_SPACING), 2) + 1)
+    sol = _solve(rhs, (0.0, t_max), [-delta, 0.0], "DOP853", t_eval=ts,
+                 events=slope_one, atol=_ATOL * delta)
+    crossings = sol.t_events[0]
+    a_cross = float(crossings[0]) if crossings.size > 0 else None
+    return OdeSolution(ts, sol.y[0], sol.y[1], a_cross)
 
 
 def comparison_closed_form(alpha: float, delta: float, ts: np.ndarray) -> np.ndarray:
@@ -598,7 +553,7 @@ def read_profile_csv(path) -> RadialProfile:
 
 
 def write_profile_json(profile: RadialProfile, header: dict, path) -> None:
-    """Profile plus a solver header {alpha, sigma, r_max, tol}."""
+    """Profile plus a solver header such as {alpha, sigma, r_max}."""
     payload = dict(header)
     payload.update({
         "r": [float(x) for x in profile.r],

@@ -55,16 +55,8 @@ def radial_profiles():
 
 @pytest.fixture(scope="module")
 def far_profiles():
-    """Translators marched to r = 100 for the growth-constant check.
-
-    At alpha = 2 the stability cap forces millions of steps; storing every
-    50th node keeps memory flat without changing any stored value.
-    """
-    return {
-        0.6: so.radial_translator(0.6, 1.0, 100.0),
-        1.0: so.radial_translator(1.0, 1.0, 100.0),
-        2.0: so.radial_translator(2.0, 1.0, 100.0, keep_every=50),
-    }
+    """Translators marched to r = 100 for the growth-constant check."""
+    return {alpha: so.radial_translator(alpha, 1.0, 100.0) for alpha in (0.6, 1.0, 2.0)}
 
 
 # -- criteria ----------------------------------------------------------------
@@ -146,11 +138,13 @@ def test_criterion_05_blow_down(radial_profiles):
 
 def test_criterion_06_operator_identities(radial_profiles, far_profiles):
     worst_res = 0.0
-    for alpha, prof in radial_profiles.items():
-        worst_res = max(worst_res, so.l_sigma_residual(prof, alpha, 1.0))
-    for alpha, prof in far_profiles.items():
-        worst_res = max(worst_res, so.l_sigma_residual(prof, alpha, 1.0))
-    ok = worst_res <= 1e-8
+    worst_inc = 0.0
+    for profiles in (radial_profiles, far_profiles):
+        for alpha, prof in profiles.items():
+            worst_res = max(worst_res, so.l_sigma_residual(prof, alpha, 1.0))
+            worst_inc = max(worst_inc, so.hermite_increment_defect(prof))
+    # The residual reads only (u', u''); the increments tie u' to u.
+    ok = worst_res <= 1e-8 and worst_inc <= 1e-6
 
     # The pointwise comparison with the sigma-free operator holds up to
     # a = 1; beyond that u'(r)^(1/a)/r genuinely dominates near the origin.
@@ -166,7 +160,8 @@ def test_criterion_06_operator_identities(radial_profiles, far_profiles):
         worst_cone = max(worst_cone, so.l_sigma_residual(cone, alpha, 0.0))
     ok = ok and worst_cone <= 1e-10
     _report(6, "operator-identities", ok,
-            f"translator residual {worst_res:.3e} <= 1e-8 on 8 profiles, "
+            f"translator residual {worst_res:.3e} <= 1e-8 and increment "
+            f"defect {worst_inc:.3e} <= 1e-6 on 8 profiles, "
             f"min comparison gap {worst_gap:.3e} >= -1e-10 for a <= 1, "
             f"cone residual {worst_cone:.3e} <= 1e-10")
 

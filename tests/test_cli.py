@@ -54,7 +54,8 @@ def test_run_resolves_experiment_defaults(tmp_path):
     # sigma defaults to 1 for the translator family and is echoed resolved
     assert manifest["config"]["sigma"] == 1.0
     names = {c["name"] for c in manifest["checks"]}
-    assert names == {"convex", "operator-residual", "growth-bound"}
+    assert names == {"convex", "operator-residual", "growth-bound",
+                     "increment-consistency"}
     assert all(c["pass"] for c in manifest["checks"])
 
 
@@ -96,6 +97,18 @@ def test_run_records_runtime_error_in_manifest(tmp_path, capsys):
     assert "run recorded an error" in capsys.readouterr().out
 
 
+def test_run_records_overflow_in_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    # sigma^(1/2 - 1/(2 alpha)) = (1e-9)^-49.5 overflows a float
+    cfg = write_config(tmp_path, experiment="radial-translator", output_dir=str(out),
+                       alpha=0.01, sigma=1e-9)
+    assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["pass"] is False
+    assert manifest["error"].startswith("OverflowError:")
+    assert "error:" in capsys.readouterr().out
+
+
 def test_flow_run_is_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -134,6 +147,21 @@ def test_verify_round_trip(tmp_path, capsys):
     assert cli.main(["run", cfg]) == 0
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "matches manifest" in printed
+    assert "MISMATCH" not in printed
+
+
+# alpha = 1 with x_max = 1 stops before its strip's edge at pi/2 and fails.
+@pytest.mark.parametrize("alpha,x_max,expected",
+                         [(1.0, 20.0, 0), (1.0, 1.0, 2), (0.5, 20.0, 0), (0.4, 5.0, 0)])
+def test_verify_agrees_on_translator1d(tmp_path, capsys, alpha, x_max, expected):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out),
+                       alpha=alpha, x_max=x_max)
+    assert cli.main(["run", cfg]) == expected
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == expected
     printed = capsys.readouterr().out
     assert "matches manifest" in printed
     assert "MISMATCH" not in printed
@@ -279,6 +307,29 @@ def test_store_every_resolves_per_experiment(tmp_path):
         raw = {"experiment": experiment, "output_dir": str(tmp_path / experiment)}
         assert cli.config_from_dict(raw).store_every == expected
         assert cli.config_from_dict(dict(raw, store_every=3)).store_every == 3
+
+
+@pytest.mark.parametrize("entries", [
+    {"experiment": "translator1d", "alpha": 0.4, "x_max": math.inf},
+    {"experiment": "radial-translator", "r_max": math.inf},
+    {"experiment": "translator1d", "x_max": math.nan},
+    {"experiment": "normalized-rate", "fit_window": [1.0, math.inf]},
+    {"experiment": "blowdown", "scales": [10.0, math.nan]},
+])
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, entries):
+    # json.dumps writes Infinity and NaN, which json.load reads back.
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "r"), **entries)
+    assert cli.main(["run", cfg]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("knob", ["keep_every", "step_size"])
+def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, knob):
+    cfg = write_config(tmp_path, experiment="radial-translator",
+                       output_dir=str(tmp_path / "r"), **{knob: 1})
+    assert cli.main(["run", cfg]) == 1
+    assert f"unknown config field '{knob}'" in capsys.readouterr().err
 
 
 def test_unknown_config_field_is_named(tmp_path, capsys):

@@ -65,11 +65,18 @@ def test_translator_1d_validation():
         so.translator_1d(1.0, -1.0)
 
 
-def test_translator_1d_step_refinement_is_fourth_order():
-    ref = so.translator_1d(1.0, 1.4, step_size=1e-3 / 8)
-    errs = [abs(so.translator_1d(1.0, 1.4, step_size=h).v[-1] - ref.v[-1])
-            for h in (1e-3, 5e-4)]
-    assert 11.0 < errs[0] / errs[1] < 21.0
+def test_strip_profile_that_reaches_the_box_has_not_blown_up():
+    # tan x reaches slope 1.56 at x = 1, far below the switch: no half-width.
+    prof = so.translator_1d(1.0, 1.0)
+    assert prof.x[-1] == 1.0
+    assert prof.domain_half_width is None
+    assert so.blow_up_half_width(1.0, 1.0, prof.x, prof.dv) is None
+
+
+def test_blow_up_is_read_off_the_last_row():
+    prof = so.translator_1d(1.0, 20.0)
+    assert prof.dv[-1] == pytest.approx(so.SLOPE_SWITCH, rel=1e-9)
+    assert so.blow_up_half_width(1.0, 20.0, prof.x, prof.dv) == prof.domain_half_width
 
 
 def test_profile1d_validation():
@@ -110,14 +117,50 @@ def test_alpha_two_far_march_stays_on_branch():
     assert so.l_sigma_residual(prof, 2.0, 1.0) <= 1e-10
 
 
-def test_keep_every_thins_without_changing_values():
-    full = so.radial_translator(1.0, 1.0, 10.0)
-    thin = so.radial_translator(1.0, 1.0, 10.0, keep_every=7)
-    assert thin.r.size < full.r.size
-    assert thin.r[-1] == full.r[-1] == 10.0
-    sel = np.isin(full.r, thin.r)
-    np.testing.assert_array_equal(full.u[sel], thin.u)
-    np.testing.assert_array_equal(full.du[sel], thin.du)
+@pytest.mark.parametrize("alpha,r_max,u_end,du_end", [
+    (1.0, 110.0, 6044.647285805222, 109.9909075875959),
+    (2.0, 40.0, 21328.74068796661, 1599.9978124905924),
+])
+def test_radial_translator_matches_the_rk4_reference(alpha, r_max, u_end, du_end):
+    # u(r_max), u'(r_max) of a classical RK4 march (h = 5e-3, each step
+    # capped at |dg/dw| h <= 1), frozen when LSODA replaced it.
+    prof = so.radial_translator(alpha, 1.0, r_max)
+    assert prof.r[-1] == r_max
+    assert abs(prof.u[-1] / u_end - 1.0) <= 1e-10
+    assert abs(prof.du[-1] / du_end - 1.0) <= 1e-10
+
+
+def test_radial_nodes_follow_the_spacing_rule():
+    prof = so.radial_translator(1.0, 1.0, 40.0)
+    np.testing.assert_allclose(prof.r[:6], [0.0, 1e-3, 2e-3, 4e-3, 8e-3, 13e-3])
+    steps = np.diff(prof.r[4:])
+    assert np.all(steps <= 5e-3 * (1.0 + 1e-9))
+    assert prof.r.size == 8004
+
+
+def test_landing_on_r_max_leaves_no_sliver():
+    # 0.008 + 0.005 k falls 1.8e-15 short of 8.018 in floating point; an
+    # interval that thin would fail the increment check on roundoff alone.
+    prof = so.radial_translator(2.0, 1.0, 8.018)
+    assert prof.r[-1] == 8.018
+    assert np.diff(prof.r)[-1] >= 5e-4
+    assert so.hermite_increment_defect(prof) <= 1e-8
+
+
+def test_increment_defect_catches_a_slope_the_residual_misses():
+    alpha, sigma = 2.0, 1.0
+    prof = so.radial_translator(alpha, sigma, 5.0)
+    assert so.hermite_increment_defect(prof) <= 1e-8
+
+    # Slope 5% off everywhere, u'' recomputed from the ODE at that slope.
+    e1 = 0.5 - 0.5 / alpha
+    du = 1.05 * prof.du
+    d2u = prof.d2u.copy()
+    r, w = prof.r[1:], du[1:]
+    d2u[1:] = ((sigma + w * w) / sigma) * ((sigma + w * w) ** e1 - w / r)
+    wrong = RadialProfile(prof.r, prof.u, du, d2u)
+    assert so.l_sigma_residual(wrong, alpha, sigma) <= 1e-12
+    assert so.hermite_increment_defect(wrong) > 1e-6
 
 
 def test_radial_translator_validation():
@@ -127,15 +170,16 @@ def test_radial_translator_validation():
         so.radial_translator(1.0, 1.5, 10.0)
     with pytest.raises(ValueError):
         so.radial_translator(1.0, 1.0, 1e-4)
+
+
+@pytest.mark.parametrize("length", [math.inf, math.nan])
+def test_marchers_reject_non_finite_lengths(length):
     with pytest.raises(ValueError):
-        so.radial_translator(1.0, 1.0, 10.0, keep_every=0)
-
-
-def test_radial_step_refinement_is_fourth_order():
-    ref = so.radial_translator(1.0, 1.0, 10.0, step_size=0.04 / 8)
-    errs = [abs(so.radial_translator(1.0, 1.0, 10.0, step_size=h).u[-1] - ref.u[-1])
-            for h in (0.04, 0.02)]
-    assert 11.0 < errs[0] / errs[1] < 21.0
+        so.translator_1d(0.4, length)
+    with pytest.raises(ValueError):
+        so.radial_translator(1.0, 1.0, length)
+    with pytest.raises(ValueError):
+        so.comparison_ode(1.0, 1e-6, length)
 
 
 def test_growth_constant_of_the_cone():
