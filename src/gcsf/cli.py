@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from gcsf import __version__
+from gcsf import __version__, tables
 from gcsf import flow as fl
 from gcsf import geometry as geo
 from gcsf import solitons as so
@@ -423,11 +423,7 @@ def _run_normalized_rate(cfg: ExperimentConfig, out: str):
     taus, states = fl.run_normalized(body, _flow_params(cfg), cfg.tau_end,
                                      store_every=cfg.store_every)
     amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
-    with open(os.path.join(out, "rate.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["tau", "amplitude"])
-        for tau, amp in zip(taus, amps):
-            writer.writerow([repr(float(tau)), repr(float(amp))])
+    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
     fit = fl.fit_decay_rate(np.column_stack([taus, amps]),
                             (cfg.fit_window[0], cfg.fit_window[1]))
     scalars = {
@@ -464,14 +460,9 @@ def _run_radial_translator(cfg: ExperimentConfig, out: str):
 def _run_blowdown(cfg: ExperimentConfig, out: str):
     profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    sups = []
-    with open(os.path.join(out, "blowdown.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["h", "sup_dist"])
-        for h in cfg.scales:
-            _, sup = so.blow_down(profile, cfg.alpha, float(h))
-            sups.append(sup)
-            writer.writerow([repr(float(h)), repr(float(sup))])
+    sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
+    tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
+                         cfg.scales, sups)
     scalars = {"sup_dist": _scalar(sups[-1], "blowdown.csv")}
     return scalars, _blowdown_checks(sups)
 
@@ -480,11 +471,9 @@ def _run_legendre(cfg: ExperimentConfig, out: str):
     profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
     dual = so.legendre(profile)
-    with open(os.path.join(out, "dual.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["p", "u_star", "r_argmax", "d2u_star"])
-        for row in zip(dual.r, dual.u, dual.du, dual.d2u):
-            writer.writerow([repr(float(x)) for x in row])
+    tables.write_columns(os.path.join(out, "dual.csv"),
+                         ["p", "u_star", "r_argmax", "d2u_star"],
+                         dual.r, dual.u, dual.du, dual.d2u)
     fit = so.dual_power_fit(dual, cfg.p_lo, cfg.p_hi)
     scalars = {
         "exponent": _scalar(fit.exponent, "dual.csv"),
@@ -511,11 +500,8 @@ def _run_comparison_ode(cfg: ExperimentConfig, out: str):
 
 def _run_log_convexity(cfg: ExperimentConfig, out: str):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
-    with open(os.path.join(out, "margins.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "radial_eig", "tangential_eig"])
-        for row in zip(r, phi_rr, phi_tan):
-            writer.writerow([repr(float(x)) for x in row])
+    tables.write_columns(os.path.join(out, "margins.csv"),
+                         ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
     margin = float(min(np.min(phi_rr), np.min(phi_tan)))
     scalars = {"margin": _scalar(margin, "margins.csv")}
     return scalars, _logconv_checks(margin)
@@ -526,11 +512,8 @@ def _run_area_identity(cfg: ExperimentConfig, out: str):
     trace = fl.run_to_extinction(body, _flow_params(cfg), t_max=cfg.t_max,
                                  store_every=cfg.store_every)
     integrals = [fl.curvature_integral(state, cfg.alpha) for state in trace.states]
-    with open(os.path.join(out, "area_identity.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "area", "kappa_integral"])
-        for row in zip(trace.times, trace.areas, integrals):
-            writer.writerow([repr(float(x)) for x in row])
+    tables.write_columns(os.path.join(out, "area_identity.csv"),
+                         ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
     defect = fl.area_defect(trace.times, trace.areas, integrals, interior=0.9)
     scalars = {"defect": _scalar(defect, "area_identity.csv")}
     return scalars, _area_checks(cfg, defect)

@@ -18,7 +18,6 @@ rather than projecting the state back.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 import os
@@ -26,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from gcsf import tables
 from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
@@ -636,10 +636,6 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 
 # -- trace exports ----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def trace_summary_rows(trace: FlowTrace) -> list[dict]:
     """Per-snapshot diagnostics used by the CSV export and the CLI checks."""
     from gcsf.geometry import circumradius, inradius
@@ -664,14 +660,8 @@ def write_trace_csv(trace: FlowTrace, path) -> None:
     """Plot-ready series: t, area, length, inradius, circumradius and the
     relative sup distance of the recentred state to its mean circle."""
     rows = trace_summary_rows(trace)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "area", "length", "inradius", "circumradius",
-                         "delta_to_circle"])
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in
-                             ("t", "area", "length", "inradius", "circumradius",
-                              "delta_to_circle")])
+    header = ["t", "area", "length", "inradius", "circumradius", "delta_to_circle"]
+    tables.write_columns(path, header, *([row[k] for row in rows] for k in header))
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from gcsf import tables
+
 MIN_GRID = 64
 DEFAULT_GRID = 256
 
@@ -285,11 +287,7 @@ def support_from_json(text: str) -> SupportFunction:
 
 def write_support_csv(s: SupportFunction, path) -> None:
     """Two-column CSV (theta, s) with full round-trip precision."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["theta", "s"])
-        for theta, value in zip(s.thetas, s.samples):
-            writer.writerow([repr(float(theta)), repr(float(value))])
+    tables.write_columns(path, ["theta", "s"], s.thetas, s.samples)
 
 
 def read_support_csv(path) -> SupportFunction:

@@ -19,14 +19,13 @@ and the log-convexity margin of the radial separated solution.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
-from scipy.special import beta as beta_fn, betainc
+
+from gcsf import tables
 
 #: Forward integration of the 1-D translator hands over to the inverse
 #: variable once the slope exceeds this.
@@ -36,9 +35,6 @@ _SERIES_RADIUS = 1e-3
 
 #: Largest spacing of the stored radial nodes.
 _NODE_SPACING = 5e-3
-
-#: Spacing of the comparison ODE's output grid.
-_ODE_SPACING = 1.25e-4
 
 #: solve_ivp tolerances of every soliton ODE.
 _RTOL = 1e-12
@@ -96,7 +92,7 @@ class RadialProfile:
 
 @dataclass
 class OdeSolution:
-    """Dense output of the slope comparison ODE plus the located crossing."""
+    """The slope comparison ODE at its accepted steps plus the located crossing."""
 
     t: np.ndarray
     rho: np.ndarray
@@ -111,8 +107,8 @@ def _require_length(name: str, value: float) -> None:
 
 def _solve(rhs, span, y0, method, atol=_ATOL, **options):
     """solve_ivp at the module tolerances; a failed solve is a RuntimeError."""
-    # Imported on first use: the flow experiments never solve an ODE here,
-    # and loading scipy.integrate adds about 2.5 MB of resident memory.
+    # scipy is imported where it is called, never at module level: loading
+    # it costs about 0.6 s and 48 MB, and the flow experiments never use it.
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, span, y0, method=method, rtol=_RTOL, atol=atol, **options)
@@ -139,7 +135,10 @@ def translator_1d(alpha: float, x_max: float) -> Profile1D:
     q = 1.5 - 0.5 / alpha
 
     def rhs(_x, y):
-        return [y[1], (1.0 + y[1] * y[1]) ** q]
+        w = y[1]
+        # Past |w| = 1e150, 1 + w^2 rounds to w^2, and w^2 overflows long
+        # before w does; |w|^(2q) is the same number without the square.
+        return [w, abs(w) ** (2.0 * q) if abs(w) > 1e150 else (1.0 + w * w) ** q]
 
     def steep(_x, y):
         return y[1] - SLOPE_SWITCH
@@ -167,6 +166,8 @@ def _inverse_tail(q: float, w: float) -> float:
     Substituting t = 1/(1+z^2) turns it into half an incomplete beta
     integral with parameters (q - 1/2, 1/2).
     """
+    from scipy.special import beta as beta_fn, betainc
+
     t = 1.0 / (1.0 + w * w)
     return 0.5 * betainc(q - 0.5, 0.5, t) * beta_fn(q - 0.5, 0.5)
 
@@ -430,6 +431,8 @@ def dual_power_fit(dual: RadialProfile, p_lo: float = 50.0, p_hi: float = 100.0)
     c p^e + c0 separates the two, so the returned exponent and coefficient
     track the leading asymptotics.
     """
+    from scipy.optimize import curve_fit
+
     sel = (dual.r >= p_lo) & (dual.r <= p_hi)
     if int(np.count_nonzero(sel)) < 8:
         raise ValueError(f"dual grid has too few points in [{p_lo}, {p_hi}]")
@@ -448,10 +451,10 @@ def dual_power_fit(dual: RadialProfile, p_lo: float = 50.0, p_hi: float = 100.0)
 def comparison_ode(alpha: float, delta: float, t_max: float) -> OdeSolution:
     """Integrate rho'' = 10 t^(1/alpha) rho' + 10 delta, rho(0) = -delta, rho'(0) = 0.
 
-    DOP853, stored on a uniform grid of spacing about _ODE_SPACING over
-    [0, t_max].  The solution scales with delta, so the absolute tolerance
-    does too.  a_cross is the first time with rho' = 1, located by a rising
-    event (None if the slope never gets there).
+    DOP853, stored at its accepted steps from 0 to t_max.  The solution
+    scales with delta, so the absolute tolerance does too.  a_cross is the
+    first time with rho' = 1, located by a rising event (None if the slope
+    never gets there).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -467,12 +470,11 @@ def comparison_ode(alpha: float, delta: float, t_max: float) -> OdeSolution:
         return y[1] - 1.0
 
     slope_one.direction = 1.0
-    ts = np.linspace(0.0, t_max, max(math.ceil(t_max / _ODE_SPACING), 2) + 1)
-    sol = _solve(rhs, (0.0, t_max), [-delta, 0.0], "DOP853", t_eval=ts,
-                 events=slope_one, atol=_ATOL * delta)
+    sol = _solve(rhs, (0.0, t_max), [-delta, 0.0], "DOP853", events=slope_one,
+                 atol=_ATOL * delta)
     crossings = sol.t_events[0]
     a_cross = float(crossings[0]) if crossings.size > 0 else None
-    return OdeSolution(ts, sol.y[0], sol.y[1], a_cross)
+    return OdeSolution(sol.t, sol.y[0], sol.y[1], a_cross)
 
 
 def comparison_closed_form(alpha: float, delta: float, ts: np.ndarray) -> np.ndarray:
@@ -535,16 +537,9 @@ def radial_log_convexity(R: float, alpha: float, n_points: int = 2001) -> float:
 
 # -- serialization ----------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_profile_csv(profile: RadialProfile, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["r", "u", "du", "d2u"])
-        for row in zip(profile.r, profile.u, profile.du, profile.d2u):
-            writer.writerow([_fmt(x) for x in row])
+    tables.write_columns(path, ["r", "u", "du", "d2u"],
+                         profile.r, profile.u, profile.du, profile.d2u)
 
 
 def read_profile_csv(path) -> RadialProfile:
@@ -576,16 +571,8 @@ def read_profile_json(path) -> tuple[RadialProfile, dict]:
 
 
 def write_profile1d_csv(profile: Profile1D, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["x", "v", "dv"])
-        for row in zip(profile.x, profile.v, profile.dv):
-            writer.writerow([_fmt(x) for x in row])
+    tables.write_columns(path, ["x", "v", "dv"], profile.x, profile.v, profile.dv)
 
 
 def write_ode_csv(sol: OdeSolution, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "rho", "drho"])
-        for row in zip(sol.t, sol.rho, sol.drho):
-            writer.writerow([_fmt(x) for x in row])
+    tables.write_columns(path, ["t", "rho", "drho"], sol.t, sol.rho, sol.drho)

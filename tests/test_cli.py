@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +139,34 @@ def test_flow_circle_checks_and_snapshots(tmp_path):
     assert math.isclose(manifest["scalars"]["extinction_time"]["value"], 0.5,
                         abs_tol=1e-4)
     assert (out / "snapshots" / "000000.json").exists()
+
+
+# Runs in a fresh interpreter: the test modules load scipy themselves.
+COLD_START = """
+import sys
+import gcsf
+from gcsf.cli import main
+for config, run_dir in zip(sys.argv[1::2], sys.argv[2::2]):
+    assert main(["run", config]) == 0
+    assert main(["verify", run_dir]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_flow_experiments_load_no_scipy(tmp_path):
+    args = []
+    for name, entries in [("flow", dict(experiment="flow", alpha=1.0, m=64)),
+                          ("rate", dict(experiment="normalized-rate", alpha=1.0, m=64))]:
+        out = tmp_path / name
+        args += [write_config(tmp_path, f"{name}.json", output_dir=str(out), **entries),
+                 str(out)]
+    src = os.path.dirname(os.path.dirname(gcsf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", COLD_START, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 # -- verify ------------------------------------------------------------------

@@ -40,6 +40,14 @@ def test_alpha_half_slope_is_sinh():
     assert err_v <= 1e-8
 
 
+def test_alpha_half_slope_stays_finite_past_the_squared_overflow():
+    # v'^2 overflows near x = 355; v' = sinh x itself stays a float to x ~ 710.
+    prof = so.translator_1d(0.5, 700.0)
+    assert prof.x[-1] == 700.0
+    assert prof.domain_half_width is None
+    assert abs(prof.dv[-1] / math.sinh(prof.x[-1]) - 1.0) <= 1e-8
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5])
 def test_entire_profiles_reach_the_box(alpha):
     prof = so.translator_1d(alpha, 20.0)
@@ -296,6 +304,17 @@ def test_comparison_ode_matches_closed_form(alpha):
     ref = so.comparison_closed_form(alpha, 1e-6, sol.t)
     err = np.max(np.abs(sol.drho - ref)) / np.max(np.abs(ref))
     assert err <= 1e-8
+
+
+@pytest.mark.parametrize("alpha,delta", [(0.6, 1e-3), (2.0, 1e-8)])
+def test_comparison_ode_rows_are_the_accepted_steps(alpha, delta):
+    t_max = 1.0 + 0.8 * (-math.log(delta)) ** (alpha / (1.0 + alpha))
+    sol = so.comparison_ode(alpha, delta, t_max)
+    assert sol.t[0] == 0.0 and sol.t[-1] == t_max
+    assert np.all(np.diff(sol.t) > 0.0)
+    assert sol.t.size == sol.rho.size == sol.drho.size
+    ref = so.comparison_closed_form(alpha, delta, sol.t)
+    assert np.max(np.abs(sol.drho - ref)) / np.max(np.abs(ref)) <= 1e-8
 
 
 def test_closed_form_satisfies_the_ode():

@@ -1,0 +1,65 @@
+import csv
+
+import numpy as np
+import pytest
+
+from gcsf import tables
+
+
+def csv_module_bytes(path, header, *columns):
+    """The csv.writer + repr(float(x)) loop every table writer used before."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(x)) for x in row])
+    return path.read_bytes()
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 1.0 / 3.0,
+               2.0, -7.0, 1e16, 123456789.0, 0.1, 2.2250738585072014e-308, 1e-5]
+
+
+def test_edge_values_match_the_csv_module_and_read_back(tmp_path):
+    a = np.array(EDGE_VALUES)
+    b = a[::-1].copy()
+    ints = list(range(len(a)))  # whole numbers given as ints are written as floats
+    path = tmp_path / "t.csv"
+    tables.write_columns(path, ["a", "b", "n"], a, b, ints)
+    assert path.read_bytes() == csv_module_bytes(tmp_path / "ref.csv", ["a", "b", "n"],
+                                                 a, b, ints)
+    assert path.read_bytes().startswith(b"a,b,n\r\n0.0,1e-05,0.0\r\n-0.0,")
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(back[:, 0], a)
+    np.testing.assert_array_equal(np.signbit(back[:, 0]), np.signbit(a))
+    np.testing.assert_array_equal(back[:, 1], b)
+
+
+def test_tables_longer_than_a_chunk_match_the_csv_module(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 2 * tables.CHUNK_ROWS + 17
+    x = np.cumsum(rng.random(n))
+    y = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    path = tmp_path / "t.csv"
+    tables.write_columns(path, ["x", "y"], x, y)
+    assert path.read_bytes() == csv_module_bytes(tmp_path / "ref.csv", ["x", "y"], x, y)
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert back.shape == (n, 2)
+    np.testing.assert_array_equal(back[:, 0], x)
+    np.testing.assert_array_equal(back[:, 1], y)
+
+
+def test_empty_table_is_the_header_alone(tmp_path):
+    path = tmp_path / "t.csv"
+    tables.write_columns(path, ["t", "y"], [], [])
+    assert path.read_bytes() == b"t,y\r\n"
+
+
+@pytest.mark.parametrize("header,columns", [
+    (["a", "b"], ([1.0, 2.0],)),
+    (["a", "b"], ([1.0, 2.0], [1.0])),
+    (["a"], ([[1.0, 2.0]],)),
+])
+def test_mismatched_columns_are_rejected(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        tables.write_columns(tmp_path / "t.csv", header, *columns)
