@@ -3,10 +3,12 @@
 Subcommands: run executes one experiment and archives its outputs under one
 directory; sweep repeats a base config across the values of one parameter,
 one directory per value plus a summary CSV; verify recomputes a finished
-run's pass/fail decisions from its stored CSVs alone.  Every run writes a
-manifest.json naming each headline number and the file it came from; CSVs
-are written in full round-trip precision, so identical config and seed give
-byte-identical outputs.
+run's pass/fail decisions from its stored CSVs alone.  Each experiment is
+one entry of EXPERIMENTS: the config fields it accepts, its runner, and the
+checks that run and verify both derive from the same artifact columns.
+Every run writes a manifest.json naming each headline number and the file
+it came from; CSVs are written in full round-trip precision, so identical
+config and seed give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -27,19 +31,7 @@ from gcsf import __version__, tables
 from gcsf import flow as fl
 from gcsf import geometry as geo
 from gcsf import solitons as so
-from gcsf.geometry import ConvexityLostError, PlanePoint, SupportFunction
-
-EXPERIMENTS = (
-    "flow",
-    "normalized-rate",
-    "translator1d",
-    "radial-translator",
-    "blowdown",
-    "legendre",
-    "comparison-ode",
-    "log-convexity",
-    "area-identity",
-)
+from gcsf.geometry import PlanePoint, SupportFunction
 
 # Declared tolerances of the experiments' built-in checks.  verify applies
 # the same table, so a manifest's decisions can always be reproduced.
@@ -101,54 +93,34 @@ class Check:
         return f"{self.name}: {self.value!r} {rel} {self.bound!r} [{verdict}]"
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat union of every experiment's knobs; JSON maps onto it directly.
-
-    None defaults are resolved per experiment after loading, so the echoed
-    config in the manifest always shows the effective values.
-    """
-
-    experiment: str
-    output_dir: str
-    seed: int = 0
-    alpha: float = 1.0
-    sigma: float | None = None
-    m: int = 256
-    cfl: float = 0.2
-    stop_inradius: float = 1e-3
-    initial_body: dict | None = None
-    t_max: float | None = None
-    store_every: int | None = None
-    snapshot_every: int = 0
-    mode: int = 2
-    eps: float = 1e-3
-    tau_end: float = 3.5
-    fit_window: list = field(default_factory=lambda: [1.0, 3.0])
-    x_max: float = 20.0
-    r_max: float | None = None
-    h: float | None = None
-    scales: list = field(default_factory=lambda: [10.0, 100.0, 1000.0, 10000.0])
-    p_lo: float = 50.0
-    p_hi: float = 100.0
-    delta: float = 1e-6
-    radius: float = 1.0
-    n_points: int = 2001
-
-
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-
-_FLOW_FAMILY = {"flow", "normalized-rate", "area-identity"}
-_RADIAL_FAMILY = {"radial-translator", "blowdown", "legendre"}
+#: Largest angular grid a config may ask for.  Validation builds the initial
+#: body, so an unbounded grid would be an unbounded allocation; mode is
+#: capped at the highest harmonic such a grid resolves.
+MAX_GRID = 65536
 
 
 def _is_num(x) -> bool:
-    """A finite JSON number; JSON's Infinity and NaN parse but are rejected."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite JSON number; JSON's Infinity and NaN parse but are rejected,
+    and so are integers beyond the float range."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_positive(x) -> bool:
+    return _is_num(x) and x > 0.0
+
+
+def _numbers(value) -> bool:
+    """A JSON list of finite numbers."""
+    return isinstance(value, (list, tuple)) and all(_is_num(x) for x in value)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -156,125 +128,121 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build and validate a config, resolving per-experiment defaults."""
+# What each config field must hold, and how the usage error words it.  A
+# field means the same in every experiment that reads it.
+_FIELD_RULES = {
+    **dict.fromkeys(("alpha", "stop_inradius", "p_lo", "p_hi", "delta", "radius"),
+                    (_is_positive, "a positive finite number")),
+    **dict.fromkeys(("eps", "tau_end", "x_max"), (_is_num, "a finite number")),
+    **dict.fromkeys(("cfl", "sigma"),
+                    (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]")),
+    "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "m": (lambda v: _is_int(v) and 64 <= v <= MAX_GRID and v % 2 == 0,
+          f"an even integer in [64, {MAX_GRID}]"),
+    "initial_body": (lambda v: isinstance(v, dict), "an object"),
+    "t_max": (lambda v: v is None or _is_positive(v), "a positive finite number or null"),
+    "store_every": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "snapshot_every": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
+    "mode": (lambda v: _is_int(v) and 1 <= v <= MAX_GRID // 2,
+             f"an integer in [1, {MAX_GRID // 2}]"),
+    "fit_window": (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1],
+                   "a finite [lo, hi] pair with lo < hi"),
+    "r_max": (lambda v: _is_num(v) and v > 1e-3, "a finite number above 1e-3"),
+    "scales": (lambda v: _numbers(v) and len(v) > 0 and v[0] > 0.0
+               and all(a < b for a, b in zip(v, v[1:])),
+               "a non-empty, strictly increasing list of positive finite numbers"),
+    "n_points": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+}
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the CLI knows about one experiment.
+
+    fields maps each config field the experiment reads to its default, or
+    to a function of the fields declared before it; no other field is
+    accepted.  validate(cfg) raises UsageError on problems that span
+    fields.  run(cfg, out) writes the artifacts under out and returns
+    (scalars, columns): the headline numbers, all read off the file named
+    source, and the columns of each file written, keyed by file name.
+    checks(cfg, columns) derives the pass/fail decisions from such columns
+    alone: run_config hands it the columns just written, verify the same
+    columns read back.
+    """
+
+    fields: dict
+    run: Callable
+    checks: Callable
+    source: str
+    headline: tuple[str, ...]
+    validate: Callable = lambda cfg: None
+
+
+def _experiment(raw) -> Experiment:
+    """The registered experiment a raw config names, after checking that
+    every key of the config is one of its fields."""
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    _require("experiment" in raw, "config field 'experiment' is required")
+    name = raw["experiment"]
+    _require(isinstance(name, str) and name in EXPERIMENTS,
+             f"field 'experiment' must be one of {', '.join(EXPERIMENTS)}; got {name!r}")
+    experiment = EXPERIMENTS[name]
     for key in raw:
-        _require(key in _CONFIG_FIELDS, f"unknown config field '{key}'")
-    for key in ("experiment", "output_dir"):
-        _require(key in raw, f"config field '{key}' is required")
-    cfg = ExperimentConfig(**raw)
-    _require(cfg.experiment in EXPERIMENTS,
-             f"field 'experiment' must be one of {', '.join(EXPERIMENTS)}; "
-             f"got {cfg.experiment!r}")
-    _require(isinstance(cfg.output_dir, str) and cfg.output_dir != "",
+        _require(key in ("experiment", "output_dir") or key in experiment.fields,
+                 f"unknown config field '{key}'; {name} accepts "
+                 f"{', '.join(experiment.fields)}")
+    return experiment
+
+
+def config_from_dict(raw: dict) -> SimpleNamespace:
+    """Validate a config and resolve its experiment's defaults.
+
+    The result carries experiment, output_dir and every field of the
+    experiment, in declaration order; the manifest echoes exactly these.
+    """
+    experiment = _experiment(raw)
+    _require("output_dir" in raw, "config field 'output_dir' is required")
+    _require(isinstance(raw["output_dir"], str) and raw["output_dir"] != "",
              "field 'output_dir' must be a non-empty path")
-
-    for name in ("alpha", "cfl", "stop_inradius", "eps", "tau_end", "x_max",
-                 "p_lo", "p_hi", "delta", "radius"):
-        _require(_is_num(getattr(cfg, name)), f"field '{name}' must be a finite number")
-    for name in ("seed", "m", "snapshot_every", "mode", "n_points"):
-        _require(_is_int(getattr(cfg, name)), f"field '{name}' must be an integer")
-    _require(cfg.store_every is None or _is_int(cfg.store_every),
-             "field 'store_every' must be an integer")
-    for name in ("sigma", "t_max", "r_max", "h"):
-        value = getattr(cfg, name)
-        _require(value is None or _is_num(value),
-                 f"field '{name}' must be a finite number")
-    _require(cfg.seed >= 0, "field 'seed' must be nonnegative")
-    _require(cfg.alpha > 0.0, "field 'alpha' must be positive")
-    _require(isinstance(cfg.fit_window, (list, tuple)) and len(cfg.fit_window) == 2
-             and all(_is_num(v) for v in cfg.fit_window)
-             and cfg.fit_window[0] < cfg.fit_window[1],
-             "field 'fit_window' must be a finite [lo, hi] pair with lo < hi")
-    _require(isinstance(cfg.scales, (list, tuple)) and len(cfg.scales) > 0
-             and all(_is_num(v) and v > 0 for v in cfg.scales),
-             "field 'scales' must be a non-empty list of positive finite numbers")
-    _require(cfg.initial_body is None or isinstance(cfg.initial_body, dict),
-             "field 'initial_body' must be an object")
-
-    cfg = _resolve_defaults(cfg)
-    _require(cfg.store_every >= 1, "field 'store_every' must be >= 1")
-
-    if cfg.experiment in _FLOW_FAMILY:
-        try:
-            _flow_params(cfg)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        _build_body(cfg)  # validates initial_body early
-    if cfg.experiment == "normalized-rate":
-        _require(cfg.mode >= 1, "field 'mode' must be >= 1 for normalized-rate")
-    if cfg.experiment in _RADIAL_FAMILY:
-        _require(cfg.sigma is not None and 0.0 < cfg.sigma <= 1.0,
-                 "field 'sigma' must lie in (0, 1] for translator experiments")
-        _require(cfg.r_max > 1e-3, "field 'r_max' must exceed 1e-3")
-    if cfg.experiment == "blowdown":
-        _require(all(a < b for a, b in zip(cfg.scales, cfg.scales[1:])),
-                 "field 'scales' must increase strictly")
-        needed = max(cfg.scales) ** (1.0 / (1.0 + cfg.alpha))
-        _require(cfg.r_max >= needed,
-                 f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
-    if cfg.experiment == "legendre":
-        _require(0.0 < cfg.p_lo < cfg.p_hi,
-                 "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi")
-    if cfg.experiment == "comparison-ode":
-        _require(cfg.delta > 0.0, "field 'delta' must be positive")
-        _require(cfg.t_max > 0.0, "field 't_max' must be positive")
-    if cfg.experiment == "log-convexity":
-        _require(cfg.radius > 0.0, "field 'radius' must be positive")
-        _require(cfg.n_points >= 2, "field 'n_points' must be >= 2")
+    values = {"experiment": raw["experiment"], "output_dir": raw["output_dir"]}
+    for name, default in experiment.fields.items():
+        if raw.get(name) is not None:  # null selects the default
+            value = raw[name]
+        elif callable(default):
+            try:
+                value = default(values)
+            except OverflowError:
+                value = math.inf
+        else:
+            value = default
+        test, phrase = _FIELD_RULES[name]
+        _require(test(value), f"field '{name}' must be {phrase}")
+        values[name] = value
+    cfg = SimpleNamespace(**values)
+    experiment.validate(cfg)
     return cfg
 
 
-def _resolve_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
-    updates: dict = {}
-    if cfg.sigma is None:
-        updates["sigma"] = 1.0 if cfg.experiment in _RADIAL_FAMILY else 0.0
-    if cfg.store_every is None:
-        # The rescaled flow takes a few hundred ETD steps; its rate fit
-        # wants every one of them.
-        updates["store_every"] = 1 if cfg.experiment == "normalized-rate" else 8
-    if cfg.experiment == "comparison-ode" and cfg.t_max is None:
-        updates["t_max"] = 3.0
-    if cfg.experiment == "blowdown" and cfg.h is not None:
-        _require(cfg.h > 0.0, "field 'h' must be positive")
-        updates["scales"] = [cfg.h]
-    if cfg.r_max is None:
-        scales = updates.get("scales", cfg.scales)
-        if cfg.experiment == "radial-translator":
-            updates["r_max"] = 20.0
-        elif cfg.experiment == "blowdown":
-            updates["r_max"] = 1.02 * max(scales) ** (1.0 / (1.0 + cfg.alpha))
-        elif cfg.experiment == "legendre":
-            updates["r_max"] = max(6.0, (1.15 * cfg.p_hi) ** (1.0 / cfg.alpha))
-    if cfg.initial_body is None:
-        if cfg.experiment == "normalized-rate":
-            coeffs = [1.0] + [0.0] * max(cfg.mode - 1, 0)
-            coeffs.append(cfg.eps)
-            updates["initial_body"] = {"kind": "fourier", "cos": coeffs}
-        elif cfg.experiment == "area-identity":
-            updates["initial_body"] = {"kind": "ellipse", "a": 1.3, "b": 1.0}
-        else:
-            updates["initial_body"] = {"kind": "circle", "radius": 1.0,
-                                       "center": [0.0, 0.0]}
-    return replace(cfg, **updates) if updates else cfg
+_BODY_FIELDS = {"circle": ("radius", "center"), "ellipse": ("a", "b"),
+                "fourier": ("cos", "sin"), "random": ()}
 
 
-def _flow_params(cfg: ExperimentConfig) -> fl.FlowParams:
-    return fl.FlowParams(alpha=cfg.alpha, sigma=cfg.sigma, cfl=cfg.cfl,
-                         stop_inradius=cfg.stop_inradius, m=cfg.m)
-
-
-def _build_body(cfg: ExperimentConfig) -> SupportFunction:
+def _build_body(cfg: SimpleNamespace) -> SupportFunction:
     desc = cfg.initial_body
     kind = desc.get("kind")
+    _require(isinstance(kind, str) and kind in _BODY_FIELDS,
+             f"initial_body.kind must be one of {', '.join(_BODY_FIELDS)}; got {kind!r}")
+    for key in desc:
+        _require(key == "kind" or key in _BODY_FIELDS[kind],
+                 f"unknown initial_body field '{key}' for kind {kind}")
     try:
         if kind == "circle":
+            radius = desc.get("radius", 1.0)
             center = desc.get("center", [0.0, 0.0])
-            _require(isinstance(center, (list, tuple)) and len(center) == 2,
-                     "initial_body.center must be an [x, y] pair")
-            return geo.make_circle(desc.get("radius", 1.0),
-                                   PlanePoint(float(center[0]), float(center[1])),
+            _require(_is_num(radius), "initial_body.radius must be a finite number")
+            _require(_numbers(center) and len(center) == 2,
+                     "initial_body.center must be a finite [x, y] pair")
+            return geo.make_circle(radius, PlanePoint(float(center[0]), float(center[1])),
                                    m=cfg.m)
         if kind == "ellipse":
             for name in ("a", "b"):
@@ -284,32 +252,57 @@ def _build_body(cfg: ExperimentConfig) -> SupportFunction:
         if kind == "fourier":
             cos_coeffs = desc.get("cos", [])
             sin_coeffs = desc.get("sin", [])
-            _require(isinstance(cos_coeffs, (list, tuple))
-                     and isinstance(sin_coeffs, (list, tuple)),
-                     "initial_body.cos and .sin must be coefficient lists")
+            _require(_numbers(cos_coeffs) and _numbers(sin_coeffs),
+                     "initial_body.cos and .sin must be lists of finite numbers")
             return geo.make_fourier_body(cos_coeffs, sin_coeffs, m=cfg.m)
-        if kind == "random":
-            rng = np.random.default_rng(cfg.seed)
-            return geo.random_convex_body(rng, m=cfg.m)
-    except (ValueError, ConvexityLostError) as exc:
+        return geo.random_convex_body(np.random.default_rng(cfg.seed), m=cfg.m)
+    except ValueError as exc:
         raise UsageError(f"initial_body: {exc}") from exc
-    raise UsageError("initial_body.kind must be one of circle, ellipse, "
-                     f"fourier, random; got {kind!r}")
 
 
-# -- shared check builders (the run and verify paths both call these) -------
+def _scalar(value, source: str) -> dict:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value)
+    return {"value": value, "source": source}
 
-def _flow_checks(cfg: ExperimentConfig, times, inradii, extinction) -> list[Check]:
+
+# -- the experiments: each run writes its artifacts and returns their
+# columns; each checks function reads nothing but those columns ------------
+
+def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
+    return fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, stop_inradius=cfg.stop_inradius,
+                         m=cfg.m)
+
+
+def _extinction_trace(cfg: SimpleNamespace) -> fl.FlowTrace:
+    return fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
+                                store_every=cfg.store_every)
+
+
+def _run_flow(cfg: SimpleNamespace, out: str):
+    trace = _extinction_trace(cfg)
+    columns = {"trace.csv": fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))}
+    if cfg.snapshot_every > 0:
+        fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
+                                 every=cfg.snapshot_every)
+    scalars = {"extinction_time": trace.extinction_time,
+               "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1]}
+    return scalars, columns
+
+
+def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     body = cfg.initial_body
     if body.get("kind") != "circle":
         return []
+    times, inradii = columns["trace.csv"][0], columns["trace.csv"][3]
     radius = float(body.get("radius", 1.0))
     a1 = 1.0 + cfg.alpha
     expected = radius**a1 / a1
     extinct = bool(inradii[-1] < cfg.stop_inradius)
     checks = [Check("extinct", extinct, None, "true")]
-    if extinct and extinction is not None:
-        checks.append(Check("extinction-time", abs(float(extinction) - expected),
+    if extinct:
+        extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
+        checks.append(Check("extinction-time", abs(extinction - expected),
                             EXTINCTION_TOL, "le"))
         mask = times <= 0.9 * expected
         law = (radius**a1 - a1 * times[mask]) ** (1.0 / a1)
@@ -318,13 +311,39 @@ def _flow_checks(cfg: ExperimentConfig, times, inradii, extinction) -> list[Chec
     return checks
 
 
-def _rate_checks(cfg: ExperimentConfig, fitted_rate: float) -> list[Check]:
+def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
+    return fl.fit_decay_rate(np.column_stack(columns["rate.csv"]),
+                             (cfg.fit_window[0], cfg.fit_window[1]))
+
+
+def _run_normalized_rate(cfg: SimpleNamespace, out: str):
+    params = fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, m=cfg.m)
+    taus, states = fl.run_normalized(_build_body(cfg), params, cfg.tau_end,
+                                     store_every=cfg.store_every)
+    amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
+    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
+    columns = {"rate.csv": (taus, amps)}
+    fit = _rate_fit(cfg, columns)
+    return {"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns
+
+
+def _rate_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     expected = fl.linearized_mode_rate(cfg.alpha, cfg.mode)
     tol = RATE_TOL * max(abs(expected), 1.0)
-    return [Check("decay-rate", abs(fitted_rate - expected), tol, "le")]
+    rate = _rate_fit(cfg, columns).rate
+    return [Check("decay-rate", abs(rate - expected), tol, "le")]
 
 
-def _translator_checks(cfg: ExperimentConfig, x, dv, half_width) -> list[Check]:
+def _run_translator1d(cfg: SimpleNamespace, out: str):
+    profile = so.translator_1d(cfg.alpha, cfg.x_max)
+    so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
+    scalars = {"half_width": profile.domain_half_width, "slope_end": profile.dv[-1]}
+    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}
+
+
+def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    x, _, dv = columns["profile1d.csv"]
+    half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
     checks = [Check("dichotomy", blew_up == (cfg.alpha > 0.5), None, "true")]
     if cfg.alpha == 1.0 and blew_up:
@@ -339,10 +358,24 @@ def _translator_checks(cfg: ExperimentConfig, x, dv, half_width) -> list[Check]:
     return checks
 
 
-def _radial_checks(cfg: ExperimentConfig, profile: so.RadialProfile) -> list[Check]:
-    residual = so.l_sigma_residual(profile, cfg.alpha, cfg.sigma)
-    growth = so.growth_bound_check(profile, cfg.alpha)
-    increments = so.hermite_increment_defect(profile)
+def _radial_profile(cfg: SimpleNamespace, out: str) -> so.RadialProfile:
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
+    so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
+    return profile
+
+
+def _run_radial_translator(cfg: SimpleNamespace, out: str):
+    profile = _radial_profile(cfg, out)
+    scalars = {
+        "origin_curvature": profile.d2u[0],
+        "operator_residual": so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
+        "growth_const": so.growth_bound_check(profile, cfg.alpha),
+    }
+    return scalars, {"profile.csv": profile}
+
+
+def _radial_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    profile = columns["profile.csv"]
     try:
         profile.check_convex()
         convex = True
@@ -350,18 +383,48 @@ def _radial_checks(cfg: ExperimentConfig, profile: so.RadialProfile) -> list[Che
         convex = False
     return [
         Check("convex", convex, None, "true"),
-        Check("operator-residual", residual, RESIDUAL_TOL, "le"),
-        Check("growth-bound", growth, GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
-        Check("increment-consistency", increments, INCREMENT_TOL, "le"),
+        Check("operator-residual", so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
+              RESIDUAL_TOL, "le"),
+        Check("growth-bound", so.growth_bound_check(profile, cfg.alpha),
+              GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
+        Check("increment-consistency", so.hermite_increment_defect(profile),
+              INCREMENT_TOL, "le"),
     ]
 
 
-def _blowdown_checks(sups) -> list[Check]:
+def _run_blowdown(cfg: SimpleNamespace, out: str):
+    profile = _radial_profile(cfg, out)
+    sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
+    tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
+                         cfg.scales, sups)
+    columns = {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}
+    return {"sup_dist": sups[-1]}, columns
+
+
+def _blowdown_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    sups = columns["blowdown.csv"][1]
     monotone = bool(all(a > b for a, b in zip(sups, sups[1:])))
     return [Check("supdist-monotone", monotone, None, "true")]
 
 
-def _legendre_checks(cfg: ExperimentConfig, fit: so.DualPowerFit) -> list[Check]:
+def _dual_fit(cfg: SimpleNamespace, columns) -> so.DualPowerFit:
+    return so.dual_power_fit(so.RadialProfile(*columns["dual.csv"]), cfg.p_lo, cfg.p_hi)
+
+
+def _run_legendre(cfg: SimpleNamespace, out: str):
+    profile = _radial_profile(cfg, out)
+    dual = so.legendre(profile)
+    tables.write_columns(os.path.join(out, "dual.csv"),
+                         ["p", "u_star", "r_argmax", "d2u_star"],
+                         dual.r, dual.u, dual.du, dual.d2u)
+    columns = {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
+    fit = _dual_fit(cfg, columns)
+    return {"exponent": fit.exponent, "coefficient": fit.coefficient,
+            "offset": fit.offset}, columns
+
+
+def _legendre_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    fit = _dual_fit(cfg, columns)
     exp_true = (1.0 + cfg.alpha) / cfg.alpha
     coef_true = cfg.alpha / (1.0 + cfg.alpha)
     return [
@@ -372,197 +435,150 @@ def _legendre_checks(cfg: ExperimentConfig, fit: so.DualPowerFit) -> list[Check]
     ]
 
 
-def _ode_checks(rel_err: float) -> list[Check]:
-    return [Check("ode-closed-form", rel_err, ODE_AGREEMENT_TOL, "le")]
-
-
-def _logconv_checks(margin: float) -> list[Check]:
-    return [Check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
-
-
-def _area_checks(cfg: ExperimentConfig, defect: float) -> list[Check]:
-    if cfg.alpha == 1.0:
-        return [Check("area-identity", defect, AREA_IDENTITY_TOL, "le")]
-    return []
-
-
-def _ode_rel_err(alpha: float, delta: float, ts, drho) -> float:
-    reference = so.comparison_closed_form(alpha, delta, ts)
+def _ode_rel_err(cfg: SimpleNamespace, columns) -> float:
+    ts, _, drho = columns["ode.csv"]
+    reference = so.comparison_closed_form(cfg.alpha, cfg.delta, ts)
     return float(np.max(np.abs(drho - reference)) / np.max(np.abs(reference)))
 
 
-def _scalar(value, source: str) -> dict:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-    return {"value": value, "source": source}
-
-
-# -- experiment runners -----------------------------------------------------
-
-def _run_flow(cfg: ExperimentConfig, out: str):
-    body = _build_body(cfg)
-    trace = fl.run_to_extinction(body, _flow_params(cfg), t_max=cfg.t_max,
-                                 store_every=cfg.store_every)
-    fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    if cfg.snapshot_every > 0:
-        fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
-                                 every=cfg.snapshot_every)
-    rows = fl.trace_summary_rows(trace)
-    times = np.array([row["t"] for row in rows])
-    inradii = np.array([row["inradius"] for row in rows])
-    scalars = {
-        "extinction_time": _scalar(trace.extinction_time, "trace.csv"),
-        "stop_reason": _scalar(trace.stop_reason.value, "trace.csv"),
-        "final_area": _scalar(trace.areas[-1], "trace.csv"),
-    }
-    return scalars, _flow_checks(cfg, times, inradii, trace.extinction_time)
-
-
-def _run_normalized_rate(cfg: ExperimentConfig, out: str):
-    body = _build_body(cfg)
-    taus, states = fl.run_normalized(body, _flow_params(cfg), cfg.tau_end,
-                                     store_every=cfg.store_every)
-    amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
-    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
-    fit = fl.fit_decay_rate(np.column_stack([taus, amps]),
-                            (cfg.fit_window[0], cfg.fit_window[1]))
-    scalars = {
-        "fitted_rate": _scalar(fit.rate, "rate.csv"),
-        "residual_rms": _scalar(fit.residual_rms, "rate.csv"),
-    }
-    return scalars, _rate_checks(cfg, fit.rate)
-
-
-def _run_translator1d(cfg: ExperimentConfig, out: str):
-    profile = so.translator_1d(cfg.alpha, cfg.x_max)
-    so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
-    scalars = {
-        "half_width": _scalar(profile.domain_half_width, "profile1d.csv"),
-        "slope_end": _scalar(profile.dv[-1], "profile1d.csv"),
-    }
-    checks = _translator_checks(cfg, profile.x, profile.dv,
-                                profile.domain_half_width)
-    return scalars, checks
-
-
-def _run_radial_translator(cfg: ExperimentConfig, out: str):
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
-    so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    checks = _radial_checks(cfg, profile)
-    scalars = {
-        "origin_curvature": _scalar(profile.d2u[0], "profile.csv"),
-        "operator_residual": _scalar(checks[1].value, "profile.csv"),
-        "growth_const": _scalar(checks[2].value, "profile.csv"),
-    }
-    return scalars, checks
-
-
-def _run_blowdown(cfg: ExperimentConfig, out: str):
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
-    so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
-    tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
-                         cfg.scales, sups)
-    scalars = {"sup_dist": _scalar(sups[-1], "blowdown.csv")}
-    return scalars, _blowdown_checks(sups)
-
-
-def _run_legendre(cfg: ExperimentConfig, out: str):
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
-    so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    dual = so.legendre(profile)
-    tables.write_columns(os.path.join(out, "dual.csv"),
-                         ["p", "u_star", "r_argmax", "d2u_star"],
-                         dual.r, dual.u, dual.du, dual.d2u)
-    fit = so.dual_power_fit(dual, cfg.p_lo, cfg.p_hi)
-    scalars = {
-        "exponent": _scalar(fit.exponent, "dual.csv"),
-        "coefficient": _scalar(fit.coefficient, "dual.csv"),
-        "offset": _scalar(fit.offset, "dual.csv"),
-    }
-    return scalars, _legendre_checks(cfg, fit)
-
-
-def _run_comparison_ode(cfg: ExperimentConfig, out: str):
+def _run_comparison_ode(cfg: SimpleNamespace, out: str):
     sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max)
     so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
-    rel_err = _ode_rel_err(cfg.alpha, cfg.delta, sol.t, sol.drho)
+    columns = {"ode.csv": (sol.t, sol.rho, sol.drho)}
     ratio = None
     if sol.a_cross is not None and cfg.delta < 1.0:
         ratio = sol.a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
-    scalars = {
-        "a_cross": _scalar(sol.a_cross, "ode.csv"),
-        "crossing_ratio": _scalar(ratio, "ode.csv"),
-        "max_rel_err": _scalar(rel_err, "ode.csv"),
-    }
-    return scalars, _ode_checks(rel_err)
+    scalars = {"a_cross": sol.a_cross, "crossing_ratio": ratio,
+               "max_rel_err": _ode_rel_err(cfg, columns)}
+    return scalars, columns
 
 
-def _run_log_convexity(cfg: ExperimentConfig, out: str):
+def _ode_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    return [Check("ode-closed-form", _ode_rel_err(cfg, columns), ODE_AGREEMENT_TOL, "le")]
+
+
+def _margin(columns) -> float:
+    _, radial, tangential = columns["margins.csv"]
+    return float(min(np.min(radial), np.min(tangential)))
+
+
+def _run_log_convexity(cfg: SimpleNamespace, out: str):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
-    margin = float(min(np.min(phi_rr), np.min(phi_tan)))
-    scalars = {"margin": _scalar(margin, "margins.csv")}
-    return scalars, _logconv_checks(margin)
+    columns = {"margins.csv": (r, phi_rr, phi_tan)}
+    return {"margin": _margin(columns)}, columns
 
 
-def _run_area_identity(cfg: ExperimentConfig, out: str):
-    body = _build_body(cfg)
-    trace = fl.run_to_extinction(body, _flow_params(cfg), t_max=cfg.t_max,
-                                 store_every=cfg.store_every)
+def _logconv_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    return [Check("log-convexity-margin", _margin(columns), LOG_CONVEXITY_FLOOR, "ge")]
+
+
+def _area_defect(columns) -> float:
+    return fl.area_defect(*columns["area_identity.csv"], interior=0.9)
+
+
+def _run_area_identity(cfg: SimpleNamespace, out: str):
+    trace = _extinction_trace(cfg)
     integrals = [fl.curvature_integral(state, cfg.alpha) for state in trace.states]
     tables.write_columns(os.path.join(out, "area_identity.csv"),
                          ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
-    defect = fl.area_defect(trace.times, trace.areas, integrals, interior=0.9)
-    scalars = {"defect": _scalar(defect, "area_identity.csv")}
-    return scalars, _area_checks(cfg, defect)
+    columns = {"area_identity.csv": (trace.times, trace.areas, integrals)}
+    return {"defect": _area_defect(columns)}, columns
 
 
-_RUNNERS = {
-    "flow": _run_flow,
-    "normalized-rate": _run_normalized_rate,
-    "translator1d": _run_translator1d,
-    "radial-translator": _run_radial_translator,
-    "blowdown": _run_blowdown,
-    "legendre": _run_legendre,
-    "comparison-ode": _run_comparison_ode,
-    "log-convexity": _run_log_convexity,
-    "area-identity": _run_area_identity,
+def _area_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    if cfg.alpha == 1.0:
+        return [Check("area-identity", _area_defect(columns), AREA_IDENTITY_TOL, "le")]
+    return []
+
+
+def _check_reach(cfg: SimpleNamespace) -> None:
+    needed = max(cfg.scales) ** (1.0 / (1.0 + cfg.alpha))
+    _require(cfg.r_max >= needed,
+             f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
+
+
+_GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": 256, "cfl": 0.2}
+_EXTINCTION_FIELDS = {**_GRID_FIELDS, "stop_inradius": 1e-3, "t_max": None,
+                      "store_every": 8}
+_UNIT_CIRCLE = {"kind": "circle", "radius": 1.0, "center": [0.0, 0.0]}
+
+EXPERIMENTS = {
+    "flow": Experiment(
+        {**_EXTINCTION_FIELDS, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
+        _run_flow, _flow_checks,
+        "trace.csv", ("extinction_time", "stop_reason", "final_area"), _build_body),
+    "normalized-rate": Experiment(
+        # The rescaled flow takes a few hundred ETD steps; its rate fit
+        # wants every one of them.
+        {**_GRID_FIELDS, "store_every": 1, "mode": 2, "eps": 1e-3, "tau_end": 3.5,
+         "fit_window": (1.0, 3.0),
+         "initial_body": lambda c: {"kind": "fourier",
+                                    "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
+        _run_normalized_rate, _rate_checks,
+        "rate.csv", ("fitted_rate", "residual_rms"), _build_body),
+    "translator1d": Experiment(
+        {"alpha": 1.0, "x_max": 20.0},
+        _run_translator1d, _translator_checks,
+        "profile1d.csv", ("half_width", "slope_end")),
+    "radial-translator": Experiment(
+        {"alpha": 1.0, "sigma": 1.0, "r_max": 20.0},
+        _run_radial_translator, _radial_checks,
+        "profile.csv", ("origin_curvature", "operator_residual", "growth_const")),
+    "blowdown": Experiment(
+        {"alpha": 1.0, "sigma": 1.0, "scales": (10.0, 100.0, 1000.0, 10000.0),
+         "r_max": lambda c: 1.02 * max(c["scales"]) ** (1.0 / (1.0 + c["alpha"]))},
+        _run_blowdown, _blowdown_checks,
+        "blowdown.csv", ("sup_dist",), _check_reach),
+    "legendre": Experiment(
+        {"alpha": 1.0, "sigma": 1.0, "p_lo": 50.0, "p_hi": 100.0,
+         "r_max": lambda c: max(6.0, (1.15 * c["p_hi"]) ** (1.0 / c["alpha"]))},
+        _run_legendre, _legendre_checks,
+        "dual.csv", ("exponent", "coefficient", "offset"),
+        lambda cfg: _require(cfg.p_lo < cfg.p_hi,
+                             "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi")),
+    "comparison-ode": Experiment(
+        {"alpha": 1.0, "delta": 1e-6, "t_max": 3.0},
+        _run_comparison_ode, _ode_checks,
+        "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err")),
+    "log-convexity": Experiment(
+        {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
+        _run_log_convexity, _logconv_checks, "margins.csv", ("margin",)),
+    "area-identity": Experiment(
+        {**_EXTINCTION_FIELDS, "initial_body": {"kind": "ellipse", "a": 1.3, "b": 1.0}},
+        _run_area_identity, _area_checks, "area_identity.csv", ("defect",), _build_body),
 }
 
-_HEADLINES = {
-    "flow": ["extinction_time", "stop_reason", "final_area"],
-    "normalized-rate": ["fitted_rate", "residual_rms"],
-    "translator1d": ["half_width", "slope_end"],
-    "radial-translator": ["origin_curvature", "operator_residual", "growth_const"],
-    "blowdown": ["sup_dist"],
-    "legendre": ["exponent", "coefficient", "offset"],
-    "comparison-ode": ["a_cross", "crossing_ratio", "max_rel_err"],
-    "log-convexity": ["margin"],
-    "area-identity": ["defect"],
-}
 
-
-def run_config(cfg: ExperimentConfig) -> dict:
-    """Execute one experiment, write its artifacts and manifest, return the
-    manifest payload."""
+def _make_dir(path: str) -> None:
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
+        raise UsageError(f"output_dir {path!r} is not writable: {exc}")
+
+
+def run_config(cfg: SimpleNamespace) -> dict:
+    """Execute one experiment, write its artifacts and manifest, return the
+    manifest payload.  The checks are judged on the columns just written,
+    as verify judges them on the same columns read back."""
+    _make_dir(cfg.output_dir)
+    experiment = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
     error = None
     scalars: dict = {}
     checks: list[Check] = []
     try:
-        scalars, checks = _RUNNERS[cfg.experiment](cfg, cfg.output_dir)
-    except (ArithmeticError, ConvexityLostError, RuntimeError, ValueError) as exc:
+        values, columns = experiment.run(cfg, cfg.output_dir)
+        checks = experiment.checks(cfg, columns)
+        scalars = {name: _scalar(value, experiment.source)
+                   for name, value in values.items()}
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
         "artifact": "gcsf",
         "version": __version__,
-        "config": asdict(cfg),
+        "config": vars(cfg),
         "wall_time_s": time.perf_counter() - started,
         "scalars": scalars,
         "checks": [c.as_dict() for c in checks],
@@ -575,90 +591,21 @@ def run_config(cfg: ExperimentConfig) -> dict:
     return payload
 
 
-# -- verify: recompute decisions from the stored CSVs -----------------------
+class _StoredColumns(dict):
+    """A finished run's artifact columns, each file read on first use."""
 
-def _load_columns(run_dir: str, name: str) -> np.ndarray:
-    path = os.path.join(run_dir, name)
-    if not os.path.exists(path):
-        raise UsageError(f"run directory is missing {name}")
-    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    def __init__(self, run_dir: str):
+        super().__init__()
+        self.run_dir = run_dir
 
-
-def _verify_flow(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "trace.csv")
-    times, inradii = data[:, 0], data[:, 3]
-    extinction = None
-    if inradii[-1] < cfg.stop_inradius:
-        extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
-    return _flow_checks(cfg, times, inradii, extinction)
-
-
-def _verify_rate(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "rate.csv")
-    fit = fl.fit_decay_rate(data, (cfg.fit_window[0], cfg.fit_window[1]))
-    return _rate_checks(cfg, fit.rate)
-
-
-def _verify_translator1d(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "profile1d.csv")
-    x, dv = data[:, 0], data[:, 2]
-    half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
-    return _translator_checks(cfg, x, dv, half_width)
-
-
-def _verify_radial(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    profile = so.read_profile_csv(os.path.join(run_dir, "profile.csv"))
-    return _radial_checks(cfg, profile)
-
-
-def _verify_blowdown(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "blowdown.csv")
-    return _blowdown_checks(list(data[:, 1]))
-
-
-def _verify_legendre(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "dual.csv")
-    dual = so.RadialProfile(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-    fit = so.dual_power_fit(dual, cfg.p_lo, cfg.p_hi)
-    return _legendre_checks(cfg, fit)
-
-
-def _verify_comparison_ode(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "ode.csv")
-    return _ode_checks(_ode_rel_err(cfg.alpha, cfg.delta, data[:, 0], data[:, 2]))
-
-
-def _verify_log_convexity(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "margins.csv")
-    return _logconv_checks(float(np.min(data[:, 1:3])))
-
-
-def _verify_area_identity(cfg: ExperimentConfig, run_dir: str) -> list[Check]:
-    data = _load_columns(run_dir, "area_identity.csv")
-    defect = fl.area_defect(data[:, 0], data[:, 1], data[:, 2], interior=0.9)
-    return _area_checks(cfg, defect)
-
-
-_VERIFIERS = {
-    "flow": _verify_flow,
-    "normalized-rate": _verify_rate,
-    "translator1d": _verify_translator1d,
-    "radial-translator": _verify_radial,
-    "blowdown": _verify_blowdown,
-    "legendre": _verify_legendre,
-    "comparison-ode": _verify_comparison_ode,
-    "log-convexity": _verify_log_convexity,
-    "area-identity": _verify_area_identity,
-}
-
-
-def _checks_agree(stored: dict, recomputed: Check) -> bool:
-    if stored.get("pass") != recomputed.passed:
-        return False
-    a, b = stored.get("value"), recomputed.value
-    if isinstance(a, bool) or isinstance(b, bool):
-        return a == b
-    return abs(float(a) - float(b)) <= 1e-12 * max(1.0, abs(float(b)))
+    def __missing__(self, name: str):
+        path = os.path.join(self.run_dir, name)
+        _require(os.path.exists(path), f"run directory is missing {name}")
+        if name == "profile.csv":
+            self[name] = so.read_profile_csv(path)
+        else:
+            self[name] = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+        return self[name]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -673,22 +620,20 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"config {path!r} is not valid JSON: {exc}")
 
 
-def _parse_override(text: str) -> tuple[str, object]:
-    if not text.startswith("--") or "=" not in text:
-        raise UsageError(f"overrides look like --key=value; got {text!r}")
-    key, _, value = text[2:].partition("=")
-    _require(key in _CONFIG_FIELDS, f"unknown config field '{key}'")
+def _json_or_text(text: str):
     try:
-        return key, json.loads(value)
+        return json.loads(text)
     except json.JSONDecodeError:
-        return key, value
+        return text
 
 
 def _apply_overrides(raw: dict, overrides: list[str]) -> dict:
     merged = dict(raw)
     for text in overrides:
-        key, value = _parse_override(text)
-        merged[key] = value
+        _require(text.startswith("--") and "=" in text,
+                 f"overrides look like --key=value; got {text!r}")
+        key, _, value = text[2:].partition("=")
+        merged[key] = _json_or_text(value)
     return merged
 
 
@@ -744,37 +689,21 @@ def _thread_cap() -> int:
 def cmd_sweep(config_path: str, param: str, values_text: str,
               overrides: list[str]) -> int:
     raw = _apply_overrides(_load_json(config_path), overrides)
-    _require(param in _CONFIG_FIELDS, f"unknown sweep parameter '{param}'")
     _require(param not in ("output_dir", "experiment"),
              f"parameter '{param}' cannot be swept")
+    experiment = _experiment(raw)
+    _require(param in experiment.fields,
+             f"unknown sweep parameter: unknown config field '{param}'; "
+             f"{raw['experiment']} accepts {', '.join(experiment.fields)}")
     _require("output_dir" in raw, "config field 'output_dir' is required")
-    _require("experiment" in raw, "config field 'experiment' is required")
-    _require(raw["experiment"] in EXPERIMENTS,
-             f"field 'experiment' must be one of {', '.join(EXPERIMENTS)}; "
-             f"got {raw['experiment']!r}")
     base_dir = raw["output_dir"]
-    try:
-        os.makedirs(base_dir, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"output_dir {base_dir!r} is not writable: {exc}")
+    _make_dir(base_dir)
 
-    values = []
-    if values_text.strip() != "":
-        for chunk in values_text.split(","):
-            try:
-                values.append(json.loads(chunk))
-            except json.JSONDecodeError:
-                values.append(chunk)
-
-    configs = []
-    labels = []
-    for value in values:
-        label = f"{param}={_format_cell(value)}"
-        entry = dict(raw)
-        entry[param] = value
-        entry["output_dir"] = os.path.join(base_dir, label)
-        configs.append(entry)
-        labels.append(label)
+    values = ([_json_or_text(chunk) for chunk in values_text.split(",")]
+              if values_text.strip() != "" else [])
+    labels = [f"{param}={_format_cell(value)}" for value in values]
+    configs = [dict(raw, **{param: value, "output_dir": os.path.join(base_dir, label)})
+               for value, label in zip(values, labels)]
 
     # The pool forks all its workers up front, so never ask for more than
     # there are values or cores.
@@ -785,18 +714,15 @@ def cmd_sweep(config_path: str, param: str, values_text: str,
     else:
         results = [_sweep_entry(entry) for entry in configs]
 
-    headline = _HEADLINES[raw["experiment"]]
+    headline = experiment.headline
     summary_path = os.path.join(base_dir, "summary.csv")
     with open(summary_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow([param, "pass", "error", *headline, "run_dir"])
         for value, label, result in zip(values, labels, results):
-            row = [_format_cell(value), _format_cell(result["pass"]),
-                   result["error"] or ""]
-            row.extend(_format_cell(result["scalars"].get(name))
-                       for name in headline)
-            row.append(label)
-            writer.writerow(row)
+            scalars = [_format_cell(result["scalars"].get(name)) for name in headline]
+            writer.writerow([_format_cell(value), _format_cell(result["pass"]),
+                             result["error"] or "", *scalars, label])
     print(f"summary: {summary_path}")
     return 0 if all(r["pass"] for r in results) else 2
 
@@ -811,7 +737,11 @@ def cmd_verify(run_dir: str) -> int:
         print(f"run recorded an error: {manifest['error']}")
         return 2
     cfg = config_from_dict(manifest["config"])
-    recomputed = _VERIFIERS[cfg.experiment](cfg, run_dir)
+    try:
+        recomputed = EXPERIMENTS[cfg.experiment].checks(cfg, _StoredColumns(run_dir))
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
+        return 2
     stored_by_name = {c["name"]: c for c in manifest.get("checks", [])}
     ok = True
     if set(stored_by_name) != {c.name for c in recomputed}:
@@ -819,7 +749,8 @@ def cmd_verify(run_dir: str) -> int:
         ok = False
     for check in recomputed:
         stored = stored_by_name.get(check.name)
-        agrees = stored is not None and _checks_agree(stored, check)
+        agrees = (stored is not None and stored.get("pass") == check.passed
+                  and stored.get("value") == check.value)
         tag = "matches manifest" if agrees else "MISMATCH with manifest"
         print(f"check {check.describe()} ({tag})")
         ok = ok and agrees and check.passed

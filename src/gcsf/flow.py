@@ -30,9 +30,14 @@ from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
     area,
+    circumradius,
     curvature_radius_samples,
+    hausdorff_to_circle,
+    inradius,
+    length,
     mode_amplitude,
     recenter,
+    support_to_json,
 )
 
 #: Steps are rejected and halved at most this many times before giving up.
@@ -64,19 +69,15 @@ class StopReason(str, enum.Enum):
 class FlowParams:
     """Parameters shared by every flow solver.
 
-    alpha is the curvature power.  sigma is carried along for the soliton
-    experiments; the curve flow itself always runs at sigma = 0.
-
-    cfl scales every time step.  For the Runge-Kutta reference (step,
-    stable_dt) it is the parabolic fraction cfl * dtheta^2 of the fastest
-    diffusive time; for the ETD march of both flows (run_to_extinction,
-    run_normalized) it scales the accuracy step
+    alpha is the curvature power.  cfl scales every time step.  For the
+    Runge-Kutta reference (step, stable_dt) it is the parabolic fraction
+    cfl * dtheta^2 of the fastest diffusive time; for the ETD march of both
+    flows (run_to_extinction, run_normalized) it scales the accuracy step
     ETD_STEP_SCALE * cfl * r_min^(alpha+1), which the step rule shrinks on
     eccentric bodies.
     """
 
     alpha: float
-    sigma: float = 0.0
     cfl: float = 0.2
     stop_inradius: float = 1e-3
     m: int = 256
@@ -84,8 +85,6 @@ class FlowParams:
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 <= self.sigma <= 1.0:
-            raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.stop_inradius <= 0.0:
@@ -133,42 +132,29 @@ def stable_dt(s: SupportFunction, p: FlowParams) -> float:
     explicit scheme must resolve it on the angular grid scale.
     """
     radius = curvature_radius_samples(s.samples)
-    if np.min(radius) <= 0.0:
+    if not (np.min(radius) > 0.0):
         raise ConvexityLostError("state is not convex")
     dtheta = 2.0 * np.pi / s.m
     return p.cfl * dtheta**2 * float(np.min(radius)) ** (p.alpha + 1.0) / p.alpha
 
 
 def step(s: SupportFunction, p: FlowParams, dt: float, rhs=rhs_unnormalized) -> SupportFunction:
-    """One classical Runge-Kutta step of the chosen right-hand side.
+    """One classical Runge-Kutta step of rhs_unnormalized or rhs_normalized.
 
     dt = 0 returns the state unchanged.  A step whose stages or result leave
     the convex cone raises StepRejectedError; the caller is expected to halve
     dt and retry.
     """
+    if rhs is not rhs_unnormalized and rhs is not rhs_normalized:
+        raise ValueError("rhs must be rhs_unnormalized or rhs_normalized")
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return s
-    normalized = rhs is rhs_normalized
-    if rhs is rhs_unnormalized or rhs is rhs_normalized:
-        try:
-            y, _ = _rk4_flow_step(s.samples, None, p.alpha, dt, normalized)
-            return SupportFunction(y)
-        except (_StageFailure, ConvexityLostError) as exc:
-            raise StepRejectedError(f"step of size {dt:.3e} left the convex cone") from exc
-    # Generic callable: stages build full support functions, so convexity
-    # failures surface as ConvexityLostError from the constructor.
     try:
-        k1 = rhs(s, p)
-        s2 = SupportFunction(s.samples + 0.5 * dt * k1)
-        k2 = rhs(s2, p)
-        s3 = SupportFunction(s.samples + 0.5 * dt * k2)
-        k3 = rhs(s3, p)
-        s4 = SupportFunction(s.samples + dt * k3)
-        k4 = rhs(s4, p)
-        return SupportFunction(s.samples + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    except ConvexityLostError as exc:
+        y = _rk4_flow_step(s.samples, p.alpha, dt, rhs is rhs_normalized)
+        return SupportFunction(y)
+    except (_StageFailure, ConvexityLostError) as exc:
         raise StepRejectedError(f"step of size {dt:.3e} left the convex cone") from exc
 
 
@@ -178,7 +164,7 @@ class _StageFailure(Exception):
 
 def _rhs_array(y: np.ndarray, alpha: float, normalized: bool) -> np.ndarray:
     radius = curvature_radius_samples(y)
-    if np.min(radius) <= 0.0:
+    if not (np.min(radius) > 0.0):
         raise _StageFailure
     out = -np.power(radius, -alpha)
     if normalized:
@@ -186,32 +172,17 @@ def _rhs_array(y: np.ndarray, alpha: float, normalized: bool) -> np.ndarray:
     return out
 
 
-def _rk4_flow_step(y, radius, alpha, dt, normalized):
-    """Array-level RK4 step; returns (y_new, radius_new).
-
-    radius may carry the precomputed curvature radius of y to save one
-    transform; pass None to compute it here.
-    """
-    if radius is None:
-        radius = curvature_radius_samples(y)
-        if np.min(radius) <= 0.0:
-            raise _StageFailure
-    k1 = -np.power(radius, -alpha)
-    if normalized:
-        k1 = k1 + y
+def _rk4_flow_step(y, alpha, dt, normalized):
+    """Array-level RK4 step; raises _StageFailure unless every stage and the
+    result keep a positive curvature radius (NaN included)."""
+    k1 = _rhs_array(y, alpha, normalized)
     k2 = _rhs_array(y + 0.5 * dt * k1, alpha, normalized)
     k3 = _rhs_array(y + 0.5 * dt * k2, alpha, normalized)
     k4 = _rhs_array(y + dt * k3, alpha, normalized)
     y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    radius_new = curvature_radius_samples(y_new)
-    if np.min(radius_new) <= 0.0:
+    if not (np.min(curvature_radius_samples(y_new)) > 0.0):
         raise _StageFailure
-    return y_new, radius_new
-
-
-def _trig_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    return np.cos(theta), np.sin(theta)
+    return y_new
 
 
 def _inradius_array(y: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> float:
@@ -224,8 +195,6 @@ def _inradius_array(y: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> floa
 
 def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
     """Safe horizon: the circumscribed disc is extinct by R^(1+a)/(1+a)."""
-    from gcsf.geometry import circumradius
-
     return 1.05 * circumradius(s) ** (1.0 + p.alpha) / (1.0 + p.alpha)
 
 
@@ -359,6 +328,13 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool):
         yield t, y
 
 
+def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
+    if s0.m != p.m:
+        raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
+
+
 def run_to_extinction(
     s0: SupportFunction,
     p: FlowParams,
@@ -378,15 +354,13 @@ def run_to_extinction(
     inradius^(1+alpha), which is linear in t for shrinking circles, over
     the last decade of the trace and extrapolating to zero.
     """
-    if s0.m != p.m:
-        raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
+    _check_start(s0, p, store_every)
     if t_max is None:
         t_max = default_time_limit(s0, p)
 
     m = s0.m
-    cos_t, sin_t = _trig_tables(m)
+    theta = np.arange(m) * (2.0 * np.pi / m)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
     stored_t: list[float] = []
     stored_y: list[np.ndarray] = []
     stored_inr: list[float] = []
@@ -448,12 +422,9 @@ def run_normalized(
     The march is _etd_march with the rescaling term in its linear part.
     ConvexityLostError is raised when no acceptable step exists.
     """
-    if s0.m != p.m:
-        raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
+    _check_start(s0, p, store_every)
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
 
     stored_t: list[float] = []
     stored_y: list[np.ndarray] = []
@@ -493,8 +464,6 @@ def normalize_trace(trace: FlowTrace, p: FlowParams) -> list[tuple[float, Suppor
 
 def normalized_delta_series(trace: FlowTrace, p: FlowParams) -> np.ndarray:
     """Pairs (tau, sup distance of the rescaled state to the unit circle)."""
-    from gcsf.geometry import hausdorff_to_circle
-
     rows = [
         (tau, hausdorff_to_circle(state, (0.0, 0.0), 1.0))
         for tau, state in normalize_trace(trace, p)
@@ -565,7 +534,7 @@ def curvature_integral(s: SupportFunction, alpha: float) -> float:
     In support form dxi = (s''+s) dtheta and kappa = 1/(s''+s).
     """
     radius = curvature_radius_samples(s.samples)
-    if np.min(radius) <= 0.0:
+    if not (np.min(radius) > 0.0):
         raise ConvexityLostError("state is not convex")
     kappa = 1.0 / radius
     return (2.0 * np.pi / s.m) * float(np.sum(np.power(kappa, alpha) * radius))
@@ -627,8 +596,6 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
     """
     if p.alpha < 1.0:
         raise ValueError(f"bound requires alpha >= 1, got {p.alpha}")
-    from gcsf.geometry import length
-
     lhs = curvature_integral(s, p.alpha)
     rhs = length(s) ** (1.0 - p.alpha) * (2.0 * np.pi) ** p.alpha
     return lhs, rhs
@@ -638,8 +605,6 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 
 def trace_summary_rows(trace: FlowTrace) -> list[dict]:
     """Per-snapshot diagnostics used by the CSV export and the CLI checks."""
-    from gcsf.geometry import circumradius, inradius
-
     rows = []
     for t, state, a, l in zip(trace.times, trace.states, trace.areas, trace.lengths):
         rec = recenter(state)
@@ -656,18 +621,19 @@ def trace_summary_rows(trace: FlowTrace) -> list[dict]:
     return rows
 
 
-def write_trace_csv(trace: FlowTrace, path) -> None:
+def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
     """Plot-ready series: t, area, length, inradius, circumradius and the
-    relative sup distance of the recentred state to its mean circle."""
+    relative sup distance of the recentred state to its mean circle.
+    Returns the columns written, in that order."""
     rows = trace_summary_rows(trace)
     header = ["t", "area", "length", "inradius", "circumradius", "delta_to_circle"]
-    tables.write_columns(path, header, *([row[k] for row in rows] for k in header))
+    columns = [np.array([row[k] for row in rows]) for k in header]
+    tables.write_columns(path, header, *columns)
+    return columns
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:
     """Dump states as JSON support functions named by zero-padded snapshot index."""
-    from gcsf.geometry import support_to_json
-
     os.makedirs(directory, exist_ok=True)
     written = []
     for i, state in enumerate(trace.states):

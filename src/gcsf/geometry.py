@@ -104,7 +104,7 @@ class SupportFunction:
         if not np.all(np.isfinite(arr)):
             raise ValueError("support samples must be finite")
         radius = curvature_radius_samples(arr)
-        if np.min(radius) <= 0.0:
+        if not (np.min(radius) > 0.0):
             raise ConvexityLostError(
                 f"curvature radius must be positive, min is {np.min(radius):.3e}"
             )
@@ -184,7 +184,7 @@ def random_convex_body(
 def curvature_radius(s: SupportFunction) -> np.ndarray:
     """Radius of curvature s'' + s; positive on every valid support function."""
     radius = curvature_radius_samples(s.samples)
-    if np.min(radius) <= 0.0:
+    if not (np.min(radius) > 0.0):
         raise ConvexityLostError(
             f"curvature radius must be positive, min is {np.min(radius):.3e}"
         )
@@ -229,18 +229,21 @@ def recenter(s: SupportFunction) -> SupportFunction:
     return translate(s, (-p.x, -p.y))
 
 
-def inradius(s: SupportFunction) -> float:
-    """Radius of the largest disc centred at the Steiner point."""
+def _steiner_distances(s: SupportFunction) -> np.ndarray:
+    """Distances from the Steiner point to the supporting lines."""
     p = steiner_point(s)
     theta = s.thetas
-    return float(np.min(s.samples - p.x * np.cos(theta) - p.y * np.sin(theta)))
+    return s.samples - p.x * np.cos(theta) - p.y * np.sin(theta)
+
+
+def inradius(s: SupportFunction) -> float:
+    """Radius of the largest disc centred at the Steiner point."""
+    return float(np.min(_steiner_distances(s)))
 
 
 def circumradius(s: SupportFunction) -> float:
     """Radius of the smallest disc centred at the Steiner point containing the body."""
-    p = steiner_point(s)
-    theta = s.thetas
-    return float(np.max(s.samples - p.x * np.cos(theta) - p.y * np.sin(theta)))
+    return float(np.max(_steiner_distances(s)))
 
 
 def hausdorff_to_circle(s: SupportFunction, center, radius: float) -> float:

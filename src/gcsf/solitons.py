@@ -282,17 +282,19 @@ def l_sigma_residual(profile: RadialProfile, alpha: float, sigma: float) -> floa
         raise ValueError(f"alpha must be positive, got {alpha}")
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
-    expo = 0.5 / alpha - 0.5
-    r = profile.r[1:]
-    du = profile.du[1:]
-    d2u = profile.d2u[1:]
-    grad2 = sigma + du**2
-    values = grad2**expo * (sigma * d2u / grad2 + du / r)
-    worst = float(np.max(np.abs(values - 1.0)))
+    worst = float(np.max(np.abs(_l_sigma_off_origin(profile, alpha, sigma) - 1.0)))
     if sigma > 0.0:
-        origin = sigma**expo * 2.0 * profile.d2u[0]
+        origin = sigma ** (0.5 / alpha - 0.5) * 2.0 * profile.d2u[0]
         worst = max(worst, abs(origin - 1.0))
     return worst
+
+
+def _l_sigma_off_origin(profile: RadialProfile, alpha: float, sigma: float) -> np.ndarray:
+    """L_sigma(u) at every node but r = 0, from the stored (u', u'')."""
+    du = profile.du[1:]
+    grad2 = sigma + du**2
+    expo = 0.5 / alpha - 0.5
+    return grad2**expo * (sigma * profile.d2u[1:] / grad2 + du / profile.r[1:])
 
 
 def hermite_increment_defect(profile: RadialProfile) -> float:
@@ -322,16 +324,11 @@ def l0_vs_lsigma(profile: RadialProfile, alpha: float, sigma: float) -> float:
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    r = profile.r[1:]
     du = profile.du[1:]
-    d2u = profile.d2u[1:]
     if np.any(du <= 0.0):
         raise ValueError("gradient must be positive away from the origin")
-    expo = 0.5 / alpha - 0.5
-    grad2 = sigma + du**2
-    l_sigma = grad2**expo * (sigma * d2u / grad2 + du / r)
-    l_zero = du ** (1.0 / alpha) / r
-    return float(np.min(l_sigma - l_zero))
+    l_zero = du ** (1.0 / alpha) / profile.r[1:]
+    return float(np.min(_l_sigma_off_origin(profile, alpha, sigma) - l_zero))
 
 
 def blow_down(profile: RadialProfile, alpha: float, h: float) -> tuple[RadialProfile, float]:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gcsf
 from gcsf import cli
@@ -183,6 +184,34 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "MISMATCH" not in printed
 
 
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_experiment_runs_and_verifies_at_its_defaults(tmp_path, capsys, experiment):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment=experiment, output_dir=str(out))
+    assert cli.main(["run", cfg]) == 0
+    manifest = read_manifest(out)
+    assert list(manifest["scalars"]) == list(cli.EXPERIMENTS[experiment].headline)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("check ")]
+    assert len(lines) == len(manifest["checks"])
+    assert all(line.endswith("(matches manifest)") for line in lines)
+
+
+def test_verify_demands_exact_agreement(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="comparison-ode", output_dir=str(out))
+    assert cli.main(["run", cfg]) == 0
+    manifest = read_manifest(out)
+    stored = manifest["checks"][0]
+    stored["value"] = math.nextafter(stored["value"], math.inf)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert "MISMATCH" in capsys.readouterr().out
+
+
 # alpha = 1 with x_max = 1 stops before its strip's edge at pi/2 and fails.
 @pytest.mark.parametrize("alpha,x_max,expected",
                          [(1.0, 20.0, 0), (1.0, 1.0, 2), (0.5, 20.0, 0), (0.4, 5.0, 0)])
@@ -337,6 +366,7 @@ def test_store_every_resolves_per_experiment(tmp_path):
                                  ("area-identity", 8)):
         raw = {"experiment": experiment, "output_dir": str(tmp_path / experiment)}
         assert cli.config_from_dict(raw).store_every == expected
+        assert cli.config_from_dict(dict(raw, store_every=None)).store_every == expected
         assert cli.config_from_dict(dict(raw, store_every=3)).store_every == 3
 
 
@@ -361,6 +391,99 @@ def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, knob):
                        output_dir=str(tmp_path / "r"), **{knob: 1})
     assert cli.main(["run", cfg]) == 1
     assert f"unknown config field '{knob}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, knob", [
+    ("flow", "sigma"), ("radial-translator", "m"), ("translator1d", "initial_body"),
+    ("log-convexity", "store_every"), ("blowdown", "h"),
+    ("area-identity", "snapshot_every"),
+])
+def test_fields_of_other_experiments_are_unknown(tmp_path, capsys, experiment, knob):
+    entries = dict(experiment=experiment, output_dir=str(tmp_path / "r"))
+    message = f"unknown config field '{knob}'"
+    with_knob = write_config(tmp_path, "knob.json", **entries, **{knob: 1})
+    assert cli.main(["run", with_knob]) == 1
+    assert message in capsys.readouterr().err
+    clean = write_config(tmp_path, **entries)
+    assert cli.main(["sweep", clean, f"--param={knob}", "--values=1,2"]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_override_of_another_experiments_field_is_unknown(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"))
+    assert cli.main(["run", cfg, "--sigma=1"]) == 1
+    assert "unknown config field 'sigma'" in capsys.readouterr().err
+
+
+def test_manifest_echoes_only_the_fields_read(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out))
+    assert cli.main(["run", cfg]) == 0
+    assert read_manifest(out)["config"] == {
+        "experiment": "translator1d", "output_dir": str(out), "alpha": 1.0, "x_max": 20.0}
+
+
+@pytest.mark.parametrize("body", [
+    {"kind": "circle", "radius": "abc"},
+    {"kind": "circle", "center": [None, 0.0]},
+    {"kind": "fourier", "cos": ["x"]},
+    {"kind": "ellipse", "a": 1.0, "b": 10**400},
+    {"kind": "random", "radius": 1.0},
+    {"kind": ["circle"]},
+])
+def test_malformed_initial_body_is_a_usage_error(tmp_path, capsys, body):
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"),
+                       initial_body=body)
+    assert cli.main(["run", cfg]) == 1
+    assert "initial_body" in capsys.readouterr().err
+
+
+# The scalars weight edge values on purpose: integers beyond the float
+# range, non-finite floats and body kinds.
+SCALARS = (st.sampled_from([10**400, -(10**400), math.inf, math.nan, 0, -1, 1e308])
+           | st.sampled_from(["circle", "ellipse", "fourier", "random"])
+           | st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+BODY_FIELDS = {"circle": ["radius", "center"], "ellipse": ["a", "b"],
+               "fourier": ["cos", "sin"], "random": []}
+BODY_VALUES = SCALARS | st.lists(SCALARS, max_size=3)
+# A body of one kind with that kind's fields, or any object over all the keys.
+BODIES = st.sampled_from(sorted(BODY_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"kind": st.just(kind)}, optional=dict.fromkeys(BODY_FIELDS[kind], BODY_VALUES))
+) | st.dictionaries(st.sampled_from(["kind", *sum(BODY_FIELDS.values(), [])]),
+                    JSON_VALUES, max_size=4)
+
+
+@st.composite
+def raw_configs(draw):
+    name = draw(st.sampled_from(sorted(cli.EXPERIMENTS)))
+    fields = cli.EXPERIMENTS[name].fields
+    raw = {"experiment": name, "output_dir": "out"}
+    if "initial_body" in fields and draw(st.integers(0, 3)) > 0:
+        # Most drawn fields are invalid and stop validation before the body
+        # is built, so bodies mostly get draws of their own.
+        return dict(raw, initial_body=draw(BODIES))
+    keys = sorted(fields) + ["experiment", "output_dir"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
+        raw[key] = draw(BODIES if key == "initial_body" else JSON_VALUES)
+    return raw
+
+
+@settings(max_examples=400)
+@given(raw=raw_configs())
+def test_config_from_dict_raises_only_usage_errors(raw):
+    try:
+        cfg = cli.config_from_dict(raw)
+    except cli.UsageError:
+        return
+    assert set(vars(cfg)) == set(cli.EXPERIMENTS[raw["experiment"]].fields) | {
+        "experiment", "output_dir"}
 
 
 def test_unknown_config_field_is_named(tmp_path, capsys):
