@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -163,8 +163,9 @@ class Experiment:
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
     fields.  run(cfg, out) writes the artifacts under out and returns
-    (scalars, columns): the headline numbers, all read off the file named
-    source, and the columns of each file written, keyed by file name.
+    (scalars, columns, solver): the headline numbers, all read off the
+    file named source, the columns of each file written, keyed by file
+    name, and the flow stepper's counts (None where no flow runs).
     checks(cfg, columns) derives the pass/fail decisions from such columns
     alone: run_config hands it the columns just written, verify the same
     columns read back.
@@ -274,41 +275,61 @@ def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
                          m=cfg.m)
 
 
-def _extinction_trace(cfg: SimpleNamespace) -> fl.FlowTrace:
+def _extinction_trace(cfg: SimpleNamespace, stats: fl.MarchStats) -> fl.FlowTrace:
     return fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
-                                store_every=cfg.store_every)
+                                store_every=cfg.store_every, stats=stats)
 
 
 def _run_flow(cfg: SimpleNamespace, out: str):
-    trace = _extinction_trace(cfg)
+    stats = fl.MarchStats()
+    trace = _extinction_trace(cfg, stats)
     columns = {"trace.csv": fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))}
     if cfg.snapshot_every > 0:
         fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
                                  every=cfg.snapshot_every)
     scalars = {"extinction_time": trace.extinction_time,
                "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1]}
-    return scalars, columns
+    return scalars, columns, asdict(stats)
 
 
 def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    body = cfg.initial_body
-    if body.get("kind") != "circle":
-        return []
-    times, inradii = columns["trace.csv"][0], columns["trace.csv"][3]
-    radius = float(body.get("radius", 1.0))
-    a1 = 1.0 + cfg.alpha
-    expected = radius**a1 / a1
+    """Checks of a flow run, from trace.csv alone.
+
+    A body run without t_max must go extinct.  A circle must then vanish
+    at radius^(1+alpha)/(1+alpha) and shrink by the circle law on the way.
+    Any other body must vanish at T = area_0 / 2 pi at alpha = 1, where the
+    area falls at exactly 2 pi, and at every alpha between the extinction
+    times of the discs about the Steiner point inscribed in and
+    circumscribing it, as the comparison principle demands.
+    """
+    trace = columns["trace.csv"]
+    times, inradii = trace[0], trace[3]
     extinct = bool(inradii[-1] < cfg.stop_inradius)
-    checks = [Check("extinct", extinct, None, "true")]
-    if extinct:
-        extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
-        checks.append(Check("extinction-time", abs(extinction - expected),
-                            EXTINCTION_TOL, "le"))
+    checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
+    if not extinct:
+        return checks
+    extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
+    a1 = 1.0 + cfg.alpha
+    body = cfg.initial_body
+    if body.get("kind") == "circle":
+        radius = float(body.get("radius", 1.0))
+        expected = radius**a1 / a1
         mask = times <= 0.9 * expected
         law = (radius**a1 - a1 * times[mask]) ** (1.0 / a1)
         rel = float(np.max(np.abs(inradii[mask] - law) / law))
-        checks.append(Check("circle-law", rel, CIRCLE_LAW_TOL, "le"))
-    return checks
+        return checks + [
+            Check("extinction-time", abs(extinction - expected), EXTINCTION_TOL, "le"),
+            Check("circle-law", rel, CIRCLE_LAW_TOL, "le"),
+        ]
+    if cfg.alpha == 1.0:
+        area_law = trace[1][0] / (2.0 * math.pi)
+        checks.append(Check("extinction-time", abs(extinction - area_law), EXTINCTION_TOL, "le"))
+    return checks + [
+        Check("inscribed-disc-first", inradii[0]**a1 / a1 - extinction,
+              EXTINCTION_TOL, "le"),
+        Check("circumscribed-disc-last", extinction - trace[4][0]**a1 / a1,
+              EXTINCTION_TOL, "le"),
+    ]
 
 
 def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
@@ -318,13 +339,15 @@ def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
 
 def _run_normalized_rate(cfg: SimpleNamespace, out: str):
     params = fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, m=cfg.m)
+    stats = fl.MarchStats()
     taus, states = fl.run_normalized(_build_body(cfg), params, cfg.tau_end,
-                                     store_every=cfg.store_every)
+                                     store_every=cfg.store_every, stats=stats)
     amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
     columns = {"rate.csv": (taus, amps)}
     fit = _rate_fit(cfg, columns)
-    return {"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns
+    return ({"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns,
+            asdict(stats))
 
 
 def _rate_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -338,7 +361,7 @@ def _run_translator1d(cfg: SimpleNamespace, out: str):
     profile = so.translator_1d(cfg.alpha, cfg.x_max)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
     scalars = {"half_width": profile.domain_half_width, "slope_end": profile.dv[-1]}
-    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}
+    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}, None
 
 
 def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -371,7 +394,7 @@ def _run_radial_translator(cfg: SimpleNamespace, out: str):
         "operator_residual": so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
         "growth_const": so.growth_bound_check(profile, cfg.alpha),
     }
-    return scalars, {"profile.csv": profile}
+    return scalars, {"profile.csv": profile}, None
 
 
 def _radial_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -398,7 +421,7 @@ def _run_blowdown(cfg: SimpleNamespace, out: str):
     tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
                          cfg.scales, sups)
     columns = {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}
-    return {"sup_dist": sups[-1]}, columns
+    return {"sup_dist": sups[-1]}, columns, None
 
 
 def _blowdown_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -420,7 +443,7 @@ def _run_legendre(cfg: SimpleNamespace, out: str):
     columns = {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
     fit = _dual_fit(cfg, columns)
     return {"exponent": fit.exponent, "coefficient": fit.coefficient,
-            "offset": fit.offset}, columns
+            "offset": fit.offset}, columns, None
 
 
 def _legendre_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -450,7 +473,7 @@ def _run_comparison_ode(cfg: SimpleNamespace, out: str):
         ratio = sol.a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
     scalars = {"a_cross": sol.a_cross, "crossing_ratio": ratio,
                "max_rel_err": _ode_rel_err(cfg, columns)}
-    return scalars, columns
+    return scalars, columns, None
 
 
 def _ode_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -467,7 +490,7 @@ def _run_log_convexity(cfg: SimpleNamespace, out: str):
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
     columns = {"margins.csv": (r, phi_rr, phi_tan)}
-    return {"margin": _margin(columns)}, columns
+    return {"margin": _margin(columns)}, columns, None
 
 
 def _logconv_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -479,12 +502,13 @@ def _area_defect(columns) -> float:
 
 
 def _run_area_identity(cfg: SimpleNamespace, out: str):
-    trace = _extinction_trace(cfg)
+    stats = fl.MarchStats()
+    trace = _extinction_trace(cfg, stats)
     integrals = [fl.curvature_integral(state, cfg.alpha) for state in trace.states]
     tables.write_columns(os.path.join(out, "area_identity.csv"),
                          ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
     columns = {"area_identity.csv": (trace.times, trace.areas, integrals)}
-    return {"defect": _area_defect(columns)}, columns
+    return {"defect": _area_defect(columns)}, columns, asdict(stats)
 
 
 def _area_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -568,8 +592,9 @@ def run_config(cfg: SimpleNamespace) -> dict:
     error = None
     scalars: dict = {}
     checks: list[Check] = []
+    solver = None
     try:
-        values, columns = experiment.run(cfg, cfg.output_dir)
+        values, columns, solver = experiment.run(cfg, cfg.output_dir)
         checks = experiment.checks(cfg, columns)
         scalars = {name: _scalar(value, experiment.source)
                    for name, value in values.items()}
@@ -582,6 +607,7 @@ def run_config(cfg: SimpleNamespace) -> dict:
         "wall_time_s": time.perf_counter() - started,
         "scalars": scalars,
         "checks": [c.as_dict() for c in checks],
+        "solver": solver,
         "pass": error is None and all(c.passed for c in checks),
         "error": error,
     }

@@ -8,12 +8,15 @@ J. Comput. Phys. 176, 2002) on the Fourier coefficients of s, through one
 loop, _etd_march.  The linear part A(1 - k^2), plus 1 for the rescaling
 term of the rescaled flow, freezes the largest local diffusivity
 A = alpha * r_min^-(alpha+1) for one step and is integrated exactly, so the
-step is set by accuracy rather than by the parabolic bound; the
-phi-functions are contour means (Kassam & Trefethen, SIAM J. Sci. Comput.
-26, 2005).  The single `step`, the classical 4-stage Runge-Kutta scheme
-under the explicit parabolic bound `stable_dt`, is kept as the reference
-the ETD march is tested against.  Convexity failures reject the step
-rather than projecting the state back.
+step is set by accuracy rather than by the parabolic bound.  The
+phi-functions take their closed forms, except on the few modes where
+those cancel, which take contour means (Kassam & Trefethen, SIAM J. Sci.
+Comput. 26, 2005).  A step costs 9 FFTs: each stage's curvature radius is
+one inverse transform of (1 - k^2) times its coefficients, and only the
+accepted state is transformed back to samples.  The single `step`, the
+classical 4-stage Runge-Kutta scheme under the explicit parabolic bound
+`stable_dt`, is kept as the reference the ETD march is tested against.
+Convexity failures reject the step rather than projecting the state back.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ CONTOUR_POINTS = 32
 _CONTOUR = np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
 _EXP_CONTOUR = np.exp(_CONTOUR)
 _EXP_HALF_CONTOUR = np.exp(0.5 * _CONTOUR)
+
+#: Modes with |z| = |dt * L_k| below this take the contour mean of the
+#: phi-functions, whose closed forms cancel to O(z^3) there.  Closer to 0
+#: the closed forms lose more digits, closer to 1 the contour passes nearer
+#: the removable pole at 0; here both stay within 3e-14 relative.
+CONTOUR_BELOW = 0.7
 
 
 class StepRejectedError(RuntimeError):
@@ -113,6 +122,28 @@ class RateFit:
     intercept: float
     residual_rms: float
     window: tuple[float, float]
+
+
+@dataclass
+class MarchStats:
+    """What one ETD march did, filled in as it runs.
+
+    accepted_steps counts the steps kept; halved_trials the trial steps
+    rejected because a stage or the result left the convex cone, each
+    retried at half the step; remainder_evals the evaluations of the
+    nonlinear remainder, one at the start of every step and one per stage
+    that stayed convex; weight_evals the evaluations of the phi-weights,
+    which consecutive trials with the same diagonal share.  dt_min and
+    dt_max bound the accepted steps, the last one cut short at the end
+    time included; both are None until a step is accepted.
+    """
+
+    accepted_steps: int = 0
+    halved_trials: int = 0
+    remainder_evals: int = 0
+    weight_evals: int = 0
+    dt_min: float | None = None
+    dt_max: float | None = None
 
 
 def rhs_unnormalized(s: SupportFunction, p: FlowParams) -> np.ndarray:
@@ -219,50 +250,72 @@ def _etd_step_size(radius: np.ndarray, p: FlowParams) -> float:
     return max(accurate, p.cfl * (2.0 * np.pi / radius.size) ** 2)
 
 
+def _phi_combinations(z, e, e2):
+    """Q, f1, f2, f3 of Cox & Matthews at z, given e = exp(z) and e2 = exp(z/2)."""
+    inv3 = 1.0 / (z * z * z)
+    return ((e2 - 1.0) / z,
+            (-4.0 - z + e * (4.0 - 3.0 * z + z * z)) * inv3,
+            (2.0 + z + e * (z - 2.0)) * inv3,
+            (-4.0 - 3.0 * z - z * z + e * (4.0 - z)) * inv3)
+
+
 def _etd_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """ETDRK4 weights for the diagonal z = dt * L, per unit of dt.
+    """ETDRK4 weights for the real diagonal z = dt * L, per unit of dt.
 
-    Returns (E, E2, Q, f1, f2, f3) with E = exp(z), E2 = exp(z/2) and the
-    phi-function combinations of Cox & Matthews divided by dt.  Each is a
-    mean over CONTOUR_POINTS points of a unit circle around z, which avoids
-    the cancellation of the closed forms at small |z|.
+    Returns (E, E2, Q, f1, f2, f3): E = exp(z), E2 = exp(z/2) and the
+    phi-function combinations of Cox & Matthews divided by dt,
+
+        Q  = (E2 - 1) / z,
+        f1 = (-4 - z + E (4 - 3z + z^2)) / z^3,
+        f2 = (2 + z + E (z - 2)) / z^3,
+        f3 = (-4 - 3z - z^2 + E (4 - z)) / z^3.
+
+    Where |z| >= CONTOUR_BELOW these closed forms are evaluated in real
+    arithmetic.  Below it their numerators cancel, so those few modes
+    take the mean of the same forms over CONTOUR_POINTS points of a unit
+    circle around z instead, all at least 1 - CONTOUR_BELOW away from the
+    removable pole at 0.  Against 60-digit arithmetic every weight is
+    within 1e-13 relative.
     """
-    lr = z[:, None] + _CONTOUR
-    e = np.exp(z)[:, None] * _EXP_CONTOUR
-    e2 = np.exp(0.5 * z)[:, None] * _EXP_HALF_CONTOUR
-    inv = 1.0 / lr
-    inv3 = inv * inv * inv
-    lr2 = lr * lr
-    q = np.mean((e2 - 1.0) * inv, axis=1).real
-    f1 = np.mean((-4.0 - lr + e * (4.0 - 3.0 * lr + lr2)) * inv3, axis=1).real
-    f2 = np.mean((2.0 + lr + e * (lr - 2.0)) * inv3, axis=1).real
-    f3 = np.mean((-4.0 - 3.0 * lr - lr2 + e * (4.0 - lr)) * inv3, axis=1).real
-    return np.exp(z), np.exp(0.5 * z), q, f1, f2, f3
+    e = np.exp(z)
+    e2 = np.exp(0.5 * z)
+    weights = np.empty((4, z.size))
+    far = np.abs(z) >= CONTOUR_BELOW
+    weights[:, far] = _phi_combinations(z[far], e[far], e2[far])
+    near = ~far
+    on_contour = _phi_combinations(z[near, None] + _CONTOUR, e[near, None] * _EXP_CONTOUR,
+                                   e2[near, None] * _EXP_HALF_CONTOUR)
+    weights[:, near] = np.mean(on_contour, axis=-1).real
+    return (e, e2, *weights)
 
 
-def _etd_state(v: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Samples and curvature radius of the coefficients v; raises
-    _StageFailure unless the radius is positive (NaN included)."""
-    y = np.fft.irfft(v, n=m)
-    radius = curvature_radius_samples(y)
+def _etd_radius(w: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """Curvature radius s'' + s on the grid of the rfft coefficients w, in
+    one inverse transform of symbol * w (symbol = 1 - k^2 on the modes of
+    an even grid); raises _StageFailure unless it is positive (NaN
+    included)."""
+    radius = np.fft.irfft(symbol * w, n=2 * (symbol.size - 1))
     if not (np.min(radius) > 0.0):
         raise _StageFailure
-    return y, radius
+    return radius
 
 
-def _etdrk4_step(v, n_v, lin, weights, dt, alpha, m):
+def _etdrk4_step(v, n_v, lin, symbol, weights, dt, alpha, stats):
     """One ETDRK4 step of the rfft coefficients v; returns v_new with its
-    samples and curvature radius.
+    curvature radius.
 
     n_v is the remainder rfft(-r^-alpha) - lin * v at v, weights the
     output of _etd_weights for dt times the linear part (lin, plus 1 on
-    the rescaled flow).  Stages and the result must stay convex, or
+    the rescaled flow).  Each stage costs two transforms, its radius and
+    its remainder.  Stages and the result must stay convex, or
     _StageFailure is raised.
     """
     e, e2, q, f1, f2, f3 = weights
 
     def remainder(w):
-        return np.fft.rfft(-np.power(_etd_state(w, m)[1], -alpha)) - lin * w
+        n_w = np.fft.rfft(-np.power(_etd_radius(w, symbol), -alpha)) - lin * w
+        stats.remainder_evals += 1
+        return n_w
 
     a = e2 * v + dt * q * n_v
     n_a = remainder(a)
@@ -271,12 +324,14 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, m):
     c = e2 * a + dt * q * (2.0 * n_b - n_v)
     n_c = remainder(c)
     v_new = e * v + dt * (f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
-    return (v_new, *_etd_state(v_new, m))
+    return v_new, _etd_radius(v_new, symbol)
 
 
-def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool):
+def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
+               stats: MarchStats | None = None):
     """Yield (t, samples) for the start state and after every accepted
-    ETDRK4 step of the flow, until t reaches t_end.
+    ETDRK4 step of the flow, until t reaches t_end; stats, if given, is
+    updated as the march goes.
 
     Each step is ETDRK4 on the rfft coefficients of s with the linear part
     L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step,
@@ -285,10 +340,14 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool):
     for both flows.  The step dt = z / A (z from _etd_step_size) is
     ETD_STEP_SCALE * cfl * r_min^(alpha+1) on a circle, shrinks with the
     curvature-radius contrast on eccentric bodies, and never falls below
-    the parabolic bound stable_dt.  A step whose stages or result leave the
-    convex cone is halved and retried; after MAX_STEP_HALVINGS halvings
+    the parabolic bound stable_dt.  An accepted step costs 9 FFTs: the
+    remainder at its start, two per stage, the new radius and the new
+    samples.  A step whose stages or result leave the convex cone is
+    halved and retried; after MAX_STEP_HALVINGS halvings
     ConvexityLostError is raised.  y is never written to.
     """
+    if stats is None:
+        stats = MarchStats()
     m = y.size
     symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
     shift = 1.0 if rescaled else 0.0
@@ -310,22 +369,28 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool):
             z = dt * a_max
         lin = a_max * symbol
         n_v = np.fft.rfft(-np.power(radius, -p.alpha)) - lin * v
+        stats.remainder_evals += 1
         for _ in range(MAX_STEP_HALVINGS):
             key = (z, shift * dt)
             if key != weights_key:
                 weights_key, weights = key, _etd_weights(z * symbol + key[1])
+                stats.weight_evals += 1
             try:
-                v_new, y_new, radius_new = _etdrk4_step(v, n_v, lin, weights, dt,
-                                                        p.alpha, m)
+                v_new, radius_new = _etdrk4_step(v, n_v, lin, symbol, weights, dt,
+                                                 p.alpha, stats)
                 break
             except _StageFailure:
+                stats.halved_trials += 1
                 dt *= 0.5
                 z *= 0.5
         else:
             raise ConvexityLostError(f"flow lost convexity at t = {t:.6f}")
-        v, y, radius = v_new, y_new, radius_new
+        v, radius = v_new, radius_new
         t += dt
-        yield t, y
+        stats.accepted_steps += 1
+        stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
+        stats.dt_max = dt if stats.dt_max is None else max(stats.dt_max, dt)
+        yield t, np.fft.irfft(v, n=m)
 
 
 def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
@@ -340,6 +405,7 @@ def run_to_extinction(
     p: FlowParams,
     t_max: float | None = None,
     store_every: int = 1,
+    stats: MarchStats | None = None,
 ) -> FlowTrace:
     """March the unnormalized flow until the body is numerically extinct.
 
@@ -352,7 +418,8 @@ def run_to_extinction(
 
     On extinction the extinction time is estimated by fitting
     inradius^(1+alpha), which is linear in t for shrinking circles, over
-    the last decade of the trace and extrapolating to zero.
+    the last decade of the trace and extrapolating to zero.  A MarchStats
+    passed as stats receives the march's counts.
     """
     _check_start(s0, p, store_every)
     if t_max is None:
@@ -365,7 +432,8 @@ def run_to_extinction(
     stored_y: list[np.ndarray] = []
     stored_inr: list[float] = []
     stop = StopReason.TIME_LIMIT
-    march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False)
+    march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False,
+                       stats=stats)
     try:
         for accepted, (t, y) in enumerate(march):
             inr = _inradius_array(y, cos_t, sin_t)
@@ -415,12 +483,14 @@ def run_normalized(
     p: FlowParams,
     tau_end: float,
     store_every: int = 1,
+    stats: MarchStats | None = None,
 ) -> tuple[np.ndarray, list[SupportFunction]]:
     """Integrate the rescaled flow to tau_end, recording every
     store_every-th accepted step and the final state.
 
     The march is _etd_march with the rescaling term in its linear part.
-    ConvexityLostError is raised when no acceptable step exists.
+    ConvexityLostError is raised when no acceptable step exists.  A
+    MarchStats passed as stats receives the march's counts.
     """
     _check_start(s0, p, store_every)
     if tau_end < 0.0:
@@ -428,7 +498,8 @@ def run_normalized(
 
     stored_t: list[float] = []
     stored_y: list[np.ndarray] = []
-    march = _etd_march(np.array(s0.samples, dtype=float), p, tau_end, rescaled=True)
+    march = _etd_march(np.array(s0.samples, dtype=float), p, tau_end, rescaled=True,
+                       stats=stats)
     for accepted, (tau, y) in enumerate(march):
         if accepted % store_every == 0:
             stored_t.append(tau)

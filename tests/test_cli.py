@@ -125,6 +125,10 @@ def test_flow_run_is_deterministic(tmp_path):
     a = (outs[0] / "trace.csv").read_bytes()
     b = (outs[1] / "trace.csv").read_bytes()
     assert a == b
+    solver = read_manifest(outs[0])["solver"]
+    assert solver == read_manifest(outs[1])["solver"]
+    assert solver["accepted_steps"] > 0
+    assert solver["remainder_evals"] == 4 * solver["accepted_steps"]
 
 
 def test_flow_circle_checks_and_snapshots(tmp_path):
@@ -142,6 +146,45 @@ def test_flow_circle_checks_and_snapshots(tmp_path):
     assert (out / "snapshots" / "000000.json").exists()
 
 
+def test_flow_checks_on_other_bodies_can_fail(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), alpha=1.0, m=64,
+                       initial_body={"kind": "ellipse", "a": 1.3, "b": 1.0})
+    assert cli.main(["run", cfg]) == 0
+    cfg = cli.config_from_dict(read_manifest(out)["config"])
+    trace = cli._StoredColumns(str(out))["trace.csv"]
+    times, inradii = trace[0], trace[3]
+    names = ["extinct", "extinction-time", "inscribed-disc-first", "circumscribed-disc-last"]
+    assert [c.name for c in cli._flow_checks(cfg, {"trace.csv": trace})] == names
+    T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
+    slack = 2.0 * cli.EXTINCTION_TOL
+
+    def failed(row=None, value=None, keep=None):
+        nudged = trace.copy() if keep is None else trace[:, keep]
+        if row is not None:
+            nudged[row, 0] = value
+        checks = cli._flow_checks(cfg, {"trace.csv": nudged})
+        return [c.name for c in checks if not c.passed]
+
+    assert failed() == []
+    assert failed(keep=inradii >= cfg.stop_inradius) == ["extinct"]
+    assert failed(1, 2.0 * math.pi * (T + slack)) == ["extinction-time"]
+    assert failed(3, math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
+    assert failed(4, math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
+
+
+@pytest.mark.parametrize("body", [{"kind": "circle"},
+                                  {"kind": "ellipse", "a": 1.3, "b": 1.0}])
+def test_flow_run_cut_short_by_t_max_passes(tmp_path, body):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64, t_max=0.1,
+                       initial_body=body)
+    assert cli.main(["run", cfg]) == 0
+    manifest = read_manifest(out)
+    assert manifest["scalars"]["stop_reason"]["value"] == "time_limit"
+    assert manifest["checks"] == []
+
+
 # Runs in a fresh interpreter: the test modules load scipy themselves.
 COLD_START = """
 import sys
@@ -150,7 +193,7 @@ from gcsf.cli import main
 for config, run_dir in zip(sys.argv[1::2], sys.argv[2::2]):
     assert main(["run", config]) == 0
     assert main(["verify", run_dir]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "mpmath")))
 """
 
 
@@ -191,6 +234,8 @@ def test_every_experiment_runs_and_verifies_at_its_defaults(tmp_path, capsys, ex
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert list(manifest["scalars"]) == list(cli.EXPERIMENTS[experiment].headline)
+    flows = ("flow", "normalized-rate", "area-identity")
+    assert (manifest["solver"] is not None) == (experiment in flows)
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()

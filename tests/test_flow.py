@@ -132,11 +132,56 @@ def test_eccentric_ellipse_extinction_time():
     # T = A0 / 2 pi.  A 6:1 ellipse is where a frozen scalar diffusivity is
     # furthest from the local one, and a step rule blind to eccentricity
     # misses this by ~1e-4.
-    p = FlowParams(alpha=1.0, m=128)
     s0 = geo.make_ellipse(math.sqrt(6.0), 1.0 / math.sqrt(6.0), m=128)
-    trace = fl.run_to_extinction(s0, p)
-    assert trace.stop_reason is StopReason.EXTINCT
+    trace = _assert_frozen_march(s0, FlowParams(alpha=1.0, m=128), FROZEN_ELLIPSE[1.0])
     assert abs(trace.extinction_time - geo.area(s0) / (2.0 * math.pi)) <= 1e-6
+
+
+# Extinction times and accepted step counts of the ETD march whose phi-weights
+# were contour means on every mode and whose stage radii went through the
+# samples (16 FFTs a step).  The closed-form weights and the one-transform
+# stage radius must reproduce them to 1e-12 relative in the same number of
+# steps.
+FROZEN_BENCHMARK_BODIES = {1: (0.4987698226179989, 717),
+                           2: (0.499255159718393, 708),
+                           3: (0.49880081920376795, 715)}
+FROZEN_ELLIPSE = {0.6: (0.6846540110766519, 20702),
+                  1.0: (0.4999999938072628, 18913),
+                  2.0: (0.19168186039092142, 30131)}
+
+
+def _assert_frozen_march(s0, p, frozen):
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(s0, p, stats=stats)
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert trace.extinction_time == pytest.approx(frozen[0], rel=1e-12, abs=0.0)
+    assert stats.accepted_steps == len(trace.times) - 1 == frozen[1]
+    return trace
+
+
+def _benchmark_body(seed, m=256):
+    # The seeded Fourier body of perfbench's flow-extinction workload: a_k,
+    # b_k uniform in +-0.3/k^3 for k = 2..8, redrawn until
+    # sum (k^2 - 1)(|a_k| + |b_k|) < 1.
+    rng = np.random.default_rng(seed)
+    while True:
+        draws = [(k, *rng.uniform(-0.3 / k**3, 0.3 / k**3, size=2)) for k in range(2, 9)]
+        if sum((k * k - 1) * (abs(a) + abs(b)) for k, a, b in draws) < 1.0:
+            break
+    return geo.make_fourier_body([1.0, 0.0] + [a for _, a, _ in draws],
+                                 [0.0] + [b for _, _, b in draws], m=m)
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_BENCHMARK_BODIES))
+def test_march_keeps_frozen_times_on_benchmark_bodies(seed):
+    _assert_frozen_march(_benchmark_body(seed), FlowParams(alpha=1.0, m=256),
+                         FROZEN_BENCHMARK_BODIES[seed])
+
+
+@pytest.mark.parametrize("alpha", [0.6, 2.0])
+def test_march_keeps_frozen_times_on_the_eccentric_ellipse(alpha):
+    s0 = geo.make_ellipse(math.sqrt(6.0), 1.0 / math.sqrt(6.0), m=128)
+    _assert_frozen_march(s0, FlowParams(alpha=alpha, m=128), FROZEN_ELLIPSE[alpha])
 
 
 def test_extrapolate_extinction_exact_on_synthetic_law():
@@ -156,6 +201,92 @@ def test_trace_is_monotone_and_shrinking():
     assert np.all(np.diff(times) > 0.0)
     areas = np.asarray(trace.areas)
     assert np.all(np.diff(areas) < 0.0)
+
+
+# -- the ETD step --------------------------------------------------------------
+
+def _phi_weights_60_digits(z):
+    # E, E2 and the Cox-Matthews combinations Q, f1, f2, f3 in 60-digit
+    # arithmetic, with their limits at z = 0.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        if z == 0.0:
+            return [1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0]
+        z = mpmath.mpf(z)
+        e, e2 = mpmath.exp(z), mpmath.exp(z / 2)
+        exact = [e, e2, (e2 - 1) / z,
+                 (-4 - z + e * (4 - 3 * z + z * z)) / z**3,
+                 (2 + z + e * (z - 2)) / z**3,
+                 (-4 - 3 * z - z * z + e * (4 - z)) / z**3]
+        return [float(w) for w in exact]
+
+
+def test_etd_weights_match_60_digit_values():
+    # Large negative z is the stiff high modes, positive z the growing mode
+    # 0 and the rescaling term; |z| in [0.3, 1.2] straddles the switch
+    # between contour means and closed forms, where the unit contour passes
+    # close to the removable pole at 0.
+    z = np.concatenate([-np.logspace(-3.0, 4.0, 120), np.logspace(-3.0, np.log10(3.0), 40),
+                        -np.linspace(0.3, 1.2, 181), np.linspace(0.3, 1.2, 181), [0.0]])
+    weights = np.array(fl._etd_weights(z)).T
+    exact = np.array([_phi_weights_60_digits(x) for x in z])
+    # exp(z) underflows to exactly 0.0 below z = -745, which is exact enough.
+    assert np.all(np.abs(weights - exact) <= 1e-13 * np.abs(exact))
+
+
+@pytest.mark.parametrize("m", [64, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stage_radius_is_one_transform_of_the_coefficients(seed, m):
+    # The coefficients of a seeded body, cut to its modes 0..8, whose exact
+    # radius is sum (1 - k^2)(a_k cos k theta + b_k sin k theta).
+    v = np.fft.rfft(geo.random_convex_body(np.random.default_rng(seed), m=m).samples)
+    v[9:] = 0.0
+    k = np.arange(9)
+    theta = np.arange(m) * (2.0 * np.pi / m)
+    scale = np.where(k == 0, 1.0, 2.0) * (1.0 - k**2) / m
+    exact = (np.cos(np.outer(theta, k)) @ (scale * v[:9].real)
+             - np.sin(np.outer(theta, k)) @ (scale * v[:9].imag))
+    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
+    radius = fl._etd_radius(v, symbol)
+    assert np.max(np.abs(radius - exact)) <= 1e-14 * np.max(exact)
+    # Through the samples the forward transform rounds every mode by about
+    # eps, and s'' multiplies mode k by k^2, so that route agrees only to
+    # about eps (m/2)^2.
+    via_samples = geo.curvature_radius_samples(np.fft.irfft(v, n=m))
+    assert np.max(np.abs(radius - via_samples)) <= 1e-15 * (m // 2) ** 2 * np.max(exact)
+
+
+def test_nan_coefficient_rejects_the_stage():
+    m = 64
+    v = np.fft.rfft(circle(m=m).samples)
+    v[3] = np.nan
+    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
+    with pytest.raises(fl._StageFailure):
+        fl._etd_radius(v, symbol)
+
+
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
+    calls = []
+
+    def counted(transform):
+        def wrapper(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return wrapper
+
+    y = geo.random_convex_body(np.random.default_rng(3), m=64).samples
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    stats = fl.MarchStats()
+    states = list(fl._etd_march(y, P64, 0.05, rescaled, stats))
+    assert stats.accepted_steps == len(states) - 1 > 0
+    assert stats.halved_trials == 0
+    # The start costs rfft(y) and its curvature radius, rfft and irfft.
+    assert len(calls) == 3 + 9 * stats.accepted_steps
+    assert stats.remainder_evals == 4 * stats.accepted_steps
+    assert 0 < stats.weight_evals <= stats.accepted_steps
+    assert 0.0 < stats.dt_min <= stats.dt_max
 
 
 # -- normalized flow ---------------------------------------------------------
