@@ -289,18 +289,17 @@ def _etd_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return (e, e2, *weights)
 
 
-def _etd_radius(w: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+def _etd_radius(w: np.ndarray) -> np.ndarray:
     """Curvature radius s'' + s on the grid of the rfft coefficients w, in
-    one inverse transform of symbol * w (symbol = 1 - k^2 on the modes of
-    an even grid); raises _StageFailure unless it is positive (NaN
+    one inverse transform; raises _StageFailure unless it is positive (NaN
     included)."""
-    radius = np.fft.irfft(symbol * w, n=2 * (symbol.size - 1))
+    radius = curvature_radius_samples(spectrum=w)
     if not (np.min(radius) > 0.0):
         raise _StageFailure
     return radius
 
 
-def _etdrk4_step(v, n_v, lin, symbol, weights, dt, alpha, stats):
+def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
     """One ETDRK4 step of the rfft coefficients v; returns v_new with its
     curvature radius.
 
@@ -313,7 +312,7 @@ def _etdrk4_step(v, n_v, lin, symbol, weights, dt, alpha, stats):
     e, e2, q, f1, f2, f3 = weights
 
     def remainder(w):
-        n_w = np.fft.rfft(-np.power(_etd_radius(w, symbol), -alpha)) - lin * w
+        n_w = np.fft.rfft(-np.power(_etd_radius(w), -alpha)) - lin * w
         stats.remainder_evals += 1
         return n_w
 
@@ -324,7 +323,7 @@ def _etdrk4_step(v, n_v, lin, symbol, weights, dt, alpha, stats):
     c = e2 * a + dt * q * (2.0 * n_b - n_v)
     n_c = remainder(c)
     v_new = e * v + dt * (f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
-    return v_new, _etd_radius(v_new, symbol)
+    return v_new, _etd_radius(v_new)
 
 
 def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
@@ -376,8 +375,7 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
                 weights_key, weights = key, _etd_weights(z * symbol + key[1])
                 stats.weight_evals += 1
             try:
-                v_new, radius_new = _etdrk4_step(v, n_v, lin, symbol, weights, dt,
-                                                 p.alpha, stats)
+                v_new, radius_new = _etdrk4_step(v, n_v, lin, weights, dt, p.alpha, stats)
                 break
             except _StageFailure:
                 stats.halved_trials += 1

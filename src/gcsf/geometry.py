@@ -28,6 +28,8 @@ class ConvexityLostError(ValueError):
 
 # Cached wavenumber arrays for the rfft layout, keyed by grid size.
 _WAVENUMBERS: dict[int, np.ndarray] = {}
+# Cached symbols 1 - k^2 of s'' + s in the same layout.
+_RADIUS_SYMBOLS: dict[int, np.ndarray] = {}
 
 
 def _wavenumbers(m: int) -> np.ndarray:
@@ -56,9 +58,28 @@ def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
     return np.fft.irfft(spectrum, n=m)
 
 
-def curvature_radius_samples(values: np.ndarray) -> np.ndarray:
-    """Radius of curvature s'' + s on the grid, without the positivity check."""
-    return trig_derivative(values, 2) + values
+def _radius_symbol(m: int) -> np.ndarray:
+    symbol = _RADIUS_SYMBOLS.get(m)
+    if symbol is None:
+        symbol = 1.0 - _wavenumbers(m) ** 2
+        _RADIUS_SYMBOLS[m] = symbol
+    return symbol
+
+
+def curvature_radius_samples(values: np.ndarray | None = None, *,
+                             spectrum: np.ndarray | None = None) -> np.ndarray:
+    """Radius of curvature s'' + s on the grid, without the positivity check.
+
+    Give either the samples of s or, on an even grid, their rfft spectrum.
+    The samples cost a transform pair; the spectrum costs one inverse
+    transform of (1 - k^2) * spectrum.
+    """
+    if (values is None) == (spectrum is None):
+        raise TypeError("give exactly one of values and spectrum")
+    if spectrum is None:
+        return trig_derivative(values, 2) + values
+    m = 2 * (spectrum.size - 1)
+    return np.fft.irfft(_radius_symbol(m) * spectrum, n=m)
 
 
 @dataclass(frozen=True)

@@ -246,8 +246,7 @@ def test_stage_radius_is_one_transform_of_the_coefficients(seed, m):
     scale = np.where(k == 0, 1.0, 2.0) * (1.0 - k**2) / m
     exact = (np.cos(np.outer(theta, k)) @ (scale * v[:9].real)
              - np.sin(np.outer(theta, k)) @ (scale * v[:9].imag))
-    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
-    radius = fl._etd_radius(v, symbol)
+    radius = fl._etd_radius(v)
     assert np.max(np.abs(radius - exact)) <= 1e-14 * np.max(exact)
     # Through the samples the forward transform rounds every mode by about
     # eps, and s'' multiplies mode k by k^2, so that route agrees only to
@@ -260,9 +259,8 @@ def test_nan_coefficient_rejects_the_stage():
     m = 64
     v = np.fft.rfft(circle(m=m).samples)
     v[3] = np.nan
-    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
     with pytest.raises(fl._StageFailure):
-        fl._etd_radius(v, symbol)
+        fl._etd_radius(v)
 
 
 @pytest.mark.parametrize("rescaled", [False, True])

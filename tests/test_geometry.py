@@ -62,6 +62,12 @@ def test_curvature_radius_circle_and_ellipse():
     # Support parametrization: radius of curvature = a^2 b^2 / s^3.
     expected = (a * b) ** 2 / s.samples**3
     np.testing.assert_allclose(geo.curvature_radius(s), expected, rtol=1e-10)
+    radius = geo.curvature_radius_samples(spectrum=np.fft.rfft(s.samples))
+    np.testing.assert_allclose(radius, expected, rtol=1e-10)
+    with pytest.raises(TypeError):
+        geo.curvature_radius_samples()
+    with pytest.raises(TypeError):
+        geo.curvature_radius_samples(s.samples, spectrum=np.fft.rfft(s.samples))
 
 
 # -- validation -------------------------------------------------------------
