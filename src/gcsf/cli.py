@@ -163,12 +163,13 @@ class Experiment:
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
     fields.  run(cfg, out) writes the artifacts under out and returns
-    (scalars, columns, solver): the headline numbers, all read off the
-    file named source, the columns of each file written, keyed by file
-    name, and the flow stepper's counts (None where no flow runs).
-    checks(cfg, columns) derives the pass/fail decisions from such columns
-    alone: run_config hands it the columns just written, verify the same
-    columns read back.
+    (scalars, columns): the headline numbers, all read off the file named
+    source, and the columns of each file written, keyed by file name.  An
+    experiment that marches the flow has marches set; its run takes a
+    MarchStats as stats and fills it in, and run_config writes it to the
+    manifest as solver, also when the run fails.  checks(cfg, columns)
+    derives the pass/fail decisions from such columns alone: run_config
+    hands it the columns just written, verify the same columns read back.
     """
 
     fields: dict
@@ -177,6 +178,7 @@ class Experiment:
     source: str
     headline: tuple[str, ...]
     validate: Callable = lambda cfg: None
+    marches: bool = False
 
 
 def _experiment(raw) -> Experiment:
@@ -280,8 +282,7 @@ def _extinction_trace(cfg: SimpleNamespace, stats: fl.MarchStats) -> fl.FlowTrac
                                 store_every=cfg.store_every, stats=stats)
 
 
-def _run_flow(cfg: SimpleNamespace, out: str):
-    stats = fl.MarchStats()
+def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     trace = _extinction_trace(cfg, stats)
     columns = {"trace.csv": fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))}
     if cfg.snapshot_every > 0:
@@ -289,7 +290,7 @@ def _run_flow(cfg: SimpleNamespace, out: str):
                                  every=cfg.snapshot_every)
     scalars = {"extinction_time": trace.extinction_time,
                "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1]}
-    return scalars, columns, asdict(stats)
+    return scalars, columns
 
 
 def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -337,17 +338,15 @@ def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
                              (cfg.fit_window[0], cfg.fit_window[1]))
 
 
-def _run_normalized_rate(cfg: SimpleNamespace, out: str):
+def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     params = fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, m=cfg.m)
-    stats = fl.MarchStats()
     taus, states = fl.run_normalized(_build_body(cfg), params, cfg.tau_end,
                                      store_every=cfg.store_every, stats=stats)
     amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
     columns = {"rate.csv": (taus, amps)}
     fit = _rate_fit(cfg, columns)
-    return ({"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns,
-            asdict(stats))
+    return {"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns
 
 
 def _rate_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -361,7 +360,7 @@ def _run_translator1d(cfg: SimpleNamespace, out: str):
     profile = so.translator_1d(cfg.alpha, cfg.x_max)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
     scalars = {"half_width": profile.domain_half_width, "slope_end": profile.dv[-1]}
-    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}, None
+    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}
 
 
 def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -394,7 +393,7 @@ def _run_radial_translator(cfg: SimpleNamespace, out: str):
         "operator_residual": so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
         "growth_const": so.growth_bound_check(profile, cfg.alpha),
     }
-    return scalars, {"profile.csv": profile}, None
+    return scalars, {"profile.csv": profile}
 
 
 def _radial_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -421,7 +420,7 @@ def _run_blowdown(cfg: SimpleNamespace, out: str):
     tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
                          cfg.scales, sups)
     columns = {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}
-    return {"sup_dist": sups[-1]}, columns, None
+    return {"sup_dist": sups[-1]}, columns
 
 
 def _blowdown_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -443,7 +442,7 @@ def _run_legendre(cfg: SimpleNamespace, out: str):
     columns = {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
     fit = _dual_fit(cfg, columns)
     return {"exponent": fit.exponent, "coefficient": fit.coefficient,
-            "offset": fit.offset}, columns, None
+            "offset": fit.offset}, columns
 
 
 def _legendre_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -473,7 +472,7 @@ def _run_comparison_ode(cfg: SimpleNamespace, out: str):
         ratio = sol.a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
     scalars = {"a_cross": sol.a_cross, "crossing_ratio": ratio,
                "max_rel_err": _ode_rel_err(cfg, columns)}
-    return scalars, columns, None
+    return scalars, columns
 
 
 def _ode_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -490,7 +489,7 @@ def _run_log_convexity(cfg: SimpleNamespace, out: str):
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
     columns = {"margins.csv": (r, phi_rr, phi_tan)}
-    return {"margin": _margin(columns)}, columns, None
+    return {"margin": _margin(columns)}, columns
 
 
 def _logconv_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -501,14 +500,13 @@ def _area_defect(columns) -> float:
     return fl.area_defect(*columns["area_identity.csv"], interior=0.9)
 
 
-def _run_area_identity(cfg: SimpleNamespace, out: str):
-    stats = fl.MarchStats()
+def _run_area_identity(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     trace = _extinction_trace(cfg, stats)
     integrals = [fl.curvature_integral(state, cfg.alpha) for state in trace.states]
     tables.write_columns(os.path.join(out, "area_identity.csv"),
                          ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
     columns = {"area_identity.csv": (trace.times, trace.areas, integrals)}
-    return {"defect": _area_defect(columns)}, columns, asdict(stats)
+    return {"defect": _area_defect(columns)}, columns
 
 
 def _area_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -532,7 +530,8 @@ EXPERIMENTS = {
     "flow": Experiment(
         {**_EXTINCTION_FIELDS, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
         _run_flow, _flow_checks,
-        "trace.csv", ("extinction_time", "stop_reason", "final_area"), _build_body),
+        "trace.csv", ("extinction_time", "stop_reason", "final_area"), _build_body,
+        marches=True),
     "normalized-rate": Experiment(
         # The rescaled flow takes a few hundred ETD steps; its rate fit
         # wants every one of them.
@@ -541,7 +540,7 @@ EXPERIMENTS = {
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
         _run_normalized_rate, _rate_checks,
-        "rate.csv", ("fitted_rate", "residual_rms"), _build_body),
+        "rate.csv", ("fitted_rate", "residual_rms"), _build_body, marches=True),
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
         _run_translator1d, _translator_checks,
@@ -571,7 +570,8 @@ EXPERIMENTS = {
         _run_log_convexity, _logconv_checks, "margins.csv", ("margin",)),
     "area-identity": Experiment(
         {**_EXTINCTION_FIELDS, "initial_body": {"kind": "ellipse", "a": 1.3, "b": 1.0}},
-        _run_area_identity, _area_checks, "area_identity.csv", ("defect",), _build_body),
+        _run_area_identity, _area_checks, "area_identity.csv", ("defect",), _build_body,
+        marches=True),
 }
 
 
@@ -592,9 +592,12 @@ def run_config(cfg: SimpleNamespace) -> dict:
     error = None
     scalars: dict = {}
     checks: list[Check] = []
-    solver = None
+    stats = fl.MarchStats()
     try:
-        values, columns, solver = experiment.run(cfg, cfg.output_dir)
+        if experiment.marches:
+            values, columns = experiment.run(cfg, cfg.output_dir, stats)
+        else:
+            values, columns = experiment.run(cfg, cfg.output_dir)
         checks = experiment.checks(cfg, columns)
         scalars = {name: _scalar(value, experiment.source)
                    for name, value in values.items()}
@@ -607,7 +610,7 @@ def run_config(cfg: SimpleNamespace) -> dict:
         "wall_time_s": time.perf_counter() - started,
         "scalars": scalars,
         "checks": [c.as_dict() for c in checks],
-        "solver": solver,
+        "solver": asdict(stats) if experiment.marches else None,
         "pass": error is None and all(c.passed for c in checks),
         "error": error,
     }

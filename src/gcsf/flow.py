@@ -10,10 +10,11 @@ term of the rescaled flow, freezes the largest local diffusivity
 A = alpha * r_min^-(alpha+1) for one step and is integrated exactly, so the
 step is set by accuracy rather than by the parabolic bound.  The
 phi-functions take their closed forms, except on the few modes where
-those cancel, which take contour means (Kassam & Trefethen, SIAM J. Sci.
-Comput. 26, 2005).  A step costs 9 FFTs: each stage's curvature radius is
-one inverse transform of (1 - k^2) times its coefficients, and only the
-accepted state is transformed back to samples.  The single `step`, the
+those cancel, which take a truncated Taylor series in place of the
+contour means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).  A
+step costs 9 FFTs: each stage's curvature radius is one inverse
+transform of (1 - k^2) times its coefficients, and only the accepted
+state is transformed back to samples.  The single `step`, the
 classical 4-stage Runge-Kutta scheme under the explicit parabolic bound
 `stable_dt`, is kept as the reference the ETD march is tested against.
 Convexity failures reject the step rather than projecting the state back.
@@ -24,7 +25,8 @@ from __future__ import annotations
 import enum
 import math
 import os
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +34,14 @@ from gcsf import tables
 from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
-    area,
     circumradius,
     curvature_radius_samples,
     hausdorff_to_circle,
-    inradius,
     length,
     mode_amplitude,
     recenter,
     support_to_json,
+    trig_derivative,
 )
 
 #: Steps are rejected and halved at most this many times before giving up.
@@ -50,18 +51,34 @@ MAX_STEP_HALVINGS = 60
 #: that time scale at the default cfl = 0.2.
 ETD_STEP_SCALE = 0.05
 
-#: Points of the contour that averages the ETDRK4 phi-functions: the upper
-#: half of the unit circle, whose mirror image the real part accounts for.
-CONTOUR_POINTS = 32
-_CONTOUR = np.exp(1j * np.pi * (np.arange(CONTOUR_POINTS) + 0.5) / CONTOUR_POINTS)
-_EXP_CONTOUR = np.exp(_CONTOUR)
-_EXP_HALF_CONTOUR = np.exp(0.5 * _CONTOUR)
+#: Modes with |z| = |dt * L_k| below this take the Taylor series of the
+#: phi-functions, whose closed forms cancel to O(z^3) there.  Above it the
+#: closed forms stay within 3e-14 relative.
+SERIES_BELOW = 0.7
 
-#: Modes with |z| = |dt * L_k| below this take the contour mean of the
-#: phi-functions, whose closed forms cancel to O(z^3) there.  Closer to 0
-#: the closed forms lose more digits, closer to 1 the contour passes nearer
-#: the removable pole at 0; here both stay within 3e-14 relative.
-CONTOUR_BELOW = 0.7
+#: Terms of that series: at |z| = SERIES_BELOW the first term left out is
+#: below 1e-17 of every weight.
+SERIES_TERMS = 17
+
+
+def _series_coefficients() -> np.ndarray:
+    """(SERIES_TERMS, 4) coefficients of z^n in Q, f1, f2, f3.
+
+    With phi_k(z) = sum z^n / (n + k)!, Q = phi_1(z/2) / 2,
+    f1 = phi_1 - 3 phi_2 + 4 phi_3, f2 = phi_2 - 2 phi_3 and
+    f3 = -phi_2 + 4 phi_3; over the common (n + 3)! the numerators of the
+    last three are (n + 1)^2, n + 1 and 1 - n.  Each coefficient is one
+    correctly rounded quotient of exact integers.
+    """
+    rows = []
+    for n in range(SERIES_TERMS):
+        top = math.factorial(n + 3)
+        rows.append((1 / (2 ** (n + 1) * math.factorial(n + 1)),
+                     (n + 1) ** 2 / top, (n + 1) / top, (1 - n) / top))
+    return np.array(rows)
+
+
+_SERIES = _series_coefficients()
 
 
 class StepRejectedError(RuntimeError):
@@ -102,16 +119,41 @@ class FlowParams:
             raise ValueError(f"grid size must be even and >= 64, got {self.m}")
 
 
+class _States(Sequence):
+    """The rows of a samples array as SupportFunctions, each built and
+    validated when it is asked for."""
+
+    def __init__(self, samples: np.ndarray):
+        self._samples = samples
+
+    def __len__(self) -> int:
+        return len(self._samples)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [SupportFunction(row) for row in self._samples[index]]
+        return SupportFunction(self._samples[index])
+
+
 @dataclass
 class FlowTrace:
-    """Snapshots of one flow run; times are strictly increasing."""
+    """Snapshots of one flow run; times are strictly increasing.
+
+    samples is the (n, m) array of the stored support functions, one row
+    per time, each checked finite and convex by the march that stored it.
+    """
 
     times: np.ndarray
-    states: list[SupportFunction]
+    samples: np.ndarray
     areas: np.ndarray
     lengths: np.ndarray
     extinction_time: float | None
     stop_reason: StopReason
+
+    @property
+    def states(self) -> Sequence[SupportFunction]:
+        """The stored states as SupportFunctions, built on access."""
+        return _States(self.samples)
 
 
 @dataclass(frozen=True)
@@ -135,7 +177,8 @@ class MarchStats:
     that stayed convex; weight_evals the evaluations of the phi-weights,
     which consecutive trials with the same diagonal share.  dt_min and
     dt_max bound the accepted steps, the last one cut short at the end
-    time included; both are None until a step is accepted.
+    time included; both are None until a step is accepted.  r_min is the
+    smallest curvature radius of the accepted states, the start included.
     """
 
     accepted_steps: int = 0
@@ -144,6 +187,7 @@ class MarchStats:
     weight_evals: int = 0
     dt_min: float | None = None
     dt_max: float | None = None
+    r_min: float | None = None
 
 
 def rhs_unnormalized(s: SupportFunction, p: FlowParams) -> np.ndarray:
@@ -229,9 +273,10 @@ def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
     return 1.05 * circumradius(s) ** (1.0 + p.alpha) / (1.0 + p.alpha)
 
 
-def _etd_step_size(radius: np.ndarray, p: FlowParams) -> float:
+def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
     """Step of the ETD march as a multiple z = A * dt of the fastest diffusive
-    time 1/A, A = alpha * r_min^-(alpha+1).
+    time 1/A, A = alpha * r_min^-(alpha+1), for a state on m points whose
+    curvature radius lies in [r_min, r_max].
 
     A circle takes z = alpha * ETD_STEP_SCALE * cfl, a bound set by accuracy
     alone.  On an eccentric body the frozen A overdamps the flat arcs, where
@@ -245,9 +290,9 @@ def _etd_step_size(radius: np.ndarray, p: FlowParams) -> float:
     linear part is no longer stiff on the grid and ETDRK4 is as accurate
     as classical RK4.
     """
-    contrast = float(np.min(radius)) / float(np.max(radius))
+    contrast = r_min / r_max
     accurate = p.alpha * ETD_STEP_SCALE * p.cfl * contrast ** (0.5 * (p.alpha + 1.0))
-    return max(accurate, p.cfl * (2.0 * np.pi / radius.size) ** 2)
+    return max(accurate, p.cfl * (2.0 * np.pi / m) ** 2)
 
 
 def _phi_combinations(z, e, e2):
@@ -270,22 +315,19 @@ def _etd_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
         f2 = (2 + z + E (z - 2)) / z^3,
         f3 = (-4 - 3z - z^2 + E (4 - z)) / z^3.
 
-    Where |z| >= CONTOUR_BELOW these closed forms are evaluated in real
-    arithmetic.  Below it their numerators cancel, so those few modes
-    take the mean of the same forms over CONTOUR_POINTS points of a unit
-    circle around z instead, all at least 1 - CONTOUR_BELOW away from the
-    removable pole at 0.  Against 60-digit arithmetic every weight is
-    within 1e-13 relative.
+    These closed forms are evaluated in real arithmetic on every mode.
+    Where |z| < SERIES_BELOW their numerators cancel (at z = 0 they are
+    0/0), so those few modes are overwritten by the Taylor series, one
+    product of z's powers with the coefficient table _SERIES.  Against
+    60-digit arithmetic every weight is within 1e-13 relative.
     """
     e = np.exp(z)
     e2 = np.exp(0.5 * z)
-    weights = np.empty((4, z.size))
-    far = np.abs(z) >= CONTOUR_BELOW
-    weights[:, far] = _phi_combinations(z[far], e[far], e2[far])
-    near = ~far
-    on_contour = _phi_combinations(z[near, None] + _CONTOUR, e[near, None] * _EXP_CONTOUR,
-                                   e2[near, None] * _EXP_HALF_CONTOUR)
-    weights[:, near] = np.mean(on_contour, axis=-1).real
+    # The near modes' closed forms may overflow or be 0/0; they are discarded.
+    with np.errstate(all="ignore"):
+        weights = np.array(_phi_combinations(z, e, e2))
+    near = np.abs(z) < SERIES_BELOW
+    weights[:, near] = (np.vander(z[near], SERIES_TERMS, increasing=True) @ _SERIES).T
     return (e, e2, *weights)
 
 
@@ -300,30 +342,36 @@ def _etd_radius(w: np.ndarray) -> np.ndarray:
 
 
 def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
-    """One ETDRK4 step of the rfft coefficients v; returns v_new with its
-    curvature radius.
+    """One ETDRK4 step of the rfft coefficients v; returns v_new, its
+    curvature radius and that radius's minimum and maximum.
 
     n_v is the remainder rfft(-r^-alpha) - lin * v at v, weights the
     output of _etd_weights for dt times the linear part (lin, plus 1 on
     the rescaled flow).  Each stage costs two transforms, its radius and
-    its remainder.  Stages and the result must stay convex, or
-    _StageFailure is raised.
+    its remainder.  Stages must stay convex, and the result convex with a
+    finite radius, or _StageFailure is raised.
     """
     e, e2, q, f1, f2, f3 = weights
+    dt_q = dt * q
+    e2_v = e2 * v
 
     def remainder(w):
         n_w = np.fft.rfft(-np.power(_etd_radius(w), -alpha)) - lin * w
         stats.remainder_evals += 1
         return n_w
 
-    a = e2 * v + dt * q * n_v
+    a = e2_v + dt_q * n_v
     n_a = remainder(a)
-    b = e2 * v + dt * q * n_a
+    b = e2_v + dt_q * n_a
     n_b = remainder(b)
-    c = e2 * a + dt * q * (2.0 * n_b - n_v)
+    c = e2 * a + dt_q * (2.0 * n_b - n_v)
     n_c = remainder(c)
     v_new = e * v + dt * (f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
-    return v_new, _etd_radius(v_new)
+    radius = curvature_radius_samples(spectrum=v_new)
+    r_min, r_max = float(np.min(radius)), float(np.max(radius))
+    if not (r_min > 0.0 and r_max < math.inf):
+        raise _StageFailure
+    return v_new, radius, r_min, r_max
 
 
 def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
@@ -342,16 +390,20 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     the parabolic bound stable_dt.  An accepted step costs 9 FFTs: the
     remainder at its start, two per stage, the new radius and the new
     samples.  A step whose stages or result leave the convex cone is
-    halved and retried; after MAX_STEP_HALVINGS halvings
-    ConvexityLostError is raised.  y is never written to.
+    halved and retried; after MAX_STEP_HALVINGS halvings, or once r_min is
+    so small that the linear part overflows, ConvexityLostError is raised.
+    y is never written to.
     """
     if stats is None:
         stats = MarchStats()
     m = y.size
     symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
+    stiffest = float(symbol[-1])
     shift = 1.0 if rescaled else 0.0
     v = np.fft.rfft(y)
     radius = curvature_radius_samples(y)
+    r_min, r_max = float(np.min(radius)), float(np.max(radius))
+    stats.r_min = r_min
     t = 0.0
     # The weights depend on the diagonal dt * L = z * symbol + shift * dt
     # alone; consecutive steps with the same pair (the parabolic floor of
@@ -360,8 +412,11 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     weights = None
     yield t, y
     while t < t_end:
-        a_max = p.alpha * float(np.min(radius)) ** -(p.alpha + 1.0)
-        z = _etd_step_size(radius, p)
+        a_max = p.alpha * r_min ** -(p.alpha + 1.0)
+        if not math.isfinite(a_max * stiffest):
+            raise ConvexityLostError(
+                f"curvature radius {r_min:.3e} too small to step at t = {t:.6f}")
+        z = _etd_step_size(r_min, r_max, m, p)
         dt = z / a_max
         if dt > t_end - t:
             dt = t_end - t
@@ -375,7 +430,8 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
                 weights_key, weights = key, _etd_weights(z * symbol + key[1])
                 stats.weight_evals += 1
             try:
-                v_new, radius_new = _etdrk4_step(v, n_v, lin, weights, dt, p.alpha, stats)
+                v, radius, r_min, r_max = _etdrk4_step(v, n_v, lin, weights, dt, p.alpha,
+                                                       stats)
                 break
             except _StageFailure:
                 stats.halved_trials += 1
@@ -383,11 +439,11 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
                 z *= 0.5
         else:
             raise ConvexityLostError(f"flow lost convexity at t = {t:.6f}")
-        v, radius = v_new, radius_new
         t += dt
         stats.accepted_steps += 1
         stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
         stats.dt_max = dt if stats.dt_max is None else max(stats.dt_max, dt)
+        stats.r_min = min(stats.r_min, r_min)
         yield t, np.fft.irfft(v, n=m)
 
 
@@ -417,7 +473,9 @@ def run_to_extinction(
     On extinction the extinction time is estimated by fitting
     inradius^(1+alpha), which is linear in t for shrinking circles, over
     the last decade of the trace and extrapolating to zero.  A MarchStats
-    passed as stats receives the march's counts.
+    passed as stats receives the march's counts.  The stored states stay
+    one (n, m) array, FlowTrace.samples, whose areas and lengths are
+    computed a block of rows at a time.
     """
     _check_start(s0, p, store_every)
     if t_max is None:
@@ -451,14 +509,34 @@ def run_to_extinction(
         stored_inr.append(_inradius_array(y, cos_t, sin_t))
 
     times = np.array(stored_t)
-    states = [SupportFunction(arr) for arr in stored_y]
-    areas = np.array([area(state) for state in states])
-    lengths = np.array([(2.0 * np.pi / m) * float(np.sum(arr)) for arr in stored_y])
+    samples = np.array(stored_y)
+    del stored_y
+
+    def areas_and_lengths(y):
+        # area() and length() of each row, in their operation order.
+        ds = trig_derivative(y, 1)
+        return (0.5 * (2.0 * np.pi / m) * np.sum(y**2 - ds**2, axis=1),
+                (2.0 * np.pi / m) * np.sum(y, axis=1))
+
+    areas, lengths = _by_row_blocks(areas_and_lengths, samples)
 
     extinction = None
     if stop is StopReason.EXTINCT:
         extinction = extrapolate_extinction(times, np.array(stored_inr), p)
-    return FlowTrace(times, states, areas, lengths, extinction, stop)
+    return FlowTrace(times, samples, areas, lengths, extinction, stop)
+
+
+#: Values of a trace post-processed together.  The transforms and products
+#: on a block need a few copies of it, which stay small next to a long trace.
+ROW_BLOCK_VALUES = 2**17
+
+
+def _by_row_blocks(columns_of, samples: np.ndarray) -> list[np.ndarray]:
+    """The per-row columns that columns_of computes on a block of rows, for
+    all rows of samples, taken a block of ROW_BLOCK_VALUES values at a time."""
+    rows = max(1, ROW_BLOCK_VALUES // samples.shape[1])
+    blocks = [columns_of(samples[lo:lo + rows]) for lo in range(0, len(samples), rows)]
+    return [np.concatenate(column) for column in zip(*blocks)]
 
 
 def extrapolate_extinction(times: np.ndarray, inradii: np.ndarray, p: FlowParams) -> float:
@@ -672,22 +750,34 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 
 # -- trace exports ----------------------------------------------------------
 
+TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle")
+
+
 def trace_summary_rows(trace: FlowTrace) -> list[dict]:
-    """Per-snapshot diagnostics used by the CSV export and the CLI checks."""
-    rows = []
-    for t, state, a, l in zip(trace.times, trace.states, trace.areas, trace.lengths):
-        rec = recenter(state)
-        mean_radius = float(np.mean(rec.samples))
-        delta = float(np.max(np.abs(rec.samples - mean_radius))) / mean_radius
-        rows.append({
-            "t": float(t),
-            "area": float(a),
-            "length": float(l),
-            "inradius": inradius(state),
-            "circumradius": circumradius(state),
-            "delta_to_circle": delta,
-        })
-    return rows
+    """Per-snapshot diagnostics used by the CSV export and the CLI checks.
+
+    The Steiner point, the recentred state and its inradius, circumradius
+    and relative distance to its mean circle are computed on blocks of rows
+    of trace.samples, in the operation order of steiner_point,
+    recenter, inradius and circumradius, so each row matches those
+    functions applied to its state bit for bit.
+    """
+    m = trace.samples.shape[1]
+    theta = np.arange(m) * (2.0 * np.pi / m)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    w = 2.0 / m
+
+    def shape_columns(y):
+        px = w * np.sum(y * cos_t, axis=1)
+        py = w * np.sum(y * sin_t, axis=1)
+        rec = y - px[:, None] * cos_t - py[:, None] * sin_t
+        mean_radius = np.mean(rec, axis=1)
+        delta = np.max(np.abs(rec - mean_radius[:, None]), axis=1) / mean_radius
+        return np.min(rec, axis=1), np.max(rec, axis=1), delta
+
+    columns = (trace.times, trace.areas, trace.lengths,
+               *_by_row_blocks(shape_columns, trace.samples))
+    return [dict(zip(TRACE_COLUMNS, map(float, row))) for row in zip(*columns)]
 
 
 def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
@@ -695,21 +785,21 @@ def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
     relative sup distance of the recentred state to its mean circle.
     Returns the columns written, in that order."""
     rows = trace_summary_rows(trace)
-    header = ["t", "area", "length", "inradius", "circumradius", "delta_to_circle"]
-    columns = [np.array([row[k] for row in rows]) for k in header]
-    tables.write_columns(path, header, *columns)
+    columns = [np.array([row[k] for row in rows]) for k in TRACE_COLUMNS]
+    tables.write_columns(path, list(TRACE_COLUMNS), *columns)
     return columns
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:
     """Dump states as JSON support functions named by zero-padded snapshot index."""
     os.makedirs(directory, exist_ok=True)
+    states = trace.states
     written = []
-    for i, state in enumerate(trace.states):
-        if i % every != 0 and i != len(trace.states) - 1:
+    for i in range(len(states)):
+        if i % every != 0 and i != len(states) - 1:
             continue
         name = f"{i:06d}.json"
         with open(os.path.join(directory, name), "w") as f:
-            f.write(support_to_json(state))
+            f.write(support_to_json(states[i]))
         written.append(name)
     return written

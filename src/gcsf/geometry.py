@@ -41,12 +41,13 @@ def _wavenumbers(m: int) -> np.ndarray:
 
 
 def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Differentiate samples of a periodic function by trigonometric interpolation.
+    """Differentiate samples of a periodic function by trigonometric interpolation,
+    along the last axis, so each row of a 2-D array is one function.
 
     For odd orders the Nyquist mode is dropped: the interpolant cos(M*theta/2)
     has zero derivative at every node, so keeping it would only inject noise.
     """
-    m = len(values)
+    m = values.shape[-1]
     k = _wavenumbers(m)
     spectrum = np.fft.rfft(values)
     if order % 2 == 0:

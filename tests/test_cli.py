@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,25 @@ def test_run_records_overflow_in_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
+def test_collapsed_rescaled_flow_ends_with_its_counts_recorded(tmp_path):
+    # The circle is an unstable state of the rescaled flow: roundoff in
+    # mode 0 grows like e^(2 tau) until the body collapses near tau = 6.7,
+    # where the frozen linear part A (1 - k^2) overflows.  The march must
+    # stop there at once, with no floating-point warning, and the manifest
+    # must keep the counts of the steps it took.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
+                       m=64, cfl=1.0, tau_end=1e9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["error"].startswith("ConvexityLostError:")
+    assert manifest["solver"]["accepted_steps"] > 0
+    assert manifest["solver"]["halved_trials"] == 0
+    assert 0.0 < manifest["solver"]["r_min"] < 1e-100
+
+
 def test_flow_run_is_deterministic(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -188,6 +208,7 @@ def test_flow_run_cut_short_by_t_max_passes(tmp_path, body):
 # Runs in a fresh interpreter: the test modules load scipy themselves.
 COLD_START = """
 import sys
+import warnings
 import gcsf
 from gcsf.cli import main
 for config, run_dir in zip(sys.argv[1::2], sys.argv[2::2]):

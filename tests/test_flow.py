@@ -287,6 +287,39 @@ def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
     assert 0.0 < stats.dt_min <= stats.dt_max
 
 
+def test_march_records_the_smallest_curvature_radius():
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
+                                 stats=stats)
+    radii = [float(np.min(geo.curvature_radius(s))) for s in trace.states]
+    # The march takes each radius from the coefficients, the geometry
+    # function from the samples; the two routes agree to rounding.
+    assert stats.r_min == pytest.approx(min(radii), rel=1e-12)
+    assert stats.r_min < radii[0]
+
+
+def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
+    calls = {"flow": 0, "geometry": 0}
+
+    def counted(binding):
+        kernel = geo.curvature_radius_samples
+
+        def wrapper(*args, **kwargs):
+            calls[binding] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    s0 = _benchmark_body(1, m=64)
+    monkeypatch.setattr(fl, "curvature_radius_samples", counted("flow"))
+    monkeypatch.setattr(geo, "curvature_radius_samples", counted("geometry"))
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(s0, P64, store_every=8, stats=stats)
+    fl.trace_summary_rows(trace)
+    # One radius for the start, then three stages and the new radius per
+    # step; the stored states are never rebuilt as SupportFunctions.
+    assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 0}
+
+
 # -- normalized flow ---------------------------------------------------------
 
 def test_normalized_circle_is_a_fixed_point():
@@ -467,6 +500,43 @@ def test_trace_csv_round_trip(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     np.testing.assert_array_equal(data[:, 0], np.asarray(trace.times))
     np.testing.assert_array_equal(data[:, 1], np.asarray(trace.areas))
+
+
+@pytest.mark.parametrize("body", ["ellipse", "benchmark"])
+def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
+    # The trace is post-processed on its (n, m) samples array, a block of
+    # rows at a time; each row must equal the geometry functions applied to
+    # its state, bit for bit.  Small blocks leave a ragged last one.
+    monkeypatch.setattr(fl, "ROW_BLOCK_VALUES", 1000)
+    if body == "ellipse":
+        s0, p = geo.make_ellipse(3.0, 1.0, m=128), FlowParams(alpha=1.0, m=128)
+        trace = fl.run_to_extinction(s0, p, t_max=0.2, store_every=8)
+    else:
+        trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256),
+                                     store_every=8)
+    states = list(trace.states)
+    assert len(states) == len(trace.times) == trace.samples.shape[0] > 10
+    np.testing.assert_array_equal(trace.areas, [geo.area(s) for s in states])
+    np.testing.assert_array_equal(trace.lengths, [geo.length(s) for s in states])
+    expected = []
+    for t, s in zip(trace.times, states):
+        rec = geo.recenter(s).samples
+        mean_radius = float(np.mean(rec))
+        expected.append([t, geo.area(s), geo.length(s), geo.inradius(s),
+                         geo.circumradius(s),
+                         float(np.max(np.abs(rec - mean_radius))) / mean_radius])
+    rows = fl.trace_summary_rows(trace)
+    np.testing.assert_array_equal([list(row.values()) for row in rows], expected)
+
+
+def test_trace_states_are_built_on_access():
+    trace = fl.run_to_extinction(circle(), P64)
+    states = trace.states
+    assert len(states) == len(trace.times)
+    np.testing.assert_array_equal(states[-1].samples, trace.samples[-1])
+    assert [s.m for s in states[:2]] == [64, 64]
+    with pytest.raises(AttributeError):
+        trace.states = []
 
 
 def test_trace_summary_rows_fields():
