@@ -98,6 +98,10 @@ class Check:
 #: capped at the highest harmonic such a grid resolves.
 MAX_GRID = 65536
 
+#: Largest log-convexity grid a config may ask for, for the same reason:
+#: the run allocates a handful of arrays of n_points floats.
+MAX_POINTS = 10**6
+
 
 def _is_num(x) -> bool:
     """A finite JSON number; JSON's Infinity and NaN parse but are rejected,
@@ -151,7 +155,8 @@ _FIELD_RULES = {
     "scales": (lambda v: _numbers(v) and len(v) > 0 and v[0] > 0.0
                and all(a < b for a, b in zip(v, v[1:])),
                "a non-empty, strictly increasing list of positive finite numbers"),
-    "n_points": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "n_points": (lambda v: _is_int(v) and 2 <= v <= MAX_POINTS,
+                 f"an integer in [2, {MAX_POINTS}]"),
 }
 
 

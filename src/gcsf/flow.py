@@ -34,6 +34,9 @@ from gcsf import tables
 from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
+    _areas,
+    _lengths,
+    _steiner,
     circumradius,
     curvature_radius_samples,
     hausdorff_to_circle,
@@ -41,7 +44,6 @@ from gcsf.geometry import (
     mode_amplitude,
     recenter,
     support_to_json,
-    trig_derivative,
 )
 
 #: Steps are rejected and halved at most this many times before giving up.
@@ -135,20 +137,26 @@ class _States(Sequence):
         return SupportFunction(self._samples[index])
 
 
+TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle")
+
+
 @dataclass
 class FlowTrace:
     """Snapshots of one flow run; times are strictly increasing.
 
     samples is the (n, m) array of the stored support functions, one row
     per time, each checked finite and convex by the march that stored it.
+    columns holds trace.csv's columns of those rows, keyed by TRACE_COLUMNS.
     """
 
-    times: np.ndarray
     samples: np.ndarray
-    areas: np.ndarray
-    lengths: np.ndarray
+    columns: dict[str, np.ndarray]
     extinction_time: float | None
     stop_reason: StopReason
+
+    times = property(lambda self: self.columns["t"])
+    areas = property(lambda self: self.columns["area"])
+    lengths = property(lambda self: self.columns["length"])
 
     @property
     def states(self) -> Sequence[SupportFunction]:
@@ -258,14 +266,6 @@ def _rk4_flow_step(y, alpha, dt, normalized):
     if not (np.min(curvature_radius_samples(y_new)) > 0.0):
         raise _StageFailure
     return y_new
-
-
-def _inradius_array(y: np.ndarray, cos_t: np.ndarray, sin_t: np.ndarray) -> float:
-    # Distance from the Steiner point to the nearest supporting line.
-    w = 2.0 / y.size
-    px = w * float(np.dot(y, cos_t))
-    py = w * float(np.dot(y, sin_t))
-    return float(np.min(y - px * cos_t - py * sin_t))
 
 
 def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
@@ -454,6 +454,29 @@ def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
 
 
+def _record(march, store_every: int, extinct=lambda y: False):
+    """Run a march from _etd_march until it ends or extinct(samples) holds,
+    keeping every store_every-th state and the last one, once.
+
+    Returns (times, list of sample rows, error): error is the
+    ConvexityLostError that ended the march, or None.
+    """
+    times, rows, error = [], [], None
+    try:
+        for accepted, (t, y) in enumerate(march):
+            if accepted % store_every == 0:
+                times.append(t)
+                rows.append(y)
+            if extinct(y):
+                break
+    except ConvexityLostError as exc:
+        error = exc
+    if times[-1] != t:
+        times.append(t)
+        rows.append(y)
+    return np.array(times), rows, error
+
+
 def run_to_extinction(
     s0: SupportFunction,
     p: FlowParams,
@@ -472,58 +495,31 @@ def run_to_extinction(
 
     On extinction the extinction time is estimated by fitting
     inradius^(1+alpha), which is linear in t for shrinking circles, over
-    the last decade of the trace and extrapolating to zero.  A MarchStats
-    passed as stats receives the march's counts.  The stored states stay
-    one (n, m) array, FlowTrace.samples, whose areas and lengths are
-    computed a block of rows at a time.
+    the last decade of the inradius column and extrapolating to zero.  A
+    MarchStats passed as stats receives the march's counts.  The stored
+    states stay one (n, m) array, FlowTrace.samples, whose trace columns
+    are computed a block of rows at a time.
     """
     _check_start(s0, p, store_every)
     if t_max is None:
         t_max = default_time_limit(s0, p)
-
-    m = s0.m
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    stored_t: list[float] = []
-    stored_y: list[np.ndarray] = []
-    stored_inr: list[float] = []
-    stop = StopReason.TIME_LIMIT
     march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False,
                        stats=stats)
-    try:
-        for accepted, (t, y) in enumerate(march):
-            inr = _inradius_array(y, cos_t, sin_t)
-            if accepted % store_every == 0:
-                stored_t.append(t)
-                stored_y.append(y)
-                stored_inr.append(inr)
-            if inr < p.stop_inradius:
-                stop = StopReason.EXTINCT
-                break
-    except ConvexityLostError:
-        stop = StopReason.CONVEXITY_LOST
-
-    if stored_t[-1] != t:
-        stored_t.append(t)
-        stored_y.append(y)
-        stored_inr.append(_inradius_array(y, cos_t, sin_t))
-
-    times = np.array(stored_t)
-    samples = np.array(stored_y)
-    del stored_y
-
-    def areas_and_lengths(y):
-        # area() and length() of each row, in their operation order.
-        ds = trig_derivative(y, 1)
-        return (0.5 * (2.0 * np.pi / m) * np.sum(y**2 - ds**2, axis=1),
-                (2.0 * np.pi / m) * np.sum(y, axis=1))
-
-    areas, lengths = _by_row_blocks(areas_and_lengths, samples)
-
+    times, rows, error = _record(
+        march, store_every, lambda y: _steiner(y)[2].min() < p.stop_inradius)
+    samples = np.array(rows)
+    del rows
+    columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples))))
+    inradii = columns["inradius"]
     extinction = None
-    if stop is StopReason.EXTINCT:
-        extinction = extrapolate_extinction(times, np.array(stored_inr), p)
-    return FlowTrace(times, samples, areas, lengths, extinction, stop)
+    if error is not None:
+        stop = StopReason.CONVEXITY_LOST
+    elif inradii[-1] < p.stop_inradius:
+        stop = StopReason.EXTINCT
+        extinction = extrapolate_extinction(times, inradii, p)
+    else:
+        stop = StopReason.TIME_LIMIT
+    return FlowTrace(samples, columns, extinction, stop)
 
 
 #: Values of a trace post-processed together.  The transforms and products
@@ -531,11 +527,18 @@ def run_to_extinction(
 ROW_BLOCK_VALUES = 2**17
 
 
-def _by_row_blocks(columns_of, samples: np.ndarray) -> list[np.ndarray]:
-    """The per-row columns that columns_of computes on a block of rows, for
-    all rows of samples, taken a block of ROW_BLOCK_VALUES values at a time."""
+def _shape_columns(samples: np.ndarray) -> list[np.ndarray]:
+    """Area, length, inradius, circumradius and delta_to_circle of each row
+    of samples, computed a block of ROW_BLOCK_VALUES values at a time."""
     rows = max(1, ROW_BLOCK_VALUES // samples.shape[1])
-    blocks = [columns_of(samples[lo:lo + rows]) for lo in range(0, len(samples), rows)]
+    blocks = []
+    for lo in range(0, len(samples), rows):
+        y = samples[lo:lo + rows]
+        areas, lengths = _areas(y), _lengths(y)
+        d = _steiner(y)[2]
+        mean_radius = np.mean(d, axis=1)
+        blocks.append((areas, lengths, np.min(d, axis=1), np.max(d, axis=1),
+                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius))
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -571,20 +574,12 @@ def run_normalized(
     _check_start(s0, p, store_every)
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
-
-    stored_t: list[float] = []
-    stored_y: list[np.ndarray] = []
     march = _etd_march(np.array(s0.samples, dtype=float), p, tau_end, rescaled=True,
                        stats=stats)
-    for accepted, (tau, y) in enumerate(march):
-        if accepted % store_every == 0:
-            stored_t.append(tau)
-            stored_y.append(y)
-    if stored_t[-1] != tau:
-        stored_t.append(tau)
-        stored_y.append(y)
-
-    return np.array(stored_t), [SupportFunction(arr) for arr in stored_y]
+    taus, rows, error = _record(march, store_every)
+    if error is not None:
+        raise error
+    return taus, [SupportFunction(row) for row in rows]
 
 
 def normalize_trace(trace: FlowTrace, p: FlowParams) -> list[tuple[float, SupportFunction]]:
@@ -750,44 +745,24 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 
 # -- trace exports ----------------------------------------------------------
 
-TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle")
-
-
-def trace_summary_rows(trace: FlowTrace) -> list[dict]:
-    """Per-snapshot diagnostics used by the CSV export and the CLI checks.
-
-    The Steiner point, the recentred state and its inradius, circumradius
-    and relative distance to its mean circle are computed on blocks of rows
-    of trace.samples, in the operation order of steiner_point,
-    recenter, inradius and circumradius, so each row matches those
-    functions applied to its state bit for bit.
+def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
+    """Per-snapshot diagnostics used by the CSV export and the CLI checks,
+    keyed by TRACE_COLUMNS: t, area, length, and the inradius,
+    circumradius and relative sup distance to its mean circle of each
+    state seen from its Steiner point.  run_to_extinction computes them
+    with the arithmetic of area, length, inradius and circumradius, so
+    each row matches those functions applied to its state bit for bit.
     """
-    m = trace.samples.shape[1]
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    w = 2.0 / m
-
-    def shape_columns(y):
-        px = w * np.sum(y * cos_t, axis=1)
-        py = w * np.sum(y * sin_t, axis=1)
-        rec = y - px[:, None] * cos_t - py[:, None] * sin_t
-        mean_radius = np.mean(rec, axis=1)
-        delta = np.max(np.abs(rec - mean_radius[:, None]), axis=1) / mean_radius
-        return np.min(rec, axis=1), np.max(rec, axis=1), delta
-
-    columns = (trace.times, trace.areas, trace.lengths,
-               *_by_row_blocks(shape_columns, trace.samples))
-    return [dict(zip(TRACE_COLUMNS, map(float, row))) for row in zip(*columns)]
+    return dict(trace.columns)
 
 
 def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
     """Plot-ready series: t, area, length, inradius, circumradius and the
     relative sup distance of the recentred state to its mean circle.
     Returns the columns written, in that order."""
-    rows = trace_summary_rows(trace)
-    columns = [np.array([row[k] for row in rows]) for k in TRACE_COLUMNS]
-    tables.write_columns(path, list(TRACE_COLUMNS), *columns)
-    return columns
+    columns = trace_summary_rows(trace)
+    tables.write_columns(path, list(columns), *columns.values())
+    return list(columns.values())
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:

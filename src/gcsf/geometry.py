@@ -9,14 +9,11 @@ safe to share between workers.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from gcsf import tables
 
 MIN_GRID = 64
 DEFAULT_GRID = 256
@@ -30,6 +27,8 @@ class ConvexityLostError(ValueError):
 _WAVENUMBERS: dict[int, np.ndarray] = {}
 # Cached symbols 1 - k^2 of s'' + s in the same layout.
 _RADIUS_SYMBOLS: dict[int, np.ndarray] = {}
+# Cached (cos theta, sin theta) of the angular grid, keyed by grid size.
+_BASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _wavenumbers(m: int) -> np.ndarray:
@@ -38,6 +37,14 @@ def _wavenumbers(m: int) -> np.ndarray:
         k = np.arange(m // 2 + 1, dtype=float)
         _WAVENUMBERS[m] = k
     return k
+
+
+def _basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    basis = _BASES.get(m)
+    if basis is None:
+        theta = np.arange(m) * (2.0 * np.pi / m)
+        basis = _BASES[m] = (np.cos(theta), np.sin(theta))
+    return basis
 
 
 def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -141,12 +148,6 @@ class SupportFunction:
     def thetas(self) -> np.ndarray:
         return np.arange(self.m) * (2.0 * np.pi / self.m)
 
-    def derivative(self) -> np.ndarray:
-        return trig_derivative(self.samples, 1)
-
-    def second_derivative(self) -> np.ndarray:
-        return trig_derivative(self.samples, 2)
-
 
 def make_circle(radius: float, center=PlanePoint(0.0, 0.0), m: int = DEFAULT_GRID) -> SupportFunction:
     """Circle of given radius: s(theta) = R + cx*cos(theta) + cy*sin(theta)."""
@@ -213,36 +214,56 @@ def curvature_radius(s: SupportFunction) -> np.ndarray:
     return radius
 
 
+# The arithmetic behind area, length and the Steiner point works on each
+# support function along the last axis of an array of samples, so a trace
+# of states is one call; the public functions below apply it to one state.
+
+def _areas(values: np.ndarray) -> np.ndarray:
+    ds = trig_derivative(values, 1)
+    return 0.5 * (2.0 * np.pi / values.shape[-1]) * np.sum(values**2 - ds**2, axis=-1)
+
+
+def _lengths(values: np.ndarray) -> np.ndarray:
+    return (2.0 * np.pi / values.shape[-1]) * np.sum(values, axis=-1)
+
+
+def _steiner(values: np.ndarray) -> tuple:
+    """The Steiner point (x, y) and the distances from it to the supporting
+    lines; x and y are scalars for one support function, columns for rows."""
+    cos_t, sin_t = _basis(values.shape[-1])
+    w = 2.0 / values.shape[-1]
+    x = w * np.add.reduce(values * cos_t, -1)
+    y = w * np.add.reduce(values * sin_t, -1)
+    if values.ndim > 1:
+        x, y = x[:, None], y[:, None]
+    return x, y, values - x * cos_t - y * sin_t
+
+
 def area(s: SupportFunction) -> float:
     """Enclosed area, 0.5 * integral of s^2 - s'^2.
 
     The trapezoid rule on the periodic grid is spectrally accurate, and exact
     for trigonometric polynomials of degree below the grid size.
     """
-    ds = s.derivative()
-    return 0.5 * (2.0 * np.pi / s.m) * float(np.sum(s.samples**2 - ds**2))
+    return float(_areas(s.samples))
 
 
 def length(s: SupportFunction) -> float:
     """Boundary length, the integral of s over the angle."""
-    return (2.0 * np.pi / s.m) * float(np.sum(s.samples))
+    return float(_lengths(s.samples))
 
 
 def steiner_point(s: SupportFunction) -> PlanePoint:
     """Curvature-weighted centroid; the first harmonic of s times (1/pi)."""
-    theta = s.thetas
-    w = 2.0 / s.m
-    return PlanePoint(
-        w * float(np.sum(s.samples * np.cos(theta))),
-        w * float(np.sum(s.samples * np.sin(theta))),
-    )
+    x, y, _ = _steiner(s.samples)
+    return PlanePoint(float(x), float(y))
 
 
 def translate(s: SupportFunction, vector) -> SupportFunction:
     """Support function of the body translated by the given vector."""
     vx, vy = _as_xy(vector)
-    theta = s.thetas
-    return SupportFunction(s.samples + vx * np.cos(theta) + vy * np.sin(theta))
+    cos_t, sin_t = _basis(s.m)
+    return SupportFunction(s.samples + vx * cos_t + vy * sin_t)
 
 
 def recenter(s: SupportFunction) -> SupportFunction:
@@ -251,21 +272,14 @@ def recenter(s: SupportFunction) -> SupportFunction:
     return translate(s, (-p.x, -p.y))
 
 
-def _steiner_distances(s: SupportFunction) -> np.ndarray:
-    """Distances from the Steiner point to the supporting lines."""
-    p = steiner_point(s)
-    theta = s.thetas
-    return s.samples - p.x * np.cos(theta) - p.y * np.sin(theta)
-
-
 def inradius(s: SupportFunction) -> float:
     """Radius of the largest disc centred at the Steiner point."""
-    return float(np.min(_steiner_distances(s)))
+    return float(np.min(_steiner(s.samples)[2]))
 
 
 def circumradius(s: SupportFunction) -> float:
     """Radius of the smallest disc centred at the Steiner point containing the body."""
-    return float(np.max(_steiner_distances(s)))
+    return float(np.max(_steiner(s.samples)[2]))
 
 
 def hausdorff_to_circle(s: SupportFunction, center, radius: float) -> float:
@@ -278,8 +292,8 @@ def hausdorff_to_circle(s: SupportFunction, center, radius: float) -> float:
     if radius <= 0.0:
         raise ValueError(f"circle radius must be positive, got {radius}")
     cx, cy = _as_xy(center)
-    theta = s.thetas
-    shifted = s.samples - cx * np.cos(theta) - cy * np.sin(theta)
+    cos_t, sin_t = _basis(s.m)
+    shifted = s.samples - cx * cos_t - cy * sin_t
     if np.min(shifted) <= 0.0:
         raise ValueError("center must lie strictly inside the body")
     return float(np.max(np.abs(shifted - radius)))
@@ -308,18 +322,3 @@ def support_from_json(text: str) -> SupportFunction:
     if data.get("m") != samples.size:
         raise ValueError("declared grid size does not match the sample count")
     return SupportFunction(samples)
-
-
-def write_support_csv(s: SupportFunction, path) -> None:
-    """Two-column CSV (theta, s) with full round-trip precision."""
-    tables.write_columns(path, ["theta", "s"], s.thetas, s.samples)
-
-
-def read_support_csv(path) -> SupportFunction:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header[:2] != ["theta", "s"]:
-            raise ValueError(f"unexpected support CSV header: {header}")
-        samples = [float(row[1]) for row in reader]
-    return SupportFunction(np.array(samples))

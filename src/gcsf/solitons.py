@@ -19,7 +19,6 @@ and the log-convexity margin of the radial separated solution.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -542,29 +541,6 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 def read_profile_csv(path) -> RadialProfile:
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     return RadialProfile(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
-
-
-def write_profile_json(profile: RadialProfile, header: dict, path) -> None:
-    """Profile plus a solver header such as {alpha, sigma, r_max}."""
-    payload = dict(header)
-    payload.update({
-        "r": [float(x) for x in profile.r],
-        "u": [float(x) for x in profile.u],
-        "du": [float(x) for x in profile.du],
-        "d2u": [float(x) for x in profile.d2u],
-    })
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-
-
-def read_profile_json(path) -> tuple[RadialProfile, dict]:
-    with open(path) as f:
-        payload = json.load(f)
-    profile = RadialProfile(
-        np.array(payload.pop("r")), np.array(payload.pop("u")),
-        np.array(payload.pop("du")), np.array(payload.pop("d2u")))
-    return profile, payload
 
 
 def write_profile1d_csv(profile: Profile1D, path) -> None:

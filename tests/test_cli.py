@@ -151,6 +151,21 @@ def test_flow_run_is_deterministic(tmp_path):
     assert solver["remainder_evals"] == 4 * solver["accepted_steps"]
 
 
+@pytest.mark.parametrize("entries", [
+    {"alpha": 0.6},
+    {"alpha": 2.0, "m": 128, "seed": 7, "initial_body": {"kind": "random"}},
+])
+def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), **entries)
+    assert cli.main(["run", cfg]) == 0
+    manifest = read_manifest(out)
+    trace = cli._StoredColumns(str(out))["trace.csv"]
+    params = cli._flow_params(cli.config_from_dict(manifest["config"]))
+    assert manifest["scalars"]["extinction_time"]["value"] == \
+        cli.fl.extrapolate_extinction(trace[0], trace[3], params)
+
+
 def test_flow_circle_checks_and_snapshots(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out),
@@ -425,6 +440,14 @@ def test_store_every_zero_is_a_usage_error(tmp_path, capsys, experiment):
     assert cli.main(["run", cfg]) == 1
     assert "store_every" in capsys.readouterr().err
     assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("n_points", [1, cli.MAX_POINTS + 1])
+def test_log_convexity_grid_is_capped_at_config_time(n_points):
+    raw = {"experiment": "log-convexity", "output_dir": "out"}
+    assert cli.config_from_dict(dict(raw, n_points=cli.MAX_POINTS)).n_points == cli.MAX_POINTS
+    with pytest.raises(cli.UsageError, match="n_points"):
+        cli.config_from_dict(dict(raw, n_points=n_points))
 
 
 def test_store_every_resolves_per_experiment(tmp_path):

@@ -203,6 +203,46 @@ def test_trace_is_monotone_and_shrinking():
     assert np.all(np.diff(areas) < 0.0)
 
 
+# -- the record loop both marches share ---------------------------------------
+
+def _stub_march(n, lose_convexity):
+    # Yields n shrinking circles on 64 points; then, if asked, raises as a
+    # march does when no acceptable step exists.
+    def march(y, p, t_end, rescaled, stats=None):
+        for i in range(n):
+            yield 0.01 * i, (1.0 - 0.01 * i) * np.ones(64)
+        if lose_convexity:
+            raise geo.ConvexityLostError("no acceptable step")
+    return march
+
+
+def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
+    monkeypatch.setattr(fl, "_etd_march", _stub_march(5, lose_convexity=True))
+    trace = fl.run_to_extinction(circle(), P64, store_every=3)
+    assert trace.stop_reason is StopReason.CONVEXITY_LOST
+    assert trace.extinction_time is None
+    np.testing.assert_array_equal(trace.times, [0.0, 0.03, 0.04])
+    np.testing.assert_array_equal(trace.samples[:, 0], [1.0, 0.97, 0.96])
+    with pytest.raises(geo.ConvexityLostError):
+        fl.run_normalized(circle(), P64, 1.0, store_every=3)
+
+
+@pytest.mark.parametrize("store_every, n, stored", [
+    (1, 4, [0, 1, 2, 3]), (3, 7, [0, 3, 6]), (3, 8, [0, 3, 6, 7])])
+def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store_every,
+                                                              n, stored):
+    monkeypatch.setattr(fl, "_etd_march", _stub_march(n, lose_convexity=False))
+    trace = fl.run_to_extinction(circle(), P64, store_every=store_every)
+    taus, states = fl.run_normalized(circle(), P64, 1.0, store_every=store_every)
+    assert trace.stop_reason is StopReason.TIME_LIMIT
+    expected = [0.01 * i for i in stored]
+    np.testing.assert_array_equal(trace.times, expected)
+    np.testing.assert_array_equal(taus, expected)
+    radii = [1.0 - 0.01 * i for i in stored]
+    np.testing.assert_array_equal(trace.samples[:, 0], radii)
+    np.testing.assert_array_equal([s.samples[0] for s in states], radii)
+
+
 # -- the ETD step --------------------------------------------------------------
 
 def _phi_weights_60_digits(z):
@@ -525,8 +565,8 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
         expected.append([t, geo.area(s), geo.length(s), geo.inradius(s),
                          geo.circumradius(s),
                          float(np.max(np.abs(rec - mean_radius))) / mean_radius])
-    rows = fl.trace_summary_rows(trace)
-    np.testing.assert_array_equal([list(row.values()) for row in rows], expected)
+    columns = fl.trace_summary_rows(trace)
+    np.testing.assert_array_equal(np.column_stack(list(columns.values())), expected)
 
 
 def test_trace_states_are_built_on_access():
@@ -541,13 +581,12 @@ def test_trace_states_are_built_on_access():
 
 def test_trace_summary_rows_fields():
     trace = fl.run_to_extinction(circle(), P64)
-    rows = fl.trace_summary_rows(trace)
-    assert len(rows) == len(trace.times)
-    first = rows[0]
-    assert set(first) == {"t", "area", "length", "inradius", "circumradius",
-                          "delta_to_circle"}
-    assert first["t"] == 0.0
-    assert math.isclose(first["area"], math.pi, rel_tol=1e-12)
+    columns = fl.trace_summary_rows(trace)
+    assert tuple(columns) == ("t", "area", "length", "inradius", "circumradius",
+                              "delta_to_circle")
+    assert all(len(column) == len(trace.times) for column in columns.values())
+    assert columns["t"][0] == 0.0
+    assert math.isclose(columns["area"][0], math.pi, rel_tol=1e-12)
 
 
 def test_snapshots_written_every_k(tmp_path):

@@ -236,18 +236,3 @@ def test_json_rejects_inconsistent_size():
     text = geo.support_to_json(unit_circle(m=64)).replace('"m": 64', '"m": 65')
     with pytest.raises(ValueError):
         geo.support_from_json(text)
-
-
-def test_csv_round_trip_is_exact(tmp_path):
-    s = geo.random_convex_body(np.random.default_rng(11))
-    path = tmp_path / "body.csv"
-    geo.write_support_csv(s, path)
-    back = geo.read_support_csv(path)
-    np.testing.assert_array_equal(back.samples, s.samples)
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("x,y\n0.0,1.0\n")
-    with pytest.raises(ValueError):
-        geo.read_support_csv(path)

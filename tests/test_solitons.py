@@ -405,15 +405,6 @@ def test_profile_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.d2u, prof.d2u)
 
 
-def test_profile_json_round_trip(tmp_path):
-    prof = so.cone_profile(1.0, 3.0, n=201)
-    path = tmp_path / "profile.json"
-    so.write_profile_json(prof, {"alpha": 1.0}, path)
-    back, header = so.read_profile_json(path)
-    assert header["alpha"] == 1.0
-    np.testing.assert_array_equal(back.u, prof.u)
-
-
 def test_ode_csv_columns(tmp_path):
     sol = so.comparison_ode(1.0, 1e-4, 0.5)
     path = tmp_path / "ode.csv"
