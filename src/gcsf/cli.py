@@ -102,6 +102,14 @@ MAX_GRID = 65536
 #: the run allocates a handful of arrays of n_points floats.
 MAX_POINTS = 10**6
 
+#: Largest r_max, for the same reason: a profile keeps a node per 5e-3 of
+#: radius.  The cap admits legendre's derived r_max for every alpha > 1/2.
+MAX_R_MAX = 20000.0
+
+#: An extinction run stores every 8th accepted state and the last: enough
+#: for the fit of T and the area identity, at an eighth of the rows.
+EXTINCTION_STORE_EVERY = 8
+
 
 def _is_num(x) -> bool:
     """A finite JSON number; JSON's Infinity and NaN parse but are rejected,
@@ -135,23 +143,22 @@ def _require(cond: bool, message: str) -> None:
 # What each config field must hold, and how the usage error words it.  A
 # field means the same in every experiment that reads it.
 _FIELD_RULES = {
-    **dict.fromkeys(("alpha", "stop_inradius", "p_lo", "p_hi", "delta", "radius"),
+    **dict.fromkeys(("alpha", "p_lo", "p_hi", "delta", "radius"),
                     (_is_positive, "a positive finite number")),
     **dict.fromkeys(("eps", "tau_end", "x_max"), (_is_num, "a finite number")),
-    **dict.fromkeys(("cfl", "sigma"),
-                    (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]")),
+    "sigma": (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]"),
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "m": (lambda v: _is_int(v) and 64 <= v <= MAX_GRID and v % 2 == 0,
           f"an even integer in [64, {MAX_GRID}]"),
     "initial_body": (lambda v: isinstance(v, dict), "an object"),
     "t_max": (lambda v: v is None or _is_positive(v), "a positive finite number or null"),
-    "store_every": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "snapshot_every": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "mode": (lambda v: _is_int(v) and 1 <= v <= MAX_GRID // 2,
              f"an integer in [1, {MAX_GRID // 2}]"),
     "fit_window": (lambda v: _numbers(v) and len(v) == 2 and v[0] < v[1],
                    "a finite [lo, hi] pair with lo < hi"),
-    "r_max": (lambda v: _is_num(v) and v > 1e-3, "a finite number above 1e-3"),
+    "r_max": (lambda v: _is_num(v) and 1e-3 < v <= MAX_R_MAX,
+              f"a finite number in (1e-3, {MAX_R_MAX:g}]"),
     "scales": (lambda v: _numbers(v) and len(v) > 0 and v[0] > 0.0
                and all(a < b for a, b in zip(v, v[1:])),
                "a non-empty, strictly increasing list of positive finite numbers"),
@@ -278,13 +285,12 @@ def _scalar(value, source: str) -> dict:
 # columns; each checks function reads nothing but those columns ------------
 
 def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
-    return fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, stop_inradius=cfg.stop_inradius,
-                         m=cfg.m)
+    return fl.FlowParams(alpha=cfg.alpha, m=cfg.m)
 
 
 def _extinction_trace(cfg: SimpleNamespace, stats: fl.MarchStats) -> fl.FlowTrace:
     return fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
-                                store_every=cfg.store_every, stats=stats)
+                                store_every=EXTINCTION_STORE_EVERY, stats=stats)
 
 
 def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
@@ -310,7 +316,7 @@ def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     """
     trace = columns["trace.csv"]
     times, inradii = trace[0], trace[3]
-    extinct = bool(inradii[-1] < cfg.stop_inradius)
+    extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
     checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
     if not extinct:
         return checks
@@ -344,9 +350,10 @@ def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
 
 
 def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    params = fl.FlowParams(alpha=cfg.alpha, cfl=cfg.cfl, m=cfg.m)
-    taus, states = fl.run_normalized(_build_body(cfg), params, cfg.tau_end,
-                                     store_every=cfg.store_every, stats=stats)
+    # The rescaled flow takes a few hundred ETD steps; its rate fit wants
+    # every one of them, as run_normalized stores by default.
+    taus, states = fl.run_normalized(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
+                                     stats=stats)
     amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
     columns = {"rate.csv": (taus, amps)}
@@ -526,9 +533,8 @@ def _check_reach(cfg: SimpleNamespace) -> None:
              f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
 
 
-_GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": 256, "cfl": 0.2}
-_EXTINCTION_FIELDS = {**_GRID_FIELDS, "stop_inradius": 1e-3, "t_max": None,
-                      "store_every": 8}
+_GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": 256}
+_EXTINCTION_FIELDS = {**_GRID_FIELDS, "t_max": None}
 _UNIT_CIRCLE = {"kind": "circle", "radius": 1.0, "center": [0.0, 0.0]}
 
 EXPERIMENTS = {
@@ -538,9 +544,7 @@ EXPERIMENTS = {
         "trace.csv", ("extinction_time", "stop_reason", "final_area"), _build_body,
         marches=True),
     "normalized-rate": Experiment(
-        # The rescaled flow takes a few hundred ETD steps; its rate fit
-        # wants every one of them.
-        {**_GRID_FIELDS, "store_every": 1, "mode": 2, "eps": 1e-3, "tau_end": 3.5,
+        {**_GRID_FIELDS, "mode": 2, "eps": 1e-3, "tau_end": 3.5,
          "fit_window": (1.0, 3.0),
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},

@@ -8,7 +8,8 @@ J. Comput. Phys. 176, 2002) on the Fourier coefficients of s, through one
 loop, _etd_march.  The linear part A(1 - k^2), plus 1 for the rescaling
 term of the rescaled flow, freezes the largest local diffusivity
 A = alpha * r_min^-(alpha+1) for one step and is integrated exactly, so the
-step is set by accuracy rather than by the parabolic bound.  The
+step is set by accuracy rather than by the parabolic bound; one constant,
+CFL, sets the steps of both marches and of the reference.  The
 phi-functions take their closed forms, except on the few modes where
 those cancel, which take a truncated Taylor series in place of the
 contour means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).  A
@@ -49,9 +50,17 @@ from gcsf.geometry import (
 #: Steps are rejected and halved at most this many times before giving up.
 MAX_STEP_HALVINGS = 60
 
-#: On a circle an ETD step lasts ETD_STEP_SCALE * cfl * r^(alpha+1): 1% of
-#: that time scale at the default cfl = 0.2.
+#: The step constant: each step is a fraction of the fastest diffusive
+#: time, CFL * dtheta^2 of it or more (stable_dt, _etd_step_size).
+CFL = 0.2
+
+#: On a circle an ETD step lasts ETD_STEP_SCALE * CFL * r^(alpha+1); the
+#: product rounds to 0.010000000000000002, so it is not folded into 0.01.
 ETD_STEP_SCALE = 0.05
+
+#: The flow is extinct once its inradius falls below this, and the rescaled
+#: flow has collapsed once r_min falls below this fraction of its start.
+STOP_INRADIUS = 1e-3
 
 #: Modes with |z| = |dt * L_k| below this take the Taylor series of the
 #: phi-functions, whose closed forms cancel to O(z^3) there.  Above it the
@@ -95,28 +104,15 @@ class StopReason(str, enum.Enum):
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Parameters shared by every flow solver.
-
-    alpha is the curvature power.  cfl scales every time step.  For the
-    Runge-Kutta reference (step, stable_dt) it is the parabolic fraction
-    cfl * dtheta^2 of the fastest diffusive time; for the ETD march of both
-    flows (run_to_extinction, run_normalized) it scales the accuracy step
-    ETD_STEP_SCALE * cfl * r_min^(alpha+1), which the step rule shrinks on
-    eccentric bodies.
-    """
+    """Parameters shared by every flow solver: the curvature power alpha
+    and the grid size m.  Every step is set by the step constant CFL."""
 
     alpha: float
-    cfl: float = 0.2
-    stop_inradius: float = 1e-3
     m: int = 256
 
     def __post_init__(self) -> None:
         if self.alpha <= 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.stop_inradius <= 0.0:
-            raise ValueError(f"stop_inradius must be positive, got {self.stop_inradius}")
         if self.m < 64 or self.m % 2 != 0:
             raise ValueError(f"grid size must be even and >= 64, got {self.m}")
 
@@ -198,18 +194,8 @@ class MarchStats:
     r_min: float | None = None
 
 
-def rhs_unnormalized(s: SupportFunction, p: FlowParams) -> np.ndarray:
-    """Speed -(s'' + s)^(-alpha) of the contracting flow."""
-    return _rhs_array(s.samples, p.alpha, normalized=False)
-
-
-def rhs_normalized(s: SupportFunction, p: FlowParams) -> np.ndarray:
-    """Speed of the rescaled flow, -(s'' + s)^(-alpha) + s."""
-    return _rhs_array(s.samples, p.alpha, normalized=True)
-
-
 def stable_dt(s: SupportFunction, p: FlowParams) -> float:
-    """Parabolic step bound cfl * dtheta^2 / max(alpha * (s''+s)^-(alpha+1)).
+    """Parabolic step bound CFL * dtheta^2 / max(alpha * (s''+s)^-(alpha+1)).
 
     The linearized diffusivity of the flow is alpha * r^-(alpha+1); an
     explicit scheme must resolve it on the angular grid scale.
@@ -218,26 +204,30 @@ def stable_dt(s: SupportFunction, p: FlowParams) -> float:
     if not (np.min(radius) > 0.0):
         raise ConvexityLostError("state is not convex")
     dtheta = 2.0 * np.pi / s.m
-    return p.cfl * dtheta**2 * float(np.min(radius)) ** (p.alpha + 1.0) / p.alpha
+    return CFL * dtheta**2 * float(np.min(radius)) ** (p.alpha + 1.0) / p.alpha
 
 
-def step(s: SupportFunction, p: FlowParams, dt: float, rhs=rhs_unnormalized) -> SupportFunction:
-    """One classical Runge-Kutta step of rhs_unnormalized or rhs_normalized.
+def step(s: SupportFunction, p: FlowParams, dt: float, rescaled: bool = False) -> SupportFunction:
+    """One classical Runge-Kutta step of the flow, at speed -(s'' + s)^(-alpha),
+    or of the rescaled flow, at speed -(s'' + s)^(-alpha) + s.
 
     dt = 0 returns the state unchanged.  A step whose stages or result leave
     the convex cone raises StepRejectedError; the caller is expected to halve
     dt and retry.
     """
-    if rhs is not rhs_unnormalized and rhs is not rhs_normalized:
-        raise ValueError("rhs must be rhs_unnormalized or rhs_normalized")
     if dt < 0.0:
         raise ValueError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return s
+    y, alpha = s.samples, p.alpha
     try:
-        y = _rk4_flow_step(s.samples, p.alpha, dt, rhs is rhs_normalized)
-        return SupportFunction(y)
-    except (_StageFailure, ConvexityLostError) as exc:
+        k1 = _rhs_array(y, alpha, rescaled)
+        k2 = _rhs_array(y + 0.5 * dt * k1, alpha, rescaled)
+        k3 = _rhs_array(y + 0.5 * dt * k2, alpha, rescaled)
+        k4 = _rhs_array(y + dt * k3, alpha, rescaled)
+        # SupportFunction rejects a nonconvex or non-finite result.
+        return SupportFunction(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    except (_StageFailure, ValueError) as exc:
         raise StepRejectedError(f"step of size {dt:.3e} left the convex cone") from exc
 
 
@@ -245,27 +235,16 @@ class _StageFailure(Exception):
     pass
 
 
-def _rhs_array(y: np.ndarray, alpha: float, normalized: bool) -> np.ndarray:
+def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
+    """Speed of a Runge-Kutta stage; raises _StageFailure unless the stage
+    keeps a positive curvature radius (NaN included)."""
     radius = curvature_radius_samples(y)
     if not (np.min(radius) > 0.0):
         raise _StageFailure
     out = -np.power(radius, -alpha)
-    if normalized:
+    if rescaled:
         out = out + y
     return out
-
-
-def _rk4_flow_step(y, alpha, dt, normalized):
-    """Array-level RK4 step; raises _StageFailure unless every stage and the
-    result keep a positive curvature radius (NaN included)."""
-    k1 = _rhs_array(y, alpha, normalized)
-    k2 = _rhs_array(y + 0.5 * dt * k1, alpha, normalized)
-    k3 = _rhs_array(y + 0.5 * dt * k2, alpha, normalized)
-    k4 = _rhs_array(y + dt * k3, alpha, normalized)
-    y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not (np.min(curvature_radius_samples(y_new)) > 0.0):
-        raise _StageFailure
-    return y_new
 
 
 def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
@@ -278,7 +257,7 @@ def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
     time 1/A, A = alpha * r_min^-(alpha+1), for a state on m points whose
     curvature radius lies in [r_min, r_max].
 
-    A circle takes z = alpha * ETD_STEP_SCALE * cfl, a bound set by accuracy
+    A circle takes z = alpha * ETD_STEP_SCALE * CFL, a bound set by accuracy
     alone.  On an eccentric body the frozen A overdamps the flat arcs, where
     the local diffusivity alpha * r^-(alpha+1) is smaller, and the explicit
     remainder has to undo it; z therefore shrinks with the square root of
@@ -286,13 +265,13 @@ def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
     is measured, not derived: on a 6:1 ellipse at m = 128 and alpha = 2 it
     keeps T within 3e-7 of the RK4 march, where the plain ratio
     r_min / r_max left an error of 7e-6.  z never drops below the
-    parabolic fraction cfl * dtheta^2 of the Runge-Kutta reference, where the
+    parabolic fraction CFL * dtheta^2 of the Runge-Kutta reference, where the
     linear part is no longer stiff on the grid and ETDRK4 is as accurate
     as classical RK4.
     """
     contrast = r_min / r_max
-    accurate = p.alpha * ETD_STEP_SCALE * p.cfl * contrast ** (0.5 * (p.alpha + 1.0))
-    return max(accurate, p.cfl * (2.0 * np.pi / m) ** 2)
+    accurate = p.alpha * ETD_STEP_SCALE * CFL * contrast ** (0.5 * (p.alpha + 1.0))
+    return max(accurate, CFL * (2.0 * np.pi / m) ** 2)
 
 
 def _phi_combinations(z, e, e2):
@@ -385,14 +364,17 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     plus 1 on the rescaled flow, whose rescaling term +s is then integrated
     exactly; the remainder rfft(-(s''+s)^-alpha) - A(1 - k^2) s is the same
     for both flows.  The step dt = z / A (z from _etd_step_size) is
-    ETD_STEP_SCALE * cfl * r_min^(alpha+1) on a circle, shrinks with the
+    ETD_STEP_SCALE * CFL * r_min^(alpha+1) on a circle, shrinks with the
     curvature-radius contrast on eccentric bodies, and never falls below
     the parabolic bound stable_dt.  An accepted step costs 9 FFTs: the
     remainder at its start, two per stage, the new radius and the new
     samples.  A step whose stages or result leave the convex cone is
-    halved and retried; after MAX_STEP_HALVINGS halvings, or once r_min is
-    so small that the linear part overflows, ConvexityLostError is raised.
-    y is never written to.
+    halved and retried.  ConvexityLostError is raised after
+    MAX_STEP_HALVINGS halvings, once r_min is so small that the linear part
+    overflows, and on the rescaled flow once r_min has fallen below
+    STOP_INRADIUS times its starting value: the body has collapsed, and
+    dt, which follows r_min^(alpha+1), would only shrink from there.  y is
+    never written to.
     """
     if stats is None:
         stats = MarchStats()
@@ -404,6 +386,7 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     radius = curvature_radius_samples(y)
     r_min, r_max = float(np.min(radius)), float(np.max(radius))
     stats.r_min = r_min
+    floor = STOP_INRADIUS * r_min if rescaled else 0.0
     t = 0.0
     # The weights depend on the diagonal dt * L = z * symbol + shift * dt
     # alone; consecutive steps with the same pair (the parabolic floor of
@@ -412,6 +395,8 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     weights = None
     yield t, y
     while t < t_end:
+        if r_min < floor:
+            raise ConvexityLostError(f"body collapsed: r_min = {r_min:.3e} at t = {t:.6f}")
         a_max = p.alpha * r_min ** -(p.alpha + 1.0)
         if not math.isfinite(a_max * stiffest):
             raise ConvexityLostError(
@@ -487,7 +472,7 @@ def run_to_extinction(
     """March the unnormalized flow until the body is numerically extinct.
 
     The march is _etd_march without the rescaling term.  Integration stops
-    once the inradius drops below p.stop_inradius (stop_reason extinct), at
+    once the inradius drops below STOP_INRADIUS (stop_reason extinct), at
     t_max (time_limit), or when no acceptable step exists
     (convexity_lost).  Every store_every-th accepted step is recorded, plus
     the final state; the default of every step keeps the area series fine
@@ -506,7 +491,7 @@ def run_to_extinction(
     march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False,
                        stats=stats)
     times, rows, error = _record(
-        march, store_every, lambda y: _steiner(y)[2].min() < p.stop_inradius)
+        march, store_every, lambda y: _steiner(y)[2].min() < STOP_INRADIUS)
     samples = np.array(rows)
     del rows
     columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples))))
@@ -514,7 +499,7 @@ def run_to_extinction(
     extinction = None
     if error is not None:
         stop = StopReason.CONVEXITY_LOST
-    elif inradii[-1] < p.stop_inradius:
+    elif inradii[-1] < STOP_INRADIUS:
         stop = StopReason.EXTINCT
         extinction = extrapolate_extinction(times, inradii, p)
     else:
@@ -546,7 +531,7 @@ def extrapolate_extinction(times: np.ndarray, inradii: np.ndarray, p: FlowParams
     """Fit inradius^(1+alpha) linearly in t over the trace tail, solve for zero."""
     if times.size < 2:
         return float(times[-1])
-    tail = inradii <= 10.0 * p.stop_inradius
+    tail = inradii <= 10.0 * STOP_INRADIUS
     if np.count_nonzero(tail) < 5:
         tail = np.zeros_like(tail)
         tail[-min(5, times.size):] = True
@@ -568,7 +553,8 @@ def run_normalized(
     store_every-th accepted step and the final state.
 
     The march is _etd_march with the rescaling term in its linear part.
-    ConvexityLostError is raised when no acceptable step exists.  A
+    ConvexityLostError is raised when no acceptable step exists or the
+    body has collapsed.  A
     MarchStats passed as stats receives the march's counts.
     """
     _check_start(s0, p, store_every)
@@ -657,14 +643,13 @@ def mode_decay_series(
     eps: float = 1e-3,
     tau_end: float = 3.5,
     m: int = 256,
-    cfl: float = 0.2,
     store_every: int = 1,
 ) -> np.ndarray:
     """Amplitude of one harmonic along the rescaled flow started from
     the unit circle plus eps*cos(mode*theta); rows are (tau, amplitude)."""
     theta = np.arange(m) * (2.0 * np.pi / m)
     s0 = SupportFunction(1.0 + eps * np.cos(mode * theta))
-    p = FlowParams(alpha=alpha, cfl=cfl, m=m)
+    p = FlowParams(alpha=alpha, m=m)
     taus, states = run_normalized(s0, p, tau_end, store_every=store_every)
     amps = np.array([mode_amplitude(state, mode) for state in states])
     return np.column_stack([taus, amps])

@@ -101,9 +101,6 @@ class PlanePoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("plane point coordinates must be finite")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 def _as_xy(point) -> tuple[float, float]:
     if isinstance(point, PlanePoint):
@@ -163,7 +160,9 @@ def make_ellipse(a: float, b: float, m: int = DEFAULT_GRID) -> SupportFunction:
     if a <= 0.0 or b <= 0.0:
         raise ValueError(f"ellipse semi-axes must be positive, got ({a}, {b})")
     theta = np.arange(m) * (2.0 * np.pi / m)
-    return SupportFunction(np.sqrt((a * np.cos(theta)) ** 2 + (b * np.sin(theta)) ** 2))
+    with np.errstate(over="ignore"):  # infinite samples fail SupportFunction
+        samples = np.sqrt((a * np.cos(theta)) ** 2 + (b * np.sin(theta)) ** 2)
+    return SupportFunction(samples)
 
 
 def make_fourier_body(cos_coeffs, sin_coeffs=(), m: int = DEFAULT_GRID) -> SupportFunction:

@@ -116,21 +116,22 @@ def test_run_records_overflow_in_manifest(tmp_path, capsys):
 
 def test_collapsed_rescaled_flow_ends_with_its_counts_recorded(tmp_path):
     # The circle is an unstable state of the rescaled flow: roundoff in
-    # mode 0 grows like e^(2 tau) until the body collapses near tau = 6.7,
-    # where the frozen linear part A (1 - k^2) overflows.  The march must
-    # stop there at once, with no floating-point warning, and the manifest
-    # must keep the counts of the steps it took.
+    # mode 0 grows like e^(2 tau) until the body collapses near tau = 6.7.
+    # The march must stop once its smallest curvature radius has fallen
+    # below STOP_INRADIUS times the starting one (1 - 3 eps), with no
+    # floating-point warning, and the manifest must keep the counts of the
+    # steps it took.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
-                       m=64, cfl=1.0, tau_end=1e9)
+                       m=64, tau_end=1e9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", cfg]) == 2
     manifest = read_manifest(out)
-    assert manifest["error"].startswith("ConvexityLostError:")
-    assert manifest["solver"]["accepted_steps"] > 0
+    assert manifest["error"].startswith("ConvexityLostError: body collapsed")
+    assert 0 < manifest["solver"]["accepted_steps"] < 2000
     assert manifest["solver"]["halved_trials"] == 0
-    assert 0.0 < manifest["solver"]["r_min"] < 1e-100
+    assert 0.0 < manifest["solver"]["r_min"] < cli.fl.STOP_INRADIUS * (1.0 - 3e-3)
 
 
 def test_flow_run_is_deterministic(tmp_path):
@@ -202,7 +203,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
         return [c.name for c in checks if not c.passed]
 
     assert failed() == []
-    assert failed(keep=inradii >= cfg.stop_inradius) == ["extinct"]
+    assert failed(keep=inradii >= cli.fl.STOP_INRADIUS) == ["extinct"]
     assert failed(1, 2.0 * math.pi * (T + slack)) == ["extinction-time"]
     assert failed(3, math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
     assert failed(4, math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
@@ -433,15 +434,6 @@ def test_sweep_worker_count_is_clamped(tmp_path, monkeypatch, cores, values, exp
 
 # -- usage errors ------------------------------------------------------------
 
-@pytest.mark.parametrize("experiment", ["normalized-rate", "flow", "area-identity"])
-def test_store_every_zero_is_a_usage_error(tmp_path, capsys, experiment):
-    cfg = write_config(tmp_path, experiment=experiment,
-                       output_dir=str(tmp_path / "r"), store_every=0)
-    assert cli.main(["run", cfg]) == 1
-    assert "store_every" in capsys.readouterr().err
-    assert not (tmp_path / "r" / "manifest.json").exists()
-
-
 @pytest.mark.parametrize("n_points", [1, cli.MAX_POINTS + 1])
 def test_log_convexity_grid_is_capped_at_config_time(n_points):
     raw = {"experiment": "log-convexity", "output_dir": "out"}
@@ -450,13 +442,24 @@ def test_log_convexity_grid_is_capped_at_config_time(n_points):
         cli.config_from_dict(dict(raw, n_points=n_points))
 
 
-def test_store_every_resolves_per_experiment(tmp_path):
-    for experiment, expected in (("normalized-rate", 1), ("flow", 8),
-                                 ("area-identity", 8)):
-        raw = {"experiment": experiment, "output_dir": str(tmp_path / experiment)}
-        assert cli.config_from_dict(raw).store_every == expected
-        assert cli.config_from_dict(dict(raw, store_every=None)).store_every == expected
-        assert cli.config_from_dict(dict(raw, store_every=3)).store_every == 3
+@pytest.mark.parametrize("raw", [
+    {"experiment": "radial-translator", "r_max": cli.MAX_R_MAX + 1.0},
+    {"experiment": "blowdown", "scales": [10.0, 1e12]},
+    {"experiment": "legendre", "alpha": 0.1},
+])
+def test_r_max_is_capped_at_config_time(raw):
+    # Each is an r_max, given or derived, past the cap: legendre's default
+    # (1.15 p_hi)^(1/alpha) is 4e20 at alpha = 0.1.
+    with pytest.raises(cli.UsageError, match="r_max"):
+        cli.config_from_dict(dict(raw, output_dir="out"))
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "radial-translator", "r_max": cli.MAX_R_MAX},
+    {"experiment": "legendre", "alpha": 0.51},
+])
+def test_r_max_up_to_the_cap_is_accepted(raw):
+    assert cli.config_from_dict(dict(raw, output_dir="out")).r_max <= cli.MAX_R_MAX
 
 
 @pytest.mark.parametrize("entries", [
@@ -474,12 +477,17 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, entries):
     assert not (tmp_path / "r" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("knob", ["keep_every", "step_size"])
-def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, knob):
-    cfg = write_config(tmp_path, experiment="radial-translator",
+@pytest.mark.parametrize("experiment, knob", [
+    *(pytest.param("radial-translator", knob, id=knob) for knob in ("keep_every", "step_size")),
+    *((experiment, knob) for experiment in ("flow", "normalized-rate", "area-identity")
+      for knob in ("cfl", "stop_inradius", "store_every")),
+])
+def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, experiment, knob):
+    cfg = write_config(tmp_path, experiment=experiment,
                        output_dir=str(tmp_path / "r"), **{knob: 1})
     assert cli.main(["run", cfg]) == 1
     assert f"unknown config field '{knob}'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("experiment, knob", [

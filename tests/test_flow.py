@@ -23,10 +23,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         FlowParams(alpha=0.0)
     with pytest.raises(ValueError):
-        FlowParams(alpha=1.0, cfl=0.0)
-    with pytest.raises(ValueError):
-        FlowParams(alpha=1.0, stop_inradius=-1.0)
-    with pytest.raises(ValueError):
         FlowParams(alpha=1.0, m=63)
     with pytest.raises(ValueError):
         FlowParams(alpha=1.0, m=32)
@@ -76,11 +72,6 @@ def test_overflowing_speed_rejects_the_step():
         fl.step(geo.make_circle(1e-3, m=64), FlowParams(alpha=200.0, m=64), 1e-3)
 
 
-def test_step_accepts_only_the_builtin_speeds():
-    with pytest.raises(ValueError):
-        fl.step(circle(1.0), P64, 1e-3, rhs=lambda state, p: -state.samples)
-
-
 def test_stable_dt_scales_with_radius():
     p = FlowParams(alpha=1.0, m=64)
     small = fl.stable_dt(circle(0.5), p)
@@ -107,6 +98,23 @@ def test_circle_extinction_time(alpha):
     trace = fl.run_to_extinction(circle(), p)
     assert trace.stop_reason is StopReason.EXTINCT
     assert abs(trace.extinction_time - 1.0 / (1.0 + alpha)) <= 1e-6
+
+
+def test_extinction_march_has_no_collapse_floor():
+    # A circle of radius 2 falls below STOP_INRADIUS times its starting
+    # curvature radius at radius 2e-3, before the inradius stop; only the
+    # rescaled march treats that as a collapse.
+    trace = fl.run_to_extinction(circle(2.0), P64)
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert abs(trace.extinction_time - 2.0) <= 1e-6
+
+
+def test_march_stops_where_the_linear_part_overflows():
+    # r_min^-(alpha+1) = 1e308 is finite; A (1 - k^2) on the top mode is not.
+    march = fl._etd_march(np.full(64, 1e-154), P64, 1.0, rescaled=False)
+    next(march)
+    with pytest.raises(geo.ConvexityLostError, match="too small to step"):
+        next(march)
 
 
 def test_circle_radius_follows_power_law():
@@ -375,7 +383,7 @@ def _rk4_normalized(s, p, tau_end):
     tau = 0.0
     while tau < tau_end:
         dt = min(fl.stable_dt(s, p), tau_end - tau)
-        s = fl.step(s, p, dt, rhs=fl.rhs_normalized)
+        s = fl.step(s, p, dt, rescaled=True)
         tau += dt
     return s
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ def test_maker_argument_validation():
         geo.hausdorff_to_circle(unit_circle(), (0.0, 0.0), -1.0)
     with pytest.raises(ValueError):
         geo.mode_amplitude(unit_circle(), 129)
+
+
+def test_ellipse_beyond_the_float_range_is_rejected_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            geo.make_ellipse(1.0, 1e308)
 
 
 # -- closed-form measures ---------------------------------------------------
