@@ -106,6 +106,12 @@ MAX_POINTS = 10**6
 #: radius.  The cap admits legendre's derived r_max for every alpha > 1/2.
 MAX_R_MAX = 20000.0
 
+#: Largest tau_end.  About the unit circle the rescaled flow's mode 0 grows
+#: like e^((1+alpha) tau), so by tau = 50 even roundoff has made a body
+#: collapse or blow up, which stops the march; the unit circle itself, a
+#: fixed point in floating point, would take 100 steps per unit of tau.
+MAX_TAU_END = 50.0
+
 #: An extinction run stores every 8th accepted state and the last: enough
 #: for the fit of T and the area identity, at an eighth of the rows.
 EXTINCTION_STORE_EVERY = 8
@@ -145,7 +151,9 @@ def _require(cond: bool, message: str) -> None:
 _FIELD_RULES = {
     **dict.fromkeys(("alpha", "p_lo", "p_hi", "delta", "radius"),
                     (_is_positive, "a positive finite number")),
-    **dict.fromkeys(("eps", "tau_end", "x_max"), (_is_num, "a finite number")),
+    **dict.fromkeys(("eps", "x_max"), (_is_num, "a finite number")),
+    "tau_end": (lambda v: _is_num(v) and 0.0 <= v <= MAX_TAU_END,
+                f"a finite number in [0, {MAX_TAU_END:g}]"),
     "sigma": (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]"),
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
     "m": (lambda v: _is_int(v) and 64 <= v <= MAX_GRID and v % 2 == 0,
@@ -514,7 +522,7 @@ def _area_defect(columns) -> float:
 
 def _run_area_identity(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     trace = _extinction_trace(cfg, stats)
-    integrals = [fl.curvature_integral(state, cfg.alpha) for state in trace.states]
+    integrals = fl._curvature_integrals(trace.samples, cfg.alpha)
     tables.write_columns(os.path.join(out, "area_identity.csv"),
                          ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
     columns = {"area_identity.csv": (trace.times, trace.areas, integrals)}

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,14 +36,13 @@ from gcsf.geometry import (
     SupportFunction,
     _areas,
     _lengths,
+    _radius_symbol,
+    _samples_to_json,
     _steiner,
     circumradius,
     curvature_radius_samples,
-    hausdorff_to_circle,
     length,
     mode_amplitude,
-    recenter,
-    support_to_json,
 )
 
 #: Steps are rejected and halved at most this many times before giving up.
@@ -58,9 +56,16 @@ CFL = 0.2
 #: product rounds to 0.010000000000000002, so it is not folded into 0.01.
 ETD_STEP_SCALE = 0.05
 
-#: The flow is extinct once its inradius falls below this, and the rescaled
-#: flow has collapsed once r_min falls below this fraction of its start.
+#: The flow is extinct once its inradius falls below this.  The rescaled
+#: flow has collapsed once r_min falls below this fraction of its start,
+#: and has blown up once r_min rises above its start divided by this.
 STOP_INRADIUS = 1e-3
+
+#: The longest rescaled step, the e-folding time of the rescaling term: an
+#: expanding body grows at most e-fold a step and exp(dt) in the weights
+#: stays finite, where dt ~ r_min^(alpha+1) would reach 1e5 at alpha = 2.
+#: Near the unit circle the step is about 0.01.
+MAX_RESCALED_STEP = 1.0
 
 #: Modes with |z| = |dt * L_k| below this take the Taylor series of the
 #: phi-functions, whose closed forms cancel to O(z^3) there.  Above it the
@@ -117,22 +122,6 @@ class FlowParams:
             raise ValueError(f"grid size must be even and >= 64, got {self.m}")
 
 
-class _States(Sequence):
-    """The rows of a samples array as SupportFunctions, each built and
-    validated when it is asked for."""
-
-    def __init__(self, samples: np.ndarray):
-        self._samples = samples
-
-    def __len__(self) -> int:
-        return len(self._samples)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [SupportFunction(row) for row in self._samples[index]]
-        return SupportFunction(self._samples[index])
-
-
 TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle")
 
 
@@ -153,11 +142,6 @@ class FlowTrace:
     times = property(lambda self: self.columns["t"])
     areas = property(lambda self: self.columns["area"])
     lengths = property(lambda self: self.columns["length"])
-
-    @property
-    def states(self) -> Sequence[SupportFunction]:
-        """The stored states as SupportFunctions, built on access."""
-        return _States(self.samples)
 
 
 @dataclass(frozen=True)
@@ -369,24 +353,26 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     the parabolic bound stable_dt.  An accepted step costs 9 FFTs: the
     remainder at its start, two per stage, the new radius and the new
     samples.  A step whose stages or result leave the convex cone is
-    halved and retried.  ConvexityLostError is raised after
+    halved and retried.  On the rescaled flow no step exceeds
+    MAX_RESCALED_STEP.  ConvexityLostError is raised after
     MAX_STEP_HALVINGS halvings, once r_min is so small that the linear part
-    overflows, and on the rescaled flow once r_min has fallen below
-    STOP_INRADIUS times its starting value: the body has collapsed, and
-    dt, which follows r_min^(alpha+1), would only shrink from there.  y is
-    never written to.
+    overflows, and on the rescaled flow once r_min has left
+    [STOP_INRADIUS, 1 / STOP_INRADIUS] times its starting value: the body
+    has collapsed, and dt, which follows r_min^(alpha+1), would only shrink
+    from there, or it has blown up.  y is never written to.
     """
     if stats is None:
         stats = MarchStats()
     m = y.size
-    symbol = 1.0 - np.arange(m // 2 + 1, dtype=float) ** 2
+    symbol = _radius_symbol(m)
     stiffest = float(symbol[-1])
     shift = 1.0 if rescaled else 0.0
     v = np.fft.rfft(y)
     radius = curvature_radius_samples(y)
     r_min, r_max = float(np.min(radius)), float(np.max(radius))
     stats.r_min = r_min
-    floor = STOP_INRADIUS * r_min if rescaled else 0.0
+    floor, ceiling, max_dt = ((STOP_INRADIUS * r_min, r_min / STOP_INRADIUS, MAX_RESCALED_STEP)
+                              if rescaled else (0.0, math.inf, math.inf))
     t = 0.0
     # The weights depend on the diagonal dt * L = z * symbol + shift * dt
     # alone; consecutive steps with the same pair (the parabolic floor of
@@ -395,16 +381,21 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     weights = None
     yield t, y
     while t < t_end:
-        if r_min < floor:
-            raise ConvexityLostError(f"body collapsed: r_min = {r_min:.3e} at t = {t:.6f}")
-        a_max = p.alpha * r_min ** -(p.alpha + 1.0)
+        if not floor <= r_min <= ceiling:
+            change = "collapsed" if r_min < floor else "blew up"
+            raise ConvexityLostError(f"body {change}: r_min = {r_min:.3e} at t = {t:.6f}")
+        try:
+            a_max = p.alpha * r_min ** -(p.alpha + 1.0)
+        except OverflowError:  # Python's float power raises where numpy gives inf
+            a_max = math.inf
         if not math.isfinite(a_max * stiffest):
             raise ConvexityLostError(
                 f"curvature radius {r_min:.3e} too small to step at t = {t:.6f}")
         z = _etd_step_size(r_min, r_max, m, p)
         dt = z / a_max
-        if dt > t_end - t:
-            dt = t_end - t
+        room = min(t_end - t, max_dt)
+        if dt > room:
+            dt = room
             z = dt * a_max
         lin = a_max * symbol
         n_v = np.fft.rfft(-np.power(radius, -p.alpha)) - lin * v
@@ -568,6 +559,20 @@ def run_normalized(
     return taus, [SupportFunction(row) for row in rows]
 
 
+def _normalized_rows(trace: FlowTrace, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
+    """tau of each stored time before the extinction time, and the matching
+    rows of the trace recentred and magnified (see normalize_trace)."""
+    if trace.extinction_time is None:
+        raise ValueError("trace has no extinction time; run further or check stop_reason")
+    a1 = 1.0 + p.alpha
+    remaining = a1 * (trace.extinction_time - trace.times)
+    keep = remaining > 0.0
+    left = remaining[keep].tolist()  # libm's log and pow; numpy's round differently
+    taus = np.array([-math.log(r) / a1 for r in left])
+    factors = np.array([r ** (-1.0 / a1) for r in left])
+    return taus, _steiner(trace.samples[keep])[2] * factors[:, None]
+
+
 def normalize_trace(trace: FlowTrace, p: FlowParams) -> list[tuple[float, SupportFunction]]:
     """Rescale a contracting trace onto the self-similar time scale.
 
@@ -576,27 +581,14 @@ def normalize_trace(trace: FlowTrace, p: FlowParams) -> list[tuple[float, Suppor
     time; tau = -log((1+alpha)(T - t)) / (1+alpha).  Shrinking circles map
     to the unit circle at every tau.
     """
-    if trace.extinction_time is None:
-        raise ValueError("trace has no extinction time; run further or check stop_reason")
-    a1 = 1.0 + p.alpha
-    out: list[tuple[float, SupportFunction]] = []
-    for t, state in zip(trace.times, trace.states):
-        remaining = a1 * (trace.extinction_time - float(t))
-        if remaining <= 0.0:
-            continue
-        tau = -math.log(remaining) / a1
-        factor = remaining ** (-1.0 / a1)
-        out.append((tau, SupportFunction(recenter(state).samples * factor)))
-    return out
+    taus, rows = _normalized_rows(trace, p)
+    return [(tau, SupportFunction(row)) for tau, row in zip(taus.tolist(), rows)]
 
 
 def normalized_delta_series(trace: FlowTrace, p: FlowParams) -> np.ndarray:
     """Pairs (tau, sup distance of the rescaled state to the unit circle)."""
-    rows = [
-        (tau, hausdorff_to_circle(state, (0.0, 0.0), 1.0))
-        for tau, state in normalize_trace(trace, p)
-    ]
-    return np.array(rows)
+    taus, rows = _normalized_rows(trace, p)
+    return np.column_stack([taus, np.max(np.abs(rows - 1.0), axis=1)])
 
 
 def linearized_mode_rate(alpha: float, mode: int) -> float:
@@ -655,16 +647,20 @@ def mode_decay_series(
     return np.column_stack([taus, amps])
 
 
+def _curvature_integrals(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Integral of kappa^alpha dxi of each support function along the last
+    axis of values, whose curvature radius is taken to be positive."""
+    radius = curvature_radius_samples(values)
+    return (2.0 * np.pi / values.shape[-1]) * np.sum(np.power(1.0 / radius, alpha) * radius,
+                                                      axis=-1)
+
+
 def curvature_integral(s: SupportFunction, alpha: float) -> float:
     """Total alpha-power of curvature over arc length, integral of kappa^alpha dxi.
 
     In support form dxi = (s''+s) dtheta and kappa = 1/(s''+s).
     """
-    radius = curvature_radius_samples(s.samples)
-    if not (np.min(radius) > 0.0):
-        raise ConvexityLostError("state is not convex")
-    kappa = 1.0 / radius
-    return (2.0 * np.pi / s.m) * float(np.sum(np.power(kappa, alpha) * radius))
+    return float(_curvature_integrals(s.samples, alpha))
 
 
 def area_defect(times, areas, integrals, interior: float = 1.0) -> float:
@@ -689,29 +685,27 @@ def area_defect(times, areas, integrals, interior: float = 1.0) -> float:
         raise ValueError("need at least 3 samples")
     if areas.size != n or integrals.size != n:
         raise ValueError("series must share one length")
+    if not np.all(times[1:] > times[:-1]):
+        raise ValueError("times must increase strictly")
     if interior < 1.0:
         cut = int(np.searchsorted(times, interior * times[-1], side="right"))
         n = max(cut, 3)
-    worst = 0.0
-    for i in range(1, n - 1):
-        h1 = float(times[i] - times[i - 1])
-        h2 = float(times[i + 1] - times[i])
-        a_prev, a_mid, a_next = float(areas[i - 1]), float(areas[i]), float(areas[i + 1])
-        dadt = (-h2 / (h1 * (h1 + h2)) * a_prev
-                + (h2 - h1) / (h1 * h2) * a_mid
-                + h1 / (h2 * (h1 + h2)) * a_next)
-        worst = max(worst, abs(dadt + float(integrals[i])))
-    return worst
+    h = np.diff(times[:n])
+    h1, h2 = h[:-1], h[1:]
+    dadt = (-h2 / (h1 * (h1 + h2)) * areas[:n - 2]
+            + (h2 - h1) / (h1 * h2) * areas[1:n - 1]
+            + h1 / (h2 * (h1 + h2)) * areas[2:n])
+    return float(np.max(np.abs(dadt + integrals[1:n - 1])))
 
 
 def area_rate_check(trace: FlowTrace, p: FlowParams, interior: float = 0.9) -> float:
     """Max defect of the area identity dA/dt = -integral of kappa^(alpha-1) dtheta.
 
-    The quadrature side is evaluated on each interior snapshot state; in
-    support form kappa^(alpha-1) dtheta = kappa^alpha dxi, the arc-length
-    integral computed by curvature_integral.
+    The quadrature side is evaluated on each stored state; in support form
+    kappa^(alpha-1) dtheta = kappa^alpha dxi, the arc-length integral of
+    curvature_integral.
     """
-    integrals = [curvature_integral(state, p.alpha) for state in trace.states]
+    integrals = _curvature_integrals(trace.samples, p.alpha)
     return area_defect(trace.times, trace.areas, integrals, interior=interior)
 
 
@@ -751,15 +745,14 @@ def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:
-    """Dump states as JSON support functions named by zero-padded snapshot index."""
+    """Dump every every-th stored state and the last as JSON support
+    functions, named by zero-padded snapshot index."""
     os.makedirs(directory, exist_ok=True)
-    states = trace.states
+    last = len(trace.samples) - 1
     written = []
-    for i in range(len(states)):
-        if i % every != 0 and i != len(states) - 1:
-            continue
+    for i in [*range(0, last, every), last]:
         name = f"{i:06d}.json"
         with open(os.path.join(directory, name), "w") as f:
-            f.write(support_to_json(states[i]))
+            f.write(_samples_to_json(trace.samples[i]))
         written.append(name)
     return written

@@ -9,6 +9,7 @@ safe to share between workers.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,28 +24,26 @@ class ConvexityLostError(ValueError):
     """Raised when a support function fails the positivity test s'' + s > 0."""
 
 
-# Cached wavenumber arrays for the rfft layout, keyed by grid size.
-_WAVENUMBERS: dict[int, np.ndarray] = {}
-# Cached symbols 1 - k^2 of s'' + s in the same layout.
-_RADIUS_SYMBOLS: dict[int, np.ndarray] = {}
-# Cached (cos theta, sin theta) of the angular grid, keyed by grid size.
-_BASES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# The arrays below depend on the grid size alone and are computed once per
+# size; callers must not write to them.
 
-
+@functools.cache
 def _wavenumbers(m: int) -> np.ndarray:
-    k = _WAVENUMBERS.get(m)
-    if k is None:
-        k = np.arange(m // 2 + 1, dtype=float)
-        _WAVENUMBERS[m] = k
-    return k
+    """Wavenumbers 0 .. m/2 of the rfft layout."""
+    return np.arange(m // 2 + 1, dtype=float)
 
 
+@functools.cache
 def _basis(m: int) -> tuple[np.ndarray, np.ndarray]:
-    basis = _BASES.get(m)
-    if basis is None:
-        theta = np.arange(m) * (2.0 * np.pi / m)
-        basis = _BASES[m] = (np.cos(theta), np.sin(theta))
-    return basis
+    """(cos theta, sin theta) on the angular grid."""
+    theta = np.arange(m) * (2.0 * np.pi / m)
+    return np.cos(theta), np.sin(theta)
+
+
+@functools.cache
+def _radius_symbol(m: int) -> np.ndarray:
+    """Symbol 1 - k^2 of s'' + s in the rfft layout."""
+    return 1.0 - _wavenumbers(m) ** 2
 
 
 def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -64,14 +63,6 @@ def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
         coef[-1] = 0.0
         spectrum *= coef
     return np.fft.irfft(spectrum, n=m)
-
-
-def _radius_symbol(m: int) -> np.ndarray:
-    symbol = _RADIUS_SYMBOLS.get(m)
-    if symbol is None:
-        symbol = 1.0 - _wavenumbers(m) ** 2
-        _RADIUS_SYMBOLS[m] = symbol
-    return symbol
 
 
 def curvature_radius_samples(values: np.ndarray | None = None, *,
@@ -310,9 +301,13 @@ def mode_amplitude(s: SupportFunction, mode: int) -> float:
 
 # -- serialization ----------------------------------------------------------
 
+def _samples_to_json(values: np.ndarray) -> str:
+    return json.dumps({"m": values.size, "samples": values.tolist()})
+
+
 def support_to_json(s: SupportFunction) -> str:
     """JSON text {"m": M, "samples": [...]}; floats round-trip bit-faithfully."""
-    return json.dumps({"m": s.m, "samples": [float(x) for x in s.samples]})
+    return _samples_to_json(s.samples)
 
 
 def support_from_json(text: str) -> SupportFunction:

@@ -81,11 +81,11 @@ def test_criterion_02_shrinking_circle_law(extinction_traces):
     worst = 0.0
     for alpha, (trace, _, _) in extinction_traces.items():
         a1 = 1.0 + alpha
-        for t, s in zip(trace.times, trace.states):
+        for t, row in zip(trace.times, trace.samples):
             if t > 0.9 / a1:
                 break
             law = (1.0 - a1 * t) ** (1.0 / a1)
-            worst = max(worst, abs(geo.inradius(s) - law) / law)
+            worst = max(worst, abs(geo.inradius(geo.SupportFunction(row)) - law) / law)
     _report(2, "shrinking-circle-law", worst <= 1e-6,
             f"worst relative radius error {worst:.3e} <= 1e-6 up to t = 0.9/(1+a)")
 
@@ -203,7 +203,7 @@ def test_criterion_08_area_identity(extinction_traces):
         idx = np.nonzero(times <= 0.8 * trace.extinction_time)[0]
         t = times[idx]
         areas = np.asarray(trace.areas)[idx]
-        ints = np.array([fl.curvature_integral(trace.states[i], alpha)
+        ints = np.array([fl.curvature_integral(geo.SupportFunction(trace.samples[i]), alpha)
                          for i in idx])
         d1 = fl.area_defect(t, areas, ints)
         d2 = fl.area_defect(t[::2], areas[::2], ints[::2])

@@ -123,7 +123,7 @@ def test_collapsed_rescaled_flow_ends_with_its_counts_recorded(tmp_path):
     # steps it took.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
-                       m=64, tau_end=1e9)
+                       m=64, tau_end=cli.MAX_TAU_END)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", cfg]) == 2
@@ -132,6 +132,38 @@ def test_collapsed_rescaled_flow_ends_with_its_counts_recorded(tmp_path):
     assert 0 < manifest["solver"]["accepted_steps"] < 2000
     assert manifest["solver"]["halved_trials"] == 0
     assert 0.0 < manifest["solver"]["r_min"] < cli.fl.STOP_INRADIUS * (1.0 - 3e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_expanding_rescaled_flow_is_stopped(tmp_path, alpha):
+    # A circle just larger than the fixed point grows like e^((1+alpha) tau),
+    # and its step with it.  The march caps the step and stops once r_min
+    # has grown past its start divided by STOP_INRADIUS, with no
+    # floating-point warning on the way.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
+                       m=64, alpha=alpha, tau_end=cli.MAX_TAU_END,
+                       initial_body={"kind": "circle", "radius": 1.001})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["error"].startswith("ConvexityLostError: body blew up")
+    assert manifest["solver"]["dt_max"] <= cli.fl.MAX_RESCALED_STEP
+
+
+def test_tiny_rescaled_body_ends_at_the_linear_part_guard(tmp_path):
+    # r_min^-(alpha+1) is 1e330 here, past the float range: the guard must
+    # see it as infinite rather than Python's float power raising.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
+                       m=64, alpha=2.0, initial_body={"kind": "circle", "radius": 1e-110})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    error = read_manifest(out)["error"]
+    assert error.startswith("ConvexityLostError: curvature radius 1.000e-110")
+    assert "too small to step" in error
 
 
 def test_flow_run_is_deterministic(tmp_path):
@@ -440,6 +472,18 @@ def test_log_convexity_grid_is_capped_at_config_time(n_points):
     assert cli.config_from_dict(dict(raw, n_points=cli.MAX_POINTS)).n_points == cli.MAX_POINTS
     with pytest.raises(cli.UsageError, match="n_points"):
         cli.config_from_dict(dict(raw, n_points=n_points))
+
+
+@pytest.mark.parametrize("tau_end", [-1e-9, cli.MAX_TAU_END * (1.0 + 1e-15), 1e9])
+def test_tau_end_is_capped_at_config_time(tmp_path, capsys, tau_end):
+    raw = {"experiment": "normalized-rate", "output_dir": "out"}
+    for edge in (0.0, cli.MAX_TAU_END):
+        assert cli.config_from_dict(dict(raw, tau_end=edge)).tau_end == edge
+    cfg = write_config(tmp_path, experiment="normalized-rate",
+                       output_dir=str(tmp_path / "r"), tau_end=tau_end)
+    assert cli.main(["run", cfg]) == 1
+    assert "field 'tau_end'" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("raw", [

@@ -121,11 +121,11 @@ def test_circle_radius_follows_power_law():
     p = FlowParams(alpha=1.0, m=64)
     trace = fl.run_to_extinction(circle(), p)
     T = 0.5
-    for t, s in zip(trace.times, trace.states):
+    for t, row in zip(trace.times, trace.samples):
         if t > 0.9 * T:
             break
         expected = math.sqrt(max(1.0 - 2.0 * t, 0.0))
-        assert abs(geo.inradius(s) - expected) <= 1e-10
+        assert abs(geo.inradius(geo.SupportFunction(row)) - expected) <= 1e-10
 
 
 def test_time_limit_stop():
@@ -339,7 +339,8 @@ def test_march_records_the_smallest_curvature_radius():
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
                                  stats=stats)
-    radii = [float(np.min(geo.curvature_radius(s))) for s in trace.states]
+    radii = [float(np.min(geo.curvature_radius(geo.SupportFunction(row))))
+             for row in trace.samples]
     # The march takes each radius from the coefficients, the geometry
     # function from the samples; the two routes agree to rounding.
     assert stats.r_min == pytest.approx(min(radii), rel=1e-12)
@@ -513,6 +514,48 @@ def test_area_defect_exact_for_synthetic_quadratic():
     assert fl.area_defect(times, areas, integrals) <= 1e-13
 
 
+def test_area_defect_needs_increasing_times():
+    with pytest.raises(ValueError, match="increase"):
+        fl.area_defect([0.0, 0.5, 0.5, 1.0], [1.0, 0.8, 0.7, 0.5], [1.0] * 4)
+
+
+def test_trace_integrals_and_defect_match_the_per_state_arithmetic():
+    # Both run on the whole trace at once; each must equal the per-state
+    # curvature integral and a row-by-row three-point stencil bit for bit.
+    p = FlowParams(alpha=2.0, m=128)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, store_every=8)
+    integrals = fl._curvature_integrals(trace.samples, p.alpha)
+    np.testing.assert_array_equal(
+        integrals, [fl.curvature_integral(geo.SupportFunction(row), p.alpha)
+                    for row in trace.samples])
+    t, a = trace.times, trace.areas
+    worst = 0.0
+    for i in range(1, len(t) - 1):
+        h1, h2 = float(t[i] - t[i - 1]), float(t[i + 1] - t[i])
+        dadt = (-h2 / (h1 * (h1 + h2)) * float(a[i - 1])
+                + (h2 - h1) / (h1 * h2) * float(a[i])
+                + h1 / (h2 * (h1 + h2)) * float(a[i + 1]))
+        worst = max(worst, abs(dadt + float(integrals[i])))
+    assert fl.area_defect(t, a, integrals) == worst > 0.0
+
+
+def test_normalized_trace_matches_the_per_state_rescaling():
+    # Recentring by the Steiner point of the whole samples array must give
+    # each state's recenter times its magnification, bit for bit.
+    p = FlowParams(alpha=1.0, m=128)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.05, 1.0, m=128), p, store_every=8)
+    pairs = fl.normalize_trace(trace, p)
+    assert len(pairs) > 10
+    for (tau, s), t, row in zip(pairs, trace.times, trace.samples):
+        remaining = 2.0 * (trace.extinction_time - float(t))
+        assert tau == -math.log(remaining) / 2.0
+        expected = geo.recenter(geo.SupportFunction(row)).samples * remaining ** -0.5
+        np.testing.assert_array_equal(s.samples, expected)
+    np.testing.assert_array_equal(
+        fl.normalized_delta_series(trace, p),
+        [(tau, geo.hausdorff_to_circle(s, (0.0, 0.0), 1.0)) for tau, s in pairs])
+
+
 def test_area_rate_identity_along_flow():
     p = FlowParams(alpha=1.0, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
@@ -562,8 +605,8 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
     else:
         trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256),
                                      store_every=8)
-    states = list(trace.states)
-    assert len(states) == len(trace.times) == trace.samples.shape[0] > 10
+    states = [geo.SupportFunction(row) for row in trace.samples]
+    assert len(states) == len(trace.times) > 10
     np.testing.assert_array_equal(trace.areas, [geo.area(s) for s in states])
     np.testing.assert_array_equal(trace.lengths, [geo.length(s) for s in states])
     expected = []
@@ -575,16 +618,6 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
                          float(np.max(np.abs(rec - mean_radius))) / mean_radius])
     columns = fl.trace_summary_rows(trace)
     np.testing.assert_array_equal(np.column_stack(list(columns.values())), expected)
-
-
-def test_trace_states_are_built_on_access():
-    trace = fl.run_to_extinction(circle(), P64)
-    states = trace.states
-    assert len(states) == len(trace.times)
-    np.testing.assert_array_equal(states[-1].samples, trace.samples[-1])
-    assert [s.m for s in states[:2]] == [64, 64]
-    with pytest.raises(AttributeError):
-        trace.states = []
 
 
 def test_trace_summary_rows_fields():
@@ -604,4 +637,13 @@ def test_snapshots_written_every_k(tmp_path):
     expected = {i for i in range(n) if i % 50 == 0} | {n - 1}
     assert paths == [f"{i:06d}.json" for i in sorted(expected)]
     s = geo.support_from_json((tmp_path / paths[0]).read_text())
-    np.testing.assert_array_equal(s.samples, trace.states[0].samples)
+    np.testing.assert_array_equal(s.samples, trace.samples[0])
+
+
+def test_snapshots_hold_the_json_form_of_each_row(tmp_path):
+    trace = fl.run_to_extinction(circle(), P64, store_every=8)
+    paths = fl.write_trace_snapshots(trace, tmp_path, every=3)
+    for name in paths:
+        row = trace.samples[int(name[:-5])]
+        text = (tmp_path / name).read_text()
+        assert text == geo.support_to_json(geo.SupportFunction(row))
