@@ -12,13 +12,17 @@ step is set by accuracy rather than by the parabolic bound; one constant,
 CFL, sets the steps of both marches and of the reference.  The
 phi-functions take their closed forms, except on the few modes where
 those cancel, which take a truncated Taylor series in place of the
-contour means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).  A
-step costs 9 FFTs: each stage's curvature radius is one inverse
-transform of (1 - k^2) times its coefficients, and only the accepted
-state is transformed back to samples.  The single `step`, the
-classical 4-stage Runge-Kutta scheme under the explicit parabolic bound
-`stable_dt`, is kept as the reference the ETD march is tested against.
-Convexity failures reject the step rather than projecting the state back.
+contour means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
+Both z = A * dt and A are drawn from ladders of BANDS rungs per factor of
+2, so consecutive steps share one diagonal dt * L and its weights.  A
+step costs 8 FFTs: each stage's curvature radius is one inverse
+transform of (1 - k^2) times its coefficients.  The march hands on
+coefficients; a state goes back to samples only when it is stored, or
+when a bound from its coefficients cannot rule out extinction.  The single
+`step`, the classical 4-stage Runge-Kutta scheme under the explicit
+parabolic bound `stable_dt`, is kept as the reference the ETD march is
+tested against.  Convexity failures reject the step rather than
+projecting the state back.
 """
 
 from __future__ import annotations
@@ -66,6 +70,15 @@ STOP_INRADIUS = 1e-3
 #: stays finite, where dt ~ r_min^(alpha+1) would reach 1e5 at alpha = 2.
 #: Near the unit circle the step is about 0.01.
 MAX_RESCALED_STEP = 1.0
+
+#: Rungs per factor of 2 of the ladders that z = A * dt and A are rounded
+#: onto (_etd_step_size, _etd_diffusivity); each rounding shortens a step
+#: by a factor of at most 2^(1/BANDS).  On the seed-1 body of the
+#: benchmark (m = 256, alpha = 1) 16, 32, 64 and 128 rungs took 761, 738,
+#: 727 and 722 accepted steps and 12, 23, 41 and 67 weight evaluations,
+#: against 717 and 717 without the ladders; 64 is the coarsest with at
+#: most 2% more steps.
+BANDS = 64
 
 #: Modes with |z| = |dt * L_k| below this take the Taylor series of the
 #: phi-functions, whose closed forms cancel to O(z^3) there.  Above it the
@@ -163,10 +176,12 @@ class MarchStats:
     retried at half the step; remainder_evals the evaluations of the
     nonlinear remainder, one at the start of every step and one per stage
     that stayed convex; weight_evals the evaluations of the phi-weights,
-    which consecutive trials with the same diagonal share.  dt_min and
-    dt_max bound the accepted steps, the last one cut short at the end
-    time included; both are None until a step is accepted.  r_min is the
-    smallest curvature radius of the accepted states, the start included.
+    which run only when the diagonal dt * L differs from the previous
+    trial's, since z and A sit on ladders of BANDS rungs per octave.
+    dt_min and dt_max bound the accepted steps, the last one cut short at
+    the end time included; both are None until a step is accepted.  r_min
+    and r_max are the smallest and largest curvature radius of the
+    accepted states, the start included.
     """
 
     accepted_steps: int = 0
@@ -176,6 +191,7 @@ class MarchStats:
     dt_min: float | None = None
     dt_max: float | None = None
     r_min: float | None = None
+    r_max: float | None = None
 
 
 def stable_dt(s: SupportFunction, p: FlowParams) -> float:
@@ -184,11 +200,11 @@ def stable_dt(s: SupportFunction, p: FlowParams) -> float:
     The linearized diffusivity of the flow is alpha * r^-(alpha+1); an
     explicit scheme must resolve it on the angular grid scale.
     """
-    radius = curvature_radius_samples(s.samples)
-    if not (np.min(radius) > 0.0):
+    r_min = curvature_radius_samples(s.samples).min()
+    if not (r_min > 0.0):
         raise ConvexityLostError("state is not convex")
     dtheta = 2.0 * np.pi / s.m
-    return CFL * dtheta**2 * float(np.min(radius)) ** (p.alpha + 1.0) / p.alpha
+    return CFL * dtheta**2 * float(r_min) ** (p.alpha + 1.0) / p.alpha
 
 
 def step(s: SupportFunction, p: FlowParams, dt: float, rescaled: bool = False) -> SupportFunction:
@@ -223,7 +239,7 @@ def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
     """Speed of a Runge-Kutta stage; raises _StageFailure unless the stage
     keeps a positive curvature radius (NaN included)."""
     radius = curvature_radius_samples(y)
-    if not (np.min(radius) > 0.0):
+    if not (radius.min() > 0.0):
         raise _StageFailure
     out = -np.power(radius, -alpha)
     if rescaled:
@@ -232,8 +248,12 @@ def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
 
 
 def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
-    """Safe horizon: the circumscribed disc is extinct by R^(1+a)/(1+a)."""
-    return 1.05 * circumradius(s) ** (1.0 + p.alpha) / (1.0 + p.alpha)
+    """Safe horizon: the circumscribed disc is extinct by R^(1+a)/(1+a);
+    infinite where that power overflows."""
+    try:
+        return 1.05 * circumradius(s) ** (1.0 + p.alpha) / (1.0 + p.alpha)
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        return math.inf
 
 
 def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
@@ -241,21 +261,34 @@ def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
     time 1/A, A = alpha * r_min^-(alpha+1), for a state on m points whose
     curvature radius lies in [r_min, r_max].
 
-    A circle takes z = alpha * ETD_STEP_SCALE * CFL, a bound set by accuracy
-    alone.  On an eccentric body the frozen A overdamps the flat arcs, where
-    the local diffusivity alpha * r^-(alpha+1) is smaller, and the explicit
-    remainder has to undo it; z therefore shrinks with the square root of
-    the diffusivity contrast, (r_min / r_max)^((alpha+1)/2).  The exponent
-    is measured, not derived: on a 6:1 ellipse at m = 128 and alpha = 2 it
-    keeps T within 3e-7 of the RK4 march, where the plain ratio
-    r_min / r_max left an error of 7e-6.  z never drops below the
-    parabolic fraction CFL * dtheta^2 of the Runge-Kutta reference, where the
-    linear part is no longer stiff on the grid and ETDRK4 is as accurate
-    as classical RK4.
+    A circle takes z_circle = alpha * ETD_STEP_SCALE * CFL, a bound set by
+    accuracy alone.  On an eccentric body the frozen A overdamps the flat
+    arcs, where the local diffusivity alpha * r^-(alpha+1) is smaller, and
+    the explicit remainder has to undo it; z therefore shrinks with the
+    square root of the diffusivity contrast, (r_min / r_max)^((alpha+1)/2).
+    The exponent is measured, not derived: on a 6:1 ellipse at m = 128 and
+    alpha = 2 it keeps T within 3e-7 of the RK4 march, where the plain
+    ratio r_min / r_max left an error of 7e-6.  That z is rounded down onto
+    the ladder z_circle * 2^(-j/BANDS), j = 0, 1, ..., so that steps whose
+    contrasts differ a little share their phi-weights.  z never drops
+    below the parabolic fraction CFL * dtheta^2 of the Runge-Kutta
+    reference, where the linear part is no longer stiff on the grid and
+    ETDRK4 is as accurate as classical RK4.
     """
-    contrast = r_min / r_max
-    accurate = p.alpha * ETD_STEP_SCALE * CFL * contrast ** (0.5 * (p.alpha + 1.0))
-    return max(accurate, CFL * (2.0 * np.pi / m) ** 2)
+    circle = p.alpha * ETD_STEP_SCALE * CFL
+    rungs = math.ceil(-BANDS * 0.5 * (p.alpha + 1.0) * math.log2(r_min / r_max))
+    return max(circle * 2.0 ** (-rungs / BANDS), CFL * (2.0 * np.pi / m) ** 2)
+
+
+def _etd_diffusivity(r_min: float, alpha: float) -> float:
+    """The largest local diffusivity alpha * r_min^-(alpha+1), rounded up
+    onto the ladder 2^(i/BANDS); inf where that overflows, 0 or subnormal
+    where it underflows."""
+    rung = math.ceil(BANDS * (math.log2(alpha) - (alpha + 1.0) * math.log2(r_min)))
+    try:
+        return 2.0 ** (rung / BANDS)
+    except OverflowError:  # Python's float power raises where numpy gives inf
+        return math.inf
 
 
 def _phi_combinations(z, e, e2):
@@ -299,7 +332,7 @@ def _etd_radius(w: np.ndarray) -> np.ndarray:
     one inverse transform; raises _StageFailure unless it is positive (NaN
     included)."""
     radius = curvature_radius_samples(spectrum=w)
-    if not (np.min(radius) > 0.0):
+    if not (radius.min() > 0.0):
         raise _StageFailure
     return radius
 
@@ -331,7 +364,7 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
     n_c = remainder(c)
     v_new = e * v + dt * (f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
     radius = curvature_radius_samples(spectrum=v_new)
-    r_min, r_max = float(np.min(radius)), float(np.max(radius))
+    r_min, r_max = float(radius.min()), float(radius.max())
     if not (r_min > 0.0 and r_max < math.inf):
         raise _StageFailure
     return v_new, radius, r_min, r_max
@@ -339,24 +372,28 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
 
 def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
                stats: MarchStats | None = None):
-    """Yield (t, samples) for the start state and after every accepted
-    ETDRK4 step of the flow, until t reaches t_end; stats, if given, is
-    updated as the march goes.
+    """Yield (t, v), the time and the rfft coefficients of the state, for
+    the start state, v = rfft(y), and after every accepted ETDRK4 step of
+    the flow, until t reaches t_end; stats, if given, is updated as the
+    march goes.  The samples of a yielded state are np.fft.irfft(v, n=m).
 
     Each step is ETDRK4 on the rfft coefficients of s with the linear part
-    L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step,
-    plus 1 on the rescaled flow, whose rescaling term +s is then integrated
-    exactly; the remainder rfft(-(s''+s)^-alpha) - A(1 - k^2) s is the same
-    for both flows.  The step dt = z / A (z from _etd_step_size) is
-    ETD_STEP_SCALE * CFL * r_min^(alpha+1) on a circle, shrinks with the
-    curvature-radius contrast on eccentric bodies, and never falls below
-    the parabolic bound stable_dt.  An accepted step costs 9 FFTs: the
-    remainder at its start, two per stage, the new radius and the new
-    samples.  A step whose stages or result leave the convex cone is
-    halved and retried.  On the rescaled flow no step exceeds
-    MAX_RESCALED_STEP.  ConvexityLostError is raised after
-    MAX_STEP_HALVINGS halvings, once r_min is so small that the linear part
-    overflows, and on the rescaled flow once r_min has left
+    L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step and
+    rounded up onto a ladder of BANDS rungs per octave, plus 1 on the
+    rescaled flow, whose rescaling term +s is then integrated exactly; the
+    remainder rfft(-(s''+s)^-alpha) - A(1 - k^2) s is the same for both
+    flows.  The step dt = z / A (z from _etd_step_size, on its own ladder)
+    is ETD_STEP_SCALE * CFL * r_min^(alpha+1) on a circle, up to the
+    rounding of A, shrinks with the curvature-radius contrast on eccentric
+    bodies, and never falls below the parabolic bound stable_dt.  Since z
+    and A move by whole rungs, consecutive steps mostly share the diagonal
+    dt * L and with it the phi-weights.  An accepted step costs 8 FFTs:
+    the remainder at its start, two per stage and the new radius.  A step
+    whose stages or result leave the convex cone is halved and retried.
+    On the rescaled flow no step exceeds MAX_RESCALED_STEP.
+    ConvexityLostError is raised after MAX_STEP_HALVINGS halvings, once
+    r_min is so small that the linear part overflows or so large that the
+    step does, and on the rescaled flow once r_min has left
     [STOP_INRADIUS, 1 / STOP_INRADIUS] times its starting value: the body
     has collapsed, and dt, which follows r_min^(alpha+1), would only shrink
     from there, or it has blown up.  y is never written to.
@@ -369,29 +406,28 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     shift = 1.0 if rescaled else 0.0
     v = np.fft.rfft(y)
     radius = curvature_radius_samples(y)
-    r_min, r_max = float(np.min(radius)), float(np.max(radius))
-    stats.r_min = r_min
+    r_min, r_max = float(radius.min()), float(radius.max())
+    stats.r_min, stats.r_max = r_min, r_max
     floor, ceiling, max_dt = ((STOP_INRADIUS * r_min, r_min / STOP_INRADIUS, MAX_RESCALED_STEP)
                               if rescaled else (0.0, math.inf, math.inf))
     t = 0.0
     # The weights depend on the diagonal dt * L = z * symbol + shift * dt
-    # alone; consecutive steps with the same pair (the parabolic floor of
-    # the unnormalized flow, say) reuse them.
+    # alone, and z and A take few distinct values.
     weights_key = None
     weights = None
-    yield t, y
+    yield t, v
     while t < t_end:
         if not floor <= r_min <= ceiling:
             change = "collapsed" if r_min < floor else "blew up"
             raise ConvexityLostError(f"body {change}: r_min = {r_min:.3e} at t = {t:.6f}")
-        try:
-            a_max = p.alpha * r_min ** -(p.alpha + 1.0)
-        except OverflowError:  # Python's float power raises where numpy gives inf
-            a_max = math.inf
+        a_max = _etd_diffusivity(r_min, p.alpha)
         if not math.isfinite(a_max * stiffest):
             raise ConvexityLostError(
                 f"curvature radius {r_min:.3e} too small to step at t = {t:.6f}")
         z = _etd_step_size(r_min, r_max, m, p)
+        if not (a_max > 0.0 and z / a_max < math.inf):
+            raise ConvexityLostError(
+                f"curvature radius {r_min:.3e} too large to step at t = {t:.6f}")
         dt = z / a_max
         room = min(t_end - t, max_dt)
         if dt > room:
@@ -420,7 +456,9 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
         stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
         stats.dt_max = dt if stats.dt_max is None else max(stats.dt_max, dt)
         stats.r_min = min(stats.r_min, r_min)
-        yield t, np.fft.irfft(v, n=m)
+        if r_max > stats.r_max:
+            stats.r_max = r_max
+        yield t, v
 
 
 def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
@@ -430,26 +468,52 @@ def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
 
 
-def _record(march, store_every: int, extinct=lambda y: False):
-    """Run a march from _etd_march until it ends or extinct(samples) holds,
-    keeping every store_every-th state and the last one, once.
+def _may_be_extinct(v: np.ndarray, m: int) -> bool:
+    """False when the rfft coefficients v of a state on m points prove it
+    far from extinct.
 
-    Returns (times, list of sample rows, error): error is the
-    ConvexityLostError that ended the march, or None.
+    The distances from the Steiner point to the supporting lines are the
+    samples of s without its first harmonic, so each is at least
+    (v_0 - 2 sum_{2 <= k < m/2} |v_k| - |v_{m/2}|) / m.  While that bound
+    exceeds 2 * STOP_INRADIUS, far above the rounding of the samples, the
+    inradius is above STOP_INRADIUS.
     """
-    times, rows, error = [], [], None
+    tail = np.abs(v[2:])
+    return v[0].real - 2.0 * tail[:-1].sum() - tail[-1] <= 2.0 * STOP_INRADIUS * m
+
+
+def _record(start: np.ndarray, march, store_every: int, to_extinction: bool = False):
+    """Run a march from _etd_march, begun at the samples start, until it
+    ends or, with to_extinction, until a state's inradius (from its Steiner
+    point, as trace.csv has it) is below STOP_INRADIUS; keep every
+    store_every-th state and the last one, once.
+
+    The first row is start itself; every other kept row, and every state
+    tested for extinction, is np.fft.irfft(v, n=m) of the coefficients
+    the march yielded.  Returns (times, list of sample rows, error): error
+    is the ConvexityLostError that ended the march after at least one
+    accepted step, or None; one raised before the first step propagates.
+    """
+    m = start.size
+    times, rows, error, accepted = [], [], None, 0
     try:
-        for accepted, (t, y) in enumerate(march):
+        for accepted, (t, v) in enumerate(march):
+            y = None if accepted else start
             if accepted % store_every == 0:
+                y = np.fft.irfft(v, n=m) if y is None else y
                 times.append(t)
                 rows.append(y)
-            if extinct(y):
-                break
+            if to_extinction and _may_be_extinct(v, m):
+                y = np.fft.irfft(v, n=m) if y is None else y
+                if _steiner(y)[2].min() < STOP_INRADIUS:
+                    break
     except ConvexityLostError as exc:
+        if accepted == 0:  # not one step taken: there is no run to record
+            raise
         error = exc
     if times[-1] != t:
         times.append(t)
-        rows.append(y)
+        rows.append(np.fft.irfft(v, n=m) if y is None else y)
     return np.array(times), rows, error
 
 
@@ -465,7 +529,9 @@ def run_to_extinction(
     The march is _etd_march without the rescaling term.  Integration stops
     once the inradius drops below STOP_INRADIUS (stop_reason extinct), at
     t_max (time_limit), or when no acceptable step exists
-    (convexity_lost).  Every store_every-th accepted step is recorded, plus
+    (convexity_lost); a march that cannot take its first step, a curvature
+    radius beyond the range its step can represent, say, raises
+    ConvexityLostError.  Every store_every-th accepted step is recorded, plus
     the final state; the default of every step keeps the area series fine
     enough for its second-order differencing (area_defect).
 
@@ -479,10 +545,9 @@ def run_to_extinction(
     _check_start(s0, p, store_every)
     if t_max is None:
         t_max = default_time_limit(s0, p)
-    march = _etd_march(np.array(s0.samples, dtype=float), p, t_max, rescaled=False,
-                       stats=stats)
-    times, rows, error = _record(
-        march, store_every, lambda y: _steiner(y)[2].min() < STOP_INRADIUS)
+    y = np.array(s0.samples, dtype=float)
+    times, rows, error = _record(y, _etd_march(y, p, t_max, rescaled=False, stats=stats),
+                                 store_every, to_extinction=True)
     samples = np.array(rows)
     del rows
     columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples))))
@@ -551,9 +616,9 @@ def run_normalized(
     _check_start(s0, p, store_every)
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
-    march = _etd_march(np.array(s0.samples, dtype=float), p, tau_end, rescaled=True,
-                       stats=stats)
-    taus, rows, error = _record(march, store_every)
+    y = np.array(s0.samples, dtype=float)
+    taus, rows, error = _record(y, _etd_march(y, p, tau_end, rescaled=True, stats=stats),
+                                store_every)
     if error is not None:
         raise error
     return taus, [SupportFunction(row) for row in rows]

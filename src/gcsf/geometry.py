@@ -120,11 +120,15 @@ class SupportFunction:
             raise ValueError(f"grid size must be even and >= {MIN_GRID}, got {m}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("support samples must be finite")
-        radius = curvature_radius_samples(arr)
-        if not (np.min(radius) > 0.0):
-            raise ConvexityLostError(
-                f"curvature radius must be positive, min is {np.min(radius):.3e}"
-            )
+        # Finite samples near the float range can still overflow the
+        # transform; the check below rejects them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            radius = curvature_radius_samples(arr)
+        r_min, r_max = radius.min(), radius.max()
+        if not (-math.inf < r_min and r_max < math.inf):
+            raise ValueError("support samples are too large to transform")
+        if not (r_min > 0.0):
+            raise ConvexityLostError(f"curvature radius must be positive, min is {r_min:.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 

@@ -7,7 +7,7 @@ import sys
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gcsf
 from gcsf import cli
@@ -164,6 +164,48 @@ def test_tiny_rescaled_body_ends_at_the_linear_part_guard(tmp_path):
     error = read_manifest(out)["error"]
     assert error.startswith("ConvexityLostError: curvature radius 1.000e-110")
     assert "too small to step" in error
+
+
+@pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1e308},
+                                  {"kind": "fourier", "cos": [1e308]}])
+def test_body_beyond_the_float_range_is_a_usage_error_without_warning(tmp_path, capsys,
+                                                                      body):
+    # The samples are finite, but their transform overflows.
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"),
+                       initial_body=body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 1
+    assert "initial_body: support samples are too large to transform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment, fields", [
+    ("flow", {"t_max": 1.0}), ("flow", {}), ("normalized-rate", {})])
+def test_huge_body_ends_at_the_step_guard(tmp_path, experiment, fields):
+    # alpha * r^-(alpha+1) underflows to 0, so the step would be infinite;
+    # without t_max the default horizon overflows and is infinite too.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment=experiment, output_dir=str(out),
+                       initial_body={"kind": "circle", "radius": 1e300}, **fields)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    error = read_manifest(out)["error"]
+    assert error.startswith("ConvexityLostError: curvature radius 1.000e+300")
+    assert "too large to step" in error
+
+
+def test_blown_up_rescaled_flow_shows_its_largest_radius(tmp_path):
+    # solver alone tells the blow-up: r_max has left 1/STOP_INRADIUS times
+    # the starting radius, while r_min is still the start.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
+                       m=64, tau_end=cli.MAX_TAU_END,
+                       initial_body={"kind": "circle", "radius": 1.001})
+    assert cli.main(["run", cfg]) == 2
+    solver = read_manifest(out)["solver"]
+    assert solver["r_min"] == pytest.approx(1.001, rel=1e-12)
+    assert solver["r_max"] > 1.001 / cli.fl.STOP_INRADIUS
 
 
 def test_flow_run_is_deterministic(tmp_path):
@@ -618,6 +660,8 @@ def raw_configs(draw):
 
 @settings(max_examples=400)
 @given(raw=raw_configs())
+@example(raw={"experiment": "area-identity", "output_dir": "out",
+              "initial_body": {"kind": "circle", "radius": 1e308}})
 def test_config_from_dict_raises_only_usage_errors(raw):
     try:
         cfg = cli.config_from_dict(raw)

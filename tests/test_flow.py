@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gcsf import flow as fl
 from gcsf import geometry as geo
@@ -117,6 +118,18 @@ def test_march_stops_where_the_linear_part_overflows():
         next(march)
 
 
+def test_march_stops_where_the_step_overflows():
+    # alpha * r^-(alpha+1) = 1e-600 underflows to 0: the step z / A would
+    # be infinite.  The default horizon of such a body is infinite too.
+    y = np.full(64, 1e300)
+    assert fl.default_time_limit(geo.SupportFunction(y), P64) == math.inf
+    march = fl._etd_march(y, P64, math.inf, rescaled=False)
+    next(march)
+    with pytest.raises(geo.ConvexityLostError,
+                       match="curvature radius 1.000e[+]300 too large to step"):
+        next(march)
+
+
 def test_circle_radius_follows_power_law():
     p = FlowParams(alpha=1.0, m=64)
     trace = fl.run_to_extinction(circle(), p)
@@ -145,17 +158,16 @@ def test_eccentric_ellipse_extinction_time():
     assert abs(trace.extinction_time - geo.area(s0) / (2.0 * math.pi)) <= 1e-6
 
 
-# Extinction times and accepted step counts of the ETD march whose phi-weights
-# were contour means on every mode and whose stage radii went through the
-# samples (16 FFTs a step).  The closed-form weights and the one-transform
-# stage radius must reproduce them to 1e-12 relative in the same number of
-# steps.
-FROZEN_BENCHMARK_BODIES = {1: (0.4987698226179989, 717),
-                           2: (0.499255159718393, 708),
-                           3: (0.49880081920376795, 715)}
-FROZEN_ELLIPSE = {0.6: (0.6846540110766519, 20702),
-                  1.0: (0.4999999938072628, 18913),
-                  2.0: (0.19168186039092142, 30131)}
+# Extinction times and accepted step counts of the ETD march whose z = A dt
+# and A are rounded onto ladders of BANDS rungs per octave, so that steps
+# share their phi-weights.  The march must reproduce them to 1e-12
+# relative in the same number of steps.
+FROZEN_BENCHMARK_BODIES = {1: (0.49876982263348685, 727),
+                           2: (0.4992551597293789, 718),
+                           3: (0.4988008192115023, 725)}
+FROZEN_ELLIPSE = {0.6: (0.6846540062221848, 20837),
+                  1.0: (0.4999999939641647, 19031),
+                  2.0: (0.19168186375373628, 30305)}
 
 
 def _assert_frozen_march(s0, p, frozen):
@@ -192,6 +204,41 @@ def test_march_keeps_frozen_times_on_the_eccentric_ellipse(alpha):
     _assert_frozen_march(s0, FlowParams(alpha=alpha, m=128), FROZEN_ELLIPSE[alpha])
 
 
+# |T - A0/2 pi| and accepted steps on the benchmark bodies at m = 256 when
+# the phi-weights were evaluated afresh on every step.
+UNBANDED_BENCHMARK_BODIES = {1: (9.42e-10, 717), 2: (7.71e-10, 708), 3: (4.61e-10, 715)}
+
+
+@pytest.mark.parametrize("seed", sorted(UNBANDED_BENCHMARK_BODIES))
+def test_ladders_share_weights_on_benchmark_bodies(seed):
+    s0 = _benchmark_body(seed)
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(s0, FlowParams(alpha=1.0, m=256), stats=stats)
+    error, steps = UNBANDED_BENCHMARK_BODIES[seed]
+    assert stats.weight_evals <= 64
+    assert stats.accepted_steps <= 1.02 * steps
+    assert abs(trace.extinction_time - geo.area(s0) / (2.0 * math.pi)) <= error
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_step_ladders_only_shorten_the_step(alpha):
+    p = FlowParams(alpha=alpha, m=256)
+    circle_z = alpha * fl.ETD_STEP_SCALE * fl.CFL
+    floor = fl.CFL * (2.0 * np.pi / p.m) ** 2
+    assert fl._etd_step_size(0.7, 0.7, p.m, p) == circle_z
+    rung = 2.0 ** (1.0 / fl.BANDS)
+    for contrast in np.linspace(0.05, 1.0, 97):
+        accurate = circle_z * contrast ** (0.5 * (alpha + 1.0))
+        z = fl._etd_step_size(contrast, 1.0, p.m, p)
+        assert z == floor or accurate / rung < z <= accurate
+    for r_min in np.logspace(-3.0, 1.0, 101):
+        exact = alpha * r_min ** -(alpha + 1.0)
+        a = fl._etd_diffusivity(r_min, alpha)
+        assert exact <= a < exact * rung
+        rungs = math.log2(a) * fl.BANDS
+        assert abs(rungs - round(rungs)) <= 1e-9
+
+
 def test_extrapolate_extinction_exact_on_synthetic_law():
     # inradius^(1+alpha) linear in t is the exact circle law; the fit must
     # recover the root to roundoff.
@@ -213,26 +260,45 @@ def test_trace_is_monotone_and_shrinking():
 
 # -- the record loop both marches share ---------------------------------------
 
+def _stub_coefficients(i):
+    return np.fft.rfft((1.0 - 0.01 * i) * np.ones(64))
+
+
 def _stub_march(n, lose_convexity):
-    # Yields n shrinking circles on 64 points; then, if asked, raises as a
-    # march does when no acceptable step exists.
+    # Yields the coefficients of n shrinking circles on 64 points; then, if
+    # asked, raises as a march does when no acceptable step exists.
     def march(y, p, t_end, rescaled, stats=None):
         for i in range(n):
-            yield 0.01 * i, (1.0 - 0.01 * i) * np.ones(64)
+            yield 0.01 * i, _stub_coefficients(i)
         if lose_convexity:
             raise geo.ConvexityLostError("no acceptable step")
     return march
 
 
+def _stub_rows(s0, stored):
+    # The start row is the input samples; every other stored row is the
+    # inverse transform of what the march yielded.
+    return [s0.samples if i == 0 else np.fft.irfft(_stub_coefficients(i), n=64)
+            for i in stored]
+
+
 def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(5, lose_convexity=True))
-    trace = fl.run_to_extinction(circle(), P64, store_every=3)
+    s0 = circle()
+    trace = fl.run_to_extinction(s0, P64, store_every=3)
     assert trace.stop_reason is StopReason.CONVEXITY_LOST
     assert trace.extinction_time is None
     np.testing.assert_array_equal(trace.times, [0.0, 0.03, 0.04])
-    np.testing.assert_array_equal(trace.samples[:, 0], [1.0, 0.97, 0.96])
+    np.testing.assert_array_equal(trace.samples, _stub_rows(s0, [0, 3, 4]))
     with pytest.raises(geo.ConvexityLostError):
-        fl.run_normalized(circle(), P64, 1.0, store_every=3)
+        fl.run_normalized(s0, P64, 1.0, store_every=3)
+
+
+def test_march_that_cannot_take_its_first_step_raises(monkeypatch):
+    # With no step taken there is no run to record: the error propagates.
+    monkeypatch.setattr(fl, "_etd_march", _stub_march(1, lose_convexity=True))
+    with pytest.raises(geo.ConvexityLostError):
+        fl.run_to_extinction(circle(), P64)
 
 
 @pytest.mark.parametrize("store_every, n, stored", [
@@ -240,15 +306,16 @@ def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
 def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store_every,
                                                               n, stored):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(n, lose_convexity=False))
-    trace = fl.run_to_extinction(circle(), P64, store_every=store_every)
-    taus, states = fl.run_normalized(circle(), P64, 1.0, store_every=store_every)
+    s0 = circle()
+    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    taus, states = fl.run_normalized(s0, P64, 1.0, store_every=store_every)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     expected = [0.01 * i for i in stored]
     np.testing.assert_array_equal(trace.times, expected)
     np.testing.assert_array_equal(taus, expected)
-    radii = [1.0 - 0.01 * i for i in stored]
-    np.testing.assert_array_equal(trace.samples[:, 0], radii)
-    np.testing.assert_array_equal([s.samples[0] for s in states], radii)
+    rows = _stub_rows(s0, stored)
+    np.testing.assert_array_equal(trace.samples, rows)
+    np.testing.assert_array_equal([s.samples for s in states], rows)
 
 
 # -- the ETD step --------------------------------------------------------------
@@ -313,6 +380,7 @@ def test_nan_coefficient_rejects_the_stage():
 
 @pytest.mark.parametrize("rescaled", [False, True])
 def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
+    # Eight inside the march and one for the stored row.
     calls = []
 
     def counted(transform):
@@ -326,13 +394,74 @@ def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     stats = fl.MarchStats()
     states = list(fl._etd_march(y, P64, 0.05, rescaled, stats))
-    assert stats.accepted_steps == len(states) - 1 > 0
+    steps = stats.accepted_steps
+    assert steps == len(states) - 1 > 0
     assert stats.halved_trials == 0
     # The start costs rfft(y) and its curvature radius, rfft and irfft.
-    assert len(calls) == 3 + 9 * stats.accepted_steps
-    assert stats.remainder_evals == 4 * stats.accepted_steps
-    assert 0 < stats.weight_evals <= stats.accepted_steps
+    assert len(calls) == 3 + 8 * steps
+    assert stats.remainder_evals == 4 * steps
+    assert 0 < stats.weight_evals <= steps
     assert 0.0 < stats.dt_min <= stats.dt_max
+    # Storing every state adds one inverse transform per step; the start
+    # row is y itself.
+    calls.clear()
+    times, rows, error = fl._record(y, fl._etd_march(y, P64, 0.05, rescaled), 1)
+    assert len(rows) == steps + 1 and error is None
+    assert rows[0] is y
+    assert len(calls) == 3 + 9 * steps
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([64, 256]),
+       aspect=st.floats(1.0, 8.0), wobble=st.floats(0.0, 1.0), inradius=st.floats(0.2, 4.0),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+@example(seed=0, m=256, aspect=8.0, wobble=0.0, inradius=0.9, shift=(0.5, -0.5))
+def test_coefficient_bound_never_misses_an_extinct_state(seed, m, aspect, wobble, inradius,
+                                                         shift):
+    # The Minkowski sum of an ellipse and a shrunken random body, scaled to
+    # an inradius near STOP_INRADIUS and moved off the origin: whenever the
+    # inradius of its samples is below STOP_INRADIUS, the bound must leave
+    # the state to the exact test.  On long ellipses the bound is tight
+    # and half the tail would exceed it by a factor of 3.
+    rng = np.random.default_rng(seed)
+    body = geo.SupportFunction(
+        geo.make_ellipse(aspect, 1.0, m=m).samples
+        + wobble * geo.random_convex_body(rng, m=m, scale=1.0).samples)
+    scale = inradius * fl.STOP_INRADIUS / geo.inradius(body)
+    s = geo.translate(geo.SupportFunction(scale * body.samples),
+                      (shift[0] * fl.STOP_INRADIUS, shift[1] * fl.STOP_INRADIUS))
+    v = np.fft.rfft(s.samples)
+    if geo._steiner(np.fft.irfft(v, n=m))[2].min() < fl.STOP_INRADIUS:
+        assert fl._may_be_extinct(v, m)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("store_every", [1, 8])
+def test_march_stops_on_the_row_the_exact_test_picks(seed, store_every):
+    # Testing every state's samples for extinction, with no bound first,
+    # stops on the same state as run_to_extinction.
+    s0 = _benchmark_body(seed, m=64)
+    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    y0 = np.array(s0.samples)
+    march = fl._etd_march(y0, P64, fl.default_time_limit(s0, P64), rescaled=False)
+    for accepted, (t, v) in enumerate(march):
+        y = y0 if accepted == 0 else np.fft.irfft(v, n=64)
+        if geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
+            break
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert trace.times[-1] == t
+    np.testing.assert_array_equal(trace.samples[-1], y)
+    assert trace.columns["inradius"][-1] < fl.STOP_INRADIUS
+    assert np.all(trace.columns["inradius"][:-1] >= fl.STOP_INRADIUS)
+
+
+def test_march_records_the_largest_curvature_radius():
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
+                                 stats=stats)
+    radii = [float(np.max(geo.curvature_radius(geo.SupportFunction(row))))
+             for row in trace.samples]
+    assert stats.r_max == pytest.approx(max(radii), rel=1e-12)
+    assert stats.r_max > radii[-1]
 
 
 def test_march_records_the_smallest_curvature_radius():
