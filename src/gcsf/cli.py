@@ -296,36 +296,58 @@ def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
     return fl.FlowParams(alpha=cfg.alpha, m=cfg.m)
 
 
-def _extinction_trace(cfg: SimpleNamespace, stats: fl.MarchStats) -> fl.FlowTrace:
-    return fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
-                                store_every=EXTINCTION_STORE_EVERY, stats=stats)
+def _check_flow_body(cfg: SimpleNamespace) -> None:
+    """Build the initial body; a circle's extinction time, which the circle
+    law divides by, must not underflow."""
+    _build_body(cfg)
+    body, a1 = cfg.initial_body, 1.0 + cfg.alpha
+    _require(body["kind"] != "circle" or a1 * math.log(body.get("radius", 1.0)) - math.log(a1)
+             >= math.log(sys.float_info.min),
+             "initial_body.radius is too small: radius^(1+alpha)/(1+alpha) underflows")
 
 
 def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    trace = _extinction_trace(cfg, stats)
+    trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
+                                 store_every=EXTINCTION_STORE_EVERY, stats=stats)
     columns = {"trace.csv": fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))}
     if cfg.snapshot_every > 0:
         fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
                                  every=cfg.snapshot_every)
     scalars = {"extinction_time": trace.extinction_time,
-               "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1]}
+               "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1],
+               "area_defect": _area_defect(columns["trace.csv"])}
     return scalars, columns
+
+
+def _area_defect(trace) -> float | None:
+    """Worst defect of dA/dt = -integral of kappa^alpha dxi over the first
+    90% of a trace's times; None on fewer than 3 rows."""
+    if trace[0].size < 3:
+        return None
+    return fl.area_defect(trace[0], trace[1], trace[6], interior=0.9)
 
 
 def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     """Checks of a flow run, from trace.csv alone.
 
-    A body run without t_max must go extinct.  A circle must then vanish
-    at radius^(1+alpha)/(1+alpha) and shrink by the circle law on the way.
-    Any other body must vanish at T = area_0 / 2 pi at alpha = 1, where the
-    area falls at exactly 2 pi, and at every alpha between the extinction
-    times of the discs about the Steiner point inscribed in and
-    circumscribing it, as the comparison principle demands.
+    At alpha = 1 the area falls at exactly 2 pi, on any trace of 3 rows or
+    more.  A body run without t_max must go extinct.  A circle must then
+    vanish at radius^(1+alpha)/(1+alpha) and shrink by the circle law on
+    the way.  Any other body must vanish at T = area_0 / 2 pi at alpha = 1,
+    and at every alpha between the extinction times of the discs about the
+    Steiner point inscribed in and circumscribing it, as the comparison
+    principle demands.
     """
     trace = columns["trace.csv"]
+    if len(trace) != len(fl.TRACE_COLUMNS):  # written before kappa_integral was a column
+        raise ValueError(
+            f"trace.csv has {len(trace)} of {len(fl.TRACE_COLUMNS)} columns; re-run it")
     times, inradii = trace[0], trace[3]
     extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
     checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
+    defect = _area_defect(trace)
+    if cfg.alpha == 1.0 and defect is not None:
+        checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
     if not extinct:
         return checks
     extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
@@ -362,7 +384,7 @@ def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     # every one of them, as run_normalized stores by default.
     taus, states = fl.run_normalized(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
                                      stats=stats)
-    amps = np.array([geo.mode_amplitude(state, cfg.mode) for state in states])
+    amps = geo._mode_amplitudes(np.array([state.samples for state in states]), cfg.mode)
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
     columns = {"rate.csv": (taus, amps)}
     fit = _rate_fit(cfg, columns)
@@ -516,25 +538,6 @@ def _logconv_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     return [Check("log-convexity-margin", _margin(columns), LOG_CONVEXITY_FLOOR, "ge")]
 
 
-def _area_defect(columns) -> float:
-    return fl.area_defect(*columns["area_identity.csv"], interior=0.9)
-
-
-def _run_area_identity(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    trace = _extinction_trace(cfg, stats)
-    integrals = fl._curvature_integrals(trace.samples, cfg.alpha)
-    tables.write_columns(os.path.join(out, "area_identity.csv"),
-                         ["t", "area", "kappa_integral"], trace.times, trace.areas, integrals)
-    columns = {"area_identity.csv": (trace.times, trace.areas, integrals)}
-    return {"defect": _area_defect(columns)}, columns
-
-
-def _area_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    if cfg.alpha == 1.0:
-        return [Check("area-identity", _area_defect(columns), AREA_IDENTITY_TOL, "le")]
-    return []
-
-
 def _check_reach(cfg: SimpleNamespace) -> None:
     needed = max(cfg.scales) ** (1.0 / (1.0 + cfg.alpha))
     _require(cfg.r_max >= needed,
@@ -542,15 +545,14 @@ def _check_reach(cfg: SimpleNamespace) -> None:
 
 
 _GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": 256}
-_EXTINCTION_FIELDS = {**_GRID_FIELDS, "t_max": None}
 _UNIT_CIRCLE = {"kind": "circle", "radius": 1.0, "center": [0.0, 0.0]}
 
 EXPERIMENTS = {
     "flow": Experiment(
-        {**_EXTINCTION_FIELDS, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
+        {**_GRID_FIELDS, "t_max": None, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
         _run_flow, _flow_checks,
-        "trace.csv", ("extinction_time", "stop_reason", "final_area"), _build_body,
-        marches=True),
+        "trace.csv", ("extinction_time", "stop_reason", "final_area", "area_defect"),
+        _check_flow_body, marches=True),
     "normalized-rate": Experiment(
         {**_GRID_FIELDS, "mode": 2, "eps": 1e-3, "tau_end": 3.5,
          "fit_window": (1.0, 3.0),
@@ -585,10 +587,6 @@ EXPERIMENTS = {
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
         _run_log_convexity, _logconv_checks, "margins.csv", ("margin",)),
-    "area-identity": Experiment(
-        {**_EXTINCTION_FIELDS, "initial_body": {"kind": "ellipse", "a": 1.3, "b": 1.0}},
-        _run_area_identity, _area_checks, "area_identity.csv", ("defect",), _build_body,
-        marches=True),
 }
 
 

@@ -39,14 +39,15 @@ from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
     _areas,
+    _curvature_integrals,
     _lengths,
+    _mode_amplitudes,
     _radius_symbol,
     _samples_to_json,
     _steiner,
     circumradius,
     curvature_radius_samples,
     length,
-    mode_amplitude,
 )
 
 #: Steps are rejected and halved at most this many times before giving up.
@@ -135,7 +136,8 @@ class FlowParams:
             raise ValueError(f"grid size must be even and >= 64, got {self.m}")
 
 
-TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle")
+TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle",
+                 "kappa_integral")
 
 
 @dataclass
@@ -393,7 +395,8 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
     On the rescaled flow no step exceeds MAX_RESCALED_STEP.
     ConvexityLostError is raised after MAX_STEP_HALVINGS halvings, once
     r_min is so small that the linear part overflows or so large that the
-    step does, and on the rescaled flow once r_min has left
+    step does, once a step is too short to change t, and on the rescaled
+    flow once r_min has left
     [STOP_INRADIUS, 1 / STOP_INRADIUS] times its starting value: the body
     has collapsed, and dt, which follows r_min^(alpha+1), would only shrink
     from there, or it has blown up.  y is never written to.
@@ -451,6 +454,8 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
                 z *= 0.5
         else:
             raise ConvexityLostError(f"flow lost convexity at t = {t:.6f}")
+        if t + dt == t:
+            raise ConvexityLostError(f"step {dt:.3e} too short to advance t = {t:.6e}")
         t += dt
         stats.accepted_steps += 1
         stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
@@ -550,7 +555,7 @@ def run_to_extinction(
                                  store_every, to_extinction=True)
     samples = np.array(rows)
     del rows
-    columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples))))
+    columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples, p.alpha))))
     inradii = columns["inradius"]
     extinction = None
     if error is not None:
@@ -568,9 +573,9 @@ def run_to_extinction(
 ROW_BLOCK_VALUES = 2**17
 
 
-def _shape_columns(samples: np.ndarray) -> list[np.ndarray]:
-    """Area, length, inradius, circumradius and delta_to_circle of each row
-    of samples, computed a block of ROW_BLOCK_VALUES values at a time."""
+def _shape_columns(samples: np.ndarray, alpha: float) -> list[np.ndarray]:
+    """TRACE_COLUMNS after t for each row of samples, computed a block of
+    ROW_BLOCK_VALUES values at a time."""
     rows = max(1, ROW_BLOCK_VALUES // samples.shape[1])
     blocks = []
     for lo in range(0, len(samples), rows):
@@ -579,7 +584,8 @@ def _shape_columns(samples: np.ndarray) -> list[np.ndarray]:
         d = _steiner(y)[2]
         mean_radius = np.mean(d, axis=1)
         blocks.append((areas, lengths, np.min(d, axis=1), np.max(d, axis=1),
-                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius))
+                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius,
+                       _curvature_integrals(y, alpha)))
     return [np.concatenate(column) for column in zip(*blocks)]
 
 
@@ -694,30 +700,15 @@ def fit_decay_rate(series, window: tuple[float, float]) -> RateFit:
                    (lo, hi))
 
 
-def mode_decay_series(
-    alpha: float,
-    mode: int = 2,
-    eps: float = 1e-3,
-    tau_end: float = 3.5,
-    m: int = 256,
-    store_every: int = 1,
-) -> np.ndarray:
+def mode_decay_series(alpha: float, mode: int = 2, eps: float = 1e-3, tau_end: float = 3.5,
+                      m: int = 256) -> np.ndarray:
     """Amplitude of one harmonic along the rescaled flow started from
     the unit circle plus eps*cos(mode*theta); rows are (tau, amplitude)."""
     theta = np.arange(m) * (2.0 * np.pi / m)
     s0 = SupportFunction(1.0 + eps * np.cos(mode * theta))
-    p = FlowParams(alpha=alpha, m=m)
-    taus, states = run_normalized(s0, p, tau_end, store_every=store_every)
-    amps = np.array([mode_amplitude(state, mode) for state in states])
+    taus, states = run_normalized(s0, FlowParams(alpha=alpha, m=m), tau_end)
+    amps = _mode_amplitudes(np.array([state.samples for state in states]), mode)
     return np.column_stack([taus, amps])
-
-
-def _curvature_integrals(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Integral of kappa^alpha dxi of each support function along the last
-    axis of values, whose curvature radius is taken to be positive."""
-    radius = curvature_radius_samples(values)
-    return (2.0 * np.pi / values.shape[-1]) * np.sum(np.power(1.0 / radius, alpha) * radius,
-                                                      axis=-1)
 
 
 def curvature_integral(s: SupportFunction, alpha: float) -> float:
@@ -757,10 +748,13 @@ def area_defect(times, areas, integrals, interior: float = 1.0) -> float:
         n = max(cut, 3)
     h = np.diff(times[:n])
     h1, h2 = h[:-1], h[1:]
-    dadt = (-h2 / (h1 * (h1 + h2)) * areas[:n - 2]
-            + (h2 - h1) / (h1 * h2) * areas[1:n - 1]
-            + h1 / (h2 * (h1 + h2)) * areas[2:n])
-    return float(np.max(np.abs(dadt + integrals[1:n - 1])))
+    # Steps near 1e154 or 1e-162 overflow the stencil's products: raise
+    # FloatingPointError rather than give a defect of 0 or inf.
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        dadt = (-h2 / (h1 * (h1 + h2)) * areas[:n - 2]
+                + (h2 - h1) / (h1 * h2) * areas[1:n - 1]
+                + h1 / (h2 * (h1 + h2)) * areas[2:n])
+        return float(np.max(np.abs(dadt + integrals[1:n - 1])))
 
 
 def area_rate_check(trace: FlowTrace, p: FlowParams, interior: float = 0.9) -> float:
@@ -791,19 +785,17 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 
 def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
     """Per-snapshot diagnostics used by the CSV export and the CLI checks,
-    keyed by TRACE_COLUMNS: t, area, length, and the inradius,
-    circumradius and relative sup distance to its mean circle of each
-    state seen from its Steiner point.  run_to_extinction computes them
-    with the arithmetic of area, length, inradius and circumradius, so
-    each row matches those functions applied to its state bit for bit.
+    keyed by TRACE_COLUMNS: t, area, length, the inradius, circumradius
+    and relative sup distance to its mean circle of each state seen from
+    its Steiner point, and curvature_integral.  Each row matches those
+    functions applied to its state bit for bit.
     """
     return dict(trace.columns)
 
 
 def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
-    """Plot-ready series: t, area, length, inradius, circumradius and the
-    relative sup distance of the recentred state to its mean circle.
-    Returns the columns written, in that order."""
+    """Plot-ready series, the columns of trace_summary_rows; returns the
+    columns written, in that order."""
     columns = trace_summary_rows(trace)
     tables.write_columns(path, list(columns), *columns.values())
     return list(columns.values())

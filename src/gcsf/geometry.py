@@ -175,21 +175,17 @@ def make_fourier_body(cos_coeffs, sin_coeffs=(), m: int = DEFAULT_GRID) -> Suppo
     return SupportFunction(values)
 
 
-def random_convex_body(
-    rng: np.random.Generator,
-    m: int = DEFAULT_GRID,
-    max_mode: int = 8,
-    scale: float = 0.3,
-) -> SupportFunction:
+def random_convex_body(rng: np.random.Generator, m: int = DEFAULT_GRID,
+                       scale: float = 0.3) -> SupportFunction:
     """Draw a random convex body near the unit circle.
 
     Harmonic amplitudes are uniform in [-scale/k^3, scale/k^3] for modes
-    k = 2..max_mode; draws that break convexity are rejected and redrawn.
+    k = 2..8; draws that break convexity are rejected and redrawn.
     """
     theta = np.arange(m) * (2.0 * np.pi / m)
     while True:
         values = np.ones(m)
-        for k in range(2, max_mode + 1):
+        for k in range(2, 9):
             bound = scale / k**3
             a = rng.uniform(-bound, bound)
             b = rng.uniform(-bound, bound)
@@ -208,9 +204,9 @@ def curvature_radius(s: SupportFunction) -> np.ndarray:
     return radius
 
 
-# The arithmetic behind area, length and the Steiner point works on each
-# support function along the last axis of an array of samples, so a trace
-# of states is one call; the public functions below apply it to one state.
+# The arithmetic below works on each support function along the last axis
+# of an array of samples, so a trace of states is one call; the public
+# functions apply it to one state.
 
 def _areas(values: np.ndarray) -> np.ndarray:
     ds = trig_derivative(values, 1)
@@ -219,6 +215,22 @@ def _areas(values: np.ndarray) -> np.ndarray:
 
 def _lengths(values: np.ndarray) -> np.ndarray:
     return (2.0 * np.pi / values.shape[-1]) * np.sum(values, axis=-1)
+
+
+def _curvature_integrals(values: np.ndarray, alpha: float) -> np.ndarray:
+    """Integral of kappa^alpha dxi; the curvature radius is taken to be positive."""
+    radius = curvature_radius_samples(values)
+    return (2.0 * np.pi / values.shape[-1]) * np.sum(np.power(1.0 / radius, alpha) * radius,
+                                                      axis=-1)
+
+
+def _mode_amplitudes(values: np.ndarray, mode: int) -> np.ndarray:
+    """Amplitude sqrt(a_k^2 + b_k^2) of harmonic k = mode."""
+    m = values.shape[-1]
+    if not 0 <= mode <= m // 2:
+        raise ValueError(f"mode must lie in [0, {m // 2}], got {mode}")
+    weight = 1.0 if mode in (0, m // 2) else 2.0
+    return weight * np.abs(np.fft.rfft(values)[..., mode]) / m
 
 
 def _steiner(values: np.ndarray) -> tuple:
@@ -295,12 +307,7 @@ def hausdorff_to_circle(s: SupportFunction, center, radius: float) -> float:
 
 def mode_amplitude(s: SupportFunction, mode: int) -> float:
     """Amplitude sqrt(a_k^2 + b_k^2) of one Fourier harmonic of the samples."""
-    if mode < 0 or mode > s.m // 2:
-        raise ValueError(f"mode must lie in [0, {s.m // 2}], got {mode}")
-    spectrum = np.fft.rfft(s.samples)
-    if mode == 0 or mode == s.m // 2:
-        return float(np.abs(spectrum[mode])) / s.m
-    return 2.0 * float(np.abs(spectrum[mode])) / s.m
+    return float(_mode_amplitudes(s.samples, mode))
 
 
 # -- serialization ----------------------------------------------------------

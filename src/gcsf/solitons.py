@@ -250,14 +250,14 @@ def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile
     return profile
 
 
-def cone_profile(alpha: float, r_max: float, n: int = 2001) -> RadialProfile:
-    """Exact cone u = r^(1+alpha)/(1+alpha) sampled on a uniform grid.
+def cone_profile(alpha: float, r_max: float) -> RadialProfile:
+    """Exact cone u = r^(1+alpha)/(1+alpha) on a uniform grid of 2001 points.
 
     Restricted to alpha >= 1 so the second derivative stays finite at 0.
     """
     if alpha < 1.0:
         raise ValueError(f"cone profile needs alpha >= 1, got {alpha}")
-    r = np.linspace(0.0, r_max, n)
+    r = np.linspace(0.0, r_max, 2001)
     d2 = np.zeros_like(r)
     d2[1:] = alpha * r[1:] ** (alpha - 1.0)
     if alpha == 1.0:

@@ -179,6 +179,53 @@ def test_body_beyond_the_float_range_is_a_usage_error_without_warning(tmp_path, 
     assert "initial_body: support samples are too large to transform" in capsys.readouterr().err
 
 
+def test_circle_whose_extinction_time_underflows_is_a_usage_error(tmp_path, capsys):
+    # radius^3 / 3 = 3e-331 underflows, and the circle law would divide by
+    # it; the same body on the rescaled flow stops at the step guard.
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"),
+                       alpha=2.0, m=64, initial_body={"kind": "circle", "radius": 1e-110})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: initial_body.radius is too small")
+    assert not (tmp_path / "r").exists()
+
+
+def test_area_defect_beyond_the_float_range_is_a_recorded_error(tmp_path):
+    # A circle of radius 1e80 steps by about 1e158 until its time stalls;
+    # the area stencil's products of such steps overflow.  That must end as
+    # a recorded error, with no floating-point warning.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64,
+                       initial_body={"kind": "circle", "radius": 1e80})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["error"] == "FloatingPointError: overflow encountered in multiply"
+    assert manifest["solver"]["accepted_steps"] > 0
+
+
+def test_flow_extinct_at_its_start_has_no_area_defect(tmp_path):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64,
+                       initial_body={"kind": "circle", "radius": 1e-4})
+    assert cli.main(["run", cfg]) == 0
+    manifest = read_manifest(out)
+    assert manifest["scalars"]["area_defect"]["value"] is None
+    assert [c["name"] for c in manifest["checks"]] == ["extinct", "extinction-time",
+                                                        "circle-law"]
+    assert cli.main(["verify", str(out)]) == 0
+
+
+def test_retired_area_identity_experiment_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, experiment="area-identity", output_dir=str(tmp_path / "r"))
+    assert cli.main(["run", cfg]) == 1
+    assert "field 'experiment' must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("experiment, fields", [
     ("flow", {"t_max": 1.0}), ("flow", {}), ("normalized-rate", {})])
 def test_huge_body_ends_at_the_step_guard(tmp_path, experiment, fields):
@@ -264,35 +311,40 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     cfg = cli.config_from_dict(read_manifest(out)["config"])
     trace = cli._StoredColumns(str(out))["trace.csv"]
     times, inradii = trace[0], trace[3]
-    names = ["extinct", "extinction-time", "inscribed-disc-first", "circumscribed-disc-last"]
+    names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
+             "circumscribed-disc-last"]
     assert [c.name for c in cli._flow_checks(cfg, {"trace.csv": trace})] == names
     T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
     slack = 2.0 * cli.EXTINCTION_TOL
 
-    def failed(row=None, value=None, keep=None):
+    def failed(column=None, value=None, keep=None, row=0):
         nudged = trace.copy() if keep is None else trace[:, keep]
-        if row is not None:
-            nudged[row, 0] = value
+        if column is not None:
+            nudged[column, row] = value
         checks = cli._flow_checks(cfg, {"trace.csv": nudged})
         return [c.name for c in checks if not c.passed]
 
     assert failed() == []
     assert failed(keep=inradii >= cli.fl.STOP_INRADIUS) == ["extinct"]
-    assert failed(1, 2.0 * math.pi * (T + slack)) == ["extinction-time"]
+    # The first area also enters the identity's first difference.
+    assert failed(1, 2.0 * math.pi * (T + slack)) == ["area-identity", "extinction-time"]
     assert failed(3, math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
     assert failed(4, math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
+    kappa = trace[6, 1] + 2.0 * cli.AREA_IDENTITY_TOL
+    assert failed(6, kappa, row=1) == ["area-identity"]
 
 
 @pytest.mark.parametrize("body", [{"kind": "circle"},
                                   {"kind": "ellipse", "a": 1.3, "b": 1.0}])
 def test_flow_run_cut_short_by_t_max_passes(tmp_path, body):
+    # Only the area identity can be judged on a trace that stops short.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64, t_max=0.1,
                        initial_body=body)
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert manifest["scalars"]["stop_reason"]["value"] == "time_limit"
-    assert manifest["checks"] == []
+    assert [c["name"] for c in manifest["checks"]] == ["area-identity"]
 
 
 # Runs in a fresh interpreter: the test modules load scipy themselves.
@@ -345,7 +397,7 @@ def test_every_experiment_runs_and_verifies_at_its_defaults(tmp_path, capsys, ex
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert list(manifest["scalars"]) == list(cli.EXPERIMENTS[experiment].headline)
-    flows = ("flow", "normalized-rate", "area-identity")
+    flows = ("flow", "normalized-rate")
     assert (manifest["solver"] is not None) == (experiment in flows)
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 0
@@ -396,6 +448,23 @@ def test_verify_detects_tampered_csv(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
     assert "MISMATCH" in capsys.readouterr().out
+
+
+def test_verify_of_a_trace_without_kappa_integral_is_a_failure(tmp_path, capsys):
+    # trace.csv had six columns before kappa_integral joined them; verify
+    # must say so in one line and exit 2, not raise.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64)
+    assert cli.main(["run", cfg]) == 0
+    path = out / "trace.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out.splitlines() == [
+        "cannot recompute the checks: ValueError: trace.csv has 6 of 7 columns; re-run it"]
+    assert printed.err == ""
 
 
 def test_verify_needs_manifest(tmp_path, capsys):
@@ -565,7 +634,7 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, entries):
 
 @pytest.mark.parametrize("experiment, knob", [
     *(pytest.param("radial-translator", knob, id=knob) for knob in ("keep_every", "step_size")),
-    *((experiment, knob) for experiment in ("flow", "normalized-rate", "area-identity")
+    *((experiment, knob) for experiment in ("flow", "normalized-rate")
       for knob in ("cfl", "stop_inradius", "store_every")),
 ])
 def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, experiment, knob):
@@ -579,7 +648,7 @@ def test_removed_solver_knobs_are_unknown_fields(tmp_path, capsys, experiment, k
 @pytest.mark.parametrize("experiment, knob", [
     ("flow", "sigma"), ("radial-translator", "m"), ("translator1d", "initial_body"),
     ("log-convexity", "store_every"), ("blowdown", "h"),
-    ("area-identity", "snapshot_every"),
+    ("normalized-rate", "snapshot_every"),
 ])
 def test_fields_of_other_experiments_are_unknown(tmp_path, capsys, experiment, knob):
     entries = dict(experiment=experiment, output_dir=str(tmp_path / "r"))
@@ -660,8 +729,10 @@ def raw_configs(draw):
 
 @settings(max_examples=400)
 @given(raw=raw_configs())
-@example(raw={"experiment": "area-identity", "output_dir": "out",
+@example(raw={"experiment": "flow", "output_dir": "out",
               "initial_body": {"kind": "circle", "radius": 1e308}})
+@example(raw={"experiment": "flow", "output_dir": "out", "alpha": 2.0,
+              "initial_body": {"kind": "circle", "radius": 1e-110}})
 def test_config_from_dict_raises_only_usage_errors(raw):
     try:
         cfg = cli.config_from_dict(raw)

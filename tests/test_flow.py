@@ -130,6 +130,20 @@ def test_march_stops_where_the_step_overflows():
         next(march)
 
 
+def test_march_stops_where_the_step_no_longer_advances_time():
+    # On a circle of radius 1e150 the step, 0.01 r^2, falls below half the
+    # spacing of floats at t long before extinction: t + dt == t.  The
+    # march must stop there rather than repeat the time.
+    s0 = circle(1e150)
+    trace = fl.run_to_extinction(s0, P64)
+    assert trace.stop_reason is StopReason.CONVEXITY_LOST
+    assert np.all(np.diff(trace.times) > 0.0)
+    march = fl._etd_march(s0.samples, P64, math.inf, rescaled=False)
+    with pytest.raises(geo.ConvexityLostError, match="too short to advance t"):
+        for _ in march:
+            pass
+
+
 def test_circle_radius_follows_power_law():
     p = FlowParams(alpha=1.0, m=64)
     trace = fl.run_to_extinction(circle(), p)
@@ -494,8 +508,9 @@ def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
     trace = fl.run_to_extinction(s0, P64, store_every=8, stats=stats)
     fl.trace_summary_rows(trace)
     # One radius for the start, then three stages and the new radius per
-    # step; the stored states are never rebuilt as SupportFunctions.
-    assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 0}
+    # step; the stored states are never rebuilt as SupportFunctions.  The
+    # kappa_integral column takes one radius per block of rows, here one.
+    assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 1}
 
 
 # -- normalized flow ---------------------------------------------------------
@@ -744,16 +759,30 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
         mean_radius = float(np.mean(rec))
         expected.append([t, geo.area(s), geo.length(s), geo.inradius(s),
                          geo.circumradius(s),
-                         float(np.max(np.abs(rec - mean_radius))) / mean_radius])
+                         float(np.max(np.abs(rec - mean_radius))) / mean_radius,
+                         fl.curvature_integral(s, 1.0)])
     columns = fl.trace_summary_rows(trace)
     np.testing.assert_array_equal(np.column_stack(list(columns.values())), expected)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 2.0])
+def test_kappa_integral_column_matches_the_per_state_integral(monkeypatch, alpha):
+    # Computed a block of rows at a time, with a ragged last block; each
+    # row must equal curvature_integral of its state bit for bit.
+    monkeypatch.setattr(fl, "ROW_BLOCK_VALUES", 1000)
+    p = FlowParams(alpha=alpha, m=128)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, store_every=8)
+    assert len(trace.times) > 2 * 1000 // 128
+    np.testing.assert_array_equal(
+        trace.columns["kappa_integral"],
+        [fl.curvature_integral(geo.SupportFunction(row), alpha) for row in trace.samples])
 
 
 def test_trace_summary_rows_fields():
     trace = fl.run_to_extinction(circle(), P64)
     columns = fl.trace_summary_rows(trace)
     assert tuple(columns) == ("t", "area", "length", "inradius", "circumradius",
-                              "delta_to_circle")
+                              "delta_to_circle", "kappa_integral")
     assert all(len(column) == len(trace.times) for column in columns.values())
     assert columns["t"][0] == 0.0
     assert math.isclose(columns["area"][0], math.pi, rel_tol=1e-12)

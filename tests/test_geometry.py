@@ -180,6 +180,17 @@ def test_mode_amplitude_reads_coefficients():
     assert math.isclose(geo.mode_amplitude(nyq, 128), 1e-5, rel_tol=1e-10)
 
 
+@pytest.mark.parametrize("mode", [0, 2, 5, 32])
+def test_mode_amplitudes_of_stacked_rows_match_each_state(mode):
+    rng = np.random.default_rng(11)
+    rows = np.array([geo.random_convex_body(rng, m=64).samples for _ in range(5)])
+    np.testing.assert_array_equal(
+        geo._mode_amplitudes(rows, mode),
+        [geo.mode_amplitude(SupportFunction(row), mode) for row in rows])
+    with pytest.raises(ValueError, match="mode must lie in"):
+        geo._mode_amplitudes(rows, 33)
+
+
 def test_random_convex_body_is_deterministic_and_convex():
     a = geo.random_convex_body(np.random.default_rng(42))
     b = geo.random_convex_body(np.random.default_rng(42))
