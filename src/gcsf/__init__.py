@@ -1,130 +1,11 @@
 """Numerical laboratory for the power-of-curvature contracting flow.
 
-Convex plane curves are represented by sampled support functions; the flow
-moves the curve inward with normal speed equal to a power of curvature.
-Companion modules solve the translating-soliton ODEs and the blow-down,
-Legendre and comparison checks built on top of them.
+The modules are the API; import them, as in ``from gcsf import flow``.
+gcsf.geometry represents convex plane curves by sampled support functions;
+gcsf.flow moves them inward with normal speed equal to a power of curvature;
+gcsf.solitons solves the translating-soliton ODEs and the blow-down,
+Legendre and comparison checks built on top of them; gcsf.tables writes and
+reads their CSV tables; gcsf.cli runs, sweeps and verifies experiments.
 """
 
-from gcsf.geometry import (
-    ConvexityLostError,
-    PlanePoint,
-    SupportFunction,
-    area,
-    circumradius,
-    curvature_radius,
-    hausdorff_to_circle,
-    inradius,
-    length,
-    make_circle,
-    make_ellipse,
-    make_fourier_body,
-    mode_amplitude,
-    random_convex_body,
-    recenter,
-    steiner_point,
-    translate,
-)
-from gcsf.flow import (
-    FlowParams,
-    FlowTrace,
-    MarchStats,
-    RateFit,
-    StepRejectedError,
-    StopReason,
-    area_defect,
-    area_rate_check,
-    curvature_integral,
-    extrapolate_extinction,
-    fit_decay_rate,
-    jensen_bound_check,
-    linearized_mode_rate,
-    mode_decay_series,
-    normalize_trace,
-    normalized_delta_series,
-    run_normalized,
-    run_to_extinction,
-    stable_dt,
-    step,
-)
-from gcsf.solitons import (
-    DualPowerFit,
-    OdeSolution,
-    Profile1D,
-    RadialProfile,
-    blow_down,
-    comparison_closed_form,
-    comparison_ode,
-    cone_profile,
-    dual_power_fit,
-    growth_bound_check,
-    l0_vs_lsigma,
-    l_sigma_residual,
-    legendre,
-    log_convexity_grid,
-    radial_log_convexity,
-    radial_translator,
-    tail_half_width,
-    translator_1d,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvexityLostError",
-    "DualPowerFit",
-    "FlowParams",
-    "FlowTrace",
-    "MarchStats",
-    "OdeSolution",
-    "PlanePoint",
-    "Profile1D",
-    "RadialProfile",
-    "RateFit",
-    "StepRejectedError",
-    "StopReason",
-    "SupportFunction",
-    "area",
-    "area_defect",
-    "area_rate_check",
-    "blow_down",
-    "circumradius",
-    "comparison_closed_form",
-    "comparison_ode",
-    "cone_profile",
-    "curvature_integral",
-    "curvature_radius",
-    "dual_power_fit",
-    "extrapolate_extinction",
-    "fit_decay_rate",
-    "growth_bound_check",
-    "hausdorff_to_circle",
-    "inradius",
-    "jensen_bound_check",
-    "l0_vs_lsigma",
-    "l_sigma_residual",
-    "legendre",
-    "length",
-    "linearized_mode_rate",
-    "log_convexity_grid",
-    "make_circle",
-    "make_ellipse",
-    "make_fourier_body",
-    "mode_amplitude",
-    "mode_decay_series",
-    "normalize_trace",
-    "normalized_delta_series",
-    "radial_log_convexity",
-    "radial_translator",
-    "random_convex_body",
-    "recenter",
-    "run_normalized",
-    "run_to_extinction",
-    "stable_dt",
-    "steiner_point",
-    "step",
-    "tail_half_width",
-    "translate",
-    "translator_1d",
-    "__version__",
-]

@@ -315,16 +315,8 @@ def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
                                  every=cfg.snapshot_every)
     scalars = {"extinction_time": trace.extinction_time,
                "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1],
-               "area_defect": _area_defect(columns["trace.csv"])}
+               "area_defect": fl.area_rate_check(trace.columns)}
     return scalars, columns
-
-
-def _area_defect(trace) -> float | None:
-    """Worst defect of dA/dt = -integral of kappa^alpha dxi over the first
-    90% of a trace's times; None on fewer than 3 rows."""
-    if trace[0].size < 3:
-        return None
-    return fl.area_defect(trace[0], trace[1], trace[6], interior=0.9)
 
 
 def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
@@ -342,10 +334,11 @@ def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     if len(trace) != len(fl.TRACE_COLUMNS):  # written before kappa_integral was a column
         raise ValueError(
             f"trace.csv has {len(trace)} of {len(fl.TRACE_COLUMNS)} columns; re-run it")
-    times, inradii = trace[0], trace[3]
+    trace = dict(zip(fl.TRACE_COLUMNS, trace))
+    times, inradii = trace["t"], trace["inradius"]
     extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
     checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
-    defect = _area_defect(trace)
+    defect = fl.area_rate_check(trace)
     if cfg.alpha == 1.0 and defect is not None:
         checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
     if not extinct:
@@ -364,12 +357,12 @@ def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
             Check("circle-law", rel, CIRCLE_LAW_TOL, "le"),
         ]
     if cfg.alpha == 1.0:
-        area_law = trace[1][0] / (2.0 * math.pi)
+        area_law = trace["area"][0] / (2.0 * math.pi)
         checks.append(Check("extinction-time", abs(extinction - area_law), EXTINCTION_TOL, "le"))
     return checks + [
         Check("inscribed-disc-first", inradii[0]**a1 / a1 - extinction,
               EXTINCTION_TOL, "le"),
-        Check("circumscribed-disc-last", extinction - trace[4][0]**a1 / a1,
+        Check("circumscribed-disc-last", extinction - trace["circumradius"][0]**a1 / a1,
               EXTINCTION_TOL, "le"),
     ]
 
@@ -381,12 +374,11 @@ def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
 
 def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     # The rescaled flow takes a few hundred ETD steps; its rate fit wants
-    # every one of them, as run_normalized stores by default.
-    taus, states = fl.run_normalized(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
-                                     stats=stats)
-    amps = geo._mode_amplitudes(np.array([state.samples for state in states]), cfg.mode)
-    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], taus, amps)
-    columns = {"rate.csv": (taus, amps)}
+    # every one of them, as mode_decay_series keeps.
+    series = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
+                                  cfg.mode, stats=stats)
+    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], *series.T)
+    columns = {"rate.csv": series.T}
     fit = _rate_fit(cfg, columns)
     return {"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns
 
@@ -472,7 +464,9 @@ def _blowdown_checks(cfg: SimpleNamespace, columns) -> list[Check]:
 
 
 def _dual_fit(cfg: SimpleNamespace, columns) -> so.DualPowerFit:
-    return so.dual_power_fit(so.RadialProfile(*columns["dual.csv"]), cfg.p_lo, cfg.p_hi)
+    p, u_star, r_argmax, d2u_star = columns["dual.csv"]
+    return so.dual_power_fit(so.RadialProfile(p, u_star, r_argmax, d2u_star),
+                             cfg.p_lo, cfg.p_hi)
 
 
 def _run_legendre(cfg: SimpleNamespace, out: str):
@@ -648,20 +642,20 @@ class _StoredColumns(dict):
         if name == "profile.csv":
             self[name] = so.read_profile_csv(path)
         else:
-            self[name] = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T
+            self[name] = tables.read_columns(path)
         return self[name]
 
 
 # -- subcommands ------------------------------------------------------------
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, kind: str = "config"):
     try:
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path!r} is not valid JSON: {exc}")
+        raise UsageError(f"cannot read {kind} {path!r}: {exc}")
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise UsageError(f"{kind} {path!r} is not valid JSON: {exc}")
 
 
 def _json_or_text(text: str):
@@ -775,18 +769,24 @@ def cmd_verify(run_dir: str) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise UsageError(f"no manifest.json under {run_dir!r}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    manifest = _load_json(manifest_path, "manifest")
+    _require(isinstance(manifest, dict) and isinstance(manifest.get("config"), dict),
+             f"manifest {manifest_path!r} holds no config object")
+    stored_checks = manifest.get("checks", [])
+    _require(isinstance(stored_checks, list)
+             and all(isinstance(c, dict) and isinstance(c.get("name"), str)
+                     for c in stored_checks),
+             f"manifest {manifest_path!r} holds no list of named checks")
     if manifest.get("error"):
         print(f"run recorded an error: {manifest['error']}")
         return 2
     cfg = config_from_dict(manifest["config"])
     try:
         recomputed = EXPERIMENTS[cfg.experiment].checks(cfg, _StoredColumns(run_dir))
-    except (ArithmeticError, RuntimeError, ValueError) as exc:
+    except (ArithmeticError, OSError, RuntimeError, ValueError) as exc:
         print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
         return 2
-    stored_by_name = {c["name"]: c for c in manifest.get("checks", [])}
+    stored_by_name = {c["name"]: c for c in stored_checks}
     ok = True
     if set(stored_by_name) != {c.name for c in recomputed}:
         print("MISMATCH: stored and recomputed check lists differ")

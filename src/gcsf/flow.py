@@ -700,13 +700,11 @@ def fit_decay_rate(series, window: tuple[float, float]) -> RateFit:
                    (lo, hi))
 
 
-def mode_decay_series(alpha: float, mode: int = 2, eps: float = 1e-3, tau_end: float = 3.5,
-                      m: int = 256) -> np.ndarray:
-    """Amplitude of one harmonic along the rescaled flow started from
-    the unit circle plus eps*cos(mode*theta); rows are (tau, amplitude)."""
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    s0 = SupportFunction(1.0 + eps * np.cos(mode * theta))
-    taus, states = run_normalized(s0, FlowParams(alpha=alpha, m=m), tau_end)
+def mode_decay_series(s0: SupportFunction, p: FlowParams, tau_end: float, mode: int,
+                      stats: MarchStats | None = None) -> np.ndarray:
+    """Amplitude of harmonic mode along the rescaled flow from s0, at every
+    accepted step (see run_normalized); rows are (tau, amplitude)."""
+    taus, states = run_normalized(s0, p, tau_end, stats=stats)
     amps = _mode_amplitudes(np.array([state.samples for state in states]), mode)
     return np.column_stack([taus, amps])
 
@@ -757,15 +755,16 @@ def area_defect(times, areas, integrals, interior: float = 1.0) -> float:
         return float(np.max(np.abs(dadt + integrals[1:n - 1])))
 
 
-def area_rate_check(trace: FlowTrace, p: FlowParams, interior: float = 0.9) -> float:
-    """Max defect of the area identity dA/dt = -integral of kappa^(alpha-1) dtheta.
-
-    The quadrature side is evaluated on each stored state; in support form
-    kappa^(alpha-1) dtheta = kappa^alpha dxi, the arc-length integral of
-    curvature_integral.
+def area_rate_check(columns) -> float | None:
+    """Max defect of the area identity dA/dt = -integral of kappa^alpha dxi
+    over the first 90% of a trace's times, from its columns keyed by
+    TRACE_COLUMNS (FlowTrace.columns, or trace.csv's); None on fewer than
+    3 rows.
     """
-    integrals = _curvature_integrals(trace.samples, p.alpha)
-    return area_defect(trace.times, trace.areas, integrals, interior=interior)
+    if len(columns["t"]) < 3:
+        return None
+    return area_defect(columns["t"], columns["area"], columns["kappa_integral"],
+                       interior=0.9)
 
 
 def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]:

@@ -539,8 +539,8 @@ def write_profile_csv(profile: RadialProfile, path) -> None:
 
 
 def read_profile_csv(path) -> RadialProfile:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return RadialProfile(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    r, u, du, d2u = tables.read_columns(path)
+    return RadialProfile(r, u, du, d2u)
 
 
 def write_profile1d_csv(profile: Profile1D, path) -> None:

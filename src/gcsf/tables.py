@@ -1,6 +1,6 @@
 """Float tables as CSV: one header row, then every value as repr(float).
 
-repr round-trips every double, so a table read back with np.loadtxt is
+repr round-trips every double, so a table read back with read_columns is
 bit-identical to the arrays written, and identical arrays give identical
 bytes.  Lines end in CRLF, the csv module's default.
 """
@@ -25,3 +25,14 @@ def write_columns(path, header, *columns) -> None:
         for start in range(0, columns[0].size, CHUNK_ROWS):
             rows = np.column_stack([c[start:start + CHUNK_ROWS] for c in columns])
             f.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist()))
+
+
+def read_columns(path) -> np.ndarray:
+    """The columns of a table under one header row, as the rows of a 2-D
+    array; a table without data rows is a ValueError that names the file."""
+    with open(path) as f:
+        f.readline()
+        if not f.readline().strip():
+            raise ValueError(f"{path} has no data rows")
+    # From a path, not the open file, np.loadtxt reads in blocks, not lines.
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).T

@@ -92,8 +92,9 @@ def test_criterion_02_shrinking_circle_law(extinction_traces):
 
 def test_criterion_03_linearized_rate():
     worst = 0.0
+    body = geo.make_fourier_body([1.0, 0.0, 1e-3])
     for alpha in ALPHAS_RATE:
-        series = fl.mode_decay_series(alpha, mode=2, eps=1e-3, tau_end=3.5)
+        series = fl.mode_decay_series(body, FlowParams(alpha=alpha), 3.5, 2)
         fit = fl.fit_decay_rate(series, (1.0, 3.0))
         expected = fl.linearized_mode_rate(alpha, 2)  # 1 - 3 alpha
         worst = max(worst, abs(fit.rate - expected) / abs(expected))
@@ -189,9 +190,9 @@ def test_criterion_08_area_identity(extinction_traces):
     # a = 1: the rate is exactly -2 pi, so the interior defect is pure noise.
     p1 = FlowParams(alpha=1.0)
     ellipse = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0), p1)
-    defect_ellipse = fl.area_rate_check(ellipse, p1)
+    defect_ellipse = fl.area_rate_check(ellipse.columns)
     circle_trace = extinction_traces[1.0][0]
-    defect_circle = fl.area_rate_check(circle_trace, p1)
+    defect_circle = fl.area_rate_check(circle_trace.columns)
     worst_defect = max(defect_ellipse, defect_circle)
     ok = worst_defect <= 1e-6
 

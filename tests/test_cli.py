@@ -450,21 +450,82 @@ def test_verify_detects_tampered_csv(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-def test_verify_of_a_trace_without_kappa_integral_is_a_failure(tmp_path, capsys):
-    # trace.csv had six columns before kappa_integral joined them; verify
-    # must say so in one line and exit 2, not raise.
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64)
-    assert cli.main(["run", cfg]) == 0
-    path = out / "trace.csv"
+def _keep_columns(path, n):
     lines = path.read_text().splitlines()
-    path.write_text("".join(line.rsplit(",", 1)[0] + "\r\n" for line in lines))
+    path.write_text("".join(",".join(line.split(",")[:n]) + "\r\n" for line in lines))
+
+
+def _keep_rows(path, n):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\r\n" for line in lines[:n + 1]))
+
+
+def _rewrite_manifest(out, change):
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    change(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+# A damaged run directory: the run's config, the damage, verify's exit code
+# and the one line it prints, on stdout for exit 2 and on stderr for exit 1.
+# trace.csv had six columns before kappa_integral joined them.
+DAMAGED_RUNS = {
+    "six-column-trace": (
+        dict(experiment="flow", m=64), lambda out: _keep_columns(out / "trace.csv", 6), 2,
+        "cannot recompute the checks: ValueError: trace.csv has 6 of 7 columns; re-run it"),
+    "header-only-trace": (
+        dict(experiment="flow", m=64), lambda out: _keep_rows(out / "trace.csv", 0), 2,
+        "cannot recompute the checks: ValueError: {out}/trace.csv has no data rows"),
+    "trace-is-a-directory": (
+        dict(experiment="flow", m=64),
+        lambda out: ((out / "trace.csv").unlink(), (out / "trace.csv").mkdir()), 2,
+        "cannot recompute the checks: IsADirectoryError: [Errno 21] Is a directory: "
+        "'{out}/trace.csv'"),
+    "one-row-profile": (
+        dict(experiment="radial-translator", r_max=2.0),
+        lambda out: _keep_rows(out / "profile.csv", 1), 2,
+        "cannot recompute the checks: ValueError: r grid must increase strictly from 0"),
+    "three-column-dual": (
+        dict(experiment="legendre", p_lo=20.0, p_hi=40.0),
+        lambda out: _keep_columns(out / "dual.csv", 3), 2,
+        "cannot recompute the checks: ValueError: "
+        "not enough values to unpack (expected 4, got 3)"),
+    "manifest-not-json": (
+        dict(experiment="log-convexity"), lambda out: (out / "manifest.json").write_text("{["), 1,
+        "error: manifest '{out}/manifest.json' is not valid JSON: "
+        "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "manifest-not-utf8": (
+        dict(experiment="log-convexity"),
+        lambda out: (out / "manifest.json").write_bytes(b"\xff{}"), 1,
+        "error: manifest '{out}/manifest.json' is not valid JSON: "
+        "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "manifest-without-config": (
+        dict(experiment="log-convexity"),
+        lambda out: _rewrite_manifest(out, lambda manifest: manifest.pop("config")), 1,
+        "error: manifest '{out}/manifest.json' holds no config object"),
+    "manifest-checks-not-a-list": (
+        dict(experiment="log-convexity"),
+        lambda out: _rewrite_manifest(out, lambda manifest: manifest.update(checks="x")), 1,
+        "error: manifest '{out}/manifest.json' holds no list of named checks"),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_RUNS)
+def test_verify_of_a_damaged_run_directory_is_one_line(tmp_path, capsys, damage):
+    entries, spoil, code, line = DAMAGED_RUNS[damage]
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, output_dir=str(out), **entries)
+    assert cli.main(["run", cfg]) == 0
+    spoil(out)
     capsys.readouterr()
-    assert cli.main(["verify", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(out)]) == code
     printed = capsys.readouterr()
-    assert printed.out.splitlines() == [
-        "cannot recompute the checks: ValueError: trace.csv has 6 of 7 columns; re-run it"]
-    assert printed.err == ""
+    reporting, other = (printed.out, printed.err) if code == 2 else (printed.err, printed.out)
+    assert reporting.splitlines() == [line.format(out=out)]
+    assert other == ""
 
 
 def test_verify_needs_manifest(tmp_path, capsys):

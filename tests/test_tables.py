@@ -1,4 +1,6 @@
 import csv
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ def test_edge_values_match_the_csv_module_and_read_back(tmp_path):
     assert path.read_bytes() == csv_module_bytes(tmp_path / "ref.csv", ["a", "b", "n"],
                                                  a, b, ints)
     assert path.read_bytes().startswith(b"a,b,n\r\n0.0,1e-05,0.0\r\n-0.0,")
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(back[:, 0], a)
-    np.testing.assert_array_equal(np.signbit(back[:, 0]), np.signbit(a))
-    np.testing.assert_array_equal(back[:, 1], b)
+    back = tables.read_columns(path)
+    np.testing.assert_array_equal(back[0], a)
+    np.testing.assert_array_equal(np.signbit(back[0]), np.signbit(a))
+    np.testing.assert_array_equal(back[1], b)
 
 
 def test_tables_longer_than_a_chunk_match_the_csv_module(tmp_path):
@@ -43,16 +45,27 @@ def test_tables_longer_than_a_chunk_match_the_csv_module(tmp_path):
     path = tmp_path / "t.csv"
     tables.write_columns(path, ["x", "y"], x, y)
     assert path.read_bytes() == csv_module_bytes(tmp_path / "ref.csv", ["x", "y"], x, y)
-    back = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert back.shape == (n, 2)
-    np.testing.assert_array_equal(back[:, 0], x)
-    np.testing.assert_array_equal(back[:, 1], y)
+    back = tables.read_columns(path)
+    assert back.shape == (2, n)
+    np.testing.assert_array_equal(back[0], x)
+    np.testing.assert_array_equal(back[1], y)
 
 
 def test_empty_table_is_the_header_alone(tmp_path):
     path = tmp_path / "t.csv"
     tables.write_columns(path, ["t", "y"], [], [])
     assert path.read_bytes() == b"t,y\r\n"
+    # Read back, it is an error that names the file, with no warning first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has no data rows$"):
+            tables.read_columns(path)
+
+
+def test_a_table_of_one_row_reads_back_as_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    tables.write_columns(path, ["t", "y"], [1.0], [2.0])
+    np.testing.assert_array_equal(tables.read_columns(path), [[1.0], [2.0]])
 
 
 @pytest.mark.parametrize("header,columns", [
