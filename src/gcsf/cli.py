@@ -398,10 +398,13 @@ def _run_translator1d(cfg: SimpleNamespace, out: str):
 
 
 def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+    """Above alpha = 1/2 the profile must blow up before x_max; at or below
+    it the profile is entire, so the stored rows must reach x_max."""
     x, _, dv = columns["profile1d.csv"]
     half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
-    checks = [Check("dichotomy", blew_up == (cfg.alpha > 0.5), None, "true")]
+    dichotomy = blew_up if cfg.alpha > 0.5 else bool(x[-1] >= cfg.x_max)
+    checks = [Check("dichotomy", dichotomy, None, "true")]
     if cfg.alpha == 1.0 and blew_up:
         checks.append(Check("half-width-tan", abs(half_width - math.pi / 2.0),
                             HALF_WIDTH_TOL, "le"))
@@ -511,6 +514,27 @@ def _run_comparison_ode(cfg: SimpleNamespace, out: str):
     return scalars, columns
 
 
+def _check_ode_horizon(cfg: SimpleNamespace) -> None:
+    """The slope rho' stays below 10 delta t e^E(t), with
+    E(t) = (10 alpha/(alpha+1)) t^((alpha+1)/alpha), and the march's stages
+    hold 10 t^(1/alpha) times it; with a factor 1e3 for the stage weights,
+    that must stay inside the float range up to t_max, and so must
+    e^E(t_max), which the closed form evaluates.  The factor is a margin:
+    without it, DOP853 first overflowed where this bound sat 0.4 to 3.6
+    below log(max float), over alpha from 1 down to 0.01 at delta = 1."""
+    a = cfg.alpha
+    log_power_t = (1.0 + 1.0 / a) * math.log(cfg.t_max)  # log t^((alpha+1)/alpha)
+    log_max = math.log(sys.float_info.max)
+    log_e = math.log(10.0 * a / (a + 1.0)) + log_power_t
+    fits = log_e <= math.log(log_max)
+    if fits:
+        growth = math.exp(log_e)
+        fits = (growth <= log_max
+                and math.log(1e5 * cfg.delta) + growth + log_power_t <= log_max)
+    _require(fits, "field 't_max' is too long for this alpha and delta: "
+             "the slope leaves the float range before it")
+
+
 def _ode_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     return [Check("ode-closed-form", _ode_rel_err(cfg, columns), ODE_AGREEMENT_TOL, "le")]
 
@@ -577,7 +601,7 @@ EXPERIMENTS = {
     "comparison-ode": Experiment(
         {"alpha": 1.0, "delta": 1e-6, "t_max": 3.0},
         _run_comparison_ode, _ode_checks,
-        "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err")),
+        "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err"), _check_ode_horizon),
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
         _run_log_convexity, _logconv_checks, "margins.csv", ("margin",)),

@@ -630,38 +630,6 @@ def run_normalized(
     return taus, [SupportFunction(row) for row in rows]
 
 
-def _normalized_rows(trace: FlowTrace, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
-    """tau of each stored time before the extinction time, and the matching
-    rows of the trace recentred and magnified (see normalize_trace)."""
-    if trace.extinction_time is None:
-        raise ValueError("trace has no extinction time; run further or check stop_reason")
-    a1 = 1.0 + p.alpha
-    remaining = a1 * (trace.extinction_time - trace.times)
-    keep = remaining > 0.0
-    left = remaining[keep].tolist()  # libm's log and pow; numpy's round differently
-    taus = np.array([-math.log(r) / a1 for r in left])
-    factors = np.array([r ** (-1.0 / a1) for r in left])
-    return taus, _steiner(trace.samples[keep])[2] * factors[:, None]
-
-
-def normalize_trace(trace: FlowTrace, p: FlowParams) -> list[tuple[float, SupportFunction]]:
-    """Rescale a contracting trace onto the self-similar time scale.
-
-    Each state is recentred at its Steiner point, then magnified by
-    ((1+alpha)(T - t))^(-1/(1+alpha)) with T the extrapolated extinction
-    time; tau = -log((1+alpha)(T - t)) / (1+alpha).  Shrinking circles map
-    to the unit circle at every tau.
-    """
-    taus, rows = _normalized_rows(trace, p)
-    return [(tau, SupportFunction(row)) for tau, row in zip(taus.tolist(), rows)]
-
-
-def normalized_delta_series(trace: FlowTrace, p: FlowParams) -> np.ndarray:
-    """Pairs (tau, sup distance of the rescaled state to the unit circle)."""
-    taus, rows = _normalized_rows(trace, p)
-    return np.column_stack([taus, np.max(np.abs(rows - 1.0), axis=1)])
-
-
 def linearized_mode_rate(alpha: float, mode: int) -> float:
     """Decay rate 1 + alpha(1 - mode^2) of one harmonic of the rescaled flow.
 

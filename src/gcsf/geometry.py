@@ -194,16 +194,6 @@ def random_convex_body(rng: np.random.Generator, m: int = DEFAULT_GRID,
             return SupportFunction(values)
 
 
-def curvature_radius(s: SupportFunction) -> np.ndarray:
-    """Radius of curvature s'' + s; positive on every valid support function."""
-    radius = curvature_radius_samples(s.samples)
-    if not (np.min(radius) > 0.0):
-        raise ConvexityLostError(
-            f"curvature radius must be positive, min is {np.min(radius):.3e}"
-        )
-    return radius
-
-
 # The arithmetic below works on each support function along the last axis
 # of an array of samples, so a trace of states is one call; the public
 # functions apply it to one state.
@@ -272,12 +262,6 @@ def translate(s: SupportFunction, vector) -> SupportFunction:
     return SupportFunction(s.samples + vx * cos_t + vy * sin_t)
 
 
-def recenter(s: SupportFunction) -> SupportFunction:
-    """Translate so the Steiner point sits at the origin."""
-    p = steiner_point(s)
-    return translate(s, (-p.x, -p.y))
-
-
 def inradius(s: SupportFunction) -> float:
     """Radius of the largest disc centred at the Steiner point."""
     return float(np.min(_steiner(s.samples)[2]))
@@ -288,42 +272,7 @@ def circumradius(s: SupportFunction) -> float:
     return float(np.max(_steiner(s.samples)[2]))
 
 
-def hausdorff_to_circle(s: SupportFunction, center, radius: float) -> float:
-    """Hausdorff distance to the circle of given center and radius.
-
-    For convex bodies this is the sup norm of the difference of support
-    functions, here max |s_recentred - radius|.  The center must lie
-    strictly inside the body.
-    """
-    if radius <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {radius}")
-    cx, cy = _as_xy(center)
-    cos_t, sin_t = _basis(s.m)
-    shifted = s.samples - cx * cos_t - cy * sin_t
-    if np.min(shifted) <= 0.0:
-        raise ValueError("center must lie strictly inside the body")
-    return float(np.max(np.abs(shifted - radius)))
-
-
-def mode_amplitude(s: SupportFunction, mode: int) -> float:
-    """Amplitude sqrt(a_k^2 + b_k^2) of one Fourier harmonic of the samples."""
-    return float(_mode_amplitudes(s.samples, mode))
-
-
 # -- serialization ----------------------------------------------------------
 
 def _samples_to_json(values: np.ndarray) -> str:
     return json.dumps({"m": values.size, "samples": values.tolist()})
-
-
-def support_to_json(s: SupportFunction) -> str:
-    """JSON text {"m": M, "samples": [...]}; floats round-trip bit-faithfully."""
-    return _samples_to_json(s.samples)
-
-
-def support_from_json(text: str) -> SupportFunction:
-    data = json.loads(text)
-    samples = np.array(data["samples"], dtype=float)
-    if data.get("m") != samples.size:
-        raise ValueError("declared grid size does not match the sample count")
-    return SupportFunction(samples)

@@ -522,15 +522,6 @@ def log_convexity_grid(
     return r, phi_rr, phi_r / r
 
 
-def radial_log_convexity(R: float, alpha: float, n_points: int = 2001) -> float:
-    """Log-convexity margin: min Hessian eigenvalue of phi = -log(-u).
-
-    Positivity over the whole grid is the convexity statement.
-    """
-    _, phi_rr, phi_tan = log_convexity_grid(R, alpha, n_points)
-    return float(min(np.min(phi_rr), np.min(phi_tan)))
-
-
 # -- serialization ----------------------------------------------------------
 
 def write_profile_csv(profile: RadialProfile, path) -> None:

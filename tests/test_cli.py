@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -528,10 +529,140 @@ def test_verify_of_a_damaged_run_directory_is_one_line(tmp_path, capsys, damage)
     assert other == ""
 
 
+def test_verify_fails_an_entire_profile_cut_short(tmp_path, capsys):
+    # At alpha <= 1/2 nothing blows up, so stored rows that stop short of
+    # x_max (here at x = 3.8 of 20) cannot show the profile is entire.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out), alpha=0.4)
+    assert cli.main(["run", cfg]) == 0
+    _keep_rows(out / "profile1d.csv", 19)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert "check dichotomy: False [FAIL] (MISMATCH with manifest)" in capsys.readouterr().out
+
+
 def test_verify_needs_manifest(tmp_path, capsys):
     assert cli.main(["verify", str(tmp_path)]) == 1
     assert "no manifest.json" in capsys.readouterr().err
 
+
+def _accepts(raw) -> bool:
+    try:
+        cli.config_from_dict(raw)
+    except cli.UsageError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-6])
+def test_comparison_ode_horizon_is_capped_where_the_slope_overflows(tmp_path, capsys, delta):
+    # The slope grows like delta e^E(t), E(t) = (10 alpha/(alpha+1))
+    # t^((alpha+1)/alpha).  The longest horizon that validates runs with no
+    # warning; the next float up is a usage error, exit 1 in one line.
+    raw = dict(experiment="comparison-ode", output_dir=str(tmp_path / "r"),
+               alpha=0.2, delta=delta)
+    lo, hi = 1.0, 3.0
+    assert _accepts(dict(raw, t_max=lo)) and not _accepts(dict(raw, t_max=hi))
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _accepts(dict(raw, t_max=mid)) else (lo, mid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_config(tmp_path, **dict(raw, t_max=lo))]) == 0
+        capsys.readouterr()
+        assert cli.main(["run", write_config(tmp_path, **dict(raw, t_max=hi))]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: field 't_max' is too long")
+
+
+def test_comparison_ode_at_small_alpha_is_a_usage_error(tmp_path, capsys):
+    # At alpha = 0.2 the default t_max = 3 takes E(t) to 1215.
+    cfg = write_config(tmp_path, experiment="comparison-ode", output_dir=str(tmp_path / "r"),
+                       alpha=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 1
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
+# -- seeded fuzz of whole runs ----------------------------------------------
+
+class _Draw:
+    """Seeded draws of config values."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, lo, hi):
+        return float(self.rng.uniform(lo, hi))
+
+    def log_uniform(self, lo, hi):
+        return math.exp(self.uniform(math.log(lo), math.log(hi)))
+
+    def integer(self, lo, hi):
+        return int(self.rng.integers(lo, hi + 1))
+
+    def pick(self, *options):
+        return options[self.rng.integers(len(options))]
+
+
+def _fuzz_body(d):
+    return d.pick({"kind": "circle", "radius": d.log_uniform(0.05, 2.0),
+                   "center": [d.uniform(-1.0, 1.0), d.uniform(-1.0, 1.0)]},
+                  {"kind": "ellipse", "a": d.log_uniform(0.2, 1.0), "b": d.log_uniform(0.2, 1.0)},
+                  {"kind": "fourier", "cos": [1.0, d.uniform(-0.2, 0.2), d.uniform(-0.1, 0.1)],
+                   "sin": [0.0, d.uniform(-0.1, 0.1)]},
+                  {"kind": "random"})
+
+
+# Fields of each experiment on small grids and short horizons, drawn wide
+# enough that some configs fail validation and some runs fail their checks.
+FUZZ_FIELDS = {
+    "flow": lambda d: dict(alpha=d.log_uniform(0.1, 4.0), m=d.pick(64, 128),
+                           seed=d.integer(0, 99), initial_body=_fuzz_body(d),
+                           t_max=d.pick(None, d.uniform(0.0, 0.3)),
+                           snapshot_every=d.integer(0, 3)),
+    "normalized-rate": lambda d: dict(alpha=d.log_uniform(0.1, 4.0), m=d.pick(64, 128),
+                                      mode=d.integer(1, 4), eps=d.uniform(-0.05, 0.05),
+                                      tau_end=d.uniform(0.0, 4.0),
+                                      fit_window=[d.uniform(0.0, 2.0), d.uniform(1.0, 4.0)]),
+    "translator1d": lambda d: dict(alpha=d.log_uniform(0.2, 3.0), x_max=d.uniform(-1.0, 25.0)),
+    "radial-translator": lambda d: dict(alpha=d.log_uniform(0.3, 3.0),
+                                        sigma=d.uniform(0.01, 1.0),
+                                        r_max=d.log_uniform(0.01, 30.0)),
+    "blowdown": lambda d: dict(alpha=d.log_uniform(0.3, 3.0), sigma=d.uniform(0.01, 1.0),
+                               scales=sorted(d.log_uniform(1.0, 1e3)
+                                             for _ in range(d.integer(1, 4)))),
+    "legendre": lambda d: dict(alpha=d.log_uniform(0.6, 3.0), sigma=d.uniform(0.01, 1.0),
+                               p_lo=d.uniform(0.5, 5.0), p_hi=d.uniform(1.0, 15.0)),
+    "comparison-ode": lambda d: dict(alpha=d.log_uniform(0.1, 4.0),
+                                     delta=d.log_uniform(1e-10, 10.0),
+                                     t_max=d.uniform(0.1, 6.0)),
+    "log-convexity": lambda d: dict(alpha=d.log_uniform(0.1, 4.0),
+                                    radius=d.log_uniform(0.1, 10.0),
+                                    n_points=d.integer(2, 500)),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
+def test_every_validated_config_ends_as_a_manifest(tmp_path, experiment):
+    # Seeded configs: each one that validates must run to a manifest and
+    # exit 0 or 2, with no traceback and no warning of any kind.
+    validated = 0
+    for seed in range(8):
+        out = tmp_path / f"run{seed}"
+        raw = dict(FUZZ_FIELDS[experiment](_Draw(seed)), experiment=experiment,
+                   output_dir=str(out))
+        if not _accepts(raw):
+            continue
+        validated += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["run", write_config(tmp_path, **raw)])
+        assert code in (0, 2), raw
+        assert read_manifest(out)["pass"] is (code == 0), raw
+    assert validated >= 4
 
 # -- sweep -------------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -472,8 +473,7 @@ def test_march_records_the_largest_curvature_radius():
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
                                  stats=stats)
-    radii = [float(np.max(geo.curvature_radius(geo.SupportFunction(row))))
-             for row in trace.samples]
+    radii = [float(np.max(geo.curvature_radius_samples(row))) for row in trace.samples]
     assert stats.r_max == pytest.approx(max(radii), rel=1e-12)
     assert stats.r_max > radii[-1]
 
@@ -482,8 +482,7 @@ def test_march_records_the_smallest_curvature_radius():
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
                                  stats=stats)
-    radii = [float(np.min(geo.curvature_radius(geo.SupportFunction(row))))
-             for row in trace.samples]
+    radii = [float(np.min(geo.curvature_radius_samples(row))) for row in trace.samples]
     # The march takes each radius from the coefficients, the geometry
     # function from the samples; the two routes agree to rounding.
     assert stats.r_min == pytest.approx(min(radii), rel=1e-12)
@@ -520,7 +519,7 @@ def test_normalized_circle_is_a_fixed_point():
     taus, states = fl.run_normalized(circle(), p, 2.0)
     assert taus[-1] == pytest.approx(2.0, abs=1e-12)
     for s in states:
-        assert geo.hausdorff_to_circle(s, (0.0, 0.0), 1.0) <= 1e-9
+        assert np.max(np.abs(s.samples - 1.0)) <= 1e-9
 
 
 def _rk4_normalized(s, p, tau_end):
@@ -556,20 +555,6 @@ def test_normalized_march_matches_rk4_on_random_bodies(seed, alpha):
     _, states = fl.run_normalized(s0, p, 0.5)
     reference = _rk4_normalized(s0, p, 0.5)
     assert _sup_rel(states[-1].samples, reference.samples) <= 1e-6
-
-
-def test_normalize_trace_rescales_onto_unit_circle():
-    p = FlowParams(alpha=1.0, m=64)
-    trace = fl.run_to_extinction(circle(), p)
-    pairs = fl.normalize_trace(trace, p)
-    # tau(0) carries the roundoff of the fitted extinction time
-    assert abs(pairs[0][0]) <= 1e-10
-    taus = [tau for tau, _ in pairs]
-    assert all(b > a for a, b in zip(taus, taus[1:]))
-    for tau, s in pairs:
-        if tau > 3.0:
-            break
-        assert geo.hausdorff_to_circle(s, geo.steiner_point(s), 1.0) <= 1e-9
 
 
 def test_linearized_mode_rate_values():
@@ -613,16 +598,18 @@ def test_perturbation_modes_stay_decoupled():
     p = FlowParams(alpha=1.0, m=128)
     _, states = fl.run_normalized(s0, p, 1.0)
     for s in states:
-        assert geo.mode_amplitude(s, 2) <= 10.0 * eps**2
-        assert geo.mode_amplitude(s, 4) <= 10.0 * eps**2
+        assert geo._mode_amplitudes(s.samples, 2) <= 10.0 * eps**2
+        assert geo._mode_amplitudes(s.samples, 4) <= 10.0 * eps**2
 
 
-def test_normalized_delta_series_contracts_for_near_circle():
+def test_delta_to_circle_contracts_for_near_circle():
+    # delta_to_circle is scale free, so it is the distance of the rescaled
+    # state to the unit circle; it falls on every row up to rescaled time
+    # tau = -log(2 (T - t)) / 2 = 3.
     p = FlowParams(alpha=1.0, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.05, 1.0, m=128), p)
-    deltas = fl.normalized_delta_series(trace, p)
-    taus, vals = deltas[:, 0], deltas[:, 1]
-    sel = taus <= 3.0
+    vals = trace.columns["delta_to_circle"]
+    sel = 2.0 * (trace.extinction_time - trace.times) >= math.exp(-6.0)
     assert np.all(np.diff(vals[sel]) <= 1e-12)
     assert vals[sel][-1] < 1e-3 < vals[0]
 
@@ -684,23 +671,6 @@ def test_trace_integrals_and_defect_match_the_per_state_arithmetic():
     assert fl.area_defect(t, a, integrals) == worst > 0.0
 
 
-def test_normalized_trace_matches_the_per_state_rescaling():
-    # Recentring by the Steiner point of the whole samples array must give
-    # each state's recenter times its magnification, bit for bit.
-    p = FlowParams(alpha=1.0, m=128)
-    trace = fl.run_to_extinction(geo.make_ellipse(1.05, 1.0, m=128), p, store_every=8)
-    pairs = fl.normalize_trace(trace, p)
-    assert len(pairs) > 10
-    for (tau, s), t, row in zip(pairs, trace.times, trace.samples):
-        remaining = 2.0 * (trace.extinction_time - float(t))
-        assert tau == -math.log(remaining) / 2.0
-        expected = geo.recenter(geo.SupportFunction(row)).samples * remaining ** -0.5
-        np.testing.assert_array_equal(s.samples, expected)
-    np.testing.assert_array_equal(
-        fl.normalized_delta_series(trace, p),
-        [(tau, geo.hausdorff_to_circle(s, (0.0, 0.0), 1.0)) for tau, s in pairs])
-
-
 def test_area_rate_identity_along_flow():
     p = FlowParams(alpha=1.0, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
@@ -756,7 +726,8 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
     np.testing.assert_array_equal(trace.lengths, [geo.length(s) for s in states])
     expected = []
     for t, s in zip(trace.times, states):
-        rec = geo.recenter(s).samples
+        center = geo.steiner_point(s)
+        rec = geo.translate(s, (-center.x, -center.y)).samples
         mean_radius = float(np.mean(rec))
         expected.append([t, geo.area(s), geo.length(s), geo.inradius(s),
                          geo.circumradius(s),
@@ -795,8 +766,8 @@ def test_snapshots_written_every_k(tmp_path):
     n = len(trace.times)
     expected = {i for i in range(n) if i % 50 == 0} | {n - 1}
     assert paths == [f"{i:06d}.json" for i in sorted(expected)]
-    s = geo.support_from_json((tmp_path / paths[0]).read_text())
-    np.testing.assert_array_equal(s.samples, trace.samples[0])
+    snapshot = json.loads((tmp_path / paths[0]).read_text())
+    np.testing.assert_array_equal(snapshot["samples"], trace.samples[0])
 
 
 def test_snapshots_hold_the_json_form_of_each_row(tmp_path):
@@ -805,4 +776,4 @@ def test_snapshots_hold_the_json_form_of_each_row(tmp_path):
     for name in paths:
         row = trace.samples[int(name[:-5])]
         text = (tmp_path / name).read_text()
-        assert text == geo.support_to_json(geo.SupportFunction(row))
+        assert text == json.dumps({"m": row.size, "samples": row.tolist()})

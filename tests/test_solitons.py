@@ -380,7 +380,8 @@ def test_log_convexity_grid_matches_symbolic_derivatives():
 def test_log_convexity_margins_are_positive():
     for alpha in (0.7, 1.0, 2.0):
         for R in (0.5, 1.0, 2.0):
-            assert so.radial_log_convexity(R, alpha) > 0.0
+            _, phi_rr, phi_tan = so.log_convexity_grid(R, alpha)
+            assert min(np.min(phi_rr), np.min(phi_tan)) > 0.0
 
 
 def test_log_convexity_validation():
