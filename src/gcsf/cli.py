@@ -3,12 +3,14 @@
 Subcommands: run executes one experiment and archives its outputs under one
 directory; sweep repeats a base config across the values of one parameter,
 one directory per value plus a summary CSV; verify recomputes a finished
-run's pass/fail decisions from its stored CSVs alone.  Each experiment is
-one entry of EXPERIMENTS: the config fields it accepts, its runner, and the
-checks that run and verify both derive from the same artifact columns.
-Every run writes a manifest.json naming each headline number and the file
-it came from; CSVs are written in full round-trip precision, so identical
-config and seed give byte-identical outputs.
+run's pass/fail decisions and headline numbers from its stored CSVs
+alone.  Each experiment is one entry of EXPERIMENTS: the config fields it
+accepts, its runner, which marches and writes the artifacts, and its judge,
+which derives the checks and the headline numbers from the artifact
+columns, for run and verify alike.  Every run writes a manifest.json naming
+each headline number and the file it came from; CSVs are written in full
+round-trip precision, so identical config and seed give byte-identical
+outputs, and verify demands exact agreement with the manifest.
 """
 
 from __future__ import annotations
@@ -182,19 +184,21 @@ class Experiment:
     fields maps each config field the experiment reads to its default, or
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
-    fields.  run(cfg, out) writes the artifacts under out and returns
-    (scalars, columns): the headline numbers, all read off the file named
-    source, and the columns of each file written, keyed by file name.  An
-    experiment that marches the flow has marches set; its run takes a
-    MarchStats as stats and fills it in, and run_config writes it to the
-    manifest as solver, also when the run fails.  checks(cfg, columns)
-    derives the pass/fail decisions from such columns alone: run_config
-    hands it the columns just written, verify the same columns read back.
+    fields.  run(cfg, out, stats) marches, writes the artifacts under out
+    and returns (columns, marched): each written file's columns, keyed by
+    file name, and the headline numbers that no artifact row holds.
+    judge(cfg, columns) derives (scalars, checks), every other headline
+    number and the pass/fail decisions, from such columns alone: for
+    run_config from the columns just written, for verify from the same
+    columns read back.  headline orders the manifest's scalars, each read
+    off the file named source.  An experiment that marches the flow has
+    marches set; run_config writes the stats its run fills in to the
+    manifest as solver, also when the run fails.
     """
 
     fields: dict
     run: Callable
-    checks: Callable
+    judge: Callable
     source: str
     headline: tuple[str, ...]
     validate: Callable = lambda cfg: None
@@ -283,14 +287,16 @@ def _build_body(cfg: SimpleNamespace) -> SupportFunction:
         raise UsageError(f"initial_body: {exc}") from exc
 
 
-def _scalar(value, source: str) -> dict:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-    return {"value": value, "source": source}
+def _scalars(experiment: Experiment, values: dict) -> dict:
+    """The manifest entries of the headline numbers values holds, in
+    headline order; numpy floats become plain ones."""
+    plain = {name: float(v) if isinstance(v, float) else v for name, v in values.items()}
+    return {name: {"value": plain[name], "source": experiment.source}
+            for name in experiment.headline if name in plain}
 
 
-# -- the experiments: each run writes its artifacts and returns their
-# columns; each checks function reads nothing but those columns ------------
+# -- the experiments: each run marches and writes its artifacts; each judge
+# derives the checks and the headline numbers from those columns alone ------
 
 def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
     return fl.FlowParams(alpha=cfg.alpha, m=cfg.m)
@@ -313,14 +319,11 @@ def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     if cfg.snapshot_every > 0:
         fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
                                  every=cfg.snapshot_every)
-    scalars = {"extinction_time": trace.extinction_time,
-               "stop_reason": trace.stop_reason.value, "final_area": trace.areas[-1],
-               "area_defect": fl.area_rate_check(trace.columns)}
-    return scalars, columns
+    return columns, {"stop_reason": trace.stop_reason.value}
 
 
-def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    """Checks of a flow run, from trace.csv alone.
+def _flow_judge(cfg: SimpleNamespace, columns):
+    """Checks and headline numbers of a flow run, from trace.csv alone.
 
     At alpha = 1 the area falls at exactly 2 pi, on any trace of 3 rows or
     more.  A body run without t_max must go extinct.  A circle must then
@@ -337,13 +340,15 @@ def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     trace = dict(zip(fl.TRACE_COLUMNS, trace))
     times, inradii = trace["t"], trace["inradius"]
     extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
-    checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
+    extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg)) if extinct else None
     defect = fl.area_rate_check(trace)
+    scalars = {"extinction_time": extinction, "final_area": trace["area"][-1],
+               "area_defect": defect}
+    checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
     if cfg.alpha == 1.0 and defect is not None:
         checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
     if not extinct:
-        return checks
-    extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg))
+        return scalars, checks
     a1 = 1.0 + cfg.alpha
     body = cfg.initial_body
     if body.get("kind") == "circle":
@@ -352,24 +357,19 @@ def _flow_checks(cfg: SimpleNamespace, columns) -> list[Check]:
         mask = times <= 0.9 * expected
         law = (radius**a1 - a1 * times[mask]) ** (1.0 / a1)
         rel = float(np.max(np.abs(inradii[mask] - law) / law))
-        return checks + [
+        return scalars, checks + [
             Check("extinction-time", abs(extinction - expected), EXTINCTION_TOL, "le"),
             Check("circle-law", rel, CIRCLE_LAW_TOL, "le"),
         ]
     if cfg.alpha == 1.0:
         area_law = trace["area"][0] / (2.0 * math.pi)
         checks.append(Check("extinction-time", abs(extinction - area_law), EXTINCTION_TOL, "le"))
-    return checks + [
+    return scalars, checks + [
         Check("inscribed-disc-first", inradii[0]**a1 / a1 - extinction,
               EXTINCTION_TOL, "le"),
         Check("circumscribed-disc-last", extinction - trace["circumradius"][0]**a1 / a1,
               EXTINCTION_TOL, "le"),
     ]
-
-
-def _rate_fit(cfg: SimpleNamespace, columns) -> fl.RateFit:
-    return fl.fit_decay_rate(np.column_stack(columns["rate.csv"]),
-                             (cfg.fit_window[0], cfg.fit_window[1]))
 
 
 def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
@@ -378,26 +378,25 @@ def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     series = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
                                   cfg.mode, stats=stats)
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], *series.T)
-    columns = {"rate.csv": series.T}
-    fit = _rate_fit(cfg, columns)
-    return {"fitted_rate": fit.rate, "residual_rms": fit.residual_rms}, columns
+    return {"rate.csv": series.T}, {}
 
 
-def _rate_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+def _rate_judge(cfg: SimpleNamespace, columns):
+    fit = fl.fit_decay_rate(np.column_stack(columns["rate.csv"]),
+                            (cfg.fit_window[0], cfg.fit_window[1]))
     expected = fl.linearized_mode_rate(cfg.alpha, cfg.mode)
     tol = RATE_TOL * max(abs(expected), 1.0)
-    rate = _rate_fit(cfg, columns).rate
-    return [Check("decay-rate", abs(rate - expected), tol, "le")]
+    return ({"fitted_rate": fit.rate, "residual_rms": fit.residual_rms},
+            [Check("decay-rate", abs(fit.rate - expected), tol, "le")])
 
 
-def _run_translator1d(cfg: SimpleNamespace, out: str):
+def _run_translator1d(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     profile = so.translator_1d(cfg.alpha, cfg.x_max)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
-    scalars = {"half_width": profile.domain_half_width, "slope_end": profile.dv[-1]}
-    return scalars, {"profile1d.csv": (profile.x, profile.v, profile.dv)}
+    return {"profile1d.csv": (profile.x, profile.v, profile.dv)}, {}
 
 
-def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+def _translator_judge(cfg: SimpleNamespace, columns):
     """Above alpha = 1/2 the profile must blow up before x_max; at or below
     it the profile is entire, so the stored rows must reach x_max."""
     x, _, dv = columns["profile1d.csv"]
@@ -414,7 +413,7 @@ def _translator_checks(cfg: SimpleNamespace, columns) -> list[Check]:
         window = x <= 5.0
         err = float(np.max(np.abs(dv[window] - np.sinh(x[window]))))
         checks.append(Check("slope-sinh", err, SINH_TOL, "le"))
-    return checks
+    return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
 def _radial_profile(cfg: SimpleNamespace, out: str) -> so.RadialProfile:
@@ -423,72 +422,62 @@ def _radial_profile(cfg: SimpleNamespace, out: str) -> so.RadialProfile:
     return profile
 
 
-def _run_radial_translator(cfg: SimpleNamespace, out: str):
-    profile = _radial_profile(cfg, out)
-    scalars = {
-        "origin_curvature": profile.d2u[0],
-        "operator_residual": so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
-        "growth_const": so.growth_bound_check(profile, cfg.alpha),
-    }
-    return scalars, {"profile.csv": profile}
+def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
+    return {"profile.csv": _radial_profile(cfg, out)}, {}
 
 
-def _radial_checks(cfg: SimpleNamespace, columns) -> list[Check]:
+def _radial_judge(cfg: SimpleNamespace, columns):
     profile = columns["profile.csv"]
     try:
         profile.check_convex()
         convex = True
     except ValueError:
         convex = False
-    return [
+    residual = so.l_sigma_residual(profile, cfg.alpha, cfg.sigma)
+    growth = so.growth_bound_check(profile, cfg.alpha)
+    scalars = {"origin_curvature": profile.d2u[0], "operator_residual": residual,
+               "growth_const": growth}
+    return scalars, [
         Check("convex", convex, None, "true"),
-        Check("operator-residual", so.l_sigma_residual(profile, cfg.alpha, cfg.sigma),
-              RESIDUAL_TOL, "le"),
-        Check("growth-bound", so.growth_bound_check(profile, cfg.alpha),
-              GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
+        Check("operator-residual", residual, RESIDUAL_TOL, "le"),
+        Check("growth-bound", growth, GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
         Check("increment-consistency", so.hermite_increment_defect(profile),
               INCREMENT_TOL, "le"),
     ]
 
 
-def _run_blowdown(cfg: SimpleNamespace, out: str):
+def _run_blowdown(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     profile = _radial_profile(cfg, out)
     sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
     tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
                          cfg.scales, sups)
-    columns = {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}
-    return {"sup_dist": sups[-1]}, columns
+    return {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}, {}
 
 
-def _blowdown_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    sups = columns["blowdown.csv"][1]
+def _blowdown_judge(cfg: SimpleNamespace, columns):
+    _, sups = columns["blowdown.csv"]
     monotone = bool(all(a > b for a, b in zip(sups, sups[1:])))
-    return [Check("supdist-monotone", monotone, None, "true")]
+    return {"sup_dist": sups[-1]}, [Check("supdist-monotone", monotone, None, "true")]
 
 
-def _dual_fit(cfg: SimpleNamespace, columns) -> so.DualPowerFit:
-    p, u_star, r_argmax, d2u_star = columns["dual.csv"]
-    return so.dual_power_fit(so.RadialProfile(p, u_star, r_argmax, d2u_star),
-                             cfg.p_lo, cfg.p_hi)
-
-
-def _run_legendre(cfg: SimpleNamespace, out: str):
+def _run_legendre(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     profile = _radial_profile(cfg, out)
     dual = so.legendre(profile)
     tables.write_columns(os.path.join(out, "dual.csv"),
                          ["p", "u_star", "r_argmax", "d2u_star"],
                          dual.r, dual.u, dual.du, dual.d2u)
-    columns = {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
-    fit = _dual_fit(cfg, columns)
-    return {"exponent": fit.exponent, "coefficient": fit.coefficient,
-            "offset": fit.offset}, columns
+    return {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}, {}
 
 
-def _legendre_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    fit = _dual_fit(cfg, columns)
+def _legendre_judge(cfg: SimpleNamespace, columns):
+    p, u_star, r_argmax, d2u_star = columns["dual.csv"]
+    fit = so.dual_power_fit(so.RadialProfile(p, u_star, r_argmax, d2u_star),
+                            cfg.p_lo, cfg.p_hi)
     exp_true = (1.0 + cfg.alpha) / cfg.alpha
     coef_true = cfg.alpha / (1.0 + cfg.alpha)
-    return [
+    scalars = {"exponent": fit.exponent, "coefficient": fit.coefficient,
+               "offset": fit.offset}
+    return scalars, [
         Check("dual-exponent", abs(fit.exponent - exp_true) / exp_true,
               DUAL_EXPONENT_TOL, "le"),
         Check("dual-coefficient", abs(fit.coefficient - coef_true) / coef_true,
@@ -496,22 +485,14 @@ def _legendre_checks(cfg: SimpleNamespace, columns) -> list[Check]:
     ]
 
 
-def _ode_rel_err(cfg: SimpleNamespace, columns) -> float:
-    ts, _, drho = columns["ode.csv"]
-    reference = so.comparison_closed_form(cfg.alpha, cfg.delta, ts)
-    return float(np.max(np.abs(drho - reference)) / np.max(np.abs(reference)))
-
-
-def _run_comparison_ode(cfg: SimpleNamespace, out: str):
+def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max)
     so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
-    columns = {"ode.csv": (sol.t, sol.rho, sol.drho)}
     ratio = None
     if sol.a_cross is not None and cfg.delta < 1.0:
         ratio = sol.a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
-    scalars = {"a_cross": sol.a_cross, "crossing_ratio": ratio,
-               "max_rel_err": _ode_rel_err(cfg, columns)}
-    return scalars, columns
+    return {"ode.csv": (sol.t, sol.rho, sol.drho)}, {"a_cross": sol.a_cross,
+                                                     "crossing_ratio": ratio}
 
 
 def _check_ode_horizon(cfg: SimpleNamespace) -> None:
@@ -535,25 +516,24 @@ def _check_ode_horizon(cfg: SimpleNamespace) -> None:
              "the slope leaves the float range before it")
 
 
-def _ode_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    return [Check("ode-closed-form", _ode_rel_err(cfg, columns), ODE_AGREEMENT_TOL, "le")]
+def _ode_judge(cfg: SimpleNamespace, columns):
+    ts, _, drho = columns["ode.csv"]
+    reference = so.comparison_closed_form(cfg.alpha, cfg.delta, ts)
+    err = float(np.max(np.abs(drho - reference)) / np.max(np.abs(reference)))
+    return {"max_rel_err": err}, [Check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")]
 
 
-def _margin(columns) -> float:
-    _, radial, tangential = columns["margins.csv"]
-    return float(min(np.min(radial), np.min(tangential)))
-
-
-def _run_log_convexity(cfg: SimpleNamespace, out: str):
+def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
-    columns = {"margins.csv": (r, phi_rr, phi_tan)}
-    return {"margin": _margin(columns)}, columns
+    return {"margins.csv": (r, phi_rr, phi_tan)}, {}
 
 
-def _logconv_checks(cfg: SimpleNamespace, columns) -> list[Check]:
-    return [Check("log-convexity-margin", _margin(columns), LOG_CONVEXITY_FLOOR, "ge")]
+def _logconv_judge(cfg: SimpleNamespace, columns):
+    _, radial, tangential = columns["margins.csv"]
+    margin = float(min(np.min(radial), np.min(tangential)))
+    return {"margin": margin}, [Check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
 
 
 def _check_reach(cfg: SimpleNamespace) -> None:
@@ -568,7 +548,7 @@ _UNIT_CIRCLE = {"kind": "circle", "radius": 1.0, "center": [0.0, 0.0]}
 EXPERIMENTS = {
     "flow": Experiment(
         {**_GRID_FIELDS, "t_max": None, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
-        _run_flow, _flow_checks,
+        _run_flow, _flow_judge,
         "trace.csv", ("extinction_time", "stop_reason", "final_area", "area_defect"),
         _check_flow_body, marches=True),
     "normalized-rate": Experiment(
@@ -576,35 +556,35 @@ EXPERIMENTS = {
          "fit_window": (1.0, 3.0),
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
-        _run_normalized_rate, _rate_checks,
+        _run_normalized_rate, _rate_judge,
         "rate.csv", ("fitted_rate", "residual_rms"), _build_body, marches=True),
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
-        _run_translator1d, _translator_checks,
+        _run_translator1d, _translator_judge,
         "profile1d.csv", ("half_width", "slope_end")),
     "radial-translator": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "r_max": 20.0},
-        _run_radial_translator, _radial_checks,
+        _run_radial_translator, _radial_judge,
         "profile.csv", ("origin_curvature", "operator_residual", "growth_const")),
     "blowdown": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "scales": (10.0, 100.0, 1000.0, 10000.0),
          "r_max": lambda c: 1.02 * max(c["scales"]) ** (1.0 / (1.0 + c["alpha"]))},
-        _run_blowdown, _blowdown_checks,
+        _run_blowdown, _blowdown_judge,
         "blowdown.csv", ("sup_dist",), _check_reach),
     "legendre": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "p_lo": 50.0, "p_hi": 100.0,
          "r_max": lambda c: max(6.0, (1.15 * c["p_hi"]) ** (1.0 / c["alpha"]))},
-        _run_legendre, _legendre_checks,
+        _run_legendre, _legendre_judge,
         "dual.csv", ("exponent", "coefficient", "offset"),
         lambda cfg: _require(cfg.p_lo < cfg.p_hi,
                              "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi")),
     "comparison-ode": Experiment(
         {"alpha": 1.0, "delta": 1e-6, "t_max": 3.0},
-        _run_comparison_ode, _ode_checks,
+        _run_comparison_ode, _ode_judge,
         "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err"), _check_ode_horizon),
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
-        _run_log_convexity, _logconv_checks, "margins.csv", ("margin",)),
+        _run_log_convexity, _logconv_judge, "margins.csv", ("margin",)),
 }
 
 
@@ -617,8 +597,8 @@ def _make_dir(path: str) -> None:
 
 def run_config(cfg: SimpleNamespace) -> dict:
     """Execute one experiment, write its artifacts and manifest, return the
-    manifest payload.  The checks are judged on the columns just written,
-    as verify judges them on the same columns read back."""
+    manifest payload.  The columns just written are judged, as verify
+    judges the same columns read back."""
     _make_dir(cfg.output_dir)
     experiment = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
@@ -627,13 +607,9 @@ def run_config(cfg: SimpleNamespace) -> dict:
     checks: list[Check] = []
     stats = fl.MarchStats()
     try:
-        if experiment.marches:
-            values, columns = experiment.run(cfg, cfg.output_dir, stats)
-        else:
-            values, columns = experiment.run(cfg, cfg.output_dir)
-        checks = experiment.checks(cfg, columns)
-        scalars = {name: _scalar(value, experiment.source)
-                   for name, value in values.items()}
+        columns, marched = experiment.run(cfg, cfg.output_dir, stats)
+        judged, checks = experiment.judge(cfg, columns)
+        scalars = _scalars(experiment, {**marched, **judged})
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
@@ -759,11 +735,13 @@ def cmd_sweep(config_path: str, param: str, values_text: str,
              f"{raw['experiment']} accepts {', '.join(experiment.fields)}")
     _require("output_dir" in raw, "config field 'output_dir' is required")
     base_dir = raw["output_dir"]
-    _make_dir(base_dir)
-
     values = ([_json_or_text(chunk) for chunk in values_text.split(",")]
               if values_text.strip() != "" else [])
     labels = [f"{param}={_format_cell(value)}" for value in values]
+    for i, label in enumerate(labels):
+        _require(label not in labels[:i],
+                 f"sweep value {_format_cell(values[i])} repeats: it would write {label} twice")
+    _make_dir(base_dir)
     configs = [dict(raw, **{param: value, "output_dir": os.path.join(base_dir, label)})
                for value, label in zip(values, labels)]
 
@@ -801,12 +779,17 @@ def cmd_verify(run_dir: str) -> int:
              and all(isinstance(c, dict) and isinstance(c.get("name"), str)
                      for c in stored_checks),
              f"manifest {manifest_path!r} holds no list of named checks")
+    stored_scalars = manifest.get("scalars", {})
+    _require(isinstance(stored_scalars, dict)
+             and all(isinstance(entry, dict) for entry in stored_scalars.values()),
+             f"manifest {manifest_path!r} holds no object of scalar entries")
     if manifest.get("error"):
         print(f"run recorded an error: {manifest['error']}")
         return 2
     cfg = config_from_dict(manifest["config"])
+    experiment = EXPERIMENTS[cfg.experiment]
     try:
-        recomputed = EXPERIMENTS[cfg.experiment].checks(cfg, _StoredColumns(run_dir))
+        judged, recomputed = experiment.judge(cfg, _StoredColumns(run_dir))
     except (ArithmeticError, OSError, RuntimeError, ValueError) as exc:
         print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
         return 2
@@ -822,6 +805,10 @@ def cmd_verify(run_dir: str) -> int:
         tag = "matches manifest" if agrees else "MISMATCH with manifest"
         print(f"check {check.describe()} ({tag})")
         ok = ok and agrees and check.passed
+    for name, entry in _scalars(experiment, judged).items():
+        if stored_scalars.get(name) != entry:
+            print(f"scalar {name}: {entry['value']!r} (MISMATCH with manifest)")
+            ok = False
     return 0 if ok else 2
 
 

@@ -151,10 +151,12 @@ def translator_1d(alpha: float, x_max: float) -> Profile1D:
 def blow_up_half_width(alpha: float, x_max: float, x, dv) -> float | None:
     """Half-width read off a stored 1-D profile's last row.
 
-    For alpha > 1/2, a march that stopped short of x_max stopped at the
-    slope event, so it blew up; anything else reports None.
+    For alpha > 1/2, a march that stopped short of x_max at the slope event
+    blew up; anything else, rows cut short below SLOPE_SWITCH included,
+    reports None.  The event locates the switch to within about 1e-9
+    relative, so the last slope must reach it to within 1e-6.
     """
-    if alpha > 0.5 and x[-1] < x_max:
+    if alpha > 0.5 and x[-1] < x_max and dv[-1] >= (1.0 - 1e-6) * SLOPE_SWITCH:
         return tail_half_width(alpha, float(x[-1]), float(dv[-1]))
     return None
 

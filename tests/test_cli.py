@@ -314,7 +314,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     times, inradii = trace[0], trace[3]
     names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
              "circumscribed-disc-last"]
-    assert [c.name for c in cli._flow_checks(cfg, {"trace.csv": trace})] == names
+    assert [c.name for c in cli._flow_judge(cfg, {"trace.csv": trace})[1]] == names
     T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
     slack = 2.0 * cli.EXTINCTION_TOL
 
@@ -322,7 +322,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
         nudged = trace.copy() if keep is None else trace[:, keep]
         if column is not None:
             nudged[column, row] = value
-        checks = cli._flow_checks(cfg, {"trace.csv": nudged})
+        checks = cli._flow_judge(cfg, {"trace.csv": nudged})[1]
         return [c.name for c in checks if not c.passed]
 
     assert failed() == []
@@ -509,6 +509,11 @@ DAMAGED_RUNS = {
         dict(experiment="log-convexity"),
         lambda out: _rewrite_manifest(out, lambda manifest: manifest.update(checks="x")), 1,
         "error: manifest '{out}/manifest.json' holds no list of named checks"),
+    "manifest-scalar-not-an-object": (
+        dict(experiment="log-convexity"),
+        lambda out: _rewrite_manifest(out, lambda manifest: manifest["scalars"].update(
+            margin=1.0)), 1,
+        "error: manifest '{out}/manifest.json' holds no object of scalar entries"),
 }
 
 
@@ -532,13 +537,36 @@ def test_verify_of_a_damaged_run_directory_is_one_line(tmp_path, capsys, damage)
 def test_verify_fails_an_entire_profile_cut_short(tmp_path, capsys):
     # At alpha <= 1/2 nothing blows up, so stored rows that stop short of
     # x_max (here at x = 3.8 of 20) cannot show the profile is entire.
+    # Above 1/2, rows cut before the slope reached SLOPE_SWITCH (here at
+    # x = 1.89, slope 18.4) cannot show that it blew up.
+    for alpha, rows in [(0.4, 19), (0.75, 43)]:
+        out = tmp_path / f"run{alpha}"
+        cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out),
+                           alpha=alpha)
+        assert cli.main(["run", cfg]) == 0
+        _keep_rows(out / "profile1d.csv", rows)
+        capsys.readouterr()
+        assert cli.main(["verify", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "check dichotomy: False [FAIL] (MISMATCH with manifest)" in printed
+        assert "scalar slope_end: " in printed
+
+
+def test_verify_rejudges_the_headline_numbers(tmp_path, capsys):
+    # The checks read dual.csv and still agree; the exponent the manifest
+    # reports, moved by 0.1%, no longer does.
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out), alpha=0.4)
+    cfg = write_config(tmp_path, experiment="legendre", output_dir=str(out),
+                       p_lo=20.0, p_hi=40.0)
     assert cli.main(["run", cfg]) == 0
-    _keep_rows(out / "profile1d.csv", 19)
+    exponent = read_manifest(out)["scalars"]["exponent"]["value"]
+    _rewrite_manifest(out, lambda manifest: manifest["scalars"]["exponent"].update(
+        value=1.001 * exponent))
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
-    assert "check dichotomy: False [FAIL] (MISMATCH with manifest)" in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == [
+        f"scalar exponent: {exponent!r} (MISMATCH with manifest)"]
 
 
 def test_verify_needs_manifest(tmp_path, capsys):
@@ -701,6 +729,16 @@ def test_sweep_with_no_values_writes_header_only(tmp_path):
     rows = read_summary(base)
     assert len(rows) == 1
     assert rows[0][0] == "radius"
+
+
+def test_sweep_rejects_repeated_values(tmp_path, capsys):
+    # Both runs would write one alpha=1 directory, at once under two workers.
+    base = tmp_path / "s"
+    cfg = write_config(tmp_path, experiment="log-convexity", output_dir=str(base))
+    assert cli.main(["sweep", cfg, "--param=alpha", "--values=1,2,1"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sweep value 1 repeats: it would write alpha=1 twice"]
+    assert not base.exists()
 
 
 def test_sweep_rejects_unsweepable_parameters(tmp_path, capsys):
