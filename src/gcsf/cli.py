@@ -191,9 +191,10 @@ class Experiment:
     number and the pass/fail decisions, from such columns alone: for
     run_config from the columns just written, for verify from the same
     columns read back.  headline orders the manifest's scalars, each read
-    off the file named source.  An experiment that marches the flow has
-    marches set; run_config writes the stats its run fills in to the
-    manifest as solver, also when the run fails.
+    off the file named source.  An experiment that marches an ODE or the
+    flow names its solver's stats record, fl.MarchStats or so.OdeStats;
+    run_config hands a fresh one to run and writes what the run filled in
+    to the manifest as solver, also when the run fails.
     """
 
     fields: dict
@@ -202,7 +203,7 @@ class Experiment:
     source: str
     headline: tuple[str, ...]
     validate: Callable = lambda cfg: None
-    marches: bool = False
+    solver: type | None = None
 
 
 def _experiment(raw) -> Experiment:
@@ -390,8 +391,8 @@ def _rate_judge(cfg: SimpleNamespace, columns):
             [Check("decay-rate", abs(fit.rate - expected), tol, "le")])
 
 
-def _run_translator1d(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    profile = so.translator_1d(cfg.alpha, cfg.x_max)
+def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+    profile = so.translator_1d(cfg.alpha, cfg.x_max, stats)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
     return {"profile1d.csv": (profile.x, profile.v, profile.dv)}, {}
 
@@ -416,14 +417,14 @@ def _translator_judge(cfg: SimpleNamespace, columns):
     return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
-def _radial_profile(cfg: SimpleNamespace, out: str) -> so.RadialProfile:
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max)
+def _radial_profile(cfg: SimpleNamespace, out: str, stats: so.OdeStats) -> so.RadialProfile:
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
     return profile
 
 
-def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    return {"profile.csv": _radial_profile(cfg, out)}, {}
+def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+    return {"profile.csv": _radial_profile(cfg, out, stats)}, {}
 
 
 def _radial_judge(cfg: SimpleNamespace, columns):
@@ -446,8 +447,8 @@ def _radial_judge(cfg: SimpleNamespace, columns):
     ]
 
 
-def _run_blowdown(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    profile = _radial_profile(cfg, out)
+def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+    profile = _radial_profile(cfg, out, stats)
     sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
     tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
                          cfg.scales, sups)
@@ -460,8 +461,8 @@ def _blowdown_judge(cfg: SimpleNamespace, columns):
     return {"sup_dist": sups[-1]}, [Check("supdist-monotone", monotone, None, "true")]
 
 
-def _run_legendre(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    profile = _radial_profile(cfg, out)
+def _run_legendre(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+    profile = _radial_profile(cfg, out, stats)
     dual = so.legendre(profile)
     tables.write_columns(os.path.join(out, "dual.csv"),
                          ["p", "u_star", "r_argmax", "d2u_star"],
@@ -485,8 +486,8 @@ def _legendre_judge(cfg: SimpleNamespace, columns):
     ]
 
 
-def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
-    sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max)
+def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+    sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, stats)
     so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
     ratio = None
     if sol.a_cross is not None and cfg.delta < 1.0:
@@ -523,7 +524,7 @@ def _ode_judge(cfg: SimpleNamespace, columns):
     return {"max_rel_err": err}, [Check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")]
 
 
-def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
+def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
@@ -550,38 +551,41 @@ EXPERIMENTS = {
         {**_GRID_FIELDS, "t_max": None, "snapshot_every": 0, "initial_body": _UNIT_CIRCLE},
         _run_flow, _flow_judge,
         "trace.csv", ("extinction_time", "stop_reason", "final_area", "area_defect"),
-        _check_flow_body, marches=True),
+        _check_flow_body, solver=fl.MarchStats),
     "normalized-rate": Experiment(
         {**_GRID_FIELDS, "mode": 2, "eps": 1e-3, "tau_end": 3.5,
          "fit_window": (1.0, 3.0),
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
         _run_normalized_rate, _rate_judge,
-        "rate.csv", ("fitted_rate", "residual_rms"), _build_body, marches=True),
+        "rate.csv", ("fitted_rate", "residual_rms"), _build_body, solver=fl.MarchStats),
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
         _run_translator1d, _translator_judge,
-        "profile1d.csv", ("half_width", "slope_end")),
+        "profile1d.csv", ("half_width", "slope_end"), solver=so.OdeStats),
     "radial-translator": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "r_max": 20.0},
         _run_radial_translator, _radial_judge,
-        "profile.csv", ("origin_curvature", "operator_residual", "growth_const")),
+        "profile.csv", ("origin_curvature", "operator_residual", "growth_const"),
+        solver=so.OdeStats),
     "blowdown": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "scales": (10.0, 100.0, 1000.0, 10000.0),
          "r_max": lambda c: 1.02 * max(c["scales"]) ** (1.0 / (1.0 + c["alpha"]))},
         _run_blowdown, _blowdown_judge,
-        "blowdown.csv", ("sup_dist",), _check_reach),
+        "blowdown.csv", ("sup_dist",), _check_reach, solver=so.OdeStats),
     "legendre": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "p_lo": 50.0, "p_hi": 100.0,
          "r_max": lambda c: max(6.0, (1.15 * c["p_hi"]) ** (1.0 / c["alpha"]))},
         _run_legendre, _legendre_judge,
         "dual.csv", ("exponent", "coefficient", "offset"),
         lambda cfg: _require(cfg.p_lo < cfg.p_hi,
-                             "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi")),
+                             "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi"),
+        solver=so.OdeStats),
     "comparison-ode": Experiment(
         {"alpha": 1.0, "delta": 1e-6, "t_max": 3.0},
         _run_comparison_ode, _ode_judge,
-        "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err"), _check_ode_horizon),
+        "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err"), _check_ode_horizon,
+        solver=so.OdeStats),
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
         _run_log_convexity, _logconv_judge, "margins.csv", ("margin",)),
@@ -605,7 +609,7 @@ def run_config(cfg: SimpleNamespace) -> dict:
     error = None
     scalars: dict = {}
     checks: list[Check] = []
-    stats = fl.MarchStats()
+    stats = experiment.solver() if experiment.solver else None
     try:
         columns, marched = experiment.run(cfg, cfg.output_dir, stats)
         judged, checks = experiment.judge(cfg, columns)
@@ -619,7 +623,7 @@ def run_config(cfg: SimpleNamespace) -> dict:
         "wall_time_s": time.perf_counter() - started,
         "scalars": scalars,
         "checks": [c.as_dict() for c in checks],
-        "solver": asdict(stats) if experiment.marches else None,
+        "solver": asdict(stats) if stats is not None else None,
         "pass": error is None and all(c.passed for c in checks),
         "error": error,
     }

@@ -8,18 +8,22 @@ solves, in the graph radius r,
 
     u'' = ((sigma + u'^2) / sigma) * ((sigma + u'^2)^(1/2 - 1/(2*alpha)) - u'/r)
 
-started from a quartic Taylor expansion at the origin.  Both translator
-ODEs and the slope comparison ODE are solved by scipy's solve_ivp.  On top
-of the profiles: pointwise operator residuals, a quadrature check that ties
-u' to u, the sigma = 0 comparison, parabolic blow-down toward the cone
-|x|^(1+alpha)/(1+alpha), a discrete Legendre transform, a growth-bound
-check, the slope comparison ODE with its integrating-factor closed form,
-and the log-convexity margin of the radial separated solution.
+started from a quartic Taylor expansion at the origin.  The radial ODE is
+stiff at large radius and goes to ODEPACK's LSODA through scipy's odeint;
+the 1-D translator and the slope comparison ODE go to Hairer's DOP853
+through scipy's ode.  Both drivers step in compiled code and call back
+only for the right-hand side.  On top of the profiles: pointwise operator
+residuals, a quadrature check that ties u' to u, the sigma = 0 comparison,
+parabolic blow-down toward the cone |x|^(1+alpha)/(1+alpha), a discrete
+Legendre transform, a growth-bound check, the slope comparison ODE with
+its integrating-factor closed form, and the log-convexity margin of the
+radial separated solution.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +39,35 @@ _SERIES_RADIUS = 1e-3
 #: Largest spacing of the stored radial nodes.
 _NODE_SPACING = 5e-3
 
-#: solve_ivp tolerances of every soliton ODE.
+#: Tolerances of LSODA and DOP853 on every soliton ODE.
 _RTOL = 1e-12
 _ATOL = 1e-14
+
+#: Step cap of the ODE drivers: LSODA's steps between two stored nodes,
+#: DOP853's steps over one march or one crossing re-integration.
+MAX_STEPS = 100_000
+
+#: brentq's tolerances on a crossing time: its smallest relative one.
+_ROOT_TOL = 4.0 * np.finfo(float).eps
+
+#: DOP853's failure return codes (Hairer, Norsett & Wanner, Solving ODEs I).
+_DOP853_FAILURES = {-1: "input is not consistent", -2: "more than MAX_STEPS steps",
+                    -3: "step size becomes too small", -4: "problem is probably stiff"}
+
+
+@dataclass
+class OdeStats:
+    """What the driver of one soliton ODE did, filled in as it runs.
+
+    accepted_steps counts the steps of the march; rhs_evals every
+    evaluation of the right-hand side, those that locate a crossing
+    included; jacobian_evals LSODA's evaluations of the analytic Jacobian,
+    None for DOP853, which takes none.
+    """
+
+    accepted_steps: int = 0
+    rhs_evals: int = 0
+    jacobian_evals: int | None = None
 
 
 @dataclass
@@ -104,29 +134,94 @@ def _require_length(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _solve(rhs, span, y0, method, atol=_ATOL, **options):
-    """solve_ivp at the module tolerances; a failed solve is a RuntimeError."""
-    # scipy is imported where it is called, never at module level: loading
-    # it costs about 0.6 s and 48 MB, and the flow experiments never use it.
-    from scipy.integrate import solve_ivp
+def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
+    """DOP853 on a 2-D system from t = 0 to t_end, every accepted step a row.
 
-    sol = solve_ivp(rhs, span, y0, method=method, rtol=_RTOL, atol=atol, **options)
-    if not sol.success or not np.all(np.isfinite(sol.y)):
-        raise RuntimeError(f"{method} failed near t = {sol.t[-1]:.6g}: {sol.message}")
-    return sol
+    Returns the rows as arrays (t, y0, y1) and the time of the first rising
+    crossing of y1 through level, or None.  solout only records steps, since
+    the driver cannot be re-entered from it; the crossing is located
+    afterwards by brentq on re-integrations from the last step before it.
+    A terminal crossing ends the march, and its located state is the last
+    row.  A failed march or a non-finite state is a RuntimeError naming the
+    last row kept.
+    """
+    from scipy.integrate import ode
+    from scipy.optimize import brentq
+
+    def counted(t, y):
+        stats.rhs_evals += 1
+        return rhs(t, y)
+
+    def driver():
+        return ode(counted).set_integrator("dop853", rtol=_RTOL, atol=atol, nsteps=MAX_STEPS)
+
+    rows, bracket = [], []  # rows are (t, y0, y1)
+    finite = True
+
+    def solout(t, y):
+        nonlocal finite
+        finite = bool(np.all(np.isfinite(y)))
+        if not finite:
+            return -1
+        if rows:  # every call but the first, at the initial state, ends a step
+            stats.accepted_steps += 1
+            if level is not None and not bracket and rows[-1][2] < level <= y[1]:
+                bracket.append((rows[-1], (t, *y)))
+                if terminal:
+                    return -1
+        rows.append((t, *y))
+        return 0
+
+    def solve(solver, t):
+        # The driver warns on failure as well; its return code is read instead.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dop853: ", UserWarning)
+            y = solver.integrate(t)
+        code = solver.get_return_code()
+        if code < 1 or not (finite and np.all(np.isfinite(y))):
+            reason = (_DOP853_FAILURES.get(code, f"return code {code}") if code < 1
+                      else "non-finite state")
+            raise RuntimeError(f"DOP853 failed past t = {rows[-1][0]:.6g}: {reason}")
+        return y
+
+    march = driver()
+    march.set_solout(solout)
+    march.set_initial_value(y0, 0.0)
+    solve(march, t_end)
+    t_cross = None
+    if bracket:
+        (t0, *y_before), (t1, *y_after) = bracket[0]
+        # brentq starts from the two ends: the march's own states there keep
+        # the signs that bracketed the crossing.
+        ends = {t0: y_before, t1: y_after}
+        locator = driver()
+
+        def state(t):
+            if t in ends:
+                return ends[t]
+            locator.set_initial_value(y_before, t0)
+            return solve(locator, t)
+
+        t_cross = brentq(lambda t: state(t)[1] - level, t0, t1,
+                         xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        if terminal:
+            rows.append((t_cross, *state(t_cross)))
+    return (*np.array(rows).T, t_cross)
 
 
-def translator_1d(alpha: float, x_max: float) -> Profile1D:
+def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> Profile1D:
     """Solve the 1-D translator ODE v'' = (1 + v'^2)^(3/2 - 1/(2*alpha)).
 
     Integrates v, v' from v(0) = v'(0) = 0 with DOP853 and stores its
     accepted steps.  For alpha > 1/2 the inverse abscissa
-    x(v') = integral of (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so a
-    terminal event stops the march where the slope reaches SLOPE_SWITCH, and
-    the remaining distance to the asymptote is the tail integral of
-    tail_half_width.  A profile whose march stopped short of x_max has
-    blown up and reports that domain_half_width; one that reached x_max
-    reports None (entire so far; always the case for alpha <= 1/2).
+    x(v') = integral of (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so
+    the march stops at the located crossing of the slope through
+    SLOPE_SWITCH, which becomes the last row, and the remaining distance to
+    the asymptote is the tail integral of tail_half_width.  A profile whose
+    march stopped short of x_max has blown up and reports that
+    domain_half_width; one that reached x_max reports None (entire so far;
+    always the case for alpha <= 1/2).  stats, if given, receives DOP853's
+    counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -139,22 +234,20 @@ def translator_1d(alpha: float, x_max: float) -> Profile1D:
         # before w does; |w|^(2q) is the same number without the square.
         return [w, abs(w) ** (2.0 * q) if abs(w) > 1e150 else (1.0 + w * w) ** q]
 
-    def steep(_x, y):
-        return y[1] - SLOPE_SWITCH
-
-    steep.terminal = q > 0.5  # only a strip profile hands over to the tail
-    sol = _solve(rhs, (0.0, x_max), [0.0, 0.0], "DOP853", events=steep)
-    x, v, dv = sol.t, sol.y[0], sol.y[1]
+    # Only a strip profile hands over to the tail.
+    x, v, dv, _ = _dop853(rhs, x_max, [0.0, 0.0], _ATOL, stats or OdeStats(),
+                          level=SLOPE_SWITCH if q > 0.5 else None, terminal=True)
     return Profile1D(x, v, dv, blow_up_half_width(alpha, x_max, x, dv))
 
 
 def blow_up_half_width(alpha: float, x_max: float, x, dv) -> float | None:
     """Half-width read off a stored 1-D profile's last row.
 
-    For alpha > 1/2, a march that stopped short of x_max at the slope event
-    blew up; anything else, rows cut short below SLOPE_SWITCH included,
-    reports None.  The event locates the switch to within about 1e-9
-    relative, so the last slope must reach it to within 1e-6.
+    For alpha > 1/2, a march that stopped short of x_max at the located
+    slope crossing blew up; anything else, rows cut short below
+    SLOPE_SWITCH included, reports None.  The crossing lands within about
+    1e-9 relative of the switch, so the last slope must reach it to within
+    1e-6.
     """
     if alpha > 0.5 and x[-1] < x_max and dv[-1] >= (1.0 - 1e-6) * SLOPE_SWITCH:
         return tail_half_width(alpha, float(x[-1]), float(dv[-1]))
@@ -201,7 +294,8 @@ def _radial_nodes(r_max: float) -> np.ndarray:
     return np.append(nodes, r_max)
 
 
-def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile:
+def radial_translator(alpha: float, sigma: float, r_max: float,
+                      stats: OdeStats | None = None) -> RadialProfile:
     """Rotationally symmetric translator profile on [0, r_max].
 
     The origin is degenerate (u'/r appears in the ODE), so integration
@@ -210,12 +304,15 @@ def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile
         u(r) = c r^2 / 2 + c3 r^4 / 4,   c = sigma^(1/2 - 1/(2*alpha)) / 2,
         c3 = c^3 (1 + 2 e1) / (4 sigma), e1 = 1/2 - 1/(2*alpha),
 
-    applied on [0, 1e-3], then LSODA with the analytic Jacobian to r_max.
-    The translator branch is strongly attracting at large radius (the slope
-    relaxes onto u' ~ r^alpha at rate ~ r^(2*alpha-1)/alpha), which makes
-    the equation stiff there; LSODA switches to its stiff method on its own.
-    The profile is stored on the nodes of _radial_nodes, with u'' from the
-    ODE at each node.
+    applied on [0, 1e-3], then LSODA through odeint, with the analytic
+    Jacobian, to r_max, which it never steps past.  The translator branch
+    is strongly attracting at large radius (the slope relaxes onto
+    u' ~ r^alpha at rate ~ r^(2*alpha-1)/alpha), which makes the equation
+    stiff there; LSODA switches to its stiff method on its own.  odeint
+    interpolates onto the nodes of _radial_nodes, and u'' comes from the
+    ODE at each node.  A failed march or a non-finite node is a
+    RuntimeError naming where it stopped; stats, if given, receives
+    LSODA's counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -224,6 +321,9 @@ def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile
     _require_length("r_max", r_max)
     if r_max <= _SERIES_RADIUS:
         raise ValueError(f"r_max must exceed the series radius {_SERIES_RADIUS}")
+    # scipy is imported where it is called, never at module level: loading
+    # it costs about 0.6 s and 48 MB, and the flow experiments never use it.
+    from scipy.integrate import ODEintWarning, odeint
 
     e1 = 0.5 - 0.5 / alpha
     c = 0.5 * sigma**e1
@@ -243,9 +343,28 @@ def radial_translator(alpha: float, sigma: float, r_max: float) -> RadialProfile
 
     r1 = _SERIES_RADIUS
     start = [c * r1**2 / 2.0 + c3 * r1**4 / 4.0, c * r1 + c3 * r1**3]
-    nodes = _radial_nodes(r_max)
-    sol = _solve(rhs, (r1, r_max), start, "LSODA", t_eval=nodes, jac=jacobian)
-    u, w = sol.y
+    nodes = _radial_nodes(r_max)  # the first is r1
+    with warnings.catch_warnings():
+        # odeint warns on failure as well; its message is read instead.
+        warnings.simplefilter("ignore", ODEintWarning)
+        ys, info = odeint(rhs, start, nodes, Dfun=jacobian, tfirst=True, rtol=_RTOL,
+                          atol=_ATOL, tcrit=[r_max], mxstep=MAX_STEPS, full_output=True)
+    # A failed interval is the last one odeint writes, rows and counts alike;
+    # it is the first whose march stopped short of its node.
+    failed = info["message"] != "Integration successful."
+    last = int(np.argmax(info["tcur"] < nodes[1:])) if failed else -1
+    stats = stats or OdeStats()
+    stats.accepted_steps = int(info["nst"][last])
+    stats.rhs_evals = int(info["nfe"][last])
+    stats.jacobian_evals = int(info["nje"][last])
+    if failed:
+        raise RuntimeError(f"LSODA failed near r = {info['tcur'][last]:.6g}: "
+                           f"{info['message']}")
+    finite = np.all(np.isfinite(ys), axis=1)
+    if not finite.all():
+        raise RuntimeError(f"LSODA failed past r = {nodes[np.argmin(finite) - 1]:.6g}: "
+                           "non-finite state")
+    u, w = ys.T
     profile = RadialProfile(np.append(0.0, nodes), np.append(0.0, u), np.append(0.0, w),
                             np.append(c, curvature_term(nodes, w)))
     profile.check_convex()
@@ -446,13 +565,15 @@ def dual_power_fit(dual: RadialProfile, p_lo: float = 50.0, p_hi: float = 100.0)
                         offset=float(popt[2]))
 
 
-def comparison_ode(alpha: float, delta: float, t_max: float) -> OdeSolution:
+def comparison_ode(alpha: float, delta: float, t_max: float,
+                   stats: OdeStats | None = None) -> OdeSolution:
     """Integrate rho'' = 10 t^(1/alpha) rho' + 10 delta, rho(0) = -delta, rho'(0) = 0.
 
     DOP853, stored at its accepted steps from 0 to t_max.  The solution
     scales with delta, so the absolute tolerance does too.  a_cross is the
-    first time with rho' = 1, located by a rising event (None if the slope
-    never gets there).
+    first time with rho' = 1, located between two accepted steps by brentq
+    on re-integrations (None if the slope never gets there).  stats, if
+    given, receives DOP853's counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -464,15 +585,9 @@ def comparison_ode(alpha: float, delta: float, t_max: float) -> OdeSolution:
     def rhs(t, y):
         return [y[1], 10.0 * t**inv_alpha * y[1] + 10.0 * delta]
 
-    def slope_one(_t, y):
-        return y[1] - 1.0
-
-    slope_one.direction = 1.0
-    sol = _solve(rhs, (0.0, t_max), [-delta, 0.0], "DOP853", events=slope_one,
-                 atol=_ATOL * delta)
-    crossings = sol.t_events[0]
-    a_cross = float(crossings[0]) if crossings.size > 0 else None
-    return OdeSolution(sol.t, sol.y[0], sol.y[1], a_cross)
+    t, rho, drho, a_cross = _dop853(rhs, t_max, [-delta, 0.0], _ATOL * delta,
+                                    stats or OdeStats(), level=1.0)
+    return OdeSolution(t, rho, drho, a_cross)
 
 
 def comparison_closed_form(alpha: float, delta: float, ts: np.ndarray) -> np.ndarray:

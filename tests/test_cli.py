@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -391,6 +392,29 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "MISMATCH" not in printed
 
 
+ODE_EXPERIMENTS = sorted(name for name, experiment in cli.EXPERIMENTS.items()
+                         if experiment.solver is cli.so.OdeStats)
+
+
+@pytest.mark.parametrize("experiment", ODE_EXPERIMENTS)
+def test_a_failed_ode_march_is_a_manifest_error(tmp_path, capsys, monkeypatch, experiment):
+    monkeypatch.setattr(cli.so, "MAX_STEPS", 5)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment=experiment, output_dir=str(out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert re.fullmatch(r"RuntimeError: (LSODA failed near r|DOP853 failed past t) = "
+                        r"[0-9.e-]+: [^\n]+", manifest["error"])
+    assert manifest["pass"] is False
+    assert manifest["scalars"] == {} and manifest["checks"] == []
+    assert 0 < manifest["solver"]["accepted_steps"] <= 6
+    printed = capsys.readouterr()
+    assert printed.out.splitlines()[0] == f"error: {manifest['error']}"
+    assert printed.err == ""
+
+
 @pytest.mark.parametrize("experiment", sorted(cli.EXPERIMENTS))
 def test_every_experiment_runs_and_verifies_at_its_defaults(tmp_path, capsys, experiment):
     out = tmp_path / "run"
@@ -398,8 +422,9 @@ def test_every_experiment_runs_and_verifies_at_its_defaults(tmp_path, capsys, ex
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert list(manifest["scalars"]) == list(cli.EXPERIMENTS[experiment].headline)
-    flows = ("flow", "normalized-rate")
-    assert (manifest["solver"] is not None) == (experiment in flows)
+    # Every experiment that marches records its solver; log-convexity
+    # evaluates a closed form.
+    assert (manifest["solver"] is None) == (experiment == "log-convexity")
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()

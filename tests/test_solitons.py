@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma
 
@@ -360,6 +362,141 @@ def test_comparison_ode_validation():
         so.comparison_ode(1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         so.comparison_ode(1.0, 1e-6, 0.0)
+
+
+# -- references: the same ODEs through solve_ivp -----------------------------
+# solve_ivp runs the same integrators (LSODA, DOP853) at the same tolerances
+# with a Python step loop, and locates crossings with its own events.
+
+def _solve_ivp(rhs, span, y0, method, atol=1e-14, **options):
+    sol = solve_ivp(rhs, span, y0, method=method, rtol=1e-12, atol=atol, **options)
+    assert sol.success
+    return sol
+
+
+def radial_reference(alpha, r_max):
+    """(u, u') at the radial nodes, sigma = 1, from the same series start."""
+    e1 = 0.5 - 0.5 / alpha
+    c = 0.5
+    c3 = c**3 * (1.0 + 2.0 * e1) / 4.0
+
+    def rhs(r, y):
+        w = y[1]
+        return [w, (1.0 + w * w) * ((1.0 + w * w) ** e1 - w / r)]
+
+    def jacobian(r, y):
+        w = y[1]
+        g2 = 1.0 + w * w
+        return [[0.0, 1.0],
+                [0.0, (2.0 + 2.0 * e1) * w * g2**e1 - g2 / r - 2.0 * w * w / r]]
+
+    r1 = 1e-3
+    start = [c * r1**2 / 2.0 + c3 * r1**4 / 4.0, c * r1 + c3 * r1**3]
+    return _solve_ivp(rhs, (r1, r_max), start, "LSODA", t_eval=so._radial_nodes(r_max),
+                      jac=jacobian).y
+
+
+def half_width_reference(alpha):
+    q = 1.5 - 0.5 / alpha
+
+    def rhs(_x, y):
+        return [y[1], (1.0 + y[1] * y[1]) ** q]
+
+    def steep(_x, y):
+        return y[1] - so.SLOPE_SWITCH
+
+    steep.terminal = True
+    sol = _solve_ivp(rhs, (0.0, 20.0), [0.0, 0.0], "DOP853", events=steep)
+    return so.tail_half_width(alpha, sol.t[-1], sol.y[1, -1])
+
+
+def crossing_reference(alpha, delta, t_max):
+    def rhs(t, y):
+        return [y[1], 10.0 * t ** (1.0 / alpha) * y[1] + 10.0 * delta]
+
+    def slope_one(_t, y):
+        return y[1] - 1.0
+
+    slope_one.direction = 1.0
+    sol = _solve_ivp(rhs, (0.0, t_max), [-delta, 0.0], "DOP853", atol=1e-14 * delta,
+                     events=slope_one)
+    return sol.t_events[0][0]
+
+
+@pytest.mark.parametrize("alpha,r_max", [(0.6, 200.0), (1.0, 115.0), (1.5, 40.6), (2.0, 100.0)])
+def test_radial_translator_matches_the_solve_ivp_reference(alpha, r_max):
+    u, du = radial_reference(alpha, r_max)
+    prof = so.radial_translator(alpha, 1.0, r_max)
+    far = prof.r[1:] > 1.0
+    assert np.max(np.abs(prof.u[1:][far] / u[far] - 1.0)) <= 1e-10
+    assert np.max(np.abs(prof.du[1:][far] / du[far] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0, 5.0])
+def test_half_width_matches_the_solve_ivp_reference(alpha):
+    width = so.translator_1d(alpha, 20.0).domain_half_width
+    assert abs(width / half_width_reference(alpha) - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_crossing_matches_the_solve_ivp_reference(alpha):
+    delta = 1e-8
+    t_max = 1.0 + 0.8 * (-math.log(delta)) ** (alpha / (1.0 + alpha))
+    a_cross = so.comparison_ode(alpha, delta, t_max).a_cross
+    assert abs(a_cross / crossing_reference(alpha, delta, t_max) - 1.0) <= 1e-12
+
+
+# -- failure and cost of the compiled marches --------------------------------
+
+MARCHES = {
+    "radial_translator": ((2.0, 1.0, 40.0), "LSODA failed near r = "),
+    "translator_1d": ((1.0, 20.0), "DOP853 failed past t = "),
+    "comparison_ode": ((1.0, 1e-6, 3.0), "DOP853 failed past t = "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MARCHES))
+def test_a_march_past_the_step_cap_fails_in_one_error(monkeypatch, name):
+    args, message = MARCHES[name]
+    monkeypatch.setattr(so, "MAX_STEPS", 5)
+    stats = so.OdeStats()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the driver's own warning must not leak
+        with pytest.raises(RuntimeError, match=f"^{message}") as failure:
+            getattr(so, name)(*args, stats=stats)
+    assert "\n" not in str(failure.value)
+    # the counts up to the failure, none read from past it; DOP853 tests
+    # its cap before a step, so it may finish one step past it
+    assert 0 < stats.accepted_steps <= 6
+    assert stats.rhs_evals >= stats.accepted_steps
+
+
+def test_a_march_to_a_non_finite_state_fails_in_one_error():
+    # The entire alpha = 0.3 profile's slope leaves the float range far
+    # short of x_max = 1e300.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError,
+                           match=r"^DOP853 failed past t = \S+: non-finite state$"):
+            so.translator_1d(0.3, 1e300)
+
+
+@pytest.mark.parametrize("name", sorted(MARCHES))
+def test_marches_count_their_work(name):
+    args, _ = MARCHES[name]
+    counts = []
+    for _ in range(2):
+        stats = so.OdeStats()
+        result = getattr(so, name)(*args, stats=stats)
+        counts.append(stats)
+    assert counts[0] == counts[1]
+    assert 0 < stats.accepted_steps < stats.rhs_evals
+    if name == "radial_translator":
+        assert 0 < stats.jacobian_evals < stats.accepted_steps
+    else:
+        # every accepted step is a row; a terminal crossing replaces the step past it
+        assert stats.jacobian_evals is None
+        assert len(result.t if name == "comparison_ode" else result.x) == stats.accepted_steps + 1
 
 
 # -- log-convexity -----------------------------------------------------------
