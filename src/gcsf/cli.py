@@ -185,13 +185,12 @@ class Experiment:
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
     fields.  run(cfg, out, stats) marches, writes the artifacts under out
-    and returns (columns, marched): each written file's columns, keyed by
-    file name, and the headline numbers that no artifact row holds.
-    judge(cfg, columns) derives (scalars, checks), every other headline
-    number and the pass/fail decisions, from such columns alone: for
-    run_config from the columns just written, for verify from the same
-    columns read back.  headline orders the manifest's scalars, each read
-    off the file named source.  An experiment that marches an ODE or the
+    and returns each written file's columns, keyed by file name.
+    judge(cfg, columns) derives (scalars, checks), the headline numbers and
+    the pass/fail decisions, from such columns alone: for run_config from
+    the columns just written, for verify from the same columns read back.
+    headline names and orders the manifest's scalars, each read off the
+    file named source.  An experiment that marches an ODE or the
     flow names its solver's stats record, fl.MarchStats or so.OdeStats;
     run_config hands a fresh one to run and writes what the run filled in
     to the manifest as solver, also when the run fails.
@@ -289,11 +288,11 @@ def _build_body(cfg: SimpleNamespace) -> SupportFunction:
 
 
 def _scalars(experiment: Experiment, values: dict) -> dict:
-    """The manifest entries of the headline numbers values holds, in
-    headline order; numpy floats become plain ones."""
-    plain = {name: float(v) if isinstance(v, float) else v for name, v in values.items()}
-    return {name: {"value": plain[name], "source": experiment.source}
-            for name in experiment.headline if name in plain}
+    """The manifest entries of a judge's headline numbers, in headline
+    order; numpy floats become plain ones."""
+    return {name: {"value": float(values[name]) if isinstance(values[name], float)
+                   else values[name], "source": experiment.source}
+            for name in experiment.headline}
 
 
 # -- the experiments: each run marches and writes its artifacts; each judge
@@ -320,19 +319,20 @@ def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     if cfg.snapshot_every > 0:
         fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
                                  every=cfg.snapshot_every)
-    return columns, {"stop_reason": trace.stop_reason.value}
+    return columns
 
 
 def _flow_judge(cfg: SimpleNamespace, columns):
     """Checks and headline numbers of a flow run, from trace.csv alone.
 
-    At alpha = 1 the area falls at exactly 2 pi, on any trace of 3 rows or
-    more.  A body run without t_max must go extinct.  A circle must then
-    vanish at radius^(1+alpha)/(1+alpha) and shrink by the circle law on
-    the way.  Any other body must vanish at T = area_0 / 2 pi at alpha = 1,
-    and at every alpha between the extinction times of the discs about the
-    Steiner point inscribed in and circumscribing it, as the comparison
-    principle demands.
+    The last row says why the march stopped: extinct, time_limit at the
+    march's horizon, else convexity_lost.  At alpha = 1 the area falls at
+    exactly 2 pi, on any trace of 3 rows or more.  A body run without t_max
+    must go extinct.  A circle must then vanish at radius^(1+alpha)/(1+alpha)
+    and shrink by the circle law on the way.  Any other body must vanish at
+    T = area_0 / 2 pi at alpha = 1, and at every alpha between the
+    extinction times of the discs about the Steiner point inscribed in and
+    circumscribing it, as the comparison principle demands.
     """
     trace = columns["trace.csv"]
     if len(trace) != len(fl.TRACE_COLUMNS):  # written before kappa_integral was a column
@@ -342,9 +342,12 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     times, inradii = trace["t"], trace["inradius"]
     extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
     extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg)) if extinct else None
+    horizon = cfg.t_max or fl.default_time_limit(_build_body(cfg), _flow_params(cfg))
+    stop = (fl.StopReason.EXTINCT if extinct else fl.StopReason.TIME_LIMIT
+            if times[-1] >= horizon else fl.StopReason.CONVEXITY_LOST)
     defect = fl.area_rate_check(trace)
-    scalars = {"extinction_time": extinction, "final_area": trace["area"][-1],
-               "area_defect": defect}
+    scalars = {"extinction_time": extinction, "stop_reason": stop.value,
+               "final_area": trace["area"][-1], "area_defect": defect}
     checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
     if cfg.alpha == 1.0 and defect is not None:
         checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
@@ -379,7 +382,7 @@ def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     series = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
                                   cfg.mode, stats=stats)
     tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], *series.T)
-    return {"rate.csv": series.T}, {}
+    return {"rate.csv": series.T}
 
 
 def _rate_judge(cfg: SimpleNamespace, columns):
@@ -394,16 +397,17 @@ def _rate_judge(cfg: SimpleNamespace, columns):
 def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     profile = so.translator_1d(cfg.alpha, cfg.x_max, stats)
     so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
-    return {"profile1d.csv": (profile.x, profile.v, profile.dv)}, {}
+    return {"profile1d.csv": (profile.x, profile.v, profile.dv)}
 
 
 def _translator_judge(cfg: SimpleNamespace, columns):
-    """Above alpha = 1/2 the profile must blow up before x_max; at or below
+    """Above alpha = 1/2 the profile must blow up within x_max; at or below
     it the profile is entire, so the stored rows must reach x_max."""
     x, _, dv = columns["profile1d.csv"]
     half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
-    dichotomy = blew_up if cfg.alpha > 0.5 else bool(x[-1] >= cfg.x_max)
+    dichotomy = (blew_up and half_width <= cfg.x_max if cfg.alpha > 0.5
+                 else bool(x[-1] >= cfg.x_max))
     checks = [Check("dichotomy", dichotomy, None, "true")]
     if cfg.alpha == 1.0 and blew_up:
         checks.append(Check("half-width-tan", abs(half_width - math.pi / 2.0),
@@ -417,14 +421,10 @@ def _translator_judge(cfg: SimpleNamespace, columns):
     return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
-def _radial_profile(cfg: SimpleNamespace, out: str, stats: so.OdeStats) -> so.RadialProfile:
+def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats)
     so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    return profile
-
-
-def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    return {"profile.csv": _radial_profile(cfg, out, stats)}, {}
+    return {"profile.csv": profile}
 
 
 def _radial_judge(cfg: SimpleNamespace, columns):
@@ -448,11 +448,11 @@ def _radial_judge(cfg: SimpleNamespace, columns):
 
 
 def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    profile = _radial_profile(cfg, out, stats)
-    sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
+    columns = _run_radial_translator(cfg, out, stats)
+    sups = [so.blow_down(columns["profile.csv"], cfg.alpha, float(h))[1] for h in cfg.scales]
     tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
                          cfg.scales, sups)
-    return {"profile.csv": profile, "blowdown.csv": (cfg.scales, sups)}, {}
+    return {**columns, "blowdown.csv": (cfg.scales, sups)}
 
 
 def _blowdown_judge(cfg: SimpleNamespace, columns):
@@ -462,12 +462,12 @@ def _blowdown_judge(cfg: SimpleNamespace, columns):
 
 
 def _run_legendre(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    profile = _radial_profile(cfg, out, stats)
-    dual = so.legendre(profile)
+    columns = _run_radial_translator(cfg, out, stats)
+    dual = so.legendre(columns["profile.csv"])
     tables.write_columns(os.path.join(out, "dual.csv"),
                          ["p", "u_star", "r_argmax", "d2u_star"],
                          dual.r, dual.u, dual.du, dual.d2u)
-    return {"profile.csv": profile, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}, {}
+    return {**columns, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
 
 
 def _legendre_judge(cfg: SimpleNamespace, columns):
@@ -489,11 +489,7 @@ def _legendre_judge(cfg: SimpleNamespace, columns):
 def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, stats)
     so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
-    ratio = None
-    if sol.a_cross is not None and cfg.delta < 1.0:
-        ratio = sol.a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
-    return {"ode.csv": (sol.t, sol.rho, sol.drho)}, {"a_cross": sol.a_cross,
-                                                     "crossing_ratio": ratio}
+    return {"ode.csv": (sol.t, sol.rho, sol.drho)}
 
 
 def _check_ode_horizon(cfg: SimpleNamespace) -> None:
@@ -519,16 +515,20 @@ def _check_ode_horizon(cfg: SimpleNamespace) -> None:
 
 def _ode_judge(cfg: SimpleNamespace, columns):
     ts, _, drho = columns["ode.csv"]
+    a_cross = so.crossing_time(ts, drho, 1.0)  # scales like (-log delta)^(alpha/(alpha+1))
+    ratio = (a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
+             if a_cross is not None and cfg.delta < 1.0 else None)
     reference = so.comparison_closed_form(cfg.alpha, cfg.delta, ts)
     err = float(np.max(np.abs(drho - reference)) / np.max(np.abs(reference)))
-    return {"max_rel_err": err}, [Check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")]
+    return ({"a_cross": a_cross, "crossing_ratio": ratio, "max_rel_err": err},
+            [Check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")])
 
 
 def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
     tables.write_columns(os.path.join(out, "margins.csv"),
                          ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
-    return {"margins.csv": (r, phi_rr, phi_tan)}, {}
+    return {"margins.csv": (r, phi_rr, phi_tan)}
 
 
 def _logconv_judge(cfg: SimpleNamespace, columns):
@@ -611,9 +611,8 @@ def run_config(cfg: SimpleNamespace) -> dict:
     checks: list[Check] = []
     stats = experiment.solver() if experiment.solver else None
     try:
-        columns, marched = experiment.run(cfg, cfg.output_dir, stats)
-        judged, checks = experiment.judge(cfg, columns)
-        scalars = _scalars(experiment, {**marched, **judged})
+        judged, checks = experiment.judge(cfg, experiment.run(cfg, cfg.output_dir, stats))
+        scalars = _scalars(experiment, judged)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
@@ -643,10 +642,8 @@ class _StoredColumns(dict):
     def __missing__(self, name: str):
         path = os.path.join(self.run_dir, name)
         _require(os.path.exists(path), f"run directory is missing {name}")
-        if name == "profile.csv":
-            self[name] = so.read_profile_csv(path)
-        else:
-            self[name] = tables.read_columns(path)
+        reader = so.read_profile_csv if name == "profile.csv" else tables.read_columns
+        self[name] = reader(path)
         return self[name]
 
 
@@ -798,10 +795,13 @@ def cmd_verify(run_dir: str) -> int:
         print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
         return 2
     stored_by_name = {c["name"]: c for c in stored_checks}
+    rejudged = _scalars(experiment, judged)
     ok = True
-    if set(stored_by_name) != {c.name for c in recomputed}:
-        print("MISMATCH: stored and recomputed check lists differ")
-        ok = False
+    for kind, stored, names in (("check", stored_by_name, [c.name for c in recomputed]),
+                                ("scalar", stored_scalars, rejudged)):
+        if set(stored) != set(names):
+            print(f"MISMATCH: stored and recomputed {kind} lists differ")
+            ok = False
     for check in recomputed:
         stored = stored_by_name.get(check.name)
         agrees = (stored is not None and stored.get("pass") == check.passed
@@ -809,7 +809,7 @@ def cmd_verify(run_dir: str) -> int:
         tag = "matches manifest" if agrees else "MISMATCH with manifest"
         print(f"check {check.describe()} ({tag})")
         ok = ok and agrees and check.passed
-    for name, entry in _scalars(experiment, judged).items():
+    for name, entry in rejudged.items():
         if stored_scalars.get(name) != entry:
             print(f"scalar {name}: {entry['value']!r} (MISMATCH with manifest)")
             ok = False

@@ -154,9 +154,7 @@ class FlowTrace:
     extinction_time: float | None
     stop_reason: StopReason
 
-    times = property(lambda self: self.columns["t"])
-    areas = property(lambda self: self.columns["area"])
-    lengths = property(lambda self: self.columns["length"])
+    times = property(lambda self: self.columns["t"])  # perfbench's tracer counts rows by it
 
 
 @dataclass(frozen=True)
@@ -616,8 +614,7 @@ def run_normalized(
 
     The march is _etd_march with the rescaling term in its linear part.
     ConvexityLostError is raised when no acceptable step exists or the
-    body has collapsed.  A
-    MarchStats passed as stats receives the march's counts.
+    body has collapsed.  A MarchStats passed as stats receives its counts.
     """
     _check_start(s0, p, store_every)
     if tau_end < 0.0:
@@ -751,12 +748,10 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 # -- trace exports ----------------------------------------------------------
 
 def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
-    """Per-snapshot diagnostics used by the CSV export and the CLI checks,
-    keyed by TRACE_COLUMNS: t, area, length, the inradius, circumradius
-    and relative sup distance to its mean circle of each state seen from
-    its Steiner point, and curvature_integral.  Each row matches those
-    functions applied to its state bit for bit.
-    """
+    """trace.csv's columns, keyed by TRACE_COLUMNS: t, area, length, the
+    inradius, circumradius and relative sup distance to its mean circle of
+    each state seen from its Steiner point, and curvature_integral.  Each
+    row matches those functions applied to its state bit for bit."""
     return dict(trace.columns)
 
 

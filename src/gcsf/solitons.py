@@ -109,8 +109,7 @@ class RadialProfile:
             raise ValueError("profile arrays must share one length")
         if n < 2 or self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0.0):
             raise ValueError("r grid must increase strictly from 0")
-        if not (np.all(np.isfinite(self.r)) and np.all(np.isfinite(self.u))
-                and np.all(np.isfinite(self.du)) and np.all(np.isfinite(self.d2u))):
+        if not all(np.isfinite(getattr(self, name)).all() for name in ("r", "u", "du", "d2u")):
             raise ValueError("profile arrays must be finite")
 
     def check_convex(self) -> None:
@@ -137,13 +136,12 @@ def _require_length(name: str, value: float) -> None:
 def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
     """DOP853 on a 2-D system from t = 0 to t_end, every accepted step a row.
 
-    Returns the rows as arrays (t, y0, y1) and the time of the first rising
-    crossing of y1 through level, or None.  solout only records steps, since
-    the driver cannot be re-entered from it; the crossing is located
+    Returns the rows as arrays (t, y0, y1); the first rising crossing of y1
+    through level is a row too, in time order.  solout only records steps,
+    since the driver cannot be re-entered from it; the crossing is located
     afterwards by brentq on re-integrations from the last step before it.
-    A terminal crossing ends the march, and its located state is the last
-    row.  A failed march or a non-finite state is a RuntimeError naming the
-    last row kept.
+    A terminal crossing ends the march as the last row.  A failed march or
+    a non-finite state is a RuntimeError naming the last row kept.
     """
     from scipy.integrate import ode
     from scipy.optimize import brentq
@@ -166,7 +164,7 @@ def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
         if rows:  # every call but the first, at the initial state, ends a step
             stats.accepted_steps += 1
             if level is not None and not bracket and rows[-1][2] < level <= y[1]:
-                bracket.append((rows[-1], (t, *y)))
+                bracket.append((len(rows), rows[-1], (t, *y)))
                 if terminal:
                     return -1
         rows.append((t, *y))
@@ -188,9 +186,8 @@ def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
     march.set_solout(solout)
     march.set_initial_value(y0, 0.0)
     solve(march, t_end)
-    t_cross = None
     if bracket:
-        (t0, *y_before), (t1, *y_after) = bracket[0]
+        k, (t0, *y_before), (t1, *y_after) = bracket[0]
         # brentq starts from the two ends: the march's own states there keep
         # the signs that bracketed the crossing.
         ends = {t0: y_before, t1: y_after}
@@ -204,9 +201,10 @@ def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
 
         t_cross = brentq(lambda t: state(t)[1] - level, t0, t1,
                          xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-        if terminal:
-            rows.append((t_cross, *state(t_cross)))
-    return (*np.array(rows).T, t_cross)
+        # The located state follows the step before it, unless it is a stored step.
+        if t_cross not in (row[0] for row in rows[k - 1:k + 1]):
+            rows.insert(k, (t_cross, *state(t_cross)))
+    return np.array(rows).T
 
 
 def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> Profile1D:
@@ -235,8 +233,8 @@ def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> 
         return [w, abs(w) ** (2.0 * q) if abs(w) > 1e150 else (1.0 + w * w) ** q]
 
     # Only a strip profile hands over to the tail.
-    x, v, dv, _ = _dop853(rhs, x_max, [0.0, 0.0], _ATOL, stats or OdeStats(),
-                          level=SLOPE_SWITCH if q > 0.5 else None, terminal=True)
+    x, v, dv = _dop853(rhs, x_max, [0.0, 0.0], _ATOL, stats or OdeStats(),
+                       level=SLOPE_SWITCH if q > 0.5 else None, terminal=True)
     return Profile1D(x, v, dv, blow_up_half_width(alpha, x_max, x, dv))
 
 
@@ -569,11 +567,11 @@ def comparison_ode(alpha: float, delta: float, t_max: float,
                    stats: OdeStats | None = None) -> OdeSolution:
     """Integrate rho'' = 10 t^(1/alpha) rho' + 10 delta, rho(0) = -delta, rho'(0) = 0.
 
-    DOP853, stored at its accepted steps from 0 to t_max.  The solution
-    scales with delta, so the absolute tolerance does too.  a_cross is the
-    first time with rho' = 1, located between two accepted steps by brentq
-    on re-integrations (None if the slope never gets there).  stats, if
-    given, receives DOP853's counts.
+    DOP853, stored at its accepted steps from 0 to t_max and at a_cross,
+    the first time with rho' = 1, located between two accepted steps by
+    brentq on re-integrations (None if the slope never gets there).  The
+    solution scales with delta, so the absolute tolerance does too.  stats,
+    if given, receives DOP853's counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -585,9 +583,16 @@ def comparison_ode(alpha: float, delta: float, t_max: float,
     def rhs(t, y):
         return [y[1], 10.0 * t**inv_alpha * y[1] + 10.0 * delta]
 
-    t, rho, drho, a_cross = _dop853(rhs, t_max, [-delta, 0.0], _ATOL * delta,
-                                    stats or OdeStats(), level=1.0)
-    return OdeSolution(t, rho, drho, a_cross)
+    t, rho, drho = _dop853(rhs, t_max, [-delta, 0.0], _ATOL * delta,
+                           stats or OdeStats(), level=1.0)
+    return OdeSolution(t, rho, drho, crossing_time(t, drho, 1.0))
+
+
+def crossing_time(t, slope, level: float) -> float | None:
+    """Time of the first row whose slope reaches level to within 1e-9
+    relative, or None: the crossing _dop853 located and stored as a row."""
+    hits = np.flatnonzero(np.asarray(slope) >= (1.0 - 1e-9) * level)
+    return float(t[hits[0]]) if hits.size else None
 
 
 def comparison_closed_form(alpha: float, delta: float, ts: np.ndarray) -> np.ndarray:

@@ -220,9 +220,9 @@ def test_criterion_08_area_identity(runs):
     ratios = {}
     for alpha in (0.6, 2.0):
         trace = fl.run_to_extinction(geo.make_circle(1.0), FlowParams(alpha=alpha))
-        idx = np.nonzero(trace.times <= 0.8 * trace.extinction_time)[0]
-        t = trace.times[idx]
-        areas = trace.areas[idx]
+        idx = np.nonzero(trace.columns["t"] <= 0.8 * trace.extinction_time)[0]
+        t = trace.columns["t"][idx]
+        areas = trace.columns["area"][idx]
         ints = trace.columns["kappa_integral"][idx]
         d1 = fl.area_defect(t, areas, ints)
         d2 = fl.area_defect(t[::2], areas[::2], ints[::2])

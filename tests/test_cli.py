@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -446,9 +447,12 @@ def test_verify_demands_exact_agreement(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
-# alpha = 1 with x_max = 1 stops before its strip's edge at pi/2 and fails.
+# alpha = 1 with x_max = 1 stops before its strip's edge at pi/2 and fails;
+# so does alpha = 0.5000001, whose strip is 2.5e6 wide but whose slope
+# reaches SLOPE_SWITCH near x = 7.6.
 @pytest.mark.parametrize("alpha,x_max,expected",
-                         [(1.0, 20.0, 0), (1.0, 1.0, 2), (0.5, 20.0, 0), (0.4, 5.0, 0)])
+                         [(1.0, 20.0, 0), (1.0, 1.0, 2), (0.5, 20.0, 0), (0.4, 5.0, 0),
+                          (0.5000001, 20.0, 2)])
 def test_verify_agrees_on_translator1d(tmp_path, capsys, alpha, x_max, expected):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="translator1d", output_dir=str(out),
@@ -577,21 +581,81 @@ def test_verify_fails_an_entire_profile_cut_short(tmp_path, capsys):
         assert "scalar slope_end: " in printed
 
 
-def test_verify_rejudges_the_headline_numbers(tmp_path, capsys):
-    # The checks read dual.csv and still agree; the exponent the manifest
-    # reports, moved by 0.1%, no longer does.
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="legendre", output_dir=str(out),
-                       p_lo=20.0, p_hi=40.0)
-    assert cli.main(["run", cfg]) == 0
-    exponent = read_manifest(out)["scalars"]["exponent"]["value"]
-    _rewrite_manifest(out, lambda manifest: manifest["scalars"]["exponent"].update(
-        value=1.001 * exponent))
+# Every experiment on a small grid or a short march.
+SMALL_RUNS = {"flow": {"m": 64}, "normalized-rate": {"m": 64}, "translator1d": {},
+              "radial-translator": {"r_max": 5.0}, "blowdown": {"scales": [10.0, 100.0]},
+              "legendre": {"p_lo": 20.0, "p_hi": 40.0}, "comparison-ode": {},
+              "log-convexity": {"n_points": 101}}
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A fresh copy, under a test's tmp_path, of the run directory of an
+    experiment at SMALL_RUNS; each experiment runs once per module."""
+    base = tmp_path_factory.mktemp("small")
+
+    def copy(tmp_path, experiment):
+        done = base / experiment
+        if not done.exists():
+            cfg = write_config(base, f"{experiment}.json", experiment=experiment,
+                               output_dir=str(done), **SMALL_RUNS[experiment])
+            assert cli.main(["run", cfg]) == 0
+        return shutil.copytree(done, tmp_path / "run")
+    return copy
+
+
+def _edited(value):
+    if isinstance(value, str):
+        return "extinct" if value == "convexity_lost" else "convexity_lost"
+    return 1.001 * value if value else 1.0
+
+
+@pytest.mark.parametrize("experiment, scalar", [
+    (name, scalar) for name, experiment in sorted(cli.EXPERIMENTS.items())
+    for scalar in experiment.headline])
+def test_verify_rejudges_the_headline_numbers(tmp_path, capsys, small_run, experiment, scalar):
+    # verify derives every headline number from the artifacts alone, so an
+    # edit of any one in the manifest is a mismatch of that one alone.
+    out = small_run(tmp_path, experiment)
+    value = read_manifest(out)["scalars"][scalar]["value"]
+    _rewrite_manifest(out, lambda manifest: manifest["scalars"][scalar].update(
+        value=_edited(value)))
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if "MISMATCH" in line] == [
-        f"scalar exponent: {exponent!r} (MISMATCH with manifest)"]
+        f"scalar {scalar}: {value!r} (MISMATCH with manifest)"]
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda scalars: scalars.update(bogus={"value": 1.0, "source": "trace.csv"}),
+    lambda scalars: scalars.pop("stop_reason")], ids=["added", "dropped"])
+def test_verify_compares_the_scalar_names(tmp_path, capsys, small_run, spoil):
+    out = small_run(tmp_path, "flow")
+    _rewrite_manifest(out, lambda manifest: spoil(manifest["scalars"]))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    assert "MISMATCH: stored and recomputed scalar lists differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entries, reason", [
+    ({}, "extinct"),
+    ({"initial_body": {"kind": "ellipse", "a": 1.3, "b": 1.0}}, "extinct"),
+    ({"t_max": 0.1}, "time_limit"),
+    ({"initial_body": {"kind": "circle", "radius": 1e5}}, "convexity_lost")])
+def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, entries, reason):
+    # The judge reads why the march stopped off trace.csv's last row; on
+    # real marches it must agree with FlowTrace.stop_reason.  The circle of
+    # radius 1e5 stops where its step no longer advances t, short of
+    # extinction; at radius 1e150 the judge's area defect overflows instead.
+    cfg = cli.config_from_dict(dict(experiment="flow", output_dir=str(tmp_path), m=64,
+                                    **entries))
+    trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
+                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
+    assert trace.stop_reason.value == reason
+    cli.fl.write_trace_csv(trace, tmp_path / "trace.csv")
+    judged, _ = cli._flow_judge(cfg, cli._StoredColumns(str(tmp_path)))
+    assert judged["stop_reason"] == reason
 
 
 def test_verify_needs_manifest(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_march_stops_where_the_step_no_longer_advances_time():
     s0 = circle(1e150)
     trace = fl.run_to_extinction(s0, P64)
     assert trace.stop_reason is StopReason.CONVEXITY_LOST
-    assert np.all(np.diff(trace.times) > 0.0)
+    assert np.all(np.diff(trace.columns["t"]) > 0.0)
     march = fl._etd_march(s0.samples, P64, math.inf, rescaled=False)
     with pytest.raises(geo.ConvexityLostError, match="too short to advance t"):
         for _ in march:
@@ -149,7 +149,7 @@ def test_circle_radius_follows_power_law():
     p = FlowParams(alpha=1.0, m=64)
     trace = fl.run_to_extinction(circle(), p)
     T = 0.5
-    for t, row in zip(trace.times, trace.samples):
+    for t, row in zip(trace.columns["t"], trace.samples):
         if t > 0.9 * T:
             break
         expected = math.sqrt(max(1.0 - 2.0 * t, 0.0))
@@ -160,7 +160,7 @@ def test_time_limit_stop():
     trace = fl.run_to_extinction(circle(), P64, t_max=0.01)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     assert trace.extinction_time is None
-    assert trace.times[-1] == pytest.approx(0.01, abs=1e-15)
+    assert trace.columns["t"][-1] == pytest.approx(0.01, abs=1e-15)
 
 
 def test_eccentric_ellipse_extinction_time():
@@ -190,7 +190,7 @@ def _assert_frozen_march(s0, p, frozen):
     trace = fl.run_to_extinction(s0, p, stats=stats)
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.extinction_time == pytest.approx(frozen[0], rel=1e-12, abs=0.0)
-    assert stats.accepted_steps == len(trace.times) - 1 == frozen[1]
+    assert stats.accepted_steps == len(trace.columns["t"]) - 1 == frozen[1]
     return trace
 
 
@@ -267,9 +267,9 @@ def test_extrapolate_extinction_exact_on_synthetic_law():
 
 def test_trace_is_monotone_and_shrinking():
     trace = fl.run_to_extinction(circle(), P64)
-    times = np.asarray(trace.times)
+    times = np.asarray(trace.columns["t"])
     assert np.all(np.diff(times) > 0.0)
-    areas = np.asarray(trace.areas)
+    areas = np.asarray(trace.columns["area"])
     assert np.all(np.diff(areas) < 0.0)
 
 
@@ -303,7 +303,7 @@ def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
     trace = fl.run_to_extinction(s0, P64, store_every=3)
     assert trace.stop_reason is StopReason.CONVEXITY_LOST
     assert trace.extinction_time is None
-    np.testing.assert_array_equal(trace.times, [0.0, 0.03, 0.04])
+    np.testing.assert_array_equal(trace.columns["t"], [0.0, 0.03, 0.04])
     np.testing.assert_array_equal(trace.samples, _stub_rows(s0, [0, 3, 4]))
     with pytest.raises(geo.ConvexityLostError):
         fl.run_normalized(s0, P64, 1.0, store_every=3)
@@ -326,7 +326,7 @@ def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store
     taus, states = fl.run_normalized(s0, P64, 1.0, store_every=store_every)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     expected = [0.01 * i for i in stored]
-    np.testing.assert_array_equal(trace.times, expected)
+    np.testing.assert_array_equal(trace.columns["t"], expected)
     np.testing.assert_array_equal(taus, expected)
     rows = _stub_rows(s0, stored)
     np.testing.assert_array_equal(trace.samples, rows)
@@ -463,7 +463,7 @@ def test_march_stops_on_the_row_the_exact_test_picks(seed, store_every):
         if geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
             break
     assert trace.stop_reason is StopReason.EXTINCT
-    assert trace.times[-1] == t
+    assert trace.columns["t"][-1] == t
     np.testing.assert_array_equal(trace.samples[-1], y)
     assert trace.columns["inradius"][-1] < fl.STOP_INRADIUS
     assert np.all(trace.columns["inradius"][:-1] >= fl.STOP_INRADIUS)
@@ -609,7 +609,7 @@ def test_delta_to_circle_contracts_for_near_circle():
     p = FlowParams(alpha=1.0, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.05, 1.0, m=128), p)
     vals = trace.columns["delta_to_circle"]
-    sel = 2.0 * (trace.extinction_time - trace.times) >= math.exp(-6.0)
+    sel = 2.0 * (trace.extinction_time - trace.columns["t"]) >= math.exp(-6.0)
     assert np.all(np.diff(vals[sel]) <= 1e-12)
     assert vals[sel][-1] < 1e-3 < vals[0]
 
@@ -660,7 +660,7 @@ def test_trace_integrals_and_defect_match_the_per_state_arithmetic():
     np.testing.assert_array_equal(
         integrals, [fl.curvature_integral(geo.SupportFunction(row), p.alpha)
                     for row in trace.samples])
-    t, a = trace.times, trace.areas
+    t, a = trace.columns["t"], trace.columns["area"]
     worst = 0.0
     for i in range(1, len(t) - 1):
         h1, h2 = float(t[i] - t[i - 1]), float(t[i + 1] - t[i])
@@ -704,8 +704,8 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     fl.write_trace_csv(trace, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 0], np.asarray(trace.times))
-    np.testing.assert_array_equal(data[:, 1], np.asarray(trace.areas))
+    np.testing.assert_array_equal(data[:, 0], np.asarray(trace.columns["t"]))
+    np.testing.assert_array_equal(data[:, 1], np.asarray(trace.columns["area"]))
 
 
 @pytest.mark.parametrize("body", ["ellipse", "benchmark"])
@@ -721,11 +721,11 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
         trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256),
                                      store_every=8)
     states = [geo.SupportFunction(row) for row in trace.samples]
-    assert len(states) == len(trace.times) > 10
-    np.testing.assert_array_equal(trace.areas, [geo.area(s) for s in states])
-    np.testing.assert_array_equal(trace.lengths, [geo.length(s) for s in states])
+    assert len(states) == len(trace.columns["t"]) > 10
+    np.testing.assert_array_equal(trace.columns["area"], [geo.area(s) for s in states])
+    np.testing.assert_array_equal(trace.columns["length"], [geo.length(s) for s in states])
     expected = []
-    for t, s in zip(trace.times, states):
+    for t, s in zip(trace.columns["t"], states):
         center = geo.steiner_point(s)
         rec = geo.translate(s, (-center.x, -center.y)).samples
         mean_radius = float(np.mean(rec))
@@ -744,7 +744,7 @@ def test_kappa_integral_column_matches_the_per_state_integral(monkeypatch, alpha
     monkeypatch.setattr(fl, "ROW_BLOCK_VALUES", 1000)
     p = FlowParams(alpha=alpha, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, store_every=8)
-    assert len(trace.times) > 2 * 1000 // 128
+    assert len(trace.columns["t"]) > 2 * 1000 // 128
     np.testing.assert_array_equal(
         trace.columns["kappa_integral"],
         [fl.curvature_integral(geo.SupportFunction(row), alpha) for row in trace.samples])
@@ -755,7 +755,7 @@ def test_trace_summary_rows_fields():
     columns = fl.trace_summary_rows(trace)
     assert tuple(columns) == ("t", "area", "length", "inradius", "circumradius",
                               "delta_to_circle", "kappa_integral")
-    assert all(len(column) == len(trace.times) for column in columns.values())
+    assert all(len(column) == len(trace.columns["t"]) for column in columns.values())
     assert columns["t"][0] == 0.0
     assert math.isclose(columns["area"][0], math.pi, rel_tol=1e-12)
 
@@ -763,7 +763,7 @@ def test_trace_summary_rows_fields():
 def test_snapshots_written_every_k(tmp_path):
     trace = fl.run_to_extinction(circle(), P64)
     paths = fl.write_trace_snapshots(trace, tmp_path, every=50)
-    n = len(trace.times)
+    n = len(trace.columns["t"])
     expected = {i for i in range(n) if i % 50 == 0} | {n - 1}
     assert paths == [f"{i:06d}.json" for i in sorted(expected)]
     snapshot = json.loads((tmp_path / paths[0]).read_text())

@@ -355,6 +355,23 @@ def test_crossing_scale_tracks_log_delta():
     assert 0.3 < min(ratios) < 0.6
 
 
+@pytest.mark.parametrize("alpha, delta", [(0.6, 1e-8), (1.0, 1e-6), (2.0, 1e-3)])
+def test_the_located_crossing_is_a_row(alpha, delta):
+    sol = so.comparison_ode(alpha, delta, 3.0)
+    assert np.all(np.diff(sol.t) > 0.0)
+    (k,) = np.flatnonzero(sol.t == sol.a_cross)
+    assert abs(sol.drho[k] - 1.0) <= 1e-14
+    # The accepted steps on either side sit far outside crossing_time's
+    # 1e-9 reading tolerance.
+    assert sol.drho[k - 1] < 1.0 - 1e-2 and sol.drho[k + 1] > 1.0 + 1e-2
+
+
+def test_crossing_time_reads_the_first_row_at_the_level():
+    t = np.array([0.0, 1.0, 2.0, 3.0])
+    assert so.crossing_time(t, np.array([0.0, 1.0 - 2e-9, 1.0 - 5e-10, 2.0]), 1.0) == 2.0
+    assert so.crossing_time(t, np.array([0.0, 0.5, 0.9, 0.99]), 1.0) is None
+
+
 def test_comparison_ode_validation():
     with pytest.raises(ValueError):
         so.comparison_ode(0.0, 1e-6, 1.0)
@@ -494,9 +511,13 @@ def test_marches_count_their_work(name):
     if name == "radial_translator":
         assert 0 < stats.jacobian_evals < stats.accepted_steps
     else:
-        # every accepted step is a row; a terminal crossing replaces the step past it
+        # every accepted step is a row and so is the located crossing, which
+        # on the terminal translator_1d march replaces the step past it
         assert stats.jacobian_evals is None
-        assert len(result.t if name == "comparison_ode" else result.x) == stats.accepted_steps + 1
+        if name == "comparison_ode":
+            assert len(result.t) == stats.accepted_steps + 2
+        else:
+            assert len(result.x) == stats.accepted_steps + 1
 
 
 # -- log-convexity -----------------------------------------------------------
