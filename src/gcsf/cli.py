@@ -5,12 +5,13 @@ directory; sweep repeats a base config across the values of one parameter,
 one directory per value plus a summary CSV; verify recomputes a finished
 run's pass/fail decisions and headline numbers from its stored CSVs
 alone.  Each experiment is one entry of EXPERIMENTS: the config fields it
-accepts, its runner, which marches and writes the artifacts, and its judge,
-which derives the checks and the headline numbers from the artifact
-columns, for run and verify alike.  Every run writes a manifest.json naming
-each headline number and the file it came from; CSVs are written in full
-round-trip precision, so identical config and seed give byte-identical
-outputs, and verify demands exact agreement with the manifest.
+accepts, its runner, which marches and returns each CSV's columns by name,
+and its judge, which derives the checks and the headline numbers from
+those columns, looked up by name, for run and verify alike.  Every run
+writes a manifest.json naming each headline number and the file it came
+from.  gcsf.tables writes every CSV and reads it back, in full round-trip
+precision, so identical config and seed give byte-identical outputs, and
+verify demands exact agreement with the manifest.
 """
 
 from __future__ import annotations
@@ -184,8 +185,9 @@ class Experiment:
     fields maps each config field the experiment reads to its default, or
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
-    fields.  run(cfg, out, stats) marches, writes the artifacts under out
-    and returns each written file's columns, keyed by file name.
+    fields.  run(cfg, out, stats) marches and returns each CSV as an
+    ordered mapping of column names to columns, keyed by file name, which
+    run_config writes under out; it writes any other artifact itself.
     judge(cfg, columns) derives (scalars, checks), the headline numbers and
     the pass/fail decisions, from such columns alone: for run_config from
     the columns just written, for verify from the same columns read back.
@@ -295,8 +297,8 @@ def _scalars(experiment: Experiment, values: dict) -> dict:
             for name in experiment.headline}
 
 
-# -- the experiments: each run marches and writes its artifacts; each judge
-# derives the checks and the headline numbers from those columns alone ------
+# -- the experiments: each run marches and returns its CSVs' columns; each
+# judge derives the checks and the headline numbers from those columns alone
 
 def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
     return fl.FlowParams(alpha=cfg.alpha, m=cfg.m)
@@ -315,11 +317,10 @@ def _check_flow_body(cfg: SimpleNamespace) -> None:
 def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
                                  store_every=EXTINCTION_STORE_EVERY, stats=stats)
-    columns = {"trace.csv": fl.write_trace_csv(trace, os.path.join(out, "trace.csv"))}
     if cfg.snapshot_every > 0:
         fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
                                  every=cfg.snapshot_every)
-    return columns
+    return {"trace.csv": fl.trace_summary_rows(trace)}
 
 
 def _flow_judge(cfg: SimpleNamespace, columns):
@@ -335,10 +336,6 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     circumscribing it, as the comparison principle demands.
     """
     trace = columns["trace.csv"]
-    if len(trace) != len(fl.TRACE_COLUMNS):  # written before kappa_integral was a column
-        raise ValueError(
-            f"trace.csv has {len(trace)} of {len(fl.TRACE_COLUMNS)} columns; re-run it")
-    trace = dict(zip(fl.TRACE_COLUMNS, trace))
     times, inradii = trace["t"], trace["inradius"]
     extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
     extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg)) if extinct else None
@@ -379,14 +376,14 @@ def _flow_judge(cfg: SimpleNamespace, columns):
 def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     # The rescaled flow takes a few hundred ETD steps; its rate fit wants
     # every one of them, as mode_decay_series keeps.
-    series = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
-                                  cfg.mode, stats=stats)
-    tables.write_columns(os.path.join(out, "rate.csv"), ["tau", "amplitude"], *series.T)
-    return {"rate.csv": series.T}
+    tau, amplitude = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
+                                          cfg.mode, stats=stats).T
+    return {"rate.csv": {"tau": tau, "amplitude": amplitude}}
 
 
 def _rate_judge(cfg: SimpleNamespace, columns):
-    fit = fl.fit_decay_rate(np.column_stack(columns["rate.csv"]),
+    rate = columns["rate.csv"]
+    fit = fl.fit_decay_rate(np.column_stack([rate["tau"], rate["amplitude"]]),
                             (cfg.fit_window[0], cfg.fit_window[1]))
     expected = fl.linearized_mode_rate(cfg.alpha, cfg.mode)
     tol = RATE_TOL * max(abs(expected), 1.0)
@@ -396,14 +393,13 @@ def _rate_judge(cfg: SimpleNamespace, columns):
 
 def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     profile = so.translator_1d(cfg.alpha, cfg.x_max, stats)
-    so.write_profile1d_csv(profile, os.path.join(out, "profile1d.csv"))
-    return {"profile1d.csv": (profile.x, profile.v, profile.dv)}
+    return {"profile1d.csv": {"x": profile.x, "v": profile.v, "dv": profile.dv}}
 
 
 def _translator_judge(cfg: SimpleNamespace, columns):
     """Above alpha = 1/2 the profile must blow up within x_max; at or below
     it the profile is entire, so the stored rows must reach x_max."""
-    x, _, dv = columns["profile1d.csv"]
+    x, dv = columns["profile1d.csv"]["x"], columns["profile1d.csv"]["dv"]
     half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
     dichotomy = (blew_up and half_width <= cfg.x_max if cfg.alpha > 0.5
@@ -423,12 +419,18 @@ def _translator_judge(cfg: SimpleNamespace, columns):
 
 def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats)
-    so.write_profile_csv(profile, os.path.join(out, "profile.csv"))
-    return {"profile.csv": profile}
+    return {"profile.csv": {"r": profile.r, "u": profile.u, "du": profile.du,
+                            "d2u": profile.d2u}}
+
+
+def _profile(columns) -> so.RadialProfile:
+    """The radial profile stored as profile.csv, its columns looked up by name."""
+    table = columns["profile.csv"]
+    return so.RadialProfile(table["r"], table["u"], table["du"], table["d2u"])
 
 
 def _radial_judge(cfg: SimpleNamespace, columns):
-    profile = columns["profile.csv"]
+    profile = _profile(columns)
     try:
         profile.check_convex()
         convex = True
@@ -449,31 +451,28 @@ def _radial_judge(cfg: SimpleNamespace, columns):
 
 def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     columns = _run_radial_translator(cfg, out, stats)
-    sups = [so.blow_down(columns["profile.csv"], cfg.alpha, float(h))[1] for h in cfg.scales]
-    tables.write_columns(os.path.join(out, "blowdown.csv"), ["h", "sup_dist"],
-                         cfg.scales, sups)
-    return {**columns, "blowdown.csv": (cfg.scales, sups)}
+    profile = _profile(columns)
+    sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
+    return {**columns, "blowdown.csv": {"h": cfg.scales, "sup_dist": sups}}
 
 
 def _blowdown_judge(cfg: SimpleNamespace, columns):
-    _, sups = columns["blowdown.csv"]
+    sups = columns["blowdown.csv"]["sup_dist"]
     monotone = bool(all(a > b for a, b in zip(sups, sups[1:])))
     return {"sup_dist": sups[-1]}, [Check("supdist-monotone", monotone, None, "true")]
 
 
 def _run_legendre(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     columns = _run_radial_translator(cfg, out, stats)
-    dual = so.legendre(columns["profile.csv"])
-    tables.write_columns(os.path.join(out, "dual.csv"),
-                         ["p", "u_star", "r_argmax", "d2u_star"],
-                         dual.r, dual.u, dual.du, dual.d2u)
-    return {**columns, "dual.csv": (dual.r, dual.u, dual.du, dual.d2u)}
+    dual = so.legendre(_profile(columns))
+    return {**columns, "dual.csv": {"p": dual.r, "u_star": dual.u, "r_argmax": dual.du,
+                                    "d2u_star": dual.d2u}}
 
 
 def _legendre_judge(cfg: SimpleNamespace, columns):
-    p, u_star, r_argmax, d2u_star = columns["dual.csv"]
-    fit = so.dual_power_fit(so.RadialProfile(p, u_star, r_argmax, d2u_star),
-                            cfg.p_lo, cfg.p_hi)
+    table = columns["dual.csv"]
+    dual = so.RadialProfile(table["p"], table["u_star"], table["r_argmax"], table["d2u_star"])
+    fit = so.dual_power_fit(dual, cfg.p_lo, cfg.p_hi)
     exp_true = (1.0 + cfg.alpha) / cfg.alpha
     coef_true = cfg.alpha / (1.0 + cfg.alpha)
     scalars = {"exponent": fit.exponent, "coefficient": fit.coefficient,
@@ -488,8 +487,7 @@ def _legendre_judge(cfg: SimpleNamespace, columns):
 
 def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
     sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, stats)
-    so.write_ode_csv(sol, os.path.join(out, "ode.csv"))
-    return {"ode.csv": (sol.t, sol.rho, sol.drho)}
+    return {"ode.csv": {"t": sol.t, "rho": sol.rho, "drho": sol.drho}}
 
 
 def _check_ode_horizon(cfg: SimpleNamespace) -> None:
@@ -514,7 +512,7 @@ def _check_ode_horizon(cfg: SimpleNamespace) -> None:
 
 
 def _ode_judge(cfg: SimpleNamespace, columns):
-    ts, _, drho = columns["ode.csv"]
+    ts, drho = columns["ode.csv"]["t"], columns["ode.csv"]["drho"]
     a_cross = so.crossing_time(ts, drho, 1.0)  # scales like (-log delta)^(alpha/(alpha+1))
     ratio = (a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
              if a_cross is not None and cfg.delta < 1.0 else None)
@@ -526,14 +524,12 @@ def _ode_judge(cfg: SimpleNamespace, columns):
 
 def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
-    tables.write_columns(os.path.join(out, "margins.csv"),
-                         ["r", "radial_eig", "tangential_eig"], r, phi_rr, phi_tan)
-    return {"margins.csv": (r, phi_rr, phi_tan)}
+    return {"margins.csv": {"r": r, "radial_eig": phi_rr, "tangential_eig": phi_tan}}
 
 
 def _logconv_judge(cfg: SimpleNamespace, columns):
-    _, radial, tangential = columns["margins.csv"]
-    margin = float(min(np.min(radial), np.min(tangential)))
+    margins = columns["margins.csv"]
+    margin = float(min(np.min(margins["radial_eig"]), np.min(margins["tangential_eig"])))
     return {"margin": margin}, [Check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
 
 
@@ -600,9 +596,9 @@ def _make_dir(path: str) -> None:
 
 
 def run_config(cfg: SimpleNamespace) -> dict:
-    """Execute one experiment, write its artifacts and manifest, return the
-    manifest payload.  The columns just written are judged, as verify
-    judges the same columns read back."""
+    """Execute one experiment, write its CSVs and manifest, return the
+    manifest payload.  A run that raises writes no CSV.  The columns just
+    written are judged, as verify judges the same columns read back."""
     _make_dir(cfg.output_dir)
     experiment = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
@@ -611,7 +607,10 @@ def run_config(cfg: SimpleNamespace) -> dict:
     checks: list[Check] = []
     stats = experiment.solver() if experiment.solver else None
     try:
-        judged, checks = experiment.judge(cfg, experiment.run(cfg, cfg.output_dir, stats))
+        columns = experiment.run(cfg, cfg.output_dir, stats)
+        for name, table in columns.items():
+            tables.write_columns(os.path.join(cfg.output_dir, name), table)
+        judged, checks = experiment.judge(cfg, columns)
         scalars = _scalars(experiment, judged)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -633,17 +632,15 @@ def run_config(cfg: SimpleNamespace) -> dict:
 
 
 class _StoredColumns(dict):
-    """A finished run's artifact columns, each file read on first use."""
+    """A finished run's CSVs, each read on first use as its columns keyed
+    by its header."""
 
     def __init__(self, run_dir: str):
         super().__init__()
         self.run_dir = run_dir
 
     def __missing__(self, name: str):
-        path = os.path.join(self.run_dir, name)
-        _require(os.path.exists(path), f"run directory is missing {name}")
-        reader = so.read_profile_csv if name == "profile.csv" else tables.read_columns
-        self[name] = reader(path)
+        self[name] = tables.read_columns(os.path.join(self.run_dir, name))
         return self[name]
 
 

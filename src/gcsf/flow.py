@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcsf import tables
 from gcsf.geometry import (
     ConvexityLostError,
     SupportFunction,
@@ -753,14 +752,6 @@ def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
     each state seen from its Steiner point, and curvature_integral.  Each
     row matches those functions applied to its state bit for bit."""
     return dict(trace.columns)
-
-
-def write_trace_csv(trace: FlowTrace, path) -> list[np.ndarray]:
-    """Plot-ready series, the columns of trace_summary_rows; returns the
-    columns written, in that order."""
-    columns = trace_summary_rows(trace)
-    tables.write_columns(path, list(columns), *columns.values())
-    return list(columns.values())
 
 
 def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:

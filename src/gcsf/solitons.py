@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcsf import tables
-
 #: Forward integration of the 1-D translator hands over to the inverse
 #: variable once the slope exceeds this.
 SLOPE_SWITCH = 1e3
@@ -72,16 +70,11 @@ class OdeStats:
 
 @dataclass
 class Profile1D:
-    """Graph of the 1-D translator on x >= 0.
-
-    domain_half_width is the located blow-up abscissa of v', or None when
-    no divergence occurred up to the requested x_max (entire so far).
-    """
+    """Graph of the 1-D translator on x >= 0."""
 
     x: np.ndarray
     v: np.ndarray
     dv: np.ndarray
-    domain_half_width: float | None
 
     def __post_init__(self) -> None:
         for name in ("x", "v", "dv"):
@@ -125,7 +118,6 @@ class OdeSolution:
     t: np.ndarray
     rho: np.ndarray
     drho: np.ndarray
-    a_cross: float | None
 
 
 def _require_length(name: str, value: float) -> None:
@@ -215,10 +207,10 @@ def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> 
     x(v') = integral of (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so
     the march stops at the located crossing of the slope through
     SLOPE_SWITCH, which becomes the last row, and the remaining distance to
-    the asymptote is the tail integral of tail_half_width.  A profile whose
-    march stopped short of x_max has blown up and reports that
-    domain_half_width; one that reached x_max reports None (entire so far;
-    always the case for alpha <= 1/2).  stats, if given, receives DOP853's
+    the asymptote is the tail integral of tail_half_width; a march that
+    stopped short of x_max has blown up, and blow_up_half_width reads its
+    half-width off the last row.  A march that reached x_max is entire so
+    far, as always for alpha <= 1/2.  stats, if given, receives DOP853's
     counts.
     """
     if alpha <= 0.0:
@@ -235,7 +227,7 @@ def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> 
     # Only a strip profile hands over to the tail.
     x, v, dv = _dop853(rhs, x_max, [0.0, 0.0], _ATOL, stats or OdeStats(),
                        level=SLOPE_SWITCH if q > 0.5 else None, terminal=True)
-    return Profile1D(x, v, dv, blow_up_half_width(alpha, x_max, x, dv))
+    return Profile1D(x, v, dv)
 
 
 def blow_up_half_width(alpha: float, x_max: float, x, dv) -> float | None:
@@ -567,11 +559,11 @@ def comparison_ode(alpha: float, delta: float, t_max: float,
                    stats: OdeStats | None = None) -> OdeSolution:
     """Integrate rho'' = 10 t^(1/alpha) rho' + 10 delta, rho(0) = -delta, rho'(0) = 0.
 
-    DOP853, stored at its accepted steps from 0 to t_max and at a_cross,
-    the first time with rho' = 1, located between two accepted steps by
-    brentq on re-integrations (None if the slope never gets there).  The
-    solution scales with delta, so the absolute tolerance does too.  stats,
-    if given, receives DOP853's counts.
+    DOP853, stored at its accepted steps from 0 to t_max and at the first
+    time with rho' = 1, if the slope gets there, located between two
+    accepted steps by brentq on re-integrations; crossing_time reads it
+    off the rows.  The solution scales with delta, so the absolute
+    tolerance does too.  stats, if given, receives DOP853's counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -585,7 +577,7 @@ def comparison_ode(alpha: float, delta: float, t_max: float,
 
     t, rho, drho = _dop853(rhs, t_max, [-delta, 0.0], _ATOL * delta,
                            stats or OdeStats(), level=1.0)
-    return OdeSolution(t, rho, drho, crossing_time(t, drho, 1.0))
+    return OdeSolution(t, rho, drho)
 
 
 def crossing_time(t, slope, level: float) -> float | None:
@@ -643,22 +635,3 @@ def log_convexity_grid(
     phi_rr = (alpha * r ** (alpha - 1.0) * w + r ** (2.0 * alpha)) / w**2
     return r, phi_rr, phi_r / r
 
-
-# -- serialization ----------------------------------------------------------
-
-def write_profile_csv(profile: RadialProfile, path) -> None:
-    tables.write_columns(path, ["r", "u", "du", "d2u"],
-                         profile.r, profile.u, profile.du, profile.d2u)
-
-
-def read_profile_csv(path) -> RadialProfile:
-    r, u, du, d2u = tables.read_columns(path)
-    return RadialProfile(r, u, du, d2u)
-
-
-def write_profile1d_csv(profile: Profile1D, path) -> None:
-    tables.write_columns(path, ["x", "v", "dv"], profile.x, profile.v, profile.dv)
-
-
-def write_ode_csv(sol: OdeSolution, path) -> None:
-    tables.write_columns(path, ["t", "rho", "drho"], sol.t, sol.rho, sol.drho)

@@ -28,6 +28,7 @@ from gcsf import cli
 from gcsf import flow as fl
 from gcsf import geometry as geo
 from gcsf import solitons as so
+from gcsf import tables
 from gcsf.flow import FlowParams
 
 CONFIGS = Path(__file__).parent / "acceptance"
@@ -98,7 +99,8 @@ def _passed(manifests):
 
 def _profile(manifest):
     """The radial profile a run wrote."""
-    return so.read_profile_csv(os.path.join(manifest["config"]["output_dir"], "profile.csv"))
+    path = os.path.join(manifest["config"]["output_dir"], "profile.csv")
+    return so.RadialProfile(**tables.read_columns(path))
 
 
 def _configs(criterion):

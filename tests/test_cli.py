@@ -288,7 +288,7 @@ def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
     trace = cli._StoredColumns(str(out))["trace.csv"]
     params = cli._flow_params(cli.config_from_dict(manifest["config"]))
     assert manifest["scalars"]["extinction_time"]["value"] == \
-        cli.fl.extrapolate_extinction(trace[0], trace[3], params)
+        cli.fl.extrapolate_extinction(trace["t"], trace["inradius"], params)
 
 
 def test_flow_circle_checks_and_snapshots(tmp_path):
@@ -313,7 +313,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     assert cli.main(["run", cfg]) == 0
     cfg = cli.config_from_dict(read_manifest(out)["config"])
     trace = cli._StoredColumns(str(out))["trace.csv"]
-    times, inradii = trace[0], trace[3]
+    times, inradii = trace["t"], trace["inradius"]
     names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
              "circumscribed-disc-last"]
     assert [c.name for c in cli._flow_judge(cfg, {"trace.csv": trace})[1]] == names
@@ -321,20 +321,21 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     slack = 2.0 * cli.EXTINCTION_TOL
 
     def failed(column=None, value=None, keep=None, row=0):
-        nudged = trace.copy() if keep is None else trace[:, keep]
+        nudged = {name: (col if keep is None else col[keep]).copy()
+                  for name, col in trace.items()}
         if column is not None:
-            nudged[column, row] = value
+            nudged[column][row] = value
         checks = cli._flow_judge(cfg, {"trace.csv": nudged})[1]
         return [c.name for c in checks if not c.passed]
 
     assert failed() == []
     assert failed(keep=inradii >= cli.fl.STOP_INRADIUS) == ["extinct"]
     # The first area also enters the identity's first difference.
-    assert failed(1, 2.0 * math.pi * (T + slack)) == ["area-identity", "extinction-time"]
-    assert failed(3, math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
-    assert failed(4, math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
-    kappa = trace[6, 1] + 2.0 * cli.AREA_IDENTITY_TOL
-    assert failed(6, kappa, row=1) == ["area-identity"]
+    assert failed("area", 2.0 * math.pi * (T + slack)) == ["area-identity", "extinction-time"]
+    assert failed("inradius", math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
+    assert failed("circumradius", math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
+    kappa = trace["kappa_integral"][1] + 2.0 * cli.AREA_IDENTITY_TOL
+    assert failed("kappa_integral", kappa, row=1) == ["area-identity"]
 
 
 @pytest.mark.parametrize("body", [{"kind": "circle"},
@@ -485,6 +486,11 @@ def _keep_columns(path, n):
     path.write_text("".join(",".join(line.split(",")[:n]) + "\r\n" for line in lines))
 
 
+def _rename_columns(path, header):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\r\n" for line in [header, *lines[1:]]))
+
+
 def _keep_rows(path, n):
     lines = path.read_text().splitlines()
     path.write_text("".join(line + "\r\n" for line in lines[:n + 1]))
@@ -503,7 +509,12 @@ def _rewrite_manifest(out, change):
 DAMAGED_RUNS = {
     "six-column-trace": (
         dict(experiment="flow", m=64), lambda out: _keep_columns(out / "trace.csv", 6), 2,
-        "cannot recompute the checks: ValueError: trace.csv has 6 of 7 columns; re-run it"),
+        "cannot recompute the checks: ValueError: {out}/trace.csv has no column "
+        "'kappa_integral'"),
+    "trace-missing": (
+        dict(experiment="flow", m=64), lambda out: (out / "trace.csv").unlink(), 2,
+        "cannot recompute the checks: FileNotFoundError: [Errno 2] No such file or directory: "
+        "'{out}/trace.csv'"),
     "header-only-trace": (
         dict(experiment="flow", m=64), lambda out: _keep_rows(out / "trace.csv", 0), 2,
         "cannot recompute the checks: ValueError: {out}/trace.csv has no data rows"),
@@ -519,8 +530,11 @@ DAMAGED_RUNS = {
     "three-column-dual": (
         dict(experiment="legendre", p_lo=20.0, p_hi=40.0),
         lambda out: _keep_columns(out / "dual.csv", 3), 2,
-        "cannot recompute the checks: ValueError: "
-        "not enough values to unpack (expected 4, got 3)"),
+        "cannot recompute the checks: ValueError: {out}/dual.csv has no column 'd2u_star'"),
+    "renamed-ode-column": (
+        dict(experiment="comparison-ode"),
+        lambda out: _rename_columns(out / "ode.csv", "t,rho,slope"), 2,
+        "cannot recompute the checks: ValueError: {out}/ode.csv has no column 'drho'"),
     "manifest-not-json": (
         dict(experiment="log-convexity"), lambda out: (out / "manifest.json").write_text("{["), 1,
         "error: manifest '{out}/manifest.json' is not valid JSON: "
@@ -653,7 +667,7 @@ def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, entries, 
     trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
                                      t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
     assert trace.stop_reason.value == reason
-    cli.fl.write_trace_csv(trace, tmp_path / "trace.csv")
+    cli.tables.write_columns(tmp_path / "trace.csv", cli.fl.trace_summary_rows(trace))
     judged, _ = cli._flow_judge(cfg, cli._StoredColumns(str(tmp_path)))
     assert judged["stop_reason"] == reason
 

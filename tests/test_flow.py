@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from gcsf import flow as fl
 from gcsf import geometry as geo
+from gcsf import tables
 from gcsf.flow import FlowParams, StepRejectedError, StopReason
 
 
@@ -702,10 +703,11 @@ def test_jensen_bound_rejects_small_alpha():
 def test_trace_csv_round_trip(tmp_path):
     trace = fl.run_to_extinction(circle(), P64)
     path = tmp_path / "trace.csv"
-    fl.write_trace_csv(trace, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 0], np.asarray(trace.columns["t"]))
-    np.testing.assert_array_equal(data[:, 1], np.asarray(trace.columns["area"]))
+    tables.write_columns(path, fl.trace_summary_rows(trace))
+    back = tables.read_columns(path)
+    assert list(back) == list(fl.TRACE_COLUMNS)
+    for name in fl.TRACE_COLUMNS:
+        np.testing.assert_array_equal(back[name], trace.columns[name])
 
 
 @pytest.mark.parametrize("body", ["ellipse", "benchmark"])

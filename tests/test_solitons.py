@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import gamma
 
+from gcsf import cli, tables
 from gcsf import solitons as so
 from gcsf.solitons import Profile1D, RadialProfile
 
@@ -23,13 +24,14 @@ def half_width_oracle(alpha):
 @pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0, 1.5, 2.0])
 def test_half_width_matches_beta_integral(alpha):
     prof = so.translator_1d(alpha, 20.0)
-    assert prof.domain_half_width is not None
-    assert abs(prof.domain_half_width - half_width_oracle(alpha)) <= 1e-7
+    width = so.blow_up_half_width(alpha, 20.0, prof.x, prof.dv)
+    assert width is not None
+    assert abs(width - half_width_oracle(alpha)) <= 1e-7
 
 
 def test_half_width_alpha_one_is_half_pi():
     prof = so.translator_1d(1.0, 20.0)
-    assert abs(prof.domain_half_width - math.pi / 2.0) <= 1e-8
+    assert abs(so.blow_up_half_width(1.0, 20.0, prof.x, prof.dv) - math.pi / 2.0) <= 1e-8
 
 
 def test_alpha_half_slope_is_sinh():
@@ -46,21 +48,21 @@ def test_alpha_half_slope_stays_finite_past_the_squared_overflow():
     # v'^2 overflows near x = 355; v' = sinh x itself stays a float to x ~ 710.
     prof = so.translator_1d(0.5, 700.0)
     assert prof.x[-1] == 700.0
-    assert prof.domain_half_width is None
+    assert so.blow_up_half_width(0.5, 700.0, prof.x, prof.dv) is None
     assert abs(prof.dv[-1] / math.sinh(prof.x[-1]) - 1.0) <= 1e-8
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5])
 def test_entire_profiles_reach_the_box(alpha):
     prof = so.translator_1d(alpha, 20.0)
-    assert prof.domain_half_width is None
+    assert so.blow_up_half_width(alpha, 20.0, prof.x, prof.dv) is None
     assert prof.x[-1] == pytest.approx(20.0, abs=1e-12)
     assert np.all(np.isfinite(prof.dv))
 
 
 def test_strip_profiles_stop_inside_their_width():
     prof = so.translator_1d(0.6, 20.0)
-    assert prof.x[-1] < prof.domain_half_width < 20.0
+    assert prof.x[-1] < so.blow_up_half_width(0.6, 20.0, prof.x, prof.dv) < 20.0
 
 
 def test_tail_half_width_rejects_entire_range():
@@ -79,21 +81,21 @@ def test_strip_profile_that_reaches_the_box_has_not_blown_up():
     # tan x reaches slope 1.56 at x = 1, far below the switch: no half-width.
     prof = so.translator_1d(1.0, 1.0)
     assert prof.x[-1] == 1.0
-    assert prof.domain_half_width is None
     assert so.blow_up_half_width(1.0, 1.0, prof.x, prof.dv) is None
 
 
 def test_blow_up_is_read_off_the_last_row():
     prof = so.translator_1d(1.0, 20.0)
     assert prof.dv[-1] == pytest.approx(so.SLOPE_SWITCH, rel=1e-9)
-    assert so.blow_up_half_width(1.0, 20.0, prof.x, prof.dv) == prof.domain_half_width
+    assert (so.blow_up_half_width(1.0, 20.0, prof.x, prof.dv)
+            == so.tail_half_width(1.0, prof.x[-1], prof.dv[-1]))
 
 
 def test_profile1d_validation():
     with pytest.raises(ValueError):
-        Profile1D(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2), None)
+        Profile1D(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError):
-        Profile1D(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2), None)
+        Profile1D(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2))
 
 
 # -- radial translator -------------------------------------------------------
@@ -334,14 +336,15 @@ def test_closed_form_satisfies_the_ode():
 
 def test_crossing_is_consistent_with_closed_form():
     sol = so.comparison_ode(1.0, 1e-6, 3.0)
-    assert sol.a_cross is not None
-    ref = so.comparison_closed_form(1.0, 1e-6, np.linspace(0.0, sol.a_cross, 20001))
+    a_cross = so.crossing_time(sol.t, sol.drho, 1.0)
+    assert a_cross is not None
+    ref = so.comparison_closed_form(1.0, 1e-6, np.linspace(0.0, a_cross, 20001))
     assert abs(ref[-1] - 1.0) <= 1e-8
 
 
 def test_no_crossing_before_the_slope_builds_up():
     sol = so.comparison_ode(1.0, 1e-6, 0.2)
-    assert sol.a_cross is None
+    assert so.crossing_time(sol.t, sol.drho, 1.0) is None
     assert np.max(sol.drho) < 1.0
 
 
@@ -350,7 +353,7 @@ def test_crossing_scale_tracks_log_delta():
     ratios = []
     for delta in (1e-4, 1e-6, 1e-8):
         sol = so.comparison_ode(1.0, delta, 3.0)
-        ratios.append(sol.a_cross / (-math.log(delta)) ** 0.5)
+        ratios.append(so.crossing_time(sol.t, sol.drho, 1.0) / (-math.log(delta)) ** 0.5)
     assert max(ratios) / min(ratios) < 1.15
     assert 0.3 < min(ratios) < 0.6
 
@@ -359,7 +362,7 @@ def test_crossing_scale_tracks_log_delta():
 def test_the_located_crossing_is_a_row(alpha, delta):
     sol = so.comparison_ode(alpha, delta, 3.0)
     assert np.all(np.diff(sol.t) > 0.0)
-    (k,) = np.flatnonzero(sol.t == sol.a_cross)
+    (k,) = np.flatnonzero(sol.t == so.crossing_time(sol.t, sol.drho, 1.0))
     assert abs(sol.drho[k] - 1.0) <= 1e-14
     # The accepted steps on either side sit far outside crossing_time's
     # 1e-9 reading tolerance.
@@ -451,7 +454,8 @@ def test_radial_translator_matches_the_solve_ivp_reference(alpha, r_max):
 
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 2.0, 5.0])
 def test_half_width_matches_the_solve_ivp_reference(alpha):
-    width = so.translator_1d(alpha, 20.0).domain_half_width
+    prof = so.translator_1d(alpha, 20.0)
+    width = so.blow_up_half_width(alpha, 20.0, prof.x, prof.dv)
     assert abs(width / half_width_reference(alpha) - 1.0) <= 1e-13
 
 
@@ -459,7 +463,8 @@ def test_half_width_matches_the_solve_ivp_reference(alpha):
 def test_crossing_matches_the_solve_ivp_reference(alpha):
     delta = 1e-8
     t_max = 1.0 + 0.8 * (-math.log(delta)) ** (alpha / (1.0 + alpha))
-    a_cross = so.comparison_ode(alpha, delta, t_max).a_cross
+    sol = so.comparison_ode(alpha, delta, t_max)
+    a_cross = so.crossing_time(sol.t, sol.drho, 1.0)
     assert abs(a_cross / crossing_reference(alpha, delta, t_max) - 1.0) <= 1e-12
 
 
@@ -551,34 +556,37 @@ def test_log_convexity_validation():
         so.log_convexity_grid(1.0, 1.0, n_points=1)
 
 
-# -- serialization -----------------------------------------------------------
+# -- artifacts ---------------------------------------------------------------
+# A run stores its marcher's arrays through gcsf.tables: read back by name,
+# under the header the artifact has always had, they are the same arrays
+# bit for bit.
+
+def _artifact(tmp_path, name, **config):
+    cfg = cli.config_from_dict(dict(config, output_dir=str(tmp_path)))
+    assert cli.run_config(cfg)["pass"]
+    return tables.read_columns(tmp_path / name)
+
 
 def test_profile_csv_round_trip(tmp_path):
     prof = so.radial_translator(1.0, 1.0, 5.0)
-    path = tmp_path / "profile.csv"
-    so.write_profile_csv(prof, path)
-    back = so.read_profile_csv(path)
-    np.testing.assert_array_equal(back.r, prof.r)
-    np.testing.assert_array_equal(back.u, prof.u)
-    np.testing.assert_array_equal(back.du, prof.du)
-    np.testing.assert_array_equal(back.d2u, prof.d2u)
+    back = _artifact(tmp_path, "profile.csv", experiment="radial-translator", r_max=5.0)
+    assert list(back) == ["r", "u", "du", "d2u"]
+    for name in back:
+        np.testing.assert_array_equal(back[name], getattr(prof, name))
 
 
 def test_ode_csv_columns(tmp_path):
     sol = so.comparison_ode(1.0, 1e-4, 0.5)
-    path = tmp_path / "ode.csv"
-    so.write_ode_csv(sol, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,rho,drho"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 2], sol.drho)
+    back = _artifact(tmp_path, "ode.csv", experiment="comparison-ode", delta=1e-4, t_max=0.5)
+    assert list(back) == ["t", "rho", "drho"]
+    for name in back:
+        np.testing.assert_array_equal(back[name], getattr(sol, name))
 
 
 def test_profile1d_csv_columns(tmp_path):
     prof = so.translator_1d(0.5, 2.0)
-    path = tmp_path / "profile1d.csv"
-    so.write_profile1d_csv(prof, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,v,dv"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(data[:, 0], prof.x)
+    back = _artifact(tmp_path, "profile1d.csv", experiment="translator1d", alpha=0.5,
+                     x_max=2.0)
+    assert list(back) == ["x", "v", "dv"]
+    for name in back:
+        np.testing.assert_array_equal(back[name], getattr(prof, name))
