@@ -105,8 +105,9 @@ MAX_GRID = 65536
 #: the run allocates a handful of arrays of n_points floats.
 MAX_POINTS = 10**6
 
-#: Largest r_max, for the same reason: a profile keeps a node per 5e-3 of
-#: radius.  The cap admits legendre's derived r_max for every alpha > 1/2.
+#: Largest r_max, for the same reason, though a profile's nodes are 0.25%
+#: of the radius apart past r = 2, about 4,100 of them at the cap.  The cap
+#: admits legendre's derived r_max for every alpha > 1/2.
 MAX_R_MAX = 20000.0
 
 #: Largest tau_end.  About the unit circle the rescaled flow's mode 0 grows
@@ -397,14 +398,22 @@ def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
 
 
 def _translator_judge(cfg: SimpleNamespace, columns):
-    """Above alpha = 1/2 the profile must blow up within x_max; at or below
-    it the profile is entire, so the stored rows must reach x_max."""
+    """Above alpha = 1/2 the profile must blow up within x_max, at the
+    closed-form half-width of so.strip_half_width; at or below it the
+    profile is entire, so the stored rows must reach x_max.  The measured
+    half-width adds tail_half_width's incomplete-beta tail past slope
+    SLOPE_SWITCH to the march, so half-width-beta checks the march only on
+    the bulk of the width, all but the last 1e-3 or so at alpha = 1."""
     x, dv = columns["profile1d.csv"]["x"], columns["profile1d.csv"]["dv"]
     half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
     dichotomy = (blew_up and half_width <= cfg.x_max if cfg.alpha > 0.5
                  else bool(x[-1] >= cfg.x_max))
     checks = [Check("dichotomy", dichotomy, None, "true")]
+    if blew_up:
+        checks.append(Check("half-width-beta",
+                            abs(half_width - so.strip_half_width(cfg.alpha)),
+                            HALF_WIDTH_TOL, "le"))
     if cfg.alpha == 1.0 and blew_up:
         checks.append(Check("half-width-tan", abs(half_width - math.pi / 2.0),
                             HALF_WIDTH_TOL, "le"))
@@ -417,8 +426,8 @@ def _translator_judge(cfg: SimpleNamespace, columns):
     return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
-def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats)
+def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats, radii=()):
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats, radii)
     return {"profile.csv": {"r": profile.r, "u": profile.u, "du": profile.du,
                             "d2u": profile.d2u}}
 
@@ -450,7 +459,9 @@ def _radial_judge(cfg: SimpleNamespace, columns):
 
 
 def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    columns = _run_radial_translator(cfg, out, stats)
+    # Every blow-down radius is a node, so each sup is read at x = 1 exactly.
+    columns = _run_radial_translator(
+        cfg, out, stats, [so.blow_down_radius(cfg.alpha, float(h)) for h in cfg.scales])
     profile = _profile(columns)
     sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
     return {**columns, "blowdown.csv": {"h": cfg.scales, "sup_dist": sups}}
@@ -534,7 +545,7 @@ def _logconv_judge(cfg: SimpleNamespace, columns):
 
 
 def _check_reach(cfg: SimpleNamespace) -> None:
-    needed = max(cfg.scales) ** (1.0 / (1.0 + cfg.alpha))
+    needed = so.blow_down_radius(cfg.alpha, max(cfg.scales))
     _require(cfg.r_max >= needed,
              f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
 
@@ -566,7 +577,7 @@ EXPERIMENTS = {
         solver=so.OdeStats),
     "blowdown": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "scales": (10.0, 100.0, 1000.0, 10000.0),
-         "r_max": lambda c: 1.02 * max(c["scales"]) ** (1.0 / (1.0 + c["alpha"]))},
+         "r_max": lambda c: 1.02 * so.blow_down_radius(c["alpha"], max(c["scales"]))},
         _run_blowdown, _blowdown_judge,
         "blowdown.csv", ("sup_dist",), _check_reach, solver=so.OdeStats),
     "legendre": Experiment(

@@ -34,15 +34,21 @@ SLOPE_SWITCH = 1e3
 
 _SERIES_RADIUS = 1e-3
 
-#: Largest spacing of the stored radial nodes.
+#: Spacing of the stored radial nodes from r = 5e-3 to r = 2; past r = 2
+#: the spacing is r / _NODE_RATIO, 0.25% of the radius.  u' grows like
+#: r^alpha, so a fixed relative spacing keeps the cubic-Hermite increment
+#: check's relative defect level while the node count grows only like
+#: log r: 1,603 nodes to r = 40, about 4,100 to r = 20,000.
 _NODE_SPACING = 5e-3
+_NODE_RATIO = 400.0
 
 #: Tolerances of LSODA and DOP853 on every soliton ODE.
 _RTOL = 1e-12
 _ATOL = 1e-14
 
 #: Step cap of the ODE drivers: LSODA's steps between two stored nodes,
-#: DOP853's steps over one march or one crossing re-integration.
+#: which are at most 0.25% of the radius apart, DOP853's steps over one
+#: march or one crossing re-integration.
 MAX_STEPS = 100_000
 
 #: brentq's tolerances on a crossing time: its smallest relative one.
@@ -256,6 +262,17 @@ def _inverse_tail(q: float, w: float) -> float:
     return 0.5 * betainc(q - 0.5, 0.5, t) * beta_fn(q - 0.5, 0.5)
 
 
+def strip_half_width(alpha: float) -> float:
+    """Closed-form half-width (1/2) B(q - 1/2, 1/2), q = 3/2 - 1/(2*alpha),
+    of the alpha > 1/2 translator's strip: the inverse abscissa integral of
+    (1 + z^2)^-q over [0, inf), by the substitution of _inverse_tail."""
+    from scipy.special import beta as beta_fn
+
+    if alpha <= 0.5:
+        raise ValueError(f"the profile is entire for alpha <= 1/2, got {alpha}")
+    return float(0.5 * beta_fn(1.0 - 0.5 / alpha, 0.5))
+
+
 def tail_half_width(alpha: float, x_last: float, slope_last: float) -> float:
     """Blow-up abscissa implied by a 1-D march state (x, v') at large slope.
 
@@ -268,24 +285,40 @@ def tail_half_width(alpha: float, x_last: float, slope_last: float) -> float:
     return float(x_last + _inverse_tail(1.5 - 0.5 / alpha, slope_last))
 
 
-def _radial_nodes(r_max: float) -> np.ndarray:
-    """Output radii r_(k+1) = r_k + min(_NODE_SPACING, r_k) from the series
-    radius, landing on r_max.
+def _node_spacing(r):
+    """Spacing of the radial nodes after r: min(r, max(_NODE_SPACING, r / _NODE_RATIO))."""
+    return np.minimum(r, np.maximum(_NODE_SPACING, r / _NODE_RATIO))
 
-    A node closer to r_max than a tenth of its spacing is dropped: that
-    sliver of an interval would leave an increment of u below its roundoff.
+
+def _radial_nodes(r_max: float, radii=()) -> np.ndarray:
+    """Output radii r_(k+1) = r_k + _node_spacing(r_k) from the series
+    radius, landing on r_max, with the extra radii merged in.
+
+    The nodes double up to _NODE_SPACING, are _NODE_SPACING apart up to
+    r = _NODE_SPACING * _NODE_RATIO = 2 and grow by the factor
+    1 + 1/_NODE_RATIO past it.  A node closer to r_max or to an extra
+    radius than a tenth of its spacing is dropped: that sliver of an
+    interval would leave an increment of u below its roundoff.
     """
     head = [_SERIES_RADIUS]
     while head[-1] < _NODE_SPACING:
         head.append(2.0 * head[-1])
-    count = math.ceil((r_max - head[-1]) / _NODE_SPACING)
+    knee = min(r_max, _NODE_SPACING * _NODE_RATIO)
+    count = math.ceil((knee - head[-1]) / _NODE_SPACING)
     nodes = np.concatenate([head, head[-1] + _NODE_SPACING * np.arange(1, count + 1)])
-    nodes = nodes[nodes + 0.1 * np.minimum(nodes, _NODE_SPACING) < r_max]
-    return np.append(nodes, r_max)
+    count = math.ceil(math.log(r_max / nodes[-1]) / math.log1p(1.0 / _NODE_RATIO))
+    nodes = np.append(nodes, nodes[-1] * (1.0 + 1.0 / _NODE_RATIO) ** np.arange(1, count + 1))
+    marks = np.unique(np.append(np.asarray(radii, dtype=float), r_max))
+    k = np.searchsorted(marks, nodes)
+    gap = np.minimum(np.abs(marks[np.minimum(k, marks.size - 1)] - nodes),
+                     np.abs(nodes - marks[np.maximum(k - 1, 0)]))
+    keep = (nodes < r_max) & (gap > 0.1 * _node_spacing(nodes))
+    keep[0] = True  # the march starts there
+    return np.union1d(nodes[keep], marks)
 
 
 def radial_translator(alpha: float, sigma: float, r_max: float,
-                      stats: OdeStats | None = None) -> RadialProfile:
+                      stats: OdeStats | None = None, radii=()) -> RadialProfile:
     """Rotationally symmetric translator profile on [0, r_max].
 
     The origin is degenerate (u'/r appears in the ODE), so integration
@@ -299,10 +332,10 @@ def radial_translator(alpha: float, sigma: float, r_max: float,
     is strongly attracting at large radius (the slope relaxes onto
     u' ~ r^alpha at rate ~ r^(2*alpha-1)/alpha), which makes the equation
     stiff there; LSODA switches to its stiff method on its own.  odeint
-    interpolates onto the nodes of _radial_nodes, and u'' comes from the
-    ODE at each node.  A failed march or a non-finite node is a
-    RuntimeError naming where it stopped; stats, if given, receives
-    LSODA's counts.
+    interpolates onto the nodes of _radial_nodes, the extra radii among
+    them, without changing LSODA's steps, and u'' comes from the ODE at
+    each node.  A failed march or a non-finite node is a RuntimeError
+    naming where it stopped; stats, if given, receives LSODA's counts.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -311,6 +344,8 @@ def radial_translator(alpha: float, sigma: float, r_max: float,
     _require_length("r_max", r_max)
     if r_max <= _SERIES_RADIUS:
         raise ValueError(f"r_max must exceed the series radius {_SERIES_RADIUS}")
+    if not all(_SERIES_RADIUS < radius <= r_max for radius in radii):
+        raise ValueError(f"extra radii must lie in ({_SERIES_RADIUS}, r_max]")
     # scipy is imported where it is called, never at module level: loading
     # it costs about 0.6 s and 48 MB, and the flow experiments never use it.
     from scipy.integrate import ODEintWarning, odeint
@@ -333,7 +368,7 @@ def radial_translator(alpha: float, sigma: float, r_max: float,
 
     r1 = _SERIES_RADIUS
     start = [c * r1**2 / 2.0 + c3 * r1**4 / 4.0, c * r1 + c3 * r1**3]
-    nodes = _radial_nodes(r_max)  # the first is r1
+    nodes = _radial_nodes(r_max, radii)  # the first is r1
     with warnings.catch_warnings():
         # odeint warns on failure as well; its message is read instead.
         warnings.simplefilter("ignore", ODEintWarning)
@@ -441,19 +476,25 @@ def l0_vs_lsigma(profile: RadialProfile, alpha: float, sigma: float) -> float:
     return float(np.min(_l_sigma_off_origin(profile, alpha, sigma) - l_zero))
 
 
+def blow_down_radius(alpha: float, h: float) -> float:
+    """The radius h^(1/(1+alpha)) that the blow-down at scale h maps to x = 1."""
+    return h ** (1.0 / (1.0 + alpha))
+
+
 def blow_down(profile: RadialProfile, alpha: float, h: float) -> tuple[RadialProfile, float]:
     """Parabolic rescaling u_h(x) = u(h^(1/(1+alpha)) x) / h on [0, 1].
 
     The rescaled profile is evaluated at the pulled-back source nodes, so
     no interpolation error enters; an exact cone input gives sup distance
-    at roundoff level.  Returns the rescaled profile and its sup distance
-    to the cone x^(1+alpha)/(1+alpha).
+    at roundoff level.  A profile marched with blow_down_radius(alpha, h)
+    among its radii has a node at x = 1.  Returns the rescaled profile and
+    its sup distance to the cone x^(1+alpha)/(1+alpha).
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if h <= 0.0:
         raise ValueError(f"blow-down scale must be positive, got {h}")
-    lam = h ** (1.0 / (1.0 + alpha))
+    lam = blow_down_radius(alpha, h)
     if lam > profile.r[-1] * (1.0 + 1e-9):
         raise ValueError(
             f"profile reaches r = {profile.r[-1]:.6g} but the rescaling needs {lam:.6g}")
@@ -479,11 +520,14 @@ def growth_bound_check(profile: RadialProfile, alpha: float) -> float:
 def legendre(profile: RadialProfile, n_dual: int | None = None) -> RadialProfile:
     """Discrete Legendre transform u*(p) = max_r (p r - u(r)).
 
-    The grid argmax is refined once through the local interpolating
-    quadratic, which restores smooth accuracy O(dr^3).  The dual profile
-    lives on a uniform p grid spanning [0, u'(r_max)]; its first derivative
-    is the maximizer and its second the reciprocal local curvature.
-    The input must be strictly convex (u' strictly increasing).
+    The maximizer sits where u' crosses p.  On the bracketing interval
+    [r_0, r_0 + h] the cubic Hermite interpolant U of (u, u') has a
+    quadratic slope, so U'(r_0 + t h) = p is solved in closed form for t,
+    and u*(p) = p r^ - U(r^) at the root r^; at a nodal slope p = u'_i
+    that is r_i u'_i - u_i exactly.  The dual profile lives on a uniform
+    p grid spanning [0, u'(r_max)]; its first derivative is the maximizer
+    r^ and its second 1/U''(r^).  The input must be strictly convex (u'
+    strictly increasing).
     """
     r = profile.r
     u = profile.u
@@ -494,28 +538,24 @@ def legendre(profile: RadialProfile, n_dual: int | None = None) -> RadialProfile
         n_dual = r.size
     p = np.linspace(0.0, du[-1], n_dual)
 
-    # Bracketing index of the grid argmax: du is increasing, so the
-    # maximizer of p r - u sits where u' crosses p.
-    j = np.clip(np.searchsorted(du, p), 1, r.size - 1)
-    mid = np.clip(j, 1, r.size - 2)
-    r0, r1, r2 = r[mid - 1], r[mid], r[mid + 1]
-    u0, u1, u2 = u[mid - 1], u[mid], u[mid + 1]
-    d10 = (u1 - u0) / (r1 - r0)
-    d21 = (u2 - u1) / (r2 - r1)
-    curv = (d21 - d10) / (r2 - r0)  # half of q'' for the local quadratic
-
+    # The interval whose left slope is the last one at most p.
+    j = np.clip(np.searchsorted(du, p, side="right"), 1, r.size - 1)
+    r0, h = r[j - 1], r[j] - r[j - 1]
+    u0, d0, d1 = u[j - 1], du[j - 1], du[j]
+    secant = (u[j] - u0) / h
+    # U(r_0 + t h) = u_0 + h t (d0 + t (b + t a)), so U' = d0 + 2 b t + 3 a t^2.
+    a = d0 + d1 - 2.0 * secant
+    b = 3.0 * secant - 2.0 * d0 - d1
+    # The root where U' rises, in the form that stays exact at p = d0.
+    rise = np.sqrt(np.maximum(b * b - 3.0 * a * (d0 - p), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r_hat = 0.5 * (r0 + r1) + (p - d10) / (2.0 * curv)
-    flat = ~np.isfinite(r_hat)
-    r_hat[flat] = r1[flat]
-    r_hat = np.clip(r_hat, r0, r2)
-    # Newton-form evaluation of the interpolating quadratic at the maximizer.
-    q_val = u0 + d10 * (r_hat - r0) + curv * (r_hat - r0) * (r_hat - r1)
-    u_star = p * r_hat - q_val
+        t = (p - d0) / (b + rise)
+    t = np.clip(np.where(np.isfinite(t), t, 0.0), 0.0, 1.0)
+    r_hat = r0 + h * t
+    u_star = p * r_hat - (u0 + h * t * (d0 + t * (b + t * a)))
+    curvature = 2.0 * (b + 3.0 * a * t) / h  # U''(r^)
     with np.errstate(divide="ignore"):
-        d2_star = np.where(curv > 0.0, 1.0 / (2.0 * curv), 0.0)
-    u_star[0] = 0.0
-    r_hat[0] = 0.0
+        d2_star = np.where(curvature > 0.0, 1.0 / curvature, 0.0)
     return RadialProfile(p, u_star, r_hat, d2_star)
 
 

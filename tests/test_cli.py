@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gcsf
-from gcsf import cli
+from gcsf import cli, tables
+from gcsf import solitons as so
 
 
 def write_config(tmp_path, name="config.json", **entries):
@@ -464,6 +465,40 @@ def test_verify_agrees_on_translator1d(tmp_path, capsys, alpha, x_max, expected)
     printed = capsys.readouterr().out
     assert "matches manifest" in printed
     assert "MISMATCH" not in printed
+
+
+def _checks(tmp_path, **entries):
+    cfg = cli.config_from_dict(dict(entries, output_dir=str(tmp_path)))
+    return {c["name"]: c["pass"] for c in cli.run_config(cfg)["checks"]}
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 1.0, 2.0, 5.0])
+def test_every_strip_is_judged_by_its_beta_half_width(tmp_path, alpha):
+    checks = _checks(tmp_path, experiment="translator1d", alpha=alpha)
+    assert checks["half-width-beta"] is True
+    assert ("half-width-tan" in checks) is (alpha == 1.0)
+
+
+def test_half_width_beta_catches_an_exponent_one_percent_off(tmp_path, monkeypatch):
+    # 0.505/alpha in place of 0.5/alpha in q: at alpha = 0.75 no
+    # half-width-tan check applies, and the dichotomy still holds.
+    march = so.translator_1d
+    monkeypatch.setattr(so, "translator_1d",
+                        lambda alpha, x_max, stats=None: march(alpha / 1.01, x_max, stats))
+    checks = _checks(tmp_path, experiment="translator1d", alpha=0.75)
+    assert checks == {"dichotomy": True, "half-width-beta": False}
+
+
+@pytest.mark.parametrize("alpha", [0.8, 1.5])
+def test_blowdown_reads_each_sup_at_its_own_node(tmp_path, alpha):
+    scales = [10.0, 100.0, 1000.0, 10000.0]
+    assert all(_checks(tmp_path, experiment="blowdown", alpha=alpha, scales=scales).values())
+    profile = tables.read_columns(tmp_path / "profile.csv")
+    sups = tables.read_columns(tmp_path / "blowdown.csv")["sup_dist"]
+    for h, sup in zip(scales, sups):
+        at = np.flatnonzero(profile["r"] == h ** (1.0 / (1.0 + alpha)))
+        assert at.size == 1
+        assert sup == abs(profile["u"][at[0]] / h - 1.0 / (1.0 + alpha))
 
 
 def test_verify_detects_tampered_csv(tmp_path, capsys):

@@ -145,17 +145,36 @@ def test_radial_translator_matches_the_rk4_reference(alpha, r_max, u_end, du_end
 def test_radial_nodes_follow_the_spacing_rule():
     prof = so.radial_translator(1.0, 1.0, 40.0)
     np.testing.assert_allclose(prof.r[:6], [0.0, 1e-3, 2e-3, 4e-3, 8e-3, 13e-3])
-    steps = np.diff(prof.r[4:])
-    assert np.all(steps <= 5e-3 * (1.0 + 1e-9))
-    assert prof.r.size == 8004
+    # r_(k+1) = r_k + min(r_k, max(5e-3, r_k/400)): 5e-3 apart up to r = 2,
+    # 0.25% of r past it, and a last interval cut short by landing on r_max.
+    r = prof.r[1:-1]
+    spacing = np.minimum(r, np.maximum(5e-3, r / 400.0))
+    steps = np.diff(prof.r[1:])
+    np.testing.assert_allclose(steps[:-1], spacing[:-1], rtol=1e-9)
+    assert 0.1 * spacing[-1] < steps[-1] <= 1.1 * spacing[-1]
+    assert prof.r.size == 1604
+
+
+def test_the_march_starts_at_the_series_radius_however_close_r_max_is():
+    # r_max within a tenth of a spacing of the series radius keeps it.
+    prof = so.radial_translator(1.0, 1.0, 1.1e-3)
+    np.testing.assert_array_equal(prof.r, [0.0, 1e-3, 1.1e-3])
+    assert so.l_sigma_residual(prof, 1.0, 1.0) <= 1e-10
+
+
+def test_a_profile_at_the_r_max_cap_has_few_nodes():
+    # The r_max cap's profile, counted without marching it.
+    assert so._radial_nodes(cli.MAX_R_MAX).size < 5000
 
 
 def test_landing_on_r_max_leaves_no_sliver():
-    # 0.008 + 0.005 k falls 1.8e-15 short of 8.018 in floating point; an
+    # r_max and an extra radius each a hair past a node of the grid; an
     # interval that thin would fail the increment check on roundoff alone.
-    prof = so.radial_translator(2.0, 1.0, 8.018)
-    assert prof.r[-1] == 8.018
-    assert np.diff(prof.r)[-1] >= 5e-4
+    grid = so._radial_nodes(10.0)
+    r_max, radius = (float(np.nextafter(node, np.inf)) for node in grid[[-20, -40]])
+    prof = so.radial_translator(2.0, 1.0, r_max, radii=[radius])
+    assert prof.r[-1] == r_max and radius in prof.r
+    assert np.all(np.diff(prof.r)[1:] >= 0.1 * so._node_spacing(prof.r[1:-1]))
     assert so.hermite_increment_defect(prof) <= 1e-8
 
 
@@ -239,10 +258,12 @@ def test_blow_down_of_cone_is_itself():
 
 
 def test_blow_down_converges_along_scales():
-    prof = so.radial_translator(1.0, 1.0, 110.0)
-    sups = [so.blow_down(prof, 1.0, h)[1] for h in (10.0, 1e2, 1e3, 1e4)]
+    scales = (10.0, 1e2, 1e3, 1e4)
+    prof = so.radial_translator(1.0, 1.0, 110.0,
+                                radii=[so.blow_down_radius(1.0, h) for h in scales])
+    sups = [so.blow_down(prof, 1.0, h)[1] for h in scales]
     assert all(b < a for a, b in zip(sups, sups[1:]))
-    expected = [1.61475954e-01, 2.94440601e-02, 4.10504001e-03, 5.25736665e-04]
+    expected = [1.6169445e-01, 2.9446103e-02, 4.1051914e-03, 5.2573866e-04]
     np.testing.assert_allclose(sups, expected, rtol=1e-6)
 
 
@@ -275,6 +296,18 @@ def test_legendre_involution():
     sel = (dd.r >= 0.05 * dd.r[-1]) & (dd.r <= 0.9 * dd.r[-1])
     spline = CubicHermiteSpline(prof.r, prof.u, prof.du)
     assert np.max(np.abs(dd.u[sel] - spline(dd.r[sel]))) <= 1e-6
+
+
+def test_legendre_is_exact_at_nodal_slopes():
+    # u = r^3/3 on uneven nodes whose slopes r^2 are the dual's uniform p
+    # grid: every p is some u'_i, where u* = r_i u'_i - u_i.
+    du = np.linspace(0.0, 9.0, 301)
+    r = np.sqrt(du)
+    prof = RadialProfile(r, r**3 / 3.0, du, 2.0 * r)
+    dual = so.legendre(prof)
+    np.testing.assert_array_equal(dual.r, du)
+    np.testing.assert_allclose(dual.du, r, rtol=1e-15)
+    np.testing.assert_allclose(dual.u, r * du - prof.u, rtol=1e-15, atol=1e-15)
 
 
 def test_legendre_rejects_non_convex_input():
