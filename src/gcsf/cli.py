@@ -153,9 +153,9 @@ def _require(cond: bool, message: str) -> None:
 # What each config field must hold, and how the usage error words it.  A
 # field means the same in every experiment that reads it.
 _FIELD_RULES = {
-    **dict.fromkeys(("alpha", "p_lo", "p_hi", "delta", "radius"),
+    **dict.fromkeys(("alpha", "p_lo", "p_hi", "delta", "radius", "x_max"),
                     (_is_positive, "a positive finite number")),
-    **dict.fromkeys(("eps", "x_max"), (_is_num, "a finite number")),
+    "eps": (_is_num, "a finite number"),
     "tau_end": (lambda v: _is_num(v) and 0.0 <= v <= MAX_TAU_END,
                 f"a finite number in [0, {MAX_TAU_END:g}]"),
     "sigma": (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]"),
@@ -246,7 +246,9 @@ def config_from_dict(raw: dict) -> SimpleNamespace:
         else:
             value = default
         test, phrase = _FIELD_RULES[name]
-        _require(test(value), f"field '{name}' must be {phrase}")
+        derived = raw.get(name) is None and callable(default)
+        _require(test(value), f"field '{name}' must be {phrase}"
+                 + (f", but its default from the other fields is {value!r}" if derived else ""))
         values[name] = value
     cfg = SimpleNamespace(**values)
     experiment.validate(cfg)
@@ -327,8 +329,8 @@ def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
 def _flow_judge(cfg: SimpleNamespace, columns):
     """Checks and headline numbers of a flow run, from trace.csv alone.
 
-    The last row says why the march stopped: extinct, time_limit at the
-    march's horizon, else convexity_lost.  At alpha = 1 the area falls at
+    The stop reason and the extinction time come from fl.trace_outcome,
+    the one rule the march records them by.  At alpha = 1 the area falls at
     exactly 2 pi, on any trace of 3 rows or more.  A body run without t_max
     must go extinct.  A circle must then vanish at radius^(1+alpha)/(1+alpha)
     and shrink by the circle law on the way.  Any other body must vanish at
@@ -338,18 +340,14 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     """
     trace = columns["trace.csv"]
     times, inradii = trace["t"], trace["inradius"]
-    extinct = bool(inradii[-1] < fl.STOP_INRADIUS)
-    extinction = fl.extrapolate_extinction(times, inradii, _flow_params(cfg)) if extinct else None
-    horizon = cfg.t_max or fl.default_time_limit(_build_body(cfg), _flow_params(cfg))
-    stop = (fl.StopReason.EXTINCT if extinct else fl.StopReason.TIME_LIMIT
-            if times[-1] >= horizon else fl.StopReason.CONVEXITY_LOST)
+    stop, extinction = fl.trace_outcome(trace, _flow_params(cfg), cfg.t_max)
     defect = fl.area_rate_check(trace)
     scalars = {"extinction_time": extinction, "stop_reason": stop.value,
                "final_area": trace["area"][-1], "area_defect": defect}
-    checks = [Check("extinct", extinct, None, "true")] if cfg.t_max is None else []
+    checks = [Check("extinct", extinction is not None, None, "true")] if cfg.t_max is None else []
     if cfg.alpha == 1.0 and defect is not None:
         checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
-    if not extinct:
+    if extinction is None:
         return scalars, checks
     a1 = 1.0 + cfg.alpha
     body = cfg.initial_body
@@ -382,6 +380,12 @@ def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     return {"rate.csv": {"tau": tau, "amplitude": amplitude}}
 
 
+def _check_rate_window(cfg: SimpleNamespace) -> None:
+    _build_body(cfg)
+    _require(cfg.fit_window[0] < cfg.tau_end,
+             f"field 'fit_window' must start before tau_end = {cfg.tau_end:g}")
+
+
 def _rate_judge(cfg: SimpleNamespace, columns):
     rate = columns["rate.csv"]
     fit = fl.fit_decay_rate(np.column_stack([rate["tau"], rate["amplitude"]]),
@@ -399,9 +403,9 @@ def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
 
 def _translator_judge(cfg: SimpleNamespace, columns):
     """Above alpha = 1/2 the profile must blow up within x_max, at the
-    closed-form half-width of so.strip_half_width; at or below it the
+    closed-form half-width so.strip_half_width(alpha); at or below it the
     profile is entire, so the stored rows must reach x_max.  The measured
-    half-width adds tail_half_width's incomplete-beta tail past slope
+    half-width adds the same function's incomplete-beta tail past slope
     SLOPE_SWITCH to the march, so half-width-beta checks the march only on
     the bulk of the width, all but the last 1e-3 or so at alpha = 1."""
     x, dv = columns["profile1d.csv"]["x"], columns["profile1d.csv"]["dv"]
@@ -545,6 +549,12 @@ def _logconv_judge(cfg: SimpleNamespace, columns):
 
 
 def _check_reach(cfg: SimpleNamespace) -> None:
+    """Every blow-down radius h^(1/(1+alpha)) becomes a profile node, which
+    must lie past the series radius and within r_max."""
+    lowest = so.blow_down_radius(cfg.alpha, float(cfg.scales[0]))
+    _require(lowest > so._SERIES_RADIUS,
+             f"field 'scales' must put every radius h^(1/(1+alpha)) past the series "
+             f"radius {so._SERIES_RADIUS:g}; the smallest is {lowest:.6g}")
     needed = so.blow_down_radius(cfg.alpha, max(cfg.scales))
     _require(cfg.r_max >= needed,
              f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
@@ -565,7 +575,8 @@ EXPERIMENTS = {
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
         _run_normalized_rate, _rate_judge,
-        "rate.csv", ("fitted_rate", "residual_rms"), _build_body, solver=fl.MarchStats),
+        "rate.csv", ("fitted_rate", "residual_rms"), _check_rate_window,
+        solver=fl.MarchStats),
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
         _run_translator1d, _translator_judge,

@@ -246,11 +246,11 @@ def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
     return out
 
 
-def default_time_limit(s: SupportFunction, p: FlowParams) -> float:
-    """Safe horizon: the circumscribed disc is extinct by R^(1+a)/(1+a);
-    infinite where that power overflows."""
+def default_time_limit(radius: float, p: FlowParams) -> float:
+    """Safe horizon of a body of circumradius R = radius: its circumscribed
+    disc is extinct by R^(1+a)/(1+a); infinite where that power overflows."""
     try:
-        return 1.05 * circumradius(s) ** (1.0 + p.alpha) / (1.0 + p.alpha)
+        return 1.05 * float(radius) ** (1.0 + p.alpha) / (1.0 + p.alpha)
     except OverflowError:  # Python's float power raises where numpy gives inf
         return math.inf
 
@@ -492,12 +492,13 @@ def _record(start: np.ndarray, march, store_every: int, to_extinction: bool = Fa
 
     The first row is start itself; every other kept row, and every state
     tested for extinction, is np.fft.irfft(v, n=m) of the coefficients
-    the march yielded.  Returns (times, list of sample rows, error): error
-    is the ConvexityLostError that ended the march after at least one
-    accepted step, or None; one raised before the first step propagates.
+    the march yielded.  Returns (times, list of sample rows).  With
+    to_extinction, a ConvexityLostError after at least one accepted step
+    ends the record at the last accepted state, and trace_outcome reads
+    the stop from its rows; any other ConvexityLostError propagates.
     """
     m = start.size
-    times, rows, error, accepted = [], [], None, 0
+    times, rows, accepted = [], [], 0
     try:
         for accepted, (t, v) in enumerate(march):
             y = None if accepted else start
@@ -509,14 +510,13 @@ def _record(start: np.ndarray, march, store_every: int, to_extinction: bool = Fa
                 y = np.fft.irfft(v, n=m) if y is None else y
                 if _steiner(y)[2].min() < STOP_INRADIUS:
                     break
-    except ConvexityLostError as exc:
-        if accepted == 0:  # not one step taken: there is no run to record
+    except ConvexityLostError:
+        if not (to_extinction and accepted):  # a rescaled march, or no run to record
             raise
-        error = exc
     if times[-1] != t:
         times.append(t)
         rows.append(np.fft.irfft(v, n=m) if y is None else y)
-    return np.array(times), rows, error
+    return np.array(times), rows
 
 
 def run_to_extinction(
@@ -537,32 +537,38 @@ def run_to_extinction(
     the final state; the default of every step keeps the area series fine
     enough for its second-order differencing (area_defect).
 
-    On extinction the extinction time is estimated by fitting
-    inradius^(1+alpha), which is linear in t for shrinking circles, over
-    the last decade of the inradius column and extrapolating to zero.  A
-    MarchStats passed as stats receives the march's counts.  The stored
-    states stay one (n, m) array, FlowTrace.samples, whose trace columns
-    are computed a block of rows at a time.
+    trace_outcome reads the stop reason and the extinction time off the
+    trace.  A MarchStats passed as stats receives the march's counts.
+    The stored states stay one (n, m) array, FlowTrace.samples, whose
+    trace columns are computed a block of rows at a time.
     """
     _check_start(s0, p, store_every)
     if t_max is None:
-        t_max = default_time_limit(s0, p)
+        t_max = default_time_limit(circumradius(s0), p)
     y = np.array(s0.samples, dtype=float)
-    times, rows, error = _record(y, _etd_march(y, p, t_max, rescaled=False, stats=stats),
-                                 store_every, to_extinction=True)
+    times, rows = _record(y, _etd_march(y, p, t_max, rescaled=False, stats=stats),
+                          store_every, to_extinction=True)
     samples = np.array(rows)
     del rows
     columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples, p.alpha))))
-    inradii = columns["inradius"]
-    extinction = None
-    if error is not None:
-        stop = StopReason.CONVEXITY_LOST
-    elif inradii[-1] < STOP_INRADIUS:
-        stop = StopReason.EXTINCT
-        extinction = extrapolate_extinction(times, inradii, p)
-    else:
-        stop = StopReason.TIME_LIMIT
+    stop, extinction = trace_outcome(columns, p, t_max)
     return FlowTrace(samples, columns, extinction, stop)
+
+
+def trace_outcome(columns, p: FlowParams,
+                  t_max: float | None = None) -> tuple[StopReason, float | None]:
+    """(stop reason, extinction time or None) of a flow run from its trace
+    columns (FlowTrace.columns, or trace.csv's): extinct, at the time of
+    extrapolate_extinction, once the last inradius is below STOP_INRADIUS;
+    else time_limit if the last t has reached t_max (None: the default
+    horizon of the first row's circumradius); else convexity_lost.  A march
+    ends without an error only once t reaches its end, and raises before."""
+    times, inradii = columns["t"], columns["inradius"]
+    if inradii[-1] < STOP_INRADIUS:
+        return StopReason.EXTINCT, extrapolate_extinction(times, inradii, p)
+    if t_max is None:
+        t_max = default_time_limit(columns["circumradius"][0], p)
+    return (StopReason.TIME_LIMIT if times[-1] >= t_max else StopReason.CONVEXITY_LOST), None
 
 
 #: Values of a trace post-processed together.  The transforms and products
@@ -587,7 +593,9 @@ def _shape_columns(samples: np.ndarray, alpha: float) -> list[np.ndarray]:
 
 
 def extrapolate_extinction(times: np.ndarray, inradii: np.ndarray, p: FlowParams) -> float:
-    """Fit inradius^(1+alpha) linearly in t over the trace tail, solve for zero."""
+    """Fit inradius^(1+alpha), linear in t for shrinking circles, over the
+    rows with inradius <= 10 STOP_INRADIUS (else the last five) and solve
+    for zero."""
     if times.size < 2:
         return float(times[-1])
     tail = inradii <= 10.0 * STOP_INRADIUS
@@ -619,10 +627,7 @@ def run_normalized(
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
     y = np.array(s0.samples, dtype=float)
-    taus, rows, error = _record(y, _etd_march(y, p, tau_end, rescaled=True, stats=stats),
-                                store_every)
-    if error is not None:
-        raise error
+    taus, rows = _record(y, _etd_march(y, p, tau_end, rescaled=True, stats=stats), store_every)
     return taus, [SupportFunction(row) for row in rows]
 
 

@@ -213,7 +213,7 @@ def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> 
     x(v') = integral of (1 + v'^2)^-(3/2 - 1/(2*alpha)) dv' converges, so
     the march stops at the located crossing of the slope through
     SLOPE_SWITCH, which becomes the last row, and the remaining distance to
-    the asymptote is the tail integral of tail_half_width; a march that
+    the asymptote is the tail integral of strip_half_width; a march that
     stopped short of x_max has blown up, and blow_up_half_width reads its
     half-width off the last row.  A march that reached x_max is entire so
     far, as always for alpha <= 1/2.  stats, if given, receives DOP853's
@@ -246,43 +246,23 @@ def blow_up_half_width(alpha: float, x_max: float, x, dv) -> float | None:
     1e-6.
     """
     if alpha > 0.5 and x[-1] < x_max and dv[-1] >= (1.0 - 1e-6) * SLOPE_SWITCH:
-        return tail_half_width(alpha, float(x[-1]), float(dv[-1]))
+        return strip_half_width(alpha, float(x[-1]), float(dv[-1]))
     return None
 
 
-def _inverse_tail(q: float, w: float) -> float:
-    """Exact integral of (1 + z^2)^-q over [w, inf) for q > 1/2.
-
-    Substituting t = 1/(1+z^2) turns it into half an incomplete beta
-    integral with parameters (q - 1/2, 1/2).
-    """
-    from scipy.special import beta as beta_fn, betainc
-
-    t = 1.0 / (1.0 + w * w)
-    return 0.5 * betainc(q - 0.5, 0.5, t) * beta_fn(q - 0.5, 0.5)
-
-
-def strip_half_width(alpha: float) -> float:
-    """Closed-form half-width (1/2) B(q - 1/2, 1/2), q = 3/2 - 1/(2*alpha),
-    of the alpha > 1/2 translator's strip: the inverse abscissa integral of
-    (1 + z^2)^-q over [0, inf), by the substitution of _inverse_tail."""
-    from scipy.special import beta as beta_fn
+def strip_half_width(alpha: float, x: float = 0.0, slope: float = 0.0) -> float:
+    """Half-width of the alpha > 1/2 translator's strip from the profile's
+    point (x, v' = slope): x plus the inverse abscissa integral of
+    (1 + z^2)^-q, q = 3/2 - 1/(2*alpha), over [slope, inf), which
+    t = 1/(1 + z^2) turns into (1/2) B(a, 1/2) I_t(a, 1/2), a = q - 1/2.
+    From (0, 0) that is the whole strip, (1/2) B(a, 1/2); from a march
+    state at large slope it does not depend on where the march stopped."""
+    from scipy.special import beta, betainc
 
     if alpha <= 0.5:
         raise ValueError(f"the profile is entire for alpha <= 1/2, got {alpha}")
-    return float(0.5 * beta_fn(1.0 - 0.5 / alpha, 0.5))
-
-
-def tail_half_width(alpha: float, x_last: float, slope_last: float) -> float:
-    """Blow-up abscissa implied by a 1-D march state (x, v') at large slope.
-
-    The inverse abscissa adds the exact remaining tail integral of
-    (1 + z^2)^-q from slope_last to infinity, so the result is independent
-    of where the march stopped once the slope is large.
-    """
-    if alpha <= 0.5:
-        raise ValueError(f"the profile is entire for alpha <= 1/2, got {alpha}")
-    return float(x_last + _inverse_tail(1.5 - 0.5 / alpha, slope_last))
+    a = 1.0 - 0.5 / alpha
+    return float(x + 0.5 * betainc(a, 0.5, 1.0 / (1.0 + slope * slope)) * beta(a, 0.5))
 
 
 def _node_spacing(r):

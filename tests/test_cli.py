@@ -955,7 +955,9 @@ def test_log_convexity_grid_is_capped_at_config_time(n_points):
 
 @pytest.mark.parametrize("tau_end", [-1e-9, cli.MAX_TAU_END * (1.0 + 1e-15), 1e9])
 def test_tau_end_is_capped_at_config_time(tmp_path, capsys, tau_end):
-    raw = {"experiment": "normalized-rate", "output_dir": "out"}
+    # The rate window must start before tau_end, so the edges take one
+    # that starts below 0.
+    raw = {"experiment": "normalized-rate", "output_dir": "out", "fit_window": [-1.0, 1.0]}
     for edge in (0.0, cli.MAX_TAU_END):
         assert cli.config_from_dict(dict(raw, tau_end=edge)).tau_end == edge
     cfg = write_config(tmp_path, experiment="normalized-rate",
@@ -975,6 +977,51 @@ def test_r_max_is_capped_at_config_time(raw):
     # (1.15 p_hi)^(1/alpha) is 4e20 at alpha = 0.1.
     with pytest.raises(cli.UsageError, match="r_max"):
         cli.config_from_dict(dict(raw, output_dir="out"))
+
+
+@pytest.mark.parametrize("raw", [{"alpha": 0.3}, {"p_hi": 1e6}])
+def test_a_derived_field_that_fails_its_rule_says_it_was_derived(tmp_path, capsys, raw):
+    # legendre's r_max defaults to max(6, (1.15 p_hi)^(1/alpha)); the
+    # config never set it, and the one error line says where it came from.
+    cfg = write_config(tmp_path, experiment="legendre", output_dir=str(tmp_path / "r"), **raw)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: field 'r_max' must be a finite number in (1e-3, 20000], "
+                             "but its default from the other fields is ")
+    cfg = write_config(tmp_path, experiment="legendre", output_dir=str(tmp_path / "r"),
+                       r_max=1e6)
+    assert cli.main(["run", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error: field 'r_max' must be a finite number in (1e-3, 20000]\n")
+
+
+@pytest.mark.parametrize("raw, field", [
+    ({"experiment": "blowdown", "scales": [1e-9, 10]}, "scales"),
+    ({"experiment": "blowdown", "scales": [1e-6, 10]}, "scales"),
+    ({"experiment": "translator1d", "x_max": 0}, "x_max"),
+    ({"experiment": "translator1d", "x_max": -1}, "x_max"),
+    ({"experiment": "normalized-rate", "tau_end": 0.5}, "fit_window"),
+    ({"experiment": "normalized-rate", "tau_end": 1.0}, "fit_window"),
+])
+def test_configs_the_run_would_reject_are_usage_errors(tmp_path, capsys, raw, field):
+    # A blow-down radius h^(1/(1+alpha)) at or inside the series radius, a
+    # 1-D box of no width, and a rate window that starts at or after the
+    # end of the march each fail at config time, not in the run.
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "r"), **raw)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: field '{field}' ")
+    assert not (tmp_path / "r" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("raw", [
+    {"experiment": "blowdown", "scales": [1e-6 * (1.0 + 1e-9), 10]},
+    {"experiment": "translator1d", "x_max": 1e-300},
+    {"experiment": "normalized-rate", "tau_end": 1.0 + 1e-15},
+])
+def test_configs_just_inside_the_new_rules_validate(raw):
+    cli.config_from_dict(dict(raw, output_dir="out"))
 
 
 @pytest.mark.parametrize("raw", [

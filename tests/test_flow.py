@@ -124,7 +124,7 @@ def test_march_stops_where_the_step_overflows():
     # alpha * r^-(alpha+1) = 1e-600 underflows to 0: the step z / A would
     # be infinite.  The default horizon of such a body is infinite too.
     y = np.full(64, 1e300)
-    assert fl.default_time_limit(geo.SupportFunction(y), P64) == math.inf
+    assert fl.default_time_limit(geo.circumradius(geo.SupportFunction(y)), P64) == math.inf
     march = fl._etd_march(y, P64, math.inf, rescaled=False)
     next(march)
     with pytest.raises(geo.ConvexityLostError,
@@ -162,6 +162,15 @@ def test_time_limit_stop():
     assert trace.stop_reason is StopReason.TIME_LIMIT
     assert trace.extinction_time is None
     assert trace.columns["t"][-1] == pytest.approx(0.01, abs=1e-15)
+
+
+def test_a_zero_time_limit_is_not_the_default_horizon():
+    # t_max = 0.0 is a limit of its own: the run stops at its start row.
+    # The same row judged against the default horizon has stopped short.
+    trace = fl.run_to_extinction(circle(), P64, t_max=0.0)
+    assert trace.stop_reason is StopReason.TIME_LIMIT
+    np.testing.assert_array_equal(trace.columns["t"], [0.0])
+    assert fl.trace_outcome(trace.columns, P64) == (StopReason.CONVEXITY_LOST, None)
 
 
 def test_eccentric_ellipse_extinction_time():
@@ -323,7 +332,7 @@ def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store
                                                               n, stored):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(n, lose_convexity=False))
     s0 = circle()
-    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    trace = fl.run_to_extinction(s0, P64, t_max=0.01 * (n - 1), store_every=store_every)
     taus, states = fl.run_normalized(s0, P64, 1.0, store_every=store_every)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     expected = [0.01 * i for i in stored]
@@ -421,8 +430,8 @@ def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
     # Storing every state adds one inverse transform per step; the start
     # row is y itself.
     calls.clear()
-    times, rows, error = fl._record(y, fl._etd_march(y, P64, 0.05, rescaled), 1)
-    assert len(rows) == steps + 1 and error is None
+    times, rows = fl._record(y, fl._etd_march(y, P64, 0.05, rescaled), 1)
+    assert len(rows) == steps + 1
     assert rows[0] is y
     assert len(calls) == 3 + 9 * steps
 
@@ -458,7 +467,8 @@ def test_march_stops_on_the_row_the_exact_test_picks(seed, store_every):
     s0 = _benchmark_body(seed, m=64)
     trace = fl.run_to_extinction(s0, P64, store_every=store_every)
     y0 = np.array(s0.samples)
-    march = fl._etd_march(y0, P64, fl.default_time_limit(s0, P64), rescaled=False)
+    march = fl._etd_march(y0, P64, fl.default_time_limit(geo.circumradius(s0), P64),
+                          rescaled=False)
     for accepted, (t, v) in enumerate(march):
         y = y0 if accepted == 0 else np.fft.irfft(v, n=64)
         if geo._steiner(y)[2].min() < fl.STOP_INRADIUS:

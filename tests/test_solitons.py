@@ -67,7 +67,16 @@ def test_strip_profiles_stop_inside_their_width():
 
 def test_tail_half_width_rejects_entire_range():
     with pytest.raises(ValueError):
-        so.tail_half_width(0.5, 1.0, 1e4)
+        so.strip_half_width(0.5, 1.0, 1e4)
+
+
+@pytest.mark.parametrize("alpha", [0.55, 0.75, 1.0, 2.0, 5.0])
+def test_strip_half_width_from_the_origin_is_the_whole_beta_integral(alpha):
+    # One closed form serves the whole strip and the tail past a march's
+    # last row: from (0, 0) the incomplete beta factor is 1.
+    assert so.strip_half_width(alpha) == so.strip_half_width(alpha, 0.0, 0.0)
+    assert so.strip_half_width(alpha) == pytest.approx(half_width_oracle(alpha), rel=1e-15,
+                                                       abs=0.0)
 
 
 def test_translator_1d_validation():
@@ -88,7 +97,7 @@ def test_blow_up_is_read_off_the_last_row():
     prof = so.translator_1d(1.0, 20.0)
     assert prof.dv[-1] == pytest.approx(so.SLOPE_SWITCH, rel=1e-9)
     assert (so.blow_up_half_width(1.0, 20.0, prof.x, prof.dv)
-            == so.tail_half_width(1.0, prof.x[-1], prof.dv[-1]))
+            == so.strip_half_width(1.0, prof.x[-1], prof.dv[-1]))
 
 
 def test_profile1d_validation():
@@ -460,7 +469,7 @@ def half_width_reference(alpha):
 
     steep.terminal = True
     sol = _solve_ivp(rhs, (0.0, 20.0), [0.0, 0.0], "DOP853", events=steep)
-    return so.tail_half_width(alpha, sol.t[-1], sol.y[1, -1])
+    return so.strip_half_width(alpha, sol.t[-1], sol.y[1, -1])
 
 
 def crossing_reference(alpha, delta, t_max):
