@@ -57,43 +57,32 @@ class UsageError(Exception):
     """Configuration or invocation problem; maps to exit code 1."""
 
 
-@dataclass(frozen=True)
-class Check:
-    """One declared pass/fail decision of a run."""
+def check(name: str, value, bound: float | None, op: str) -> dict:
+    """One declared pass/fail decision of a run, as the manifest stores it:
+    value must be <= bound (op "le"), >= bound ("ge"), or True ("true").
+    numpy scalars become plain bools and floats, which serialize as such."""
+    if isinstance(value, (bool, np.bool_)):
+        value = bool(value)
+    elif isinstance(value, (int, float)):
+        value = float(value)
+    if op == "true":
+        passed = value is True
+    elif op == "le":
+        passed = bool(value <= bound)
+    elif op == "ge":
+        passed = bool(value >= bound)
+    else:
+        raise ValueError(f"unknown check op {op!r}")
+    return {"name": name, "value": value, "bound": bound, "op": op, "pass": passed}
 
-    name: str
-    value: float | bool
-    bound: float | None
-    op: str  # "le", "ge", or "true"
 
-    def __post_init__(self) -> None:
-        # numpy scalars serialize with their type name; normalize early.
-        value = self.value
-        if isinstance(value, (bool, np.bool_)):
-            object.__setattr__(self, "value", bool(value))
-        elif isinstance(value, (int, float)):
-            object.__setattr__(self, "value", float(value))
-
-    @property
-    def passed(self) -> bool:
-        if self.op == "true":
-            return self.value is True
-        if self.op == "le":
-            return bool(self.value <= self.bound)
-        if self.op == "ge":
-            return bool(self.value >= self.bound)
-        raise ValueError(f"unknown check op {self.op!r}")
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "value": self.value, "bound": self.bound,
-                "op": self.op, "pass": self.passed}
-
-    def describe(self) -> str:
-        verdict = "pass" if self.passed else "FAIL"
-        if self.op == "true":
-            return f"{self.name}: {self.value} [{verdict}]"
-        rel = {"le": "<=", "ge": ">="}[self.op]
-        return f"{self.name}: {self.value!r} {rel} {self.bound!r} [{verdict}]"
+def describe(record: dict) -> str:
+    """One check record in one line, as run and verify print it."""
+    verdict = "pass" if record["pass"] else "FAIL"
+    if record["op"] == "true":
+        return f"{record['name']}: {record['value']} [{verdict}]"
+    rel = {"le": "<=", "ge": ">="}[record["op"]]
+    return f"{record['name']}: {record['value']!r} {rel} {record['bound']!r} [{verdict}]"
 
 
 #: Largest angular grid a config may ask for.  Validation builds the initial
@@ -190,7 +179,7 @@ class Experiment:
     ordered mapping of column names to columns, keyed by file name, which
     run_config writes under out; it writes any other artifact itself.
     judge(cfg, columns) derives (scalars, checks), the headline numbers and
-    the pass/fail decisions, from such columns alone: for run_config from
+    the records of check(), from such columns alone: for run_config from
     the columns just written, for verify from the same columns read back.
     headline names and orders the manifest's scalars, each read off the
     file named source.  An experiment that marches an ODE or the
@@ -292,12 +281,15 @@ def _build_body(cfg: SimpleNamespace) -> SupportFunction:
         raise UsageError(f"initial_body: {exc}") from exc
 
 
-def _scalars(experiment: Experiment, values: dict) -> dict:
-    """The manifest entries of a judge's headline numbers, in headline
-    order; numpy floats become plain ones."""
-    return {name: {"value": float(values[name]) if isinstance(values[name], float)
-                   else values[name], "source": experiment.source}
-            for name in experiment.headline}
+def _judged(experiment: Experiment, cfg: SimpleNamespace, columns) -> dict:
+    """The judged part of a manifest, from the judge's verdict on columns:
+    the headline numbers as scalar entries, in headline order and with
+    numpy floats made plain; the check records; and whether all passed."""
+    values, checks = experiment.judge(cfg, columns)
+    scalars = {name: {"value": float(values[name]) if isinstance(values[name], float)
+                      else values[name], "source": experiment.source}
+               for name in experiment.headline}
+    return {"scalars": scalars, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 # -- the experiments: each run marches and returns its CSVs' columns; each
@@ -309,12 +301,16 @@ def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
 
 def _check_flow_body(cfg: SimpleNamespace) -> None:
     """Build the initial body; a circle's extinction time, which the circle
-    law divides by, must not underflow."""
-    _build_body(cfg)
+    law divides by, must not underflow, and the body must not start out
+    extinct, with its inradius below STOP_INRADIUS."""
+    inradius = geo.inradius(_build_body(cfg))
     body, a1 = cfg.initial_body, 1.0 + cfg.alpha
     _require(body["kind"] != "circle" or a1 * math.log(body.get("radius", 1.0)) - math.log(a1)
              >= math.log(sys.float_info.min),
              "initial_body.radius is too small: radius^(1+alpha)/(1+alpha) underflows")
+    _require(inradius >= fl.STOP_INRADIUS,
+             f"initial_body: its inradius {inradius:.6g} is below "
+             f"STOP_INRADIUS = {fl.STOP_INRADIUS:g}, where the flow counts a body extinct")
 
 
 def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
@@ -344,30 +340,30 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     defect = fl.area_rate_check(trace)
     scalars = {"extinction_time": extinction, "stop_reason": stop.value,
                "final_area": trace["area"][-1], "area_defect": defect}
-    checks = [Check("extinct", extinction is not None, None, "true")] if cfg.t_max is None else []
+    checks = [check("extinct", extinction is not None, None, "true")] if cfg.t_max is None else []
     if cfg.alpha == 1.0 and defect is not None:
-        checks.append(Check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
+        checks.append(check("area-identity", defect, AREA_IDENTITY_TOL, "le"))
     if extinction is None:
         return scalars, checks
-    a1 = 1.0 + cfg.alpha
     body = cfg.initial_body
     if body.get("kind") == "circle":
-        radius = float(body.get("radius", 1.0))
-        expected = radius**a1 / a1
+        radius, a1 = float(body.get("radius", 1.0)), 1.0 + cfg.alpha
+        expected = fl.disc_extinction_time(radius, cfg.alpha)
         mask = times <= 0.9 * expected
         law = (radius**a1 - a1 * times[mask]) ** (1.0 / a1)
         rel = float(np.max(np.abs(inradii[mask] - law) / law))
         return scalars, checks + [
-            Check("extinction-time", abs(extinction - expected), EXTINCTION_TOL, "le"),
-            Check("circle-law", rel, CIRCLE_LAW_TOL, "le"),
+            check("extinction-time", abs(extinction - expected), EXTINCTION_TOL, "le"),
+            check("circle-law", rel, CIRCLE_LAW_TOL, "le"),
         ]
     if cfg.alpha == 1.0:
         area_law = trace["area"][0] / (2.0 * math.pi)
-        checks.append(Check("extinction-time", abs(extinction - area_law), EXTINCTION_TOL, "le"))
+        checks.append(check("extinction-time", abs(extinction - area_law), EXTINCTION_TOL, "le"))
     return scalars, checks + [
-        Check("inscribed-disc-first", inradii[0]**a1 / a1 - extinction,
-              EXTINCTION_TOL, "le"),
-        Check("circumscribed-disc-last", extinction - trace["circumradius"][0]**a1 / a1,
+        check("inscribed-disc-first",
+              fl.disc_extinction_time(inradii[0], cfg.alpha) - extinction, EXTINCTION_TOL, "le"),
+        check("circumscribed-disc-last",
+              extinction - fl.disc_extinction_time(trace["circumradius"][0], cfg.alpha),
               EXTINCTION_TOL, "le"),
     ]
 
@@ -376,7 +372,7 @@ def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
     # The rescaled flow takes a few hundred ETD steps; its rate fit wants
     # every one of them, as mode_decay_series keeps.
     tau, amplitude = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
-                                          cfg.mode, stats=stats).T
+                                          cfg.mode, stats=stats)
     return {"rate.csv": {"tau": tau, "amplitude": amplitude}}
 
 
@@ -388,12 +384,11 @@ def _check_rate_window(cfg: SimpleNamespace) -> None:
 
 def _rate_judge(cfg: SimpleNamespace, columns):
     rate = columns["rate.csv"]
-    fit = fl.fit_decay_rate(np.column_stack([rate["tau"], rate["amplitude"]]),
-                            (cfg.fit_window[0], cfg.fit_window[1]))
+    fit = fl.fit_decay_rate(rate["tau"], rate["amplitude"], cfg.fit_window)
     expected = fl.linearized_mode_rate(cfg.alpha, cfg.mode)
     tol = RATE_TOL * max(abs(expected), 1.0)
     return ({"fitted_rate": fit.rate, "residual_rms": fit.residual_rms},
-            [Check("decay-rate", abs(fit.rate - expected), tol, "le")])
+            [check("decay-rate", abs(fit.rate - expected), tol, "le")])
 
 
 def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
@@ -413,20 +408,20 @@ def _translator_judge(cfg: SimpleNamespace, columns):
     blew_up = half_width is not None
     dichotomy = (blew_up and half_width <= cfg.x_max if cfg.alpha > 0.5
                  else bool(x[-1] >= cfg.x_max))
-    checks = [Check("dichotomy", dichotomy, None, "true")]
+    checks = [check("dichotomy", dichotomy, None, "true")]
     if blew_up:
-        checks.append(Check("half-width-beta",
+        checks.append(check("half-width-beta",
                             abs(half_width - so.strip_half_width(cfg.alpha)),
                             HALF_WIDTH_TOL, "le"))
     if cfg.alpha == 1.0 and blew_up:
-        checks.append(Check("half-width-tan", abs(half_width - math.pi / 2.0),
+        checks.append(check("half-width-tan", abs(half_width - math.pi / 2.0),
                             HALF_WIDTH_TOL, "le"))
     if cfg.alpha == 0.5:
         # Compare on [0, 5] only: the march is accurate in relative terms,
         # and sinh reaches 2e8 by x = 20, which no absolute bound survives.
         window = x <= 5.0
         err = float(np.max(np.abs(dv[window] - np.sinh(x[window]))))
-        checks.append(Check("slope-sinh", err, SINH_TOL, "le"))
+        checks.append(check("slope-sinh", err, SINH_TOL, "le"))
     return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
@@ -454,10 +449,10 @@ def _radial_judge(cfg: SimpleNamespace, columns):
     scalars = {"origin_curvature": profile.d2u[0], "operator_residual": residual,
                "growth_const": growth}
     return scalars, [
-        Check("convex", convex, None, "true"),
-        Check("operator-residual", residual, RESIDUAL_TOL, "le"),
-        Check("growth-bound", growth, GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
-        Check("increment-consistency", so.hermite_increment_defect(profile),
+        check("convex", convex, None, "true"),
+        check("operator-residual", residual, RESIDUAL_TOL, "le"),
+        check("growth-bound", growth, GROWTH_FACTOR / (1.0 + cfg.alpha), "le"),
+        check("increment-consistency", so.hermite_increment_defect(profile),
               INCREMENT_TOL, "le"),
     ]
 
@@ -474,7 +469,7 @@ def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
 def _blowdown_judge(cfg: SimpleNamespace, columns):
     sups = columns["blowdown.csv"]["sup_dist"]
     monotone = bool(all(a > b for a, b in zip(sups, sups[1:])))
-    return {"sup_dist": sups[-1]}, [Check("supdist-monotone", monotone, None, "true")]
+    return {"sup_dist": sups[-1]}, [check("supdist-monotone", monotone, None, "true")]
 
 
 def _run_legendre(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
@@ -493,9 +488,9 @@ def _legendre_judge(cfg: SimpleNamespace, columns):
     scalars = {"exponent": fit.exponent, "coefficient": fit.coefficient,
                "offset": fit.offset}
     return scalars, [
-        Check("dual-exponent", abs(fit.exponent - exp_true) / exp_true,
+        check("dual-exponent", abs(fit.exponent - exp_true) / exp_true,
               DUAL_EXPONENT_TOL, "le"),
-        Check("dual-coefficient", abs(fit.coefficient - coef_true) / coef_true,
+        check("dual-coefficient", abs(fit.coefficient - coef_true) / coef_true,
               DUAL_COEFFICIENT_TOL, "le"),
     ]
 
@@ -534,7 +529,7 @@ def _ode_judge(cfg: SimpleNamespace, columns):
     reference = so.comparison_closed_form(cfg.alpha, cfg.delta, ts)
     err = float(np.max(np.abs(drho - reference)) / np.max(np.abs(reference)))
     return ({"a_cross": a_cross, "crossing_ratio": ratio, "max_rel_err": err},
-            [Check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")])
+            [check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")])
 
 
 def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
@@ -545,7 +540,7 @@ def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
 def _logconv_judge(cfg: SimpleNamespace, columns):
     margins = columns["margins.csv"]
     margin = float(min(np.min(margins["radial_eig"]), np.min(margins["tangential_eig"])))
-    return {"margin": margin}, [Check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
+    return {"margin": margin}, [check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
 
 
 def _check_reach(cfg: SimpleNamespace) -> None:
@@ -625,15 +620,13 @@ def run_config(cfg: SimpleNamespace) -> dict:
     experiment = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
     error = None
-    scalars: dict = {}
-    checks: list[Check] = []
+    judged = {"scalars": {}, "checks": [], "pass": False}
     stats = experiment.solver() if experiment.solver else None
     try:
         columns = experiment.run(cfg, cfg.output_dir, stats)
         for name, table in columns.items():
             tables.write_columns(os.path.join(cfg.output_dir, name), table)
-        judged, checks = experiment.judge(cfg, columns)
-        scalars = _scalars(experiment, judged)
+        judged = _judged(experiment, cfg, columns)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
@@ -641,10 +634,10 @@ def run_config(cfg: SimpleNamespace) -> dict:
         "version": __version__,
         "config": vars(cfg),
         "wall_time_s": time.perf_counter() - started,
-        "scalars": scalars,
-        "checks": [c.as_dict() for c in checks],
+        "scalars": judged["scalars"],
+        "checks": judged["checks"],
         "solver": asdict(stats) if stats is not None else None,
-        "pass": error is None and all(c.passed for c in checks),
+        "pass": judged["pass"],
         "error": error,
     }
     with open(os.path.join(cfg.output_dir, "manifest.json"), "w") as f:
@@ -711,9 +704,8 @@ def cmd_run(config_path: str, overrides: list[str]) -> int:
     manifest = run_config(cfg)
     if manifest["error"] is not None:
         print(f"error: {manifest['error']}")
-    for stored in manifest["checks"]:
-        check = Check(stored["name"], stored["value"], stored["bound"], stored["op"])
-        print(f"check {check.describe()}")
+    for record in manifest["checks"]:
+        print(f"check {describe(record)}")
     for name, entry in manifest["scalars"].items():
         print(f"{name} = {_format_cell(entry['value'])}  ({entry['source']})")
     print(f"manifest: {os.path.join(cfg.output_dir, 'manifest.json')}")
@@ -787,6 +779,12 @@ def cmd_sweep(config_path: str, param: str, values_text: str,
     return 0 if all(r["pass"] for r in results) else 2
 
 
+def _same(stored, recomputed) -> bool:
+    """Whether a manifest entry reads as its recomputation would be written:
+    true and 1, or 0.0 and -0.0, differ, and NaN matches NaN."""
+    return json.dumps(stored, sort_keys=True) == json.dumps(recomputed, sort_keys=True)
+
+
 def cmd_verify(run_dir: str) -> int:
     manifest_path = os.path.join(run_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -807,31 +805,30 @@ def cmd_verify(run_dir: str) -> int:
         print(f"run recorded an error: {manifest['error']}")
         return 2
     cfg = config_from_dict(manifest["config"])
-    experiment = EXPERIMENTS[cfg.experiment]
     try:
-        judged, recomputed = experiment.judge(cfg, _StoredColumns(run_dir))
+        judged = _judged(EXPERIMENTS[cfg.experiment], cfg, _StoredColumns(run_dir))
     except (ArithmeticError, OSError, RuntimeError, ValueError) as exc:
         print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
         return 2
     stored_by_name = {c["name"]: c for c in stored_checks}
-    rejudged = _scalars(experiment, judged)
     ok = True
-    for kind, stored, names in (("check", stored_by_name, [c.name for c in recomputed]),
-                                ("scalar", stored_scalars, rejudged)):
+    for kind, stored, names in (("check", stored_by_name, [c["name"] for c in judged["checks"]]),
+                                ("scalar", stored_scalars, judged["scalars"])):
         if set(stored) != set(names):
             print(f"MISMATCH: stored and recomputed {kind} lists differ")
             ok = False
-    for check in recomputed:
-        stored = stored_by_name.get(check.name)
-        agrees = (stored is not None and stored.get("pass") == check.passed
-                  and stored.get("value") == check.value)
+    for record in judged["checks"]:
+        agrees = _same(stored_by_name.get(record["name"]), record)
         tag = "matches manifest" if agrees else "MISMATCH with manifest"
-        print(f"check {check.describe()} ({tag})")
-        ok = ok and agrees and check.passed
-    for name, entry in rejudged.items():
-        if stored_scalars.get(name) != entry:
+        print(f"check {describe(record)} ({tag})")
+        ok = ok and agrees and record["pass"]
+    for name, entry in judged["scalars"].items():
+        if not _same(stored_scalars.get(name), entry):
             print(f"scalar {name}: {entry['value']!r} (MISMATCH with manifest)")
             ok = False
+    if not _same(manifest.get("pass"), judged["pass"]):
+        print(f"pass: {judged['pass']} (MISMATCH with manifest)")
+        ok = False
     return 0 if ok else 2
 
 

@@ -161,9 +161,7 @@ class RateFit:
     """Least-squares line through (tau, log delta) over a tau window."""
 
     rate: float
-    intercept: float
     residual_rms: float
-    window: tuple[float, float]
 
 
 @dataclass
@@ -246,13 +244,19 @@ def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
     return out
 
 
-def default_time_limit(radius: float, p: FlowParams) -> float:
-    """Safe horizon of a body of circumradius R = radius: its circumscribed
-    disc is extinct by R^(1+a)/(1+a); infinite where that power overflows."""
+def disc_extinction_time(radius: float, alpha: float) -> float:
+    """Time R^(1+alpha)/(1+alpha) at which a disc of radius R shrinks to a
+    point; infinite where that power overflows."""
     try:
-        return 1.05 * float(radius) ** (1.0 + p.alpha) / (1.0 + p.alpha)
+        return float(radius) ** (1.0 + alpha) / (1.0 + alpha)
     except OverflowError:  # Python's float power raises where numpy gives inf
         return math.inf
+
+
+def default_time_limit(radius: float, p: FlowParams) -> float:
+    """Safe horizon of a body of circumradius radius: 5% past the extinction
+    time of its circumscribed disc."""
+    return 1.05 * disc_extinction_time(radius, p.alpha)
 
 
 def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
@@ -644,38 +648,34 @@ def linearized_mode_rate(alpha: float, mode: int) -> float:
     return 1.0 + alpha * (1.0 - float(mode) ** 2)
 
 
-def fit_decay_rate(series, window: tuple[float, float]) -> RateFit:
+def fit_decay_rate(taus, deltas, window: tuple[float, float]) -> RateFit:
     """Least-squares slope of log delta against tau inside the window.
 
-    series is an (n, 2) array of (tau, delta) pairs; at least five points
-    must fall inside the window and their deltas must be positive.
+    At least five of the points (taus, deltas) must fall inside the window
+    and their deltas must be positive.
     """
-    arr = np.asarray(series, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("series must be an (n, 2) array of (tau, delta) pairs")
+    taus, deltas = np.asarray(taus, dtype=float), np.asarray(deltas, dtype=float)
     lo, hi = float(window[0]), float(window[1])
-    mask = (arr[:, 0] >= lo) & (arr[:, 0] <= hi)
+    mask = (taus >= lo) & (taus <= hi)
     if np.count_nonzero(mask) < 5:
         raise ValueError(f"need at least 5 points in window [{lo}, {hi}], "
                          f"got {np.count_nonzero(mask)}")
-    taus = arr[mask, 0]
-    deltas = arr[mask, 1]
+    taus = taus[mask]
+    deltas = deltas[mask]
     if np.min(deltas) <= 0.0:
         raise ValueError("deltas must be positive inside the fit window")
     logs = np.log(deltas)
     rate, intercept = np.polyfit(taus, logs, 1)
     resid = logs - (rate * taus + intercept)
-    return RateFit(float(rate), float(intercept), float(np.sqrt(np.mean(resid**2))),
-                   (lo, hi))
+    return RateFit(float(rate), float(np.sqrt(np.mean(resid**2))))
 
 
 def mode_decay_series(s0: SupportFunction, p: FlowParams, tau_end: float, mode: int,
-                      stats: MarchStats | None = None) -> np.ndarray:
-    """Amplitude of harmonic mode along the rescaled flow from s0, at every
-    accepted step (see run_normalized); rows are (tau, amplitude)."""
+                      stats: MarchStats | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(taus, amplitudes) of harmonic mode along the rescaled flow from s0,
+    at every accepted step (see run_normalized)."""
     taus, states = run_normalized(s0, p, tau_end, stats=stats)
-    amps = _mode_amplitudes(np.array([state.samples for state in states]), mode)
-    return np.column_stack([taus, amps])
+    return taus, _mode_amplitudes(np.array([state.samples for state in states]), mode)
 
 
 def curvature_integral(s: SupportFunction, alpha: float) -> float:

@@ -211,10 +211,30 @@ def test_area_defect_beyond_the_float_range_is_a_recorded_error(tmp_path):
     assert manifest["solver"]["accepted_steps"] > 0
 
 
-def test_flow_extinct_at_its_start_has_no_area_defect(tmp_path):
+@pytest.mark.parametrize("body, alpha", [
+    ({"kind": "circle", "radius": 5e-4}, 1.0),
+    ({"kind": "ellipse", "a": 1e-120, "b": 1e-121}, 3.0)])
+def test_flow_body_extinct_at_its_start_is_a_usage_error(tmp_path, capsys, body, alpha):
+    # Its inradius is below STOP_INRADIUS: the run would take no step and
+    # pass every check vacuously.  The ellipse's curvature integral would
+    # also overflow.
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"),
+                       alpha=alpha, m=64, initial_body=body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: initial_body: its inradius ")
+    assert "below STOP_INRADIUS = 0.001" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_flow_extinct_after_its_first_step_has_no_area_defect(tmp_path):
+    # Just above STOP_INRADIUS one step ends the run, and a trace of two
+    # rows has no area identity to check.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64,
-                       initial_body={"kind": "circle", "radius": 1e-4})
+                       initial_body={"kind": "circle", "radius": 1.001e-3})
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert manifest["scalars"]["area_defect"]["value"] is None
@@ -317,7 +337,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     times, inradii = trace["t"], trace["inradius"]
     names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
              "circumscribed-disc-last"]
-    assert [c.name for c in cli._flow_judge(cfg, {"trace.csv": trace})[1]] == names
+    assert [c["name"] for c in cli._flow_judge(cfg, {"trace.csv": trace})[1]] == names
     T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
     slack = 2.0 * cli.EXTINCTION_TOL
 
@@ -327,7 +347,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
         if column is not None:
             nudged[column][row] = value
         checks = cli._flow_judge(cfg, {"trace.csv": nudged})[1]
-        return [c.name for c in checks if not c.passed]
+        return [c["name"] for c in checks if not c["pass"]]
 
     assert failed() == []
     assert failed(keep=inradii >= cli.fl.STOP_INRADIUS) == ["extinct"]
@@ -685,6 +705,29 @@ def test_verify_compares_the_scalar_names(tmp_path, capsys, small_run, spoil):
     capsys.readouterr()
     assert cli.main(["verify", str(out)]) == 2
     assert "MISMATCH: stored and recomputed scalar lists differ" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, edited", [
+    ("value", 1e-9), ("bound", 1e-30), ("op", "ge"), ("pass", False), (None, False)],
+    ids=["value", "bound", "op", "pass", "run-pass"])
+def test_verify_compares_each_check_whole_and_the_run_pass(tmp_path, capsys, small_run,
+                                                           field, edited):
+    # An edit of any field of a check record is a mismatch of that check
+    # alone, and an edit of the run's pass flag a mismatch of that flag.
+    out = small_run(tmp_path, "radial-translator")
+    checks = read_manifest(out)["checks"]
+    index = [c["name"] for c in checks].index("operator-residual")
+    if field is None:
+        _rewrite_manifest(out, lambda manifest: manifest.update({"pass": edited}))
+        expected = "pass: True (MISMATCH with manifest)"
+    else:
+        _rewrite_manifest(out, lambda manifest: manifest["checks"][index].update(
+            {field: edited}))
+        expected = f"check {cli.describe(checks[index])} (MISMATCH with manifest)"
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == [expected]
 
 
 @pytest.mark.parametrize("entries, reason", [

@@ -403,6 +403,32 @@ def test_nan_coefficient_rejects_the_stage():
         fl._etd_radius(v)
 
 
+def test_oversized_steps_are_halved_and_the_run_still_goes_extinct(monkeypatch):
+    # At 100 times its size a step leaves the convex cone; each rejected
+    # trial is retried at half the step, and the 2:1 ellipse still vanishes
+    # at A_0 / 2 pi = 1.
+    step_size = fl._etd_step_size
+    monkeypatch.setattr(fl, "_etd_step_size", lambda *args: 100.0 * step_size(*args))
+    body = geo.make_ellipse(2.0, 1.0, m=64)
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(body, P64, stats=stats)
+    assert stats.halved_trials > 0
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert abs(trace.extinction_time - geo.area(body) / (2.0 * math.pi)) <= 1e-3
+
+
+def test_step_that_never_stays_convex_raises_after_the_last_halving(monkeypatch):
+    def rejected(*args):
+        raise fl._StageFailure
+
+    monkeypatch.setattr(fl, "_etdrk4_step", rejected)
+    stats = fl.MarchStats()
+    with pytest.raises(geo.ConvexityLostError, match="lost convexity"):
+        fl.run_to_extinction(circle(), P64, stats=stats)
+    assert stats.halved_trials == fl.MAX_STEP_HALVINGS
+    assert stats.accepted_steps == 0
+
+
 @pytest.mark.parametrize("rescaled", [False, True])
 def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
     # Eight inside the march and one for the stored row.
@@ -578,24 +604,21 @@ def test_linearized_mode_rate_values():
 
 def test_fit_decay_rate_recovers_synthetic_series():
     taus = np.linspace(0.0, 4.0, 200)
-    series = np.column_stack([taus, 3e-2 * np.exp(-1.7 * taus)])
-    fit = fl.fit_decay_rate(series, (1.0, 3.0))
+    fit = fl.fit_decay_rate(taus, 3e-2 * np.exp(-1.7 * taus), (1.0, 3.0))
     assert abs(fit.rate + 1.7) <= 1e-12
     assert fit.residual_rms <= 1e-12
-    assert fit.window == (1.0, 3.0)
 
 
 def test_fit_decay_rate_needs_enough_points():
     taus = np.linspace(0.0, 4.0, 200)
-    series = np.column_stack([taus, np.exp(-taus)])
     with pytest.raises(ValueError):
-        fl.fit_decay_rate(series, (3.99, 4.0))
+        fl.fit_decay_rate(taus, np.exp(-taus), (3.99, 4.0))
 
 
 def test_mode_three_decays_at_its_own_rate():
     body = geo.make_fourier_body([1.0, 0.0, 0.0, 1e-3], m=128)
-    series = fl.mode_decay_series(body, FlowParams(alpha=1.0, m=128), 2.0, 3)
-    fit = fl.fit_decay_rate(series, (0.5, 1.5))
+    taus, amplitudes = fl.mode_decay_series(body, FlowParams(alpha=1.0, m=128), 2.0, 3)
+    fit = fl.fit_decay_rate(taus, amplitudes, (0.5, 1.5))
     expected = fl.linearized_mode_rate(1.0, 3)
     assert abs(fit.rate - expected) / abs(expected) <= 5e-3
 
