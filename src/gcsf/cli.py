@@ -5,13 +5,13 @@ directory; sweep repeats a base config across the values of one parameter,
 one directory per value plus a summary CSV; verify recomputes a finished
 run's pass/fail decisions and headline numbers from its stored CSVs
 alone.  Each experiment is one entry of EXPERIMENTS: the config fields it
-accepts, its runner, which marches and returns each CSV's columns by name,
-and its judge, which derives the checks and the headline numbers from
-those columns, looked up by name, for run and verify alike.  Every run
-writes a manifest.json naming each headline number and the file it came
-from.  gcsf.tables writes every CSV and reads it back, in full round-trip
-precision, so identical config and seed give byte-identical outputs, and
-verify demands exact agreement with the manifest.
+accepts, its runner, which marches and returns every artifact as a CSV's
+columns by name, and its judge, which derives the checks and the headline
+numbers from one such table, by column name, for run and verify alike.
+run_config alone writes a run directory: the CSVs, then a manifest.json
+naming each headline number and its file.  gcsf.tables writes every CSV
+and reads it back in full round-trip precision, so identical config and
+seed give byte-identical outputs, and verify demands exact agreement.
 """
 
 from __future__ import annotations
@@ -175,17 +175,17 @@ class Experiment:
     fields maps each config field the experiment reads to its default, or
     to a function of the fields declared before it; no other field is
     accepted.  validate(cfg) raises UsageError on problems that span
-    fields.  run(cfg, out, stats) marches and returns each CSV as an
+    fields.  run(cfg, stats) marches and returns every artifact as an
     ordered mapping of column names to columns, keyed by file name, which
-    run_config writes under out; it writes any other artifact itself.
-    judge(cfg, columns) derives (scalars, checks), the headline numbers and
-    the records of check(), from such columns alone: for run_config from
-    the columns just written, for verify from the same columns read back.
-    headline names and orders the manifest's scalars, each read off the
-    file named source.  An experiment that marches an ODE or the
-    flow names its solver's stats record, fl.MarchStats or so.OdeStats;
-    run_config hands a fresh one to run and writes what the run filled in
-    to the manifest as solver, also when the run fails.
+    run_config writes under the output directory; it raises UsageError on a
+    config only the march can show unusable.  judge(cfg, table) derives
+    (scalars, checks), the headline numbers and the records of check(),
+    from the table of the file named source alone: for run_config from the
+    columns just written, for verify from the same file read back.
+    headline names and orders those scalars.  An experiment that marches
+    an ODE or the flow names its solver's stats record, fl.MarchStats or
+    so.OdeStats; run_config hands a fresh one to run and writes what the
+    run filled in to the manifest as solver, also when the run fails.
     """
 
     fields: dict
@@ -281,11 +281,11 @@ def _build_body(cfg: SimpleNamespace) -> SupportFunction:
         raise UsageError(f"initial_body: {exc}") from exc
 
 
-def _judged(experiment: Experiment, cfg: SimpleNamespace, columns) -> dict:
-    """The judged part of a manifest, from the judge's verdict on columns:
-    the headline numbers as scalar entries, in headline order and with
-    numpy floats made plain; the check records; and whether all passed."""
-    values, checks = experiment.judge(cfg, columns)
+def _judged(experiment: Experiment, cfg: SimpleNamespace, table) -> dict:
+    """The judged part of a manifest, from the judge's verdict on the source
+    table: the headline numbers as scalar entries, in headline order and
+    with numpy floats made plain; the check records; and whether all passed."""
+    values, checks = experiment.judge(cfg, table)
     scalars = {name: {"value": float(values[name]) if isinstance(values[name], float)
                       else values[name], "source": experiment.source}
                for name in experiment.headline}
@@ -302,27 +302,43 @@ def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
 def _check_flow_body(cfg: SimpleNamespace) -> None:
     """Build the initial body; a circle's extinction time, which the circle
     law divides by, must not underflow, and the body must not start out
-    extinct, with its inradius below STOP_INRADIUS."""
-    inradius = geo.inradius(_build_body(cfg))
-    body, a1 = cfg.initial_body, 1.0 + cfg.alpha
+    extinct, with its inradius below STOP_INRADIUS.
+
+    A march whose horizon reaches the circumscribed disc's extinction time
+    must resolve t near its end.  A circle's step lasts a fraction shrink of
+    its remaining life, so the last one before the inradius drops below
+    STOP_INRADIUS lasts at most shrink * left, left = X / (1 - shrink) with
+    X = STOP_INRADIUS^(1+alpha)/(1+alpha), and starts after T_in - left,
+    T_in the inscribed disc's extinction time.  Below half the float
+    spacing there, t + dt == t.
+    """
+    shape = _build_body(cfg)
+    inradius, body, a1 = geo.inradius(shape), cfg.initial_body, 1.0 + cfg.alpha
     _require(body["kind"] != "circle" or a1 * math.log(body.get("radius", 1.0)) - math.log(a1)
              >= math.log(sys.float_info.min),
              "initial_body.radius is too small: radius^(1+alpha)/(1+alpha) underflows")
     _require(inradius >= fl.STOP_INRADIUS,
              f"initial_body: its inradius {inradius:.6g} is below "
              f"STOP_INRADIUS = {fl.STOP_INRADIUS:g}, where the flow counts a body extinct")
+    t_in, shrink = fl.disc_extinction_time(inradius, cfg.alpha), fl.ETD_STEP_SCALE * fl.CFL * a1
+    t_out = fl.disc_extinction_time(geo.circumradius(shape), cfg.alpha)
+    if shrink < 1.0 and t_in < math.inf and (cfg.t_max is None or cfg.t_max >= t_out):
+        left = fl.disc_extinction_time(fl.STOP_INRADIUS, cfg.alpha) / (1.0 - shrink)
+        _require(shrink * left >= 0.5 * math.ulp(t_in - left),
+                 f"fields 'alpha' and 'initial_body' give a flow whose last steps, at most "
+                 f"{shrink * left:.3g} long, time cannot resolve near t = {t_in:.6g}")
 
 
-def _run_flow(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
+def _run_flow(cfg: SimpleNamespace, stats: fl.MarchStats):
     trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
                                  store_every=EXTINCTION_STORE_EVERY, stats=stats)
+    columns = {"trace.csv": fl.trace_summary_rows(trace)}
     if cfg.snapshot_every > 0:
-        fl.write_trace_snapshots(trace, os.path.join(out, "snapshots"),
-                                 every=cfg.snapshot_every)
-    return {"trace.csv": fl.trace_summary_rows(trace)}
+        columns["snapshots.csv"] = fl.snapshot_columns(trace, cfg.snapshot_every)
+    return columns
 
 
-def _flow_judge(cfg: SimpleNamespace, columns):
+def _flow_judge(cfg: SimpleNamespace, trace):
     """Checks and headline numbers of a flow run, from trace.csv alone.
 
     The stop reason and the extinction time come from fl.trace_outcome,
@@ -334,7 +350,6 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     extinction times of the discs about the Steiner point inscribed in and
     circumscribing it, as the comparison principle demands.
     """
-    trace = columns["trace.csv"]
     times, inradii = trace["t"], trace["inradius"]
     stop, extinction = fl.trace_outcome(trace, _flow_params(cfg), cfg.t_max)
     defect = fl.area_rate_check(trace)
@@ -368,22 +383,26 @@ def _flow_judge(cfg: SimpleNamespace, columns):
     ]
 
 
-def _run_normalized_rate(cfg: SimpleNamespace, out: str, stats: fl.MarchStats):
+def _run_normalized_rate(cfg: SimpleNamespace, stats: fl.MarchStats):
     # The rescaled flow takes a few hundred ETD steps; its rate fit wants
     # every one of them, as mode_decay_series keeps.
     tau, amplitude = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
                                           cfg.mode, stats=stats)
+    inside = int(np.count_nonzero((tau >= cfg.fit_window[0]) & (tau <= cfg.fit_window[1])))
+    _require(inside >= fl.FIT_MIN_POINTS,
+             f"field 'fit_window' holds {inside} of the march's {tau.size} steps, "
+             f"and the rate fit needs {fl.FIT_MIN_POINTS}")
     return {"rate.csv": {"tau": tau, "amplitude": amplitude}}
 
 
-def _check_rate_window(cfg: SimpleNamespace) -> None:
+def _check_rate(cfg: SimpleNamespace) -> None:
+    _require(cfg.mode <= cfg.m // 2, f"field 'mode' must be at most m/2 = {cfg.m // 2}")
     _build_body(cfg)
     _require(cfg.fit_window[0] < cfg.tau_end,
              f"field 'fit_window' must start before tau_end = {cfg.tau_end:g}")
 
 
-def _rate_judge(cfg: SimpleNamespace, columns):
-    rate = columns["rate.csv"]
+def _rate_judge(cfg: SimpleNamespace, rate):
     fit = fl.fit_decay_rate(rate["tau"], rate["amplitude"], cfg.fit_window)
     expected = fl.linearized_mode_rate(cfg.alpha, cfg.mode)
     tol = RATE_TOL * max(abs(expected), 1.0)
@@ -391,19 +410,18 @@ def _rate_judge(cfg: SimpleNamespace, columns):
             [check("decay-rate", abs(fit.rate - expected), tol, "le")])
 
 
-def _run_translator1d(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    profile = so.translator_1d(cfg.alpha, cfg.x_max, stats)
-    return {"profile1d.csv": {"x": profile.x, "v": profile.v, "dv": profile.dv}}
+def _run_translator1d(cfg: SimpleNamespace, stats: so.OdeStats):
+    return {"profile1d.csv": vars(so.translator_1d(cfg.alpha, cfg.x_max, stats))}
 
 
-def _translator_judge(cfg: SimpleNamespace, columns):
+def _translator_judge(cfg: SimpleNamespace, profile):
     """Above alpha = 1/2 the profile must blow up within x_max, at the
     closed-form half-width so.strip_half_width(alpha); at or below it the
     profile is entire, so the stored rows must reach x_max.  The measured
     half-width adds the same function's incomplete-beta tail past slope
     SLOPE_SWITCH to the march, so half-width-beta checks the march only on
     the bulk of the width, all but the last 1e-3 or so at alpha = 1."""
-    x, dv = columns["profile1d.csv"]["x"], columns["profile1d.csv"]["dv"]
+    x, dv = profile["x"], profile["dv"]
     half_width = so.blow_up_half_width(cfg.alpha, cfg.x_max, x, dv)
     blew_up = half_width is not None
     dichotomy = (blew_up and half_width <= cfg.x_max if cfg.alpha > 0.5
@@ -425,20 +443,13 @@ def _translator_judge(cfg: SimpleNamespace, columns):
     return {"half_width": half_width, "slope_end": dv[-1]}, checks
 
 
-def _run_radial_translator(cfg: SimpleNamespace, out: str, stats: so.OdeStats, radii=()):
-    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats, radii)
-    return {"profile.csv": {"r": profile.r, "u": profile.u, "du": profile.du,
-                            "d2u": profile.d2u}}
+def _run_radial_translator(cfg: SimpleNamespace, stats: so.OdeStats):
+    # A profile's fields are its table's columns, in order.
+    return {"profile.csv": vars(so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats))}
 
 
-def _profile(columns) -> so.RadialProfile:
-    """The radial profile stored as profile.csv, its columns looked up by name."""
-    table = columns["profile.csv"]
-    return so.RadialProfile(table["r"], table["u"], table["du"], table["d2u"])
-
-
-def _radial_judge(cfg: SimpleNamespace, columns):
-    profile = _profile(columns)
+def _radial_judge(cfg: SimpleNamespace, table):
+    profile = so.RadialProfile(table["r"], table["u"], table["du"], table["d2u"])
     try:
         profile.check_convex()
         convex = True
@@ -457,30 +468,28 @@ def _radial_judge(cfg: SimpleNamespace, columns):
     ]
 
 
-def _run_blowdown(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
+def _run_blowdown(cfg: SimpleNamespace, stats: so.OdeStats):
     # Every blow-down radius is a node, so each sup is read at x = 1 exactly.
-    columns = _run_radial_translator(
-        cfg, out, stats, [so.blow_down_radius(cfg.alpha, float(h)) for h in cfg.scales])
-    profile = _profile(columns)
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats,
+                                   [so.blow_down_radius(cfg.alpha, float(h)) for h in cfg.scales])
     sups = [so.blow_down(profile, cfg.alpha, float(h))[1] for h in cfg.scales]
-    return {**columns, "blowdown.csv": {"h": cfg.scales, "sup_dist": sups}}
+    return {"profile.csv": vars(profile), "blowdown.csv": {"h": cfg.scales, "sup_dist": sups}}
 
 
-def _blowdown_judge(cfg: SimpleNamespace, columns):
-    sups = columns["blowdown.csv"]["sup_dist"]
+def _blowdown_judge(cfg: SimpleNamespace, blowdown):
+    sups = blowdown["sup_dist"]
     monotone = bool(all(a > b for a, b in zip(sups, sups[1:])))
     return {"sup_dist": sups[-1]}, [check("supdist-monotone", monotone, None, "true")]
 
 
-def _run_legendre(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    columns = _run_radial_translator(cfg, out, stats)
-    dual = so.legendre(_profile(columns))
-    return {**columns, "dual.csv": {"p": dual.r, "u_star": dual.u, "r_argmax": dual.du,
-                                    "d2u_star": dual.d2u}}
+def _run_legendre(cfg: SimpleNamespace, stats: so.OdeStats):
+    profile = so.radial_translator(cfg.alpha, cfg.sigma, cfg.r_max, stats)
+    dual = so.legendre(profile)
+    return {"profile.csv": vars(profile), "dual.csv": {"p": dual.r, "u_star": dual.u,
+                                                       "r_argmax": dual.du, "d2u_star": dual.d2u}}
 
 
-def _legendre_judge(cfg: SimpleNamespace, columns):
-    table = columns["dual.csv"]
+def _legendre_judge(cfg: SimpleNamespace, table):
     dual = so.RadialProfile(table["p"], table["u_star"], table["r_argmax"], table["d2u_star"])
     fit = so.dual_power_fit(dual, cfg.p_lo, cfg.p_hi)
     exp_true = (1.0 + cfg.alpha) / cfg.alpha
@@ -495,9 +504,8 @@ def _legendre_judge(cfg: SimpleNamespace, columns):
     ]
 
 
-def _run_comparison_ode(cfg: SimpleNamespace, out: str, stats: so.OdeStats):
-    sol = so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, stats)
-    return {"ode.csv": {"t": sol.t, "rho": sol.rho, "drho": sol.drho}}
+def _run_comparison_ode(cfg: SimpleNamespace, stats: so.OdeStats):
+    return {"ode.csv": vars(so.comparison_ode(cfg.alpha, cfg.delta, cfg.t_max, stats))}
 
 
 def _check_ode_horizon(cfg: SimpleNamespace) -> None:
@@ -521,8 +529,8 @@ def _check_ode_horizon(cfg: SimpleNamespace) -> None:
              "the slope leaves the float range before it")
 
 
-def _ode_judge(cfg: SimpleNamespace, columns):
-    ts, drho = columns["ode.csv"]["t"], columns["ode.csv"]["drho"]
+def _ode_judge(cfg: SimpleNamespace, ode):
+    ts, drho = ode["t"], ode["drho"]
     a_cross = so.crossing_time(ts, drho, 1.0)  # scales like (-log delta)^(alpha/(alpha+1))
     ratio = (a_cross / (-math.log(cfg.delta)) ** (cfg.alpha / (cfg.alpha + 1.0))
              if a_cross is not None and cfg.delta < 1.0 else None)
@@ -532,13 +540,12 @@ def _ode_judge(cfg: SimpleNamespace, columns):
             [check("ode-closed-form", err, ODE_AGREEMENT_TOL, "le")])
 
 
-def _run_log_convexity(cfg: SimpleNamespace, out: str, stats: None):
+def _run_log_convexity(cfg: SimpleNamespace, stats: None):
     r, phi_rr, phi_tan = so.log_convexity_grid(cfg.radius, cfg.alpha, cfg.n_points)
     return {"margins.csv": {"r": r, "radial_eig": phi_rr, "tangential_eig": phi_tan}}
 
 
-def _logconv_judge(cfg: SimpleNamespace, columns):
-    margins = columns["margins.csv"]
+def _logconv_judge(cfg: SimpleNamespace, margins):
     margin = float(min(np.min(margins["radial_eig"]), np.min(margins["tangential_eig"])))
     return {"margin": margin}, [check("log-convexity-margin", margin, LOG_CONVEXITY_FLOOR, "ge")]
 
@@ -570,7 +577,7 @@ EXPERIMENTS = {
          "initial_body": lambda c: {"kind": "fourier",
                                     "cos": [1.0] + [0.0] * (c["mode"] - 1) + [c["eps"]]}},
         _run_normalized_rate, _rate_judge,
-        "rate.csv", ("fitted_rate", "residual_rms"), _check_rate_window,
+        "rate.csv", ("fitted_rate", "residual_rms"), _check_rate,
         solver=fl.MarchStats),
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
@@ -601,7 +608,16 @@ EXPERIMENTS = {
         solver=so.OdeStats),
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
-        _run_log_convexity, _logconv_judge, "margins.csv", ("margin",)),
+        _run_log_convexity, _logconv_judge, "margins.csv", ("margin",),
+        # The grid stops 1e-3 short of the rim, where -u is about 1e-3 times
+        # R^(1+alpha)/(1+alpha) and phi_rr (1e3/R)^2; if either scale squared
+        # underflows, the grid divides by zero or overflows.
+        lambda cfg: _require(
+            min(math.log(1e-3 * cfg.radius),
+                (1.0 + cfg.alpha) * math.log(cfg.radius) - math.log(1.0 + cfg.alpha))
+            >= 0.5 * math.log(sys.float_info.min),
+            "field 'radius' is too small: (radius/1e3)^2 or (radius^(1+alpha)/(1+alpha))^2 "
+            "underflows")),
 }
 
 
@@ -613,9 +629,10 @@ def _make_dir(path: str) -> None:
 
 
 def run_config(cfg: SimpleNamespace) -> dict:
-    """Execute one experiment, write its CSVs and manifest, return the
-    manifest payload.  A run that raises writes no CSV.  The columns just
-    written are judged, as verify judges the same columns read back."""
+    """Execute one experiment, write its CSVs, then its manifest, and return
+    the manifest; nothing else writes a run directory.  A run that raises
+    writes no CSV, nor a manifest on UsageError.  The source table just
+    written is judged, as verify judges it read back."""
     _make_dir(cfg.output_dir)
     experiment = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
@@ -623,10 +640,10 @@ def run_config(cfg: SimpleNamespace) -> dict:
     judged = {"scalars": {}, "checks": [], "pass": False}
     stats = experiment.solver() if experiment.solver else None
     try:
-        columns = experiment.run(cfg, cfg.output_dir, stats)
+        columns = experiment.run(cfg, stats)
         for name, table in columns.items():
             tables.write_columns(os.path.join(cfg.output_dir, name), table)
-        judged = _judged(experiment, cfg, columns)
+        judged = _judged(experiment, cfg, columns[experiment.source])
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
@@ -644,19 +661,6 @@ def run_config(cfg: SimpleNamespace) -> dict:
         json.dump(payload, f, indent=2)
         f.write("\n")
     return payload
-
-
-class _StoredColumns(dict):
-    """A finished run's CSVs, each read on first use as its columns keyed
-    by its header."""
-
-    def __init__(self, run_dir: str):
-        super().__init__()
-        self.run_dir = run_dir
-
-    def __missing__(self, name: str):
-        self[name] = tables.read_columns(os.path.join(self.run_dir, name))
-        return self[name]
 
 
 # -- subcommands ------------------------------------------------------------
@@ -805,8 +809,10 @@ def cmd_verify(run_dir: str) -> int:
         print(f"run recorded an error: {manifest['error']}")
         return 2
     cfg = config_from_dict(manifest["config"])
+    experiment = EXPERIMENTS[cfg.experiment]
     try:
-        judged = _judged(EXPERIMENTS[cfg.experiment], cfg, _StoredColumns(run_dir))
+        judged = _judged(experiment, cfg,
+                         tables.read_columns(os.path.join(run_dir, experiment.source)))
     except (ArithmeticError, OSError, RuntimeError, ValueError) as exc:
         print(f"cannot recompute the checks: {type(exc).__name__}: {exc}")
         return 2

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ from gcsf.geometry import (
     _lengths,
     _mode_amplitudes,
     _radius_symbol,
-    _samples_to_json,
     _steiner,
     circumradius,
     curvature_radius_samples,
@@ -648,17 +646,21 @@ def linearized_mode_rate(alpha: float, mode: int) -> float:
     return 1.0 + alpha * (1.0 - float(mode) ** 2)
 
 
+#: Fewest points inside its window that a decay-rate fit takes.
+FIT_MIN_POINTS = 5
+
+
 def fit_decay_rate(taus, deltas, window: tuple[float, float]) -> RateFit:
     """Least-squares slope of log delta against tau inside the window.
 
-    At least five of the points (taus, deltas) must fall inside the window
-    and their deltas must be positive.
+    At least FIT_MIN_POINTS of the points (taus, deltas) must fall inside
+    the window and their deltas must be positive.
     """
     taus, deltas = np.asarray(taus, dtype=float), np.asarray(deltas, dtype=float)
     lo, hi = float(window[0]), float(window[1])
     mask = (taus >= lo) & (taus <= hi)
-    if np.count_nonzero(mask) < 5:
-        raise ValueError(f"need at least 5 points in window [{lo}, {hi}], "
+    if np.count_nonzero(mask) < FIT_MIN_POINTS:
+        raise ValueError(f"need at least {FIT_MIN_POINTS} points in window [{lo}, {hi}], "
                          f"got {np.count_nonzero(mask)}")
     taus = taus[mask]
     deltas = deltas[mask]
@@ -759,15 +761,12 @@ def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
     return dict(trace.columns)
 
 
-def write_trace_snapshots(trace: FlowTrace, directory, every: int = 1) -> list[str]:
-    """Dump every every-th stored state and the last as JSON support
-    functions, named by zero-padded snapshot index."""
-    os.makedirs(directory, exist_ok=True)
-    last = len(trace.samples) - 1
-    written = []
-    for i in [*range(0, last, every), last]:
-        name = f"{i:06d}.json"
-        with open(os.path.join(directory, name), "w") as f:
-            f.write(_samples_to_json(trace.samples[i]))
-        written.append(name)
-    return written
+def snapshot_columns(trace: FlowTrace, every: int) -> dict[str, np.ndarray]:
+    """snapshots.csv's columns: every every-th stored state of trace and the
+    last, once, one row per sample: the state's time t, the grid angle theta
+    and the support value s.  Read back, s.reshape(-1, m) is those states."""
+    n, m = trace.samples.shape
+    rows = [*range(0, n - 1, every), n - 1]
+    return {"t": np.repeat(trace.columns["t"][rows], m),
+            "theta": np.tile(np.arange(m) * (2.0 * np.pi / m), len(rows)),
+            "s": trace.samples[rows].ravel()}

@@ -10,7 +10,6 @@ safe to share between workers.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -271,8 +270,3 @@ def circumradius(s: SupportFunction) -> float:
     """Radius of the smallest disc centred at the Steiner point containing the body."""
     return float(np.max(_steiner(s.samples)[2]))
 
-
-# -- serialization ----------------------------------------------------------
-
-def _samples_to_json(values: np.ndarray) -> str:
-    return json.dumps({"m": values.size, "samples": values.tolist()})

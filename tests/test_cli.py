@@ -197,11 +197,12 @@ def test_circle_whose_extinction_time_underflows_is_a_usage_error(tmp_path, caps
 
 
 def test_area_defect_beyond_the_float_range_is_a_recorded_error(tmp_path):
-    # A circle of radius 1e80 steps by about 1e158 until its time stalls;
-    # the area stencil's products of such steps overflow.  That must end as
-    # a recorded error, with no floating-point warning.
+    # A circle of radius 1e80 steps by about 1e158; the area stencil's
+    # products of such steps overflow.  That must end as a recorded error,
+    # with no floating-point warning.  Its t_max stops the march ten steps
+    # in, short of its extinction time 5e159, which time cannot resolve.
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64,
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64, t_max=1e159,
                        initial_body={"kind": "circle", "radius": 1e80})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -306,7 +307,7 @@ def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), **entries)
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
-    trace = cli._StoredColumns(str(out))["trace.csv"]
+    trace = tables.read_columns(out / "trace.csv")
     params = cli._flow_params(cli.config_from_dict(manifest["config"]))
     assert manifest["scalars"]["extinction_time"]["value"] == \
         cli.fl.extrapolate_extinction(trace["t"], trace["inradius"], params)
@@ -315,7 +316,7 @@ def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
 def test_flow_circle_checks_and_snapshots(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out),
-                       alpha=1.0, m=64, snapshot_every=100)
+                       alpha=1.0, m=64, snapshot_every=10)
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     by_name = {c["name"]: c for c in manifest["checks"]}
@@ -324,7 +325,18 @@ def test_flow_circle_checks_and_snapshots(tmp_path):
     assert by_name["circle-law"]["value"] <= 1e-6
     assert math.isclose(manifest["scalars"]["extinction_time"]["value"], 0.5,
                         abs_tol=1e-4)
-    assert (out / "snapshots" / "000000.json").exists()
+    # snapshots.csv holds stored states 0, 10, 20, ... and the last, one
+    # row per sample, bit for bit as the march stored them.
+    assert sorted(os.listdir(out)) == ["manifest.json", "snapshots.csv", "trace.csv"]
+    config = cli.config_from_dict(manifest["config"])
+    trace = cli.fl.run_to_extinction(cli._build_body(config), cli._flow_params(config),
+                                     store_every=cli.EXTINCTION_STORE_EVERY)
+    n = len(trace.samples)
+    rows = sorted(set(range(0, n, 10)) | {n - 1})
+    snapshots = tables.read_columns(out / "snapshots.csv")
+    assert snapshots["s"].reshape(-1, 64).tobytes() == trace.samples[rows].tobytes()
+    assert snapshots["t"][::64].tobytes() == trace.columns["t"][rows].tobytes()
+    assert cli.main(["verify", str(out)]) == 0
 
 
 def test_flow_checks_on_other_bodies_can_fail(tmp_path):
@@ -333,11 +345,11 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
                        initial_body={"kind": "ellipse", "a": 1.3, "b": 1.0})
     assert cli.main(["run", cfg]) == 0
     cfg = cli.config_from_dict(read_manifest(out)["config"])
-    trace = cli._StoredColumns(str(out))["trace.csv"]
+    trace = tables.read_columns(out / "trace.csv")
     times, inradii = trace["t"], trace["inradius"]
     names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
              "circumscribed-disc-last"]
-    assert [c["name"] for c in cli._flow_judge(cfg, {"trace.csv": trace})[1]] == names
+    assert [c["name"] for c in cli._flow_judge(cfg, trace)[1]] == names
     T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
     slack = 2.0 * cli.EXTINCTION_TOL
 
@@ -346,7 +358,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
                   for name, col in trace.items()}
         if column is not None:
             nudged[column][row] = value
-        checks = cli._flow_judge(cfg, {"trace.csv": nudged})[1]
+        checks = cli._flow_judge(cfg, nudged)[1]
         return [c["name"] for c in checks if not c["pass"]]
 
     assert failed() == []
@@ -740,13 +752,16 @@ def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, entries, 
     # real marches it must agree with FlowTrace.stop_reason.  The circle of
     # radius 1e5 stops where its step no longer advances t, short of
     # extinction; at radius 1e150 the judge's area defect overflows instead.
+    # Such a circle is a usage error at config time, so each body is set
+    # after the config is resolved.
     cfg = cli.config_from_dict(dict(experiment="flow", output_dir=str(tmp_path), m=64,
-                                    **entries))
+                                    t_max=entries.get("t_max")))
+    vars(cfg).update(entries)
     trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
                                      t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
     assert trace.stop_reason.value == reason
     cli.tables.write_columns(tmp_path / "trace.csv", cli.fl.trace_summary_rows(trace))
-    judged, _ = cli._flow_judge(cfg, cli._StoredColumns(str(tmp_path)))
+    judged, _ = cli._flow_judge(cfg, tables.read_columns(tmp_path / "trace.csv"))
     assert judged["stop_reason"] == reason
 
 
@@ -1046,11 +1061,18 @@ def test_a_derived_field_that_fails_its_rule_says_it_was_derived(tmp_path, capsy
     ({"experiment": "translator1d", "x_max": -1}, "x_max"),
     ({"experiment": "normalized-rate", "tau_end": 0.5}, "fit_window"),
     ({"experiment": "normalized-rate", "tau_end": 1.0}, "fit_window"),
+    ({"experiment": "normalized-rate", "m": 64, "mode": 40}, "mode"),
+    ({"experiment": "normalized-rate", "tau_end": 1.02}, "fit_window"),
+    ({"experiment": "log-convexity", "radius": 1e-200}, "radius"),
 ])
 def test_configs_the_run_would_reject_are_usage_errors(tmp_path, capsys, raw, field):
     # A blow-down radius h^(1/(1+alpha)) at or inside the series radius, a
-    # 1-D box of no width, and a rate window that starts at or after the
-    # end of the march each fail at config time, not in the run.
+    # 1-D box of no width, a rate window that starts at or after the end of
+    # the march, a mode past the grid's highest harmonic and a log-convexity
+    # radius whose grid leaves the float range each fail at config time,
+    # not in the run.  A rate window that holds fewer steps than the fit
+    # needs (3 of them by tau_end = 1.02) fails once the march has shown it,
+    # before anything is written.
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "r"), **raw)
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -1062,9 +1084,71 @@ def test_configs_the_run_would_reject_are_usage_errors(tmp_path, capsys, raw, fi
     {"experiment": "blowdown", "scales": [1e-6 * (1.0 + 1e-9), 10]},
     {"experiment": "translator1d", "x_max": 1e-300},
     {"experiment": "normalized-rate", "tau_end": 1.0 + 1e-15},
+    {"experiment": "normalized-rate", "m": 64, "mode": 32, "eps": 1e-4},
 ])
 def test_configs_just_inside_the_new_rules_validate(raw):
     cli.config_from_dict(dict(raw, output_dir="out"))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 4.0, 100.0])
+def test_log_convexity_radius_at_the_edge_of_its_rule_runs_clean(tmp_path, alpha):
+    # Below the rule's edge the grid's -u squared underflows or its radial
+    # eigenvalue overflows; at the edge it runs with no warning and passes.
+    raw = {"experiment": "log-convexity", "output_dir": str(tmp_path / "r"), "alpha": alpha}
+    lo, hi = 1e-300, 1.0
+    assert not _accepts(dict(raw, radius=lo)) and _accepts(dict(raw, radius=hi))
+    while math.nextafter(lo, hi) < hi:
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi))) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _accepts(dict(raw, radius=mid)) else (mid, hi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_config(tmp_path, **dict(raw, radius=hi))]) == 0
+
+
+UNRESOLVED_FLOWS = [
+    {"alpha": 4.0},
+    {"alpha": 2.0, "initial_body": {"kind": "circle", "radius": 100.0}},
+    {"alpha": 3.0, "initial_body": {"kind": "circle", "radius": 10.0}},
+    {"alpha": 2.0, "t_max": 4e5, "initial_body": {"kind": "circle", "radius": 100.0}},
+]
+
+
+@pytest.mark.parametrize("entries", UNRESOLVED_FLOWS)
+def test_flow_whose_last_steps_time_cannot_resolve_is_a_usage_error(tmp_path, capsys,
+                                                                   entries):
+    # Near extinction each step falls below half the float spacing of t,
+    # so t + dt == t and the march, run anyway, stops short of extinction.
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"), m=64,
+                       **entries)
+    assert cli.main(["run", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: fields 'alpha' and 'initial_body' ")
+    assert not (tmp_path / "r").exists()
+    body = dict(cli._UNIT_CIRCLE, **entries.get("initial_body", {}))
+    cfg = cli.config_from_dict(dict(experiment="flow", output_dir="out", m=64))
+    vars(cfg).update(entries, initial_body=body)
+    trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
+                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
+    assert trace.stop_reason is cli.fl.StopReason.CONVEXITY_LOST
+
+
+@pytest.mark.parametrize("entries, reason", [
+    ({"alpha": 3.5}, "extinct"),
+    ({"alpha": 2.0, "initial_body": {"kind": "circle", "radius": 30.0}}, "extinct"),
+    ({"alpha": 1.0, "initial_body": {"kind": "circle", "radius": 1e4}}, "extinct"),
+    # Its circumscribed disc, the unit circle, would stall at alpha = 4; the
+    # ellipse goes extinct at T = 0.022, after its inscribed disc (0.00625)
+    # and where time still resolves its last steps.
+    ({"alpha": 4.0, "initial_body": {"kind": "ellipse", "a": 1.0, "b": 0.5}}, "extinct"),
+    # Stopped before extinction, at 0.9 of it.
+    ({"alpha": 2.0, "t_max": 3e5, "initial_body": {"kind": "circle", "radius": 100.0}},
+     "time_limit"),
+])
+def test_flow_that_time_resolves_validates_and_reaches_its_end(entries, reason):
+    cfg = cli.config_from_dict(dict(experiment="flow", output_dir="out", m=64, **entries))
+    trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
+                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
+    assert trace.stop_reason.value == reason
 
 
 @pytest.mark.parametrize("raw", [

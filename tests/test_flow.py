@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -795,20 +794,26 @@ def test_trace_summary_rows_fields():
     assert math.isclose(columns["area"][0], math.pi, rel_tol=1e-12)
 
 
-def test_snapshots_written_every_k(tmp_path):
-    trace = fl.run_to_extinction(circle(), P64)
-    paths = fl.write_trace_snapshots(trace, tmp_path, every=50)
-    n = len(trace.columns["t"])
-    expected = {i for i in range(n) if i % 50 == 0} | {n - 1}
-    assert paths == [f"{i:06d}.json" for i in sorted(expected)]
-    snapshot = json.loads((tmp_path / paths[0]).read_text())
-    np.testing.assert_array_equal(snapshot["samples"], trace.samples[0])
-
-
-def test_snapshots_hold_the_json_form_of_each_row(tmp_path):
+@pytest.mark.parametrize("every", [1, 3, 50])
+def test_snapshot_columns_hold_every_kth_state_and_the_last(every):
     trace = fl.run_to_extinction(circle(), P64, store_every=8)
-    paths = fl.write_trace_snapshots(trace, tmp_path, every=3)
-    for name in paths:
-        row = trace.samples[int(name[:-5])]
-        text = (tmp_path / name).read_text()
-        assert text == json.dumps({"m": row.size, "samples": row.tolist()})
+    columns = fl.snapshot_columns(trace, every)
+    assert tuple(columns) == ("t", "theta", "s")
+    n, m = trace.samples.shape
+    rows = sorted({i for i in range(n) if i % every == 0} | {n - 1})
+    np.testing.assert_array_equal(columns["s"].reshape(-1, m), trace.samples[rows])
+    np.testing.assert_array_equal(columns["t"].reshape(-1, m),
+                                  np.repeat(trace.columns["t"][rows, None], m, axis=1))
+    thetas = geo.SupportFunction(trace.samples[0]).thetas
+    np.testing.assert_array_equal(columns["theta"].reshape(-1, m),
+                                  np.broadcast_to(thetas, (len(rows), m)))
+
+
+def test_snapshot_table_reads_back_bit_for_bit(tmp_path):
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=8)
+    columns = fl.snapshot_columns(trace, 3)
+    tables.write_columns(tmp_path / "snapshots.csv", columns)
+    back = tables.read_columns(tmp_path / "snapshots.csv")
+    assert list(back) == ["t", "theta", "s"]
+    for name, column in columns.items():
+        assert back[name].tobytes() == column.tobytes()

@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -232,12 +231,3 @@ def test_isoperimetric_equality_only_for_circles():
 def test_inradius_bounds(s):
     assert 0.0 < geo.inradius(s) <= geo.circumradius(s) + 1e-15
 
-
-# -- serialization ----------------------------------------------------------
-
-def test_json_round_trip_is_exact():
-    # The form of a flow snapshot: the grid size and every sample.
-    s = geo.random_convex_body(np.random.default_rng(7))
-    back = json.loads(geo._samples_to_json(s.samples))
-    assert back["m"] == s.m
-    np.testing.assert_array_equal(back["samples"], s.samples)
