@@ -106,7 +106,7 @@ MAX_R_MAX = 20000.0
 MAX_TAU_END = 50.0
 
 #: An extinction run stores every 8th accepted state and the last: enough
-#: for the fit of T and the area identity, at an eighth of the rows.
+#: for its stop rule and the area identity, at an eighth of the rows.
 EXTINCTION_STORE_EVERY = 8
 
 
@@ -302,31 +302,14 @@ def _flow_params(cfg: SimpleNamespace) -> fl.FlowParams:
 def _check_flow_body(cfg: SimpleNamespace) -> None:
     """Build the initial body; a circle's extinction time, which the circle
     law divides by, must not underflow, and the body must not start out
-    extinct, with its inradius below STOP_INRADIUS.
-
-    A march whose horizon reaches the circumscribed disc's extinction time
-    must resolve t near its end.  A circle's step lasts a fraction shrink of
-    its remaining life, so the last one before the inradius drops below
-    STOP_INRADIUS lasts at most shrink * left, left = X / (1 - shrink) with
-    X = STOP_INRADIUS^(1+alpha)/(1+alpha), and starts after T_in - left,
-    T_in the inscribed disc's extinction time.  Below half the float
-    spacing there, t + dt == t.
-    """
-    shape = _build_body(cfg)
-    inradius, body, a1 = geo.inradius(shape), cfg.initial_body, 1.0 + cfg.alpha
+    extinct, with its inradius below STOP_INRADIUS."""
+    inradius, body, a1 = geo.inradius(_build_body(cfg)), cfg.initial_body, 1.0 + cfg.alpha
     _require(body["kind"] != "circle" or a1 * math.log(body.get("radius", 1.0)) - math.log(a1)
              >= math.log(sys.float_info.min),
              "initial_body.radius is too small: radius^(1+alpha)/(1+alpha) underflows")
     _require(inradius >= fl.STOP_INRADIUS,
              f"initial_body: its inradius {inradius:.6g} is below "
              f"STOP_INRADIUS = {fl.STOP_INRADIUS:g}, where the flow counts a body extinct")
-    t_in, shrink = fl.disc_extinction_time(inradius, cfg.alpha), fl.ETD_STEP_SCALE * fl.CFL * a1
-    t_out = fl.disc_extinction_time(geo.circumradius(shape), cfg.alpha)
-    if shrink < 1.0 and t_in < math.inf and (cfg.t_max is None or cfg.t_max >= t_out):
-        left = fl.disc_extinction_time(fl.STOP_INRADIUS, cfg.alpha) / (1.0 - shrink)
-        _require(shrink * left >= 0.5 * math.ulp(t_in - left),
-                 f"fields 'alpha' and 'initial_body' give a flow whose last steps, at most "
-                 f"{shrink * left:.3g} long, time cannot resolve near t = {t_in:.6g}")
 
 
 def _run_flow(cfg: SimpleNamespace, stats: fl.MarchStats):
@@ -611,13 +594,16 @@ EXPERIMENTS = {
         _run_log_convexity, _logconv_judge, "margins.csv", ("margin",),
         # The grid stops 1e-3 short of the rim, where -u is about 1e-3 times
         # R^(1+alpha)/(1+alpha) and phi_rr (1e3/R)^2; if either scale squared
-        # underflows, the grid divides by zero or overflows.
+        # underflows, the grid divides by zero or overflows.  Past R = 1 no
+        # product of the grid exceeds 64 R^(2+2 alpha), which must not overflow.
         lambda cfg: _require(
             min(math.log(1e-3 * cfg.radius),
                 (1.0 + cfg.alpha) * math.log(cfg.radius) - math.log(1.0 + cfg.alpha))
-            >= 0.5 * math.log(sys.float_info.min),
-            "field 'radius' is too small: (radius/1e3)^2 or (radius^(1+alpha)/(1+alpha))^2 "
-            "underflows")),
+            >= 0.5 * math.log(sys.float_info.min)
+            and 2.0 * (1.0 + cfg.alpha) * math.log(cfg.radius) + math.log(64.0)
+            <= math.log(sys.float_info.max),
+            "field 'radius' leaves the float range: (radius/1e3)^2 or "
+            "(radius^(1+alpha)/(1+alpha))^2 underflows, or 64 radius^(2+2 alpha) overflows")),
 }
 
 

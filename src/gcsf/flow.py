@@ -27,6 +27,7 @@ projecting the state back.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -58,7 +59,11 @@ CFL = 0.2
 #: product rounds to 0.010000000000000002, so it is not folded into 0.01.
 ETD_STEP_SCALE = 0.05
 
-#: The flow is extinct once its inradius falls below this.  The rescaled
+#: A run to extinction stops once its estimate of T, exact for shrinkers,
+#: settles to this, relative, over one unit of rescaled time (_settled).
+STOP_TOL = 1e-10
+
+#: It also stops once its inradius falls below this floor.  The rescaled
 #: flow has collapsed once r_min falls below this fraction of its start,
 #: and has blown up once r_min rises above its start divided by this.
 STOP_INRADIUS = 1e-3
@@ -72,9 +77,9 @@ MAX_RESCALED_STEP = 1.0
 #: Rungs per factor of 2 of the ladders that z = A * dt and A are rounded
 #: onto (_etd_step_size, _etd_diffusivity); each rounding shortens a step
 #: by a factor of at most 2^(1/BANDS).  On the seed-1 body of the
-#: benchmark (m = 256, alpha = 1) 16, 32, 64 and 128 rungs took 761, 738,
-#: 727 and 722 accepted steps and 12, 23, 41 and 67 weight evaluations,
-#: against 717 and 717 without the ladders; 64 is the coarsest with at
+#: benchmark (m = 256, alpha = 1) 16, 32, 64 and 128 rungs took 140, 137,
+#: 136 and 135 accepted steps and 12, 22, 39 and 63 weight evaluations,
+#: against 134 and 134 without the ladders; 64 is the coarsest with at
 #: most 2% more steps.
 BANDS = 64
 
@@ -486,18 +491,18 @@ def _may_be_extinct(v: np.ndarray, m: int) -> bool:
     return v[0].real - 2.0 * tail[:-1].sum() - tail[-1] <= 2.0 * STOP_INRADIUS * m
 
 
-def _record(start: np.ndarray, march, store_every: int, to_extinction: bool = False):
+def _record(start: np.ndarray, march, store_every: int, settled=None):
     """Run a march from _etd_march, begun at the samples start, until it
-    ends or, with to_extinction, until a state's inradius (from its Steiner
-    point, as trace.csv has it) is below STOP_INRADIUS; keep every
-    store_every-th state and the last one, once.
+    ends; keep every store_every-th state and the last one, once.
 
     The first row is start itself; every other kept row, and every state
-    tested for extinction, is np.fft.irfft(v, n=m) of the coefficients
-    the march yielded.  Returns (times, list of sample rows).  With
-    to_extinction, a ConvexityLostError after at least one accepted step
-    ends the record at the last accepted state, and trace_outcome reads
-    the stop from its rows; any other ConvexityLostError propagates.
+    tested against the floor, is np.fft.irfft(v, n=m) of the coefficients
+    the march yielded.  Returns (times, list of sample rows).  A run to
+    extinction passes settled(times, rows), asked after each kept row past
+    the start, and ends once it is true, at the first state whose inradius
+    (from its Steiner point, as trace.csv has it) is below STOP_INRADIUS,
+    or at the last state accepted before a ConvexityLostError past the
+    first step.  Any other ConvexityLostError propagates.
     """
     m = start.size
     times, rows, accepted = [], [], 0
@@ -508,17 +513,19 @@ def _record(start: np.ndarray, march, store_every: int, to_extinction: bool = Fa
                 y = np.fft.irfft(v, n=m) if y is None else y
                 times.append(t)
                 rows.append(y)
-            if to_extinction and _may_be_extinct(v, m):
+                if settled is not None and accepted and settled(times, rows):
+                    break
+            if settled is not None and _may_be_extinct(v, m):
                 y = np.fft.irfft(v, n=m) if y is None else y
                 if _steiner(y)[2].min() < STOP_INRADIUS:
                     break
     except ConvexityLostError:
-        if not (to_extinction and accepted):  # a rescaled march, or no run to record
+        if not (settled is not None and accepted):  # a rescaled march, or no run to record
             raise
     if times[-1] != t:
         times.append(t)
         rows.append(np.fft.irfft(v, n=m) if y is None else y)
-    return np.array(times), rows
+    return times, rows
 
 
 def run_to_extinction(
@@ -528,46 +535,71 @@ def run_to_extinction(
     store_every: int = 1,
     stats: MarchStats | None = None,
 ) -> FlowTrace:
-    """March the unnormalized flow until the body is numerically extinct.
+    """March the unnormalized flow until its extinction time has converged.
 
-    The march is _etd_march without the rescaling term.  Integration stops
-    once the inradius drops below STOP_INRADIUS (stop_reason extinct), at
-    t_max (time_limit), or when no acceptable step exists
-    (convexity_lost); a march that cannot take its first step, a curvature
-    radius beyond the range its step can represent, say, raises
-    ConvexityLostError.  Every store_every-th accepted step is recorded, plus
-    the final state; the default of every step keeps the area series fine
-    enough for its second-order differencing (area_defect).
-
-    trace_outcome reads the stop reason and the extinction time off the
-    trace.  A MarchStats passed as stats receives the march's counts.
-    The stored states stay one (n, m) array, FlowTrace.samples, whose
-    trace columns are computed a block of rows at a time.
+    The march is _etd_march without the rescaling term.  It stops at the
+    first stored row whose estimate of T has settled, or below the floor
+    STOP_INRADIUS (stop_reason extinct), at t_max (time_limit), or when no
+    acceptable step exists (convexity_lost), as trace_outcome reads off the
+    trace; a march that cannot take its first step, a curvature radius
+    beyond the range its step can represent, say, raises
+    ConvexityLostError.  Every store_every-th accepted step is recorded,
+    plus the final state; the default of every step keeps the area series
+    fine enough for area_defect.  A MarchStats passed as stats receives
+    the march's counts.  Each row's area and kappa_integral are computed
+    once, as it is kept, and the stop test reads those values.
     """
     _check_start(s0, p, store_every)
     if t_max is None:
         t_max = default_time_limit(circumradius(s0), p)
     y = np.array(s0.samples, dtype=float)
+    areas, kappas = [], []
+
+    def settled(times, rows):  # also fills in the columns of rows kept since the last call
+        with np.errstate(over="raise"):  # a body whose area overflows ends the run
+            for row in rows[len(areas):]:
+                areas.append(_areas(row))
+                kappas.append(_curvature_integrals(row, p.alpha))
+        return _settled(times, areas, kappas, p.alpha)
+
     times, rows = _record(y, _etd_march(y, p, t_max, rescaled=False, stats=stats),
-                          store_every, to_extinction=True)
+                          store_every, settled)
+    settled(times, rows)
     samples = np.array(rows)
     del rows
-    columns = dict(zip(TRACE_COLUMNS, (times, *_shape_columns(samples, p.alpha))))
+    columns = dict(zip(TRACE_COLUMNS, (np.array(times), np.array(areas),
+                                       *_shape_columns(samples), np.array(kappas))))
     stop, extinction = trace_outcome(columns, p, t_max)
     return FlowTrace(samples, columns, extinction, stop)
+
+
+def _estimate(times, areas, kappas, alpha: float, i: int) -> float:
+    """T = t + 2 area / ((1 + alpha) kappa_integral) on row i, in plain floats."""
+    return float(times[i]) + 2.0 * float(areas[i]) / ((1.0 + alpha) * float(kappas[i]))
+
+
+def _settled(times, areas, kappas, alpha: float) -> bool:
+    """Whether the last row's estimate agrees to STOP_TOL, relative, with
+    that of the last row whose area is at least e^2 times its own, one unit
+    of rescaled time earlier, found by bisection as areas fall."""
+    i = len(times) - 1
+    j = bisect.bisect_right(areas, -math.exp(2.0) * areas[i], hi=i, key=lambda a: -a) - 1
+    if j < 0:
+        return False
+    now = _estimate(times, areas, kappas, alpha, i)
+    return abs(now - _estimate(times, areas, kappas, alpha, j)) <= STOP_TOL * abs(now)
 
 
 def trace_outcome(columns, p: FlowParams,
                   t_max: float | None = None) -> tuple[StopReason, float | None]:
     """(stop reason, extinction time or None) of a flow run from its trace
-    columns (FlowTrace.columns, or trace.csv's): extinct, at the time of
-    extrapolate_extinction, once the last inradius is below STOP_INRADIUS;
+    columns (FlowTrace.columns, or trace.csv's): extinct, at the last row's
+    estimate, once it has settled or the last inradius is below the floor;
     else time_limit if the last t has reached t_max (None: the default
-    horizon of the first row's circumradius); else convexity_lost.  A march
-    ends without an error only once t reaches its end, and raises before."""
-    times, inradii = columns["t"], columns["inradius"]
-    if inradii[-1] < STOP_INRADIUS:
-        return StopReason.EXTINCT, extrapolate_extinction(times, inradii, p)
+    horizon of the first row's circumradius); else convexity_lost."""
+    times, areas, kappas = columns["t"], columns["area"], columns["kappa_integral"]
+    if columns["inradius"][-1] < STOP_INRADIUS or _settled(times, areas, kappas, p.alpha):
+        return StopReason.EXTINCT, _estimate(times, areas, kappas, p.alpha, -1)
     if t_max is None:
         t_max = default_time_limit(columns["circumradius"][0], p)
     return (StopReason.TIME_LIMIT if times[-1] >= t_max else StopReason.CONVEXITY_LOST), None
@@ -578,37 +610,17 @@ def trace_outcome(columns, p: FlowParams,
 ROW_BLOCK_VALUES = 2**17
 
 
-def _shape_columns(samples: np.ndarray, alpha: float) -> list[np.ndarray]:
-    """TRACE_COLUMNS after t for each row of samples, computed a block of
-    ROW_BLOCK_VALUES values at a time."""
+def _shape_columns(samples: np.ndarray) -> list[np.ndarray]:
+    """Columns length to delta_to_circle, a block of rows at a time."""
     rows = max(1, ROW_BLOCK_VALUES // samples.shape[1])
     blocks = []
     for lo in range(0, len(samples), rows):
         y = samples[lo:lo + rows]
-        areas, lengths = _areas(y), _lengths(y)
         d = _steiner(y)[2]
         mean_radius = np.mean(d, axis=1)
-        blocks.append((areas, lengths, np.min(d, axis=1), np.max(d, axis=1),
-                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius,
-                       _curvature_integrals(y, alpha)))
+        blocks.append((_lengths(y), np.min(d, axis=1), np.max(d, axis=1),
+                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius))
     return [np.concatenate(column) for column in zip(*blocks)]
-
-
-def extrapolate_extinction(times: np.ndarray, inradii: np.ndarray, p: FlowParams) -> float:
-    """Fit inradius^(1+alpha), linear in t for shrinking circles, over the
-    rows with inradius <= 10 STOP_INRADIUS (else the last five) and solve
-    for zero."""
-    if times.size < 2:
-        return float(times[-1])
-    tail = inradii <= 10.0 * STOP_INRADIUS
-    if np.count_nonzero(tail) < 5:
-        tail = np.zeros_like(tail)
-        tail[-min(5, times.size):] = True
-    z = inradii[tail] ** (1.0 + p.alpha)
-    slope, offset = np.polyfit(times[tail], z, 1)
-    if slope >= 0.0:
-        return float(times[-1])
-    return float(-offset / slope)
 
 
 def run_normalized(
@@ -630,7 +642,7 @@ def run_normalized(
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
     y = np.array(s0.samples, dtype=float)
     taus, rows = _record(y, _etd_march(y, p, tau_end, rescaled=True, stats=stats), store_every)
-    return taus, [SupportFunction(row) for row in rows]
+    return np.array(taus), [SupportFunction(row) for row in rows]
 
 
 def linearized_mode_rate(alpha: float, mode: int) -> float:

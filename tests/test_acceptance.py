@@ -128,7 +128,8 @@ def test_criterion_02_shrinking_circle_law(runs):
     manifests = runs("01-extinction-time")
     worst = max(_check(m, "circle-law") for m in manifests)
     _report(2, "shrinking-circle-law", _passed(manifests) and worst <= 1e-6,
-            f"worst relative radius error {worst:.3e} <= 1e-6 up to t = 0.9/(1+a)")
+            f"worst relative radius error {worst:.3e} <= 1e-6 on the rows up to "
+            f"t = 0.9/(1+a) or the run's stop, whichever comes first")
 
 
 def test_criterion_03_linearized_rate(runs):

@@ -183,6 +183,22 @@ def test_body_beyond_the_float_range_is_a_usage_error_without_warning(tmp_path, 
     assert "initial_body: support samples are too large to transform" in capsys.readouterr().err
 
 
+def test_flow_body_whose_area_overflows_ends_in_a_recorded_error(tmp_path):
+    # At alpha = 0.1 a circle of radius 1e200 can step, but its area, a
+    # column of trace.csv and the stop rule's input, overflows the float
+    # range: the run ends at its first stored row past the start, with the
+    # error recorded and no floating-point warning.
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), alpha=0.1, m=64,
+                       initial_body={"kind": "circle", "radius": 1e200})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["error"] == "FloatingPointError: overflow encountered in square"
+    assert manifest["solver"]["accepted_steps"] == cli.EXTINCTION_STORE_EVERY
+
+
 def test_circle_whose_extinction_time_underflows_is_a_usage_error(tmp_path, capsys):
     # radius^3 / 3 = 3e-331 underflows, and the circle law would divide by
     # it; the same body on the rescaled flow stops at the step guard.
@@ -308,9 +324,11 @@ def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     trace = tables.read_columns(out / "trace.csv")
-    params = cli._flow_params(cli.config_from_dict(manifest["config"]))
+    alpha = cli.config_from_dict(manifest["config"]).alpha
+    # The last row's estimate by the area law, in plain floats.
+    t, area, kappa = (float(trace[name][-1]) for name in ("t", "area", "kappa_integral"))
     assert manifest["scalars"]["extinction_time"]["value"] == \
-        cli.fl.extrapolate_extinction(trace["t"], trace["inradius"], params)
+        t + 2.0 * area / ((1.0 + alpha) * kappa)
 
 
 def test_flow_circle_checks_and_snapshots(tmp_path):
@@ -350,7 +368,7 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     names = ["extinct", "area-identity", "extinction-time", "inscribed-disc-first",
              "circumscribed-disc-last"]
     assert [c["name"] for c in cli._flow_judge(cfg, trace)[1]] == names
-    T = cli.fl.extrapolate_extinction(times, inradii, cli._flow_params(cfg))
+    T = cli._flow_judge(cfg, trace)[0]["extinction_time"]
     slack = 2.0 * cli.EXTINCTION_TOL
 
     def failed(column=None, value=None, keep=None, row=0):
@@ -362,7 +380,12 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
         return [c["name"] for c in checks if not c["pass"]]
 
     assert failed() == []
-    assert failed(keep=inradii >= cli.fl.STOP_INRADIUS) == ["extinct"]
+    # Without its last row the trace ends on a row whose estimate has not
+    # settled, above the floor: the march would have gone on.
+    assert failed(keep=slice(None, -1)) == ["extinct"]
+    assert inradii[-2] >= cli.fl.STOP_INRADIUS
+    # Late times by the slack give an extinction time late by as much.
+    assert failed("t", times + slack, row=slice(None)) == ["extinction-time"]
     # The first area also enters the identity's first difference.
     assert failed("area", 2.0 * math.pi * (T + slack)) == ["area-identity", "extinction-time"]
     assert failed("inradius", math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
@@ -746,14 +769,17 @@ def test_verify_compares_each_check_whole_and_the_run_pass(tmp_path, capsys, sma
     ({}, "extinct"),
     ({"initial_body": {"kind": "ellipse", "a": 1.3, "b": 1.0}}, "extinct"),
     ({"t_max": 0.1}, "time_limit"),
-    ({"initial_body": {"kind": "circle", "radius": 1e5}}, "convexity_lost")])
-def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, entries, reason):
+    ({"initial_body": {"kind": "circle", "radius": 1e5}}, "convexity_lost"),
+    ({"initial_body": {"kind": "circle", "radius": 1e5}}, "extinct")])
+def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, monkeypatch, entries,
+                                                             reason):
     # The judge reads why the march stopped off trace.csv's last row; on
     # real marches it must agree with FlowTrace.stop_reason.  The circle of
-    # radius 1e5 stops where its step no longer advances t, short of
-    # extinction; at radius 1e150 the judge's area defect overflows instead.
-    # Such a circle is a usage error at config time, so each body is set
-    # after the config is resolved.
+    # radius 1e5 goes extinct once its estimate settles; under a rule that
+    # never settles it stops where its step no longer advances t, short of
+    # the floor.  Each body is set after the config is resolved.
+    if reason == "convexity_lost":
+        monkeypatch.setattr(cli.fl, "STOP_TOL", -1.0)
     cfg = cli.config_from_dict(dict(experiment="flow", output_dir=str(tmp_path), m=64,
                                     t_max=entries.get("t_max")))
     vars(cfg).update(entries)
@@ -1064,15 +1090,17 @@ def test_a_derived_field_that_fails_its_rule_says_it_was_derived(tmp_path, capsy
     ({"experiment": "normalized-rate", "m": 64, "mode": 40}, "mode"),
     ({"experiment": "normalized-rate", "tau_end": 1.02}, "fit_window"),
     ({"experiment": "log-convexity", "radius": 1e-200}, "radius"),
+    ({"experiment": "log-convexity", "radius": 1e200}, "radius"),
+    ({"experiment": "log-convexity", "radius": 1e100, "alpha": 2.0}, "radius"),
 ])
 def test_configs_the_run_would_reject_are_usage_errors(tmp_path, capsys, raw, field):
     # A blow-down radius h^(1/(1+alpha)) at or inside the series radius, a
     # 1-D box of no width, a rate window that starts at or after the end of
     # the march, a mode past the grid's highest harmonic and a log-convexity
-    # radius whose grid leaves the float range each fail at config time,
-    # not in the run.  A rate window that holds fewer steps than the fit
-    # needs (3 of them by tau_end = 1.02) fails once the march has shown it,
-    # before anything is written.
+    # radius whose grid leaves the float range, below or above, each fail
+    # at config time, not in the run.  A rate window that holds fewer steps
+    # than the fit needs (3 of them by tau_end = 1.02) fails once the march
+    # has shown it, before anything is written.
     cfg = write_config(tmp_path, output_dir=str(tmp_path / "r"), **raw)
     assert cli.main(["run", cfg]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -1105,40 +1133,61 @@ def test_log_convexity_radius_at_the_edge_of_its_rule_runs_clean(tmp_path, alpha
         assert cli.main(["run", write_config(tmp_path, **dict(raw, radius=hi))]) == 0
 
 
+@pytest.mark.parametrize("alpha", [0.01, 1.0, 4.0, 100.0])
+def test_log_convexity_radius_at_the_top_of_its_rule_runs_clean(tmp_path, alpha):
+    # Above the rule's top the grid's -u squared or phi_rr's numerator
+    # overflows; at the top it runs with no warning and passes.
+    raw = {"experiment": "log-convexity", "output_dir": str(tmp_path / "r"), "alpha": alpha}
+    lo, hi = 1.0, 1e300
+    assert _accepts(dict(raw, radius=lo)) and not _accepts(dict(raw, radius=hi))
+    while math.nextafter(lo, hi) < hi:
+        mid = math.exp(0.5 * (math.log(lo) + math.log(hi))) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _accepts(dict(raw, radius=mid)) else (lo, mid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_config(tmp_path, **dict(raw, radius=lo))]) == 0
+
+
+# Circles whose steps near extinction fall below half the float spacing of
+# t, so that t + dt == t before the inradius reaches the floor; the last
+# stalls although its bound on the last step lies just above that spacing.
 UNRESOLVED_FLOWS = [
     {"alpha": 4.0},
     {"alpha": 2.0, "initial_body": {"kind": "circle", "radius": 100.0}},
     {"alpha": 3.0, "initial_body": {"kind": "circle", "radius": 10.0}},
     {"alpha": 2.0, "t_max": 4e5, "initial_body": {"kind": "circle", "radius": 100.0}},
+    {"alpha": 1.847, "initial_body": {"kind": "circle", "radius": 144.25}},
 ]
 
 
 @pytest.mark.parametrize("entries", UNRESOLVED_FLOWS)
-def test_flow_whose_last_steps_time_cannot_resolve_is_a_usage_error(tmp_path, capsys,
-                                                                   entries):
-    # Near extinction each step falls below half the float spacing of t,
-    # so t + dt == t and the march, run anyway, stops short of extinction.
-    cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"), m=64,
-                       **entries)
-    assert cli.main(["run", cfg]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: fields 'alpha' and 'initial_body' ")
-    assert not (tmp_path / "r").exists()
-    body = dict(cli._UNIT_CIRCLE, **entries.get("initial_body", {}))
-    cfg = cli.config_from_dict(dict(experiment="flow", output_dir="out", m=64))
-    vars(cfg).update(entries, initial_body=body)
-    trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
-                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
-    assert trace.stop_reason is cli.fl.StopReason.CONVEXITY_LOST
+def test_flow_whose_last_steps_time_cannot_resolve_goes_extinct(tmp_path, capsys, entries):
+    # Each stops once its estimate of T has settled, long before its steps
+    # stall, at radius^(1+alpha)/(1+alpha) to 1e-7 relative, and verify
+    # agrees.  The absolute extinction-time bound, 1e-4, may still fail
+    # where T is large, with exit 2.
+    out = tmp_path / "r"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64, **entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", cfg])
+    manifest = read_manifest(out)
+    assert code in (0, 2) and manifest["error"] is None
+    assert manifest["scalars"]["stop_reason"]["value"] == "extinct"
+    radius = entries.get("initial_body", {}).get("radius", 1.0)
+    expected = cli.fl.disc_extinction_time(radius, entries["alpha"])
+    assert manifest["scalars"]["extinction_time"]["value"] == pytest.approx(expected, rel=1e-7)
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == code
+    assert "MISMATCH" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("entries, reason", [
     ({"alpha": 3.5}, "extinct"),
     ({"alpha": 2.0, "initial_body": {"kind": "circle", "radius": 30.0}}, "extinct"),
     ({"alpha": 1.0, "initial_body": {"kind": "circle", "radius": 1e4}}, "extinct"),
-    # Its circumscribed disc, the unit circle, would stall at alpha = 4; the
-    # ellipse goes extinct at T = 0.022, after its inscribed disc (0.00625)
-    # and where time still resolves its last steps.
+    # The ellipse goes extinct at T = 0.022, after its inscribed disc
+    # (0.00625) and before its circumscribed one, the unit circle (0.2).
     ({"alpha": 4.0, "initial_body": {"kind": "ellipse", "a": 1.0, "b": 0.5}}, "extinct"),
     # Stopped before extinction, at 0.9 of it.
     ({"alpha": 2.0, "t_max": 3e5, "initial_body": {"kind": "circle", "radius": 100.0}},

@@ -134,10 +134,13 @@ def test_march_stops_where_the_step_overflows():
 def test_march_stops_where_the_step_no_longer_advances_time():
     # On a circle of radius 1e150 the step, 0.01 r^2, falls below half the
     # spacing of floats at t long before extinction: t + dt == t.  The
-    # march must stop there rather than repeat the time.
+    # march must stop there rather than repeat the time.  A run to
+    # extinction stops well before, once its estimate has settled, at the
+    # circle's own extinction time r^2 / 2.
     s0 = circle(1e150)
     trace = fl.run_to_extinction(s0, P64)
-    assert trace.stop_reason is StopReason.CONVEXITY_LOST
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert trace.extinction_time == pytest.approx(0.5e300, rel=1e-7, abs=0.0)
     assert np.all(np.diff(trace.columns["t"]) > 0.0)
     march = fl._etd_march(s0.samples, P64, math.inf, rescaled=False)
     with pytest.raises(geo.ConvexityLostError, match="too short to advance t"):
@@ -182,16 +185,40 @@ def test_eccentric_ellipse_extinction_time():
     assert abs(trace.extinction_time - geo.area(s0) / (2.0 * math.pi)) <= 1e-6
 
 
+def test_ellipse_at_alpha_0_6_goes_extinct_at_the_converged_time():
+    # The 2:1 ellipse is still rounding off near extinction at alpha = 0.6,
+    # so its estimate settles only at the floor.  The reference is the
+    # inradius-stopped march with the circle-law fit, at stop radius 1e-5,
+    # where the fit's bias has gone; at 1e-3 that march gave 0.3641343143565.
+    trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=256), FlowParams(alpha=0.6),
+                                 store_every=8)
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert abs(trace.extinction_time - 0.3641338335873) <= 1e-9
+
+
+def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
+    # At alpha = 1/3 every ellipse shrinks homothetically, and vanishes at
+    # (3/4)(ab)^(2/3); the estimate is exact on every row and settles one
+    # unit of rescaled time in; a march to the floor takes about 10,100 steps.
+    stats = fl.MarchStats()
+    trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=128),
+                                 FlowParams(alpha=1.0 / 3.0, m=128), store_every=8, stats=stats)
+    assert trace.stop_reason is StopReason.EXTINCT
+    assert trace.extinction_time == pytest.approx(0.75 * 0.5 ** (2.0 / 3.0), rel=1e-9, abs=0.0)
+    assert trace.columns["inradius"][-1] > 100.0 * fl.STOP_INRADIUS
+    assert stats.accepted_steps < 2000
+
+
 # Extinction times and accepted step counts of the ETD march whose z = A dt
 # and A are rounded onto ladders of BANDS rungs per octave, so that steps
 # share their phi-weights.  The march must reproduce them to 1e-12
 # relative in the same number of steps.
-FROZEN_BENCHMARK_BODIES = {1: (0.49876982263348685, 727),
-                           2: (0.4992551597293789, 718),
-                           3: (0.4988008192115023, 725)}
-FROZEN_ELLIPSE = {0.6: (0.6846540062221848, 20837),
-                  1.0: (0.4999999939641647, 19031),
-                  2.0: (0.19168186375373628, 30305)}
+FROZEN_BENCHMARK_BODIES = {1: (0.4987698226132664, 136),
+                           2: (0.4992551597159419, 129),
+                           3: (0.49880081918972646, 134)}
+FROZEN_ELLIPSE = {0.6: (0.6846528434670774, 20837),
+                  1.0: (0.4999999931578301, 18513),
+                  2.0: (0.19168186375372692, 29934)}
 
 
 def _assert_frozen_march(s0, p, frozen):
@@ -230,7 +257,7 @@ def test_march_keeps_frozen_times_on_the_eccentric_ellipse(alpha):
 
 # |T - A0/2 pi| and accepted steps on the benchmark bodies at m = 256 when
 # the phi-weights were evaluated afresh on every step.
-UNBANDED_BENCHMARK_BODIES = {1: (9.42e-10, 717), 2: (7.71e-10, 708), 3: (4.61e-10, 715)}
+UNBANDED_BENCHMARK_BODIES = {1: (9.62e-10, 134), 2: (7.85e-10, 128), 3: (4.84e-10, 133)}
 
 
 @pytest.mark.parametrize("seed", sorted(UNBANDED_BENCHMARK_BODIES))
@@ -263,15 +290,32 @@ def test_step_ladders_only_shorten_the_step(alpha):
         assert abs(rungs - round(rungs)) <= 1e-9
 
 
-def test_extrapolate_extinction_exact_on_synthetic_law():
-    # inradius^(1+alpha) linear in t is the exact circle law; the fit must
-    # recover the root to roundoff.
+def test_extinction_estimate_exact_on_synthetic_shrinker():
+    # A circle whose radius follows its law r^(1+alpha) = (1+alpha)(T - t)
+    # has area pi r^2 and kappa_integral 2 pi r^(1-alpha); every row's
+    # estimate is T to roundoff.  The rule settles on the first row one
+    # unit of rescaled time past the start, the first whose area is below
+    # e^-2 of the first row's, and not before.
     p = FlowParams(alpha=1.5)
     T = 0.4
     times = np.linspace(0.0, 0.399, 80)
-    inradii = ((1.0 + p.alpha) * (T - times)) ** (1.0 / (1.0 + p.alpha))
-    # keep only the tail the extrapolation is supposed to use
-    assert abs(fl.extrapolate_extinction(times, inradii, p) - T) <= 1e-12
+    radii = ((1.0 + p.alpha) * (T - times)) ** (1.0 / (1.0 + p.alpha))
+    columns = {"t": times, "area": math.pi * radii**2,
+               "kappa_integral": 2.0 * math.pi * radii ** (1.0 - p.alpha),
+               "inradius": radii, "circumradius": radii}
+    first = int(np.argmax(columns["area"] < math.exp(-2.0) * columns["area"][0]))
+    assert 0 < first < len(times) - 1
+    for i in range(len(times)):
+        rows = {name: column[:i + 1] for name, column in columns.items()}
+        settled = fl._settled(rows["t"], rows["area"], rows["kappa_integral"], p.alpha)
+        assert settled == (i >= first)
+        assert fl._estimate(times, columns["area"], columns["kappa_integral"], p.alpha, i) == \
+            pytest.approx(T, rel=1e-14, abs=0.0)
+    rows = {name: column[:first + 1] for name, column in columns.items()}
+    stop, extinction = fl.trace_outcome(rows, p)
+    assert stop is StopReason.EXTINCT
+    assert extinction == fl._estimate(times, columns["area"], columns["kappa_integral"],
+                                      p.alpha, first)
 
 
 def test_trace_is_monotone_and_shrinking():
@@ -484,18 +528,44 @@ def test_coefficient_bound_never_misses_an_extinct_state(seed, m, aspect, wobble
         assert fl._may_be_extinct(v, m)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("store_every", [1, 8])
-def test_march_stops_on_the_row_the_exact_test_picks(seed, store_every):
-    # Testing every state's samples for extinction, with no bound first,
-    # stops on the same state as run_to_extinction.
-    s0 = _benchmark_body(seed, m=64)
-    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+def _march_states(s0):
     y0 = np.array(s0.samples)
     march = fl._etd_march(y0, P64, fl.default_time_limit(geo.circumradius(s0), P64),
                           rescaled=False)
     for accepted, (t, v) in enumerate(march):
-        y = y0 if accepted == 0 else np.fft.irfft(v, n=64)
+        yield accepted, t, y0 if accepted == 0 else np.fft.irfft(v, n=64)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("store_every", [1, 8])
+def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_every):
+    # The rule applied to the geometry functions of every stored state, row
+    # by row, with the earlier row found by a plain search, stops on the
+    # same state as run_to_extinction, well above the floor.
+    s0 = _benchmark_body(seed, m=64)
+    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    times, estimates, areas = [], [], []
+    for accepted, t, y in _march_states(s0):
+        if accepted % store_every:
+            continue
+        s = geo.SupportFunction(y)
+        times.append(t)
+        areas.append(geo.area(s))
+        estimates.append(t + areas[-1] / fl.curvature_integral(s, 1.0))
+        earlier = [j for j in range(len(areas) - 1) if areas[j] >= math.exp(2.0) * areas[-1]]
+        if earlier and (abs(estimates[-1] - estimates[earlier[-1]])
+                        <= fl.STOP_TOL * abs(estimates[-1])):
+            break
+    assert trace.stop_reason is StopReason.EXTINCT
+    np.testing.assert_array_equal(trace.columns["t"], times)
+    np.testing.assert_array_equal(trace.samples[-1], y)
+    assert trace.extinction_time == estimates[-1]
+    assert trace.columns["inradius"][-1] > 100.0 * fl.STOP_INRADIUS
+    # With a rule that never settles, testing every state's samples
+    # against the floor, with no bound first, stops on the same state.
+    monkeypatch.setattr(fl, "STOP_TOL", -1.0)
+    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    for accepted, t, y in _march_states(s0):
         if geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
             break
     assert trace.stop_reason is StopReason.EXTINCT
@@ -544,8 +614,10 @@ def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
     fl.trace_summary_rows(trace)
     # One radius for the start, then three stages and the new radius per
     # step; the stored states are never rebuilt as SupportFunctions.  The
-    # kappa_integral column takes one radius per block of rows, here one.
-    assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 1}
+    # kappa_integral column takes one radius per stored row, computed once
+    # as the row is kept, and the stop test reads it.
+    assert calls == {"flow": 1 + 4 * stats.accepted_steps,
+                     "geometry": len(trace.columns["t"])}
 
 
 # -- normalized flow ---------------------------------------------------------
@@ -637,14 +709,17 @@ def test_perturbation_modes_stay_decoupled():
 
 def test_delta_to_circle_contracts_for_near_circle():
     # delta_to_circle is scale free, so it is the distance of the rescaled
-    # state to the unit circle; it falls on every row up to rescaled time
-    # tau = -log(2 (T - t)) / 2 = 3.
+    # state to the unit circle.  The run stops about one unit of rescaled
+    # time tau = -log(2 (T - t)) / 2 after its start; delta falls on every
+    # row, and over the trace by the decay e^(-2 tau) of the cos(2 theta)
+    # mode, whose linearized rate is 1 - 3 alpha = -2.
     p = FlowParams(alpha=1.0, m=128)
     trace = fl.run_to_extinction(geo.make_ellipse(1.05, 1.0, m=128), p)
     vals = trace.columns["delta_to_circle"]
-    sel = 2.0 * (trace.extinction_time - trace.columns["t"]) >= math.exp(-6.0)
-    assert np.all(np.diff(vals[sel]) <= 1e-12)
-    assert vals[sel][-1] < 1e-3 < vals[0]
+    tau = -0.5 * np.log(2.0 * (trace.extinction_time - trace.columns["t"]))
+    assert np.all(np.diff(vals) <= 1e-12)
+    assert 0.9 < tau[-1] - tau[0] < 1.1
+    assert vals[-1] / vals[0] == pytest.approx(math.exp(-2.0 * (tau[-1] - tau[0])), rel=0.02)
 
 
 # -- integral identities ------------------------------------------------------
