@@ -1,24 +1,22 @@
 """Time integration of the power-of-curvature contracting flow.
 
-In support-function form the unnormalized flow is ds/dt = -(s'' + s)^(-alpha)
-and the rescaled (self-similar) flow is ds/dtau = -(s'' + s)^(-alpha) + s.
+In support-function form the flow is ds/dt = -(s'' + s)^(-alpha).  It is
+marched area-normalized (Andrews, Calc. Var. PDE 7, 1998): s = R s_hat
+with dt/dtau = R^(1+alpha), d(ln R)/dtau = -lambda and
+ds_hat/dtau = -(s_hat'' + s_hat)^(-alpha) + lambda s_hat, where lambda,
+the integral of r_hat^(1-alpha) over twice the area, holds the area of
+s_hat at pi.  As the body shrinks to a round point R falls to 0 and s_hat
+tends to the unit circle.  Both flow experiments record this one march,
+_etd_march: run_to_extinction the body s at t, run_normalized s_hat at tau.
 
-Both flows march by exponential time differencing (ETDRK4, Cox & Matthews,
-J. Comput. Phys. 176, 2002) on the Fourier coefficients of s, through one
-loop, _etd_march.  The linear part A(1 - k^2), plus 1 for the rescaling
-term of the rescaled flow, freezes the largest local diffusivity
+The march is exponential time differencing (ETDRK4, Cox & Matthews,
+J. Comput. Phys. 176, 2002) on the Fourier coefficients of s_hat.  The
+linear part A(1 - k^2) + 1 freezes the largest local diffusivity
 A = alpha * r_min^-(alpha+1) for one step and is integrated exactly, so the
-step is set by accuracy rather than by the parabolic bound; one constant,
-CFL, sets the steps of both marches and of the reference.  The
+step is set by accuracy rather than by the parabolic bound.  The
 phi-functions take their closed forms, except on the few modes where
-those cancel, which take a truncated Taylor series in place of the
-contour means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).
-Both z = A * dt and A are drawn from ladders of BANDS rungs per factor of
-2, so consecutive steps share one diagonal dt * L and its weights.  A
-step costs 8 FFTs: each stage's curvature radius is one inverse
-transform of (1 - k^2) times its coefficients.  The march hands on
-coefficients; a state goes back to samples only when it is stored, or
-when a bound from its coefficients cannot rule out extinction.  The single
+those cancel, which take a truncated Taylor series in place of the contour
+means of Kassam & Trefethen (SIAM J. Sci. Comput. 26, 2005).  The single
 `step`, the classical 4-stage Runge-Kutta scheme under the explicit
 parabolic bound `stable_dt`, is kept as the reference the ETD march is
 tested against.  Convexity failures reject the step rather than
@@ -43,7 +41,6 @@ from gcsf.geometry import (
     _mode_amplitudes,
     _radius_symbol,
     _steiner,
-    circumradius,
     curvature_radius_samples,
     length,
 )
@@ -55,31 +52,23 @@ MAX_STEP_HALVINGS = 60
 #: time, CFL * dtheta^2 of it or more (stable_dt, _etd_step_size).
 CFL = 0.2
 
-#: On a circle an ETD step lasts ETD_STEP_SCALE * CFL * r^(alpha+1); the
+#: On the unit circle an ETD step lasts ETD_STEP_SCALE * CFL in tau; the
 #: product rounds to 0.010000000000000002, so it is not folded into 0.01.
 ETD_STEP_SCALE = 0.05
 
 #: A run to extinction stops once its estimate of T, exact for shrinkers,
-#: settles to this, relative, over one unit of rescaled time (_settled).
+#: settles to this, relative, over one unit of normalized time (_settled).
 STOP_TOL = 1e-10
 
-#: It also stops once its inradius falls below this floor.  The rescaled
-#: flow has collapsed once r_min falls below this fraction of its start,
-#: and has blown up once r_min rises above its start divided by this.
+#: It also stops at the first stored row whose inradius is below this floor.
 STOP_INRADIUS = 1e-3
-
-#: The longest rescaled step, the e-folding time of the rescaling term: an
-#: expanding body grows at most e-fold a step and exp(dt) in the weights
-#: stays finite, where dt ~ r_min^(alpha+1) would reach 1e5 at alpha = 2.
-#: Near the unit circle the step is about 0.01.
-MAX_RESCALED_STEP = 1.0
 
 #: Rungs per factor of 2 of the ladders that z = A * dt and A are rounded
 #: onto (_etd_step_size, _etd_diffusivity); each rounding shortens a step
 #: by a factor of at most 2^(1/BANDS).  On the seed-1 body of the
-#: benchmark (m = 256, alpha = 1) 16, 32, 64 and 128 rungs took 140, 137,
-#: 136 and 135 accepted steps and 12, 22, 39 and 63 weight evaluations,
-#: against 134 and 134 without the ladders; 64 is the coarsest with at
+#: benchmark (m = 256, alpha = 1) 16, 32, 64 and 128 rungs took 140, 138,
+#: 136 and 136 accepted steps and 22, 38, 60 and 77 weight evaluations,
+#: against 135 and 135 without the ladders; 64 is the coarsest with at
 #: most 2% more steps.
 BANDS = 64
 
@@ -178,10 +167,10 @@ class MarchStats:
     that stayed convex; weight_evals the evaluations of the phi-weights,
     which run only when the diagonal dt * L differs from the previous
     trial's, since z and A sit on ladders of BANDS rungs per octave.
-    dt_min and dt_max bound the accepted steps, the last one cut short at
-    the end time included; both are None until a step is accepted.  r_min
-    and r_max are the smallest and largest curvature radius of the
-    accepted states, the start included.
+    dt_min and dt_max bound the accepted steps in tau, the last one cut
+    short at the end included; both are None until a step is accepted.
+    r_min and r_max are the smallest and largest curvature radius of the
+    accepted states of the body s, the start included.
     """
 
     accepted_steps: int = 0
@@ -207,9 +196,10 @@ def stable_dt(s: SupportFunction, p: FlowParams) -> float:
     return CFL * dtheta**2 * float(r_min) ** (p.alpha + 1.0) / p.alpha
 
 
-def step(s: SupportFunction, p: FlowParams, dt: float, rescaled: bool = False) -> SupportFunction:
+def step(s: SupportFunction, p: FlowParams, dt: float,
+         normalized: bool = False) -> SupportFunction:
     """One classical Runge-Kutta step of the flow, at speed -(s'' + s)^(-alpha),
-    or of the rescaled flow, at speed -(s'' + s)^(-alpha) + s.
+    or of the area-normalized flow, at speed -(s'' + s)^(-alpha) + lambda s.
 
     dt = 0 returns the state unchanged.  A step whose stages or result leave
     the convex cone raises StepRejectedError; the caller is expected to halve
@@ -221,10 +211,10 @@ def step(s: SupportFunction, p: FlowParams, dt: float, rescaled: bool = False) -
         return s
     y, alpha = s.samples, p.alpha
     try:
-        k1 = _rhs_array(y, alpha, rescaled)
-        k2 = _rhs_array(y + 0.5 * dt * k1, alpha, rescaled)
-        k3 = _rhs_array(y + 0.5 * dt * k2, alpha, rescaled)
-        k4 = _rhs_array(y + dt * k3, alpha, rescaled)
+        k1 = _rhs_array(y, alpha, normalized)
+        k2 = _rhs_array(y + 0.5 * dt * k1, alpha, normalized)
+        k3 = _rhs_array(y + 0.5 * dt * k2, alpha, normalized)
+        k4 = _rhs_array(y + dt * k3, alpha, normalized)
         # SupportFunction rejects a nonconvex or non-finite result.
         return SupportFunction(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
     except (_StageFailure, ValueError) as exc:
@@ -235,16 +225,18 @@ class _StageFailure(Exception):
     pass
 
 
-def _rhs_array(y: np.ndarray, alpha: float, rescaled: bool) -> np.ndarray:
+def _rhs_array(y: np.ndarray, alpha: float, normalized: bool) -> np.ndarray:
     """Speed of a Runge-Kutta stage; raises _StageFailure unless the stage
-    keeps a positive curvature radius (NaN included)."""
+    keeps a positive curvature radius (NaN included).  On the normalized
+    flow lambda = K / (2 A) comes from the stage's samples: K by the
+    trapezoid rule on r * r^-alpha, A by geometry's area."""
     radius = curvature_radius_samples(y)
     if not (radius.min() > 0.0):
         raise _StageFailure
-    out = -np.power(radius, -alpha)
-    if rescaled:
-        out = out + y
-    return out
+    power = np.power(radius, -alpha)
+    if not normalized:
+        return -power
+    return (math.pi * float(np.mean(radius * power)) / float(_areas(y))) * y - power
 
 
 def disc_extinction_time(radius: float, alpha: float) -> float:
@@ -254,12 +246,6 @@ def disc_extinction_time(radius: float, alpha: float) -> float:
         return float(radius) ** (1.0 + alpha) / (1.0 + alpha)
     except OverflowError:  # Python's float power raises where numpy gives inf
         return math.inf
-
-
-def default_time_limit(radius: float, p: FlowParams) -> float:
-    """Safe horizon of a body of circumradius radius: 5% past the extinction
-    time of its circumscribed disc."""
-    return 1.05 * disc_extinction_time(radius, p.alpha)
 
 
 def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
@@ -288,8 +274,7 @@ def _etd_step_size(r_min: float, r_max: float, m: int, p: FlowParams) -> float:
 
 def _etd_diffusivity(r_min: float, alpha: float) -> float:
     """The largest local diffusivity alpha * r_min^-(alpha+1), rounded up
-    onto the ladder 2^(i/BANDS); inf where that overflows, 0 or subnormal
-    where it underflows."""
+    onto the ladder 2^(i/BANDS); inf where that overflows."""
     rung = math.ceil(BANDS * (math.log2(alpha) - (alpha + 1.0) * math.log2(r_min)))
     try:
         return 2.0 ** (rung / BANDS)
@@ -343,23 +328,35 @@ def _etd_radius(w: np.ndarray) -> np.ndarray:
     return radius
 
 
-def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
-    """One ETDRK4 step of the rfft coefficients v; returns v_new, its
-    curvature radius and that radius's minimum and maximum.
+def _remainder(w, radius, lin, gram, alpha):
+    """The remainder rfft(-r^-alpha) + (lambda - 1) w - lin * w of the
+    normalized flow at the rfft coefficients w of curvature radius radius,
+    and lambda = K_hat / (2 A_hat) from two dot products, K_hat = dtheta *
+    sum r * r^-alpha and A_hat = (pi / m^2) gram . |w|^2 (_etd_march)."""
+    power = np.power(radius, -alpha)
+    lam = radius.size * float(radius @ power) / float(gram @ np.square(w.view(float)))
+    return np.fft.rfft(-power) - (lin + (1.0 - lam)) * w, lam
 
-    n_v is the remainder rfft(-r^-alpha) - lin * v at v, weights the
-    output of _etd_weights for dt times the linear part (lin, plus 1 on
-    the rescaled flow).  Each stage costs two transforms, its radius and
-    its remainder.  Stages must stay convex, and the result convex with a
-    finite radius, or _StageFailure is raised.
+
+def _etdrk4_step(v, n_v, lin, gram, weights, alpha, stats):
+    """One ETDRK4 step of the rfft coefficients v; returns v_new, its
+    curvature radius, that radius's minimum and maximum, and lambda at the
+    three stages.
+
+    n_v is the remainder at v (_remainder), weights E, E2 and dt times Q,
+    f1, 2 f2 and f3 of _etd_weights for dt times the linear part lin + 1.
+    Each stage costs two transforms, its radius and its remainder.  Stages
+    must stay convex, and the result convex with a finite radius, or
+    _StageFailure is raised.
     """
-    e, e2, q, f1, f2, f3 = weights
-    dt_q = dt * q
+    e, e2, dt_q, dt_f1, dt_f2, dt_f3 = weights
     e2_v = e2 * v
+    lams = []
 
     def remainder(w):
-        n_w = np.fft.rfft(-np.power(_etd_radius(w), -alpha)) - lin * w
+        n_w, lam = _remainder(w, _etd_radius(w), lin, gram, alpha)
         stats.remainder_evals += 1
+        lams.append(lam)
         return n_w
 
     a = e2_v + dt_q * n_v
@@ -368,106 +365,123 @@ def _etdrk4_step(v, n_v, lin, weights, dt, alpha, stats):
     n_b = remainder(b)
     c = e2 * a + dt_q * (2.0 * n_b - n_v)
     n_c = remainder(c)
-    v_new = e * v + dt * (f1 * n_v + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
+    v_new = e * v + dt_f1 * n_v + dt_f2 * (n_a + n_b) + dt_f3 * n_c
     radius = curvature_radius_samples(spectrum=v_new)
     r_min, r_max = float(radius.min()), float(radius.max())
     if not (r_min > 0.0 and r_max < math.inf):
         raise _StageFailure
-    return v_new, radius, r_min, r_max
+    return v_new, radius, r_min, r_max, lams
 
 
-def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, rescaled: bool,
+def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
                stats: MarchStats | None = None):
-    """Yield (t, v), the time and the rfft coefficients of the state, for
-    the start state, v = rfft(y), and after every accepted ETDRK4 step of
-    the flow, until t reaches t_end; stats, if given, is updated as the
-    march goes.  The samples of a yielded state are np.fft.irfft(v, n=m).
+    """Yield (t, tau, R, w) for the start state and after every accepted
+    ETDRK4 step of the normalized flow, until t reaches t_end or tau
+    reaches tau_end: the time, the normalized time, the scale R and the
+    rfft coefficients w of the body s = R * s_hat, whose samples are
+    np.fft.irfft(w, n=m).  stats, if given, is updated as the march goes.
 
-    Each step is ETDRK4 on the rfft coefficients of s with the linear part
-    L_k = A(1 - k^2), A = alpha * r_min^-(alpha+1) frozen for the step and
-    rounded up onto a ladder of BANDS rungs per octave, plus 1 on the
-    rescaled flow, whose rescaling term +s is then integrated exactly; the
-    remainder rfft(-(s''+s)^-alpha) - A(1 - k^2) s is the same for both
-    flows.  The step dt = z / A (z from _etd_step_size, on its own ladder)
-    is ETD_STEP_SCALE * CFL * r_min^(alpha+1) on a circle, up to the
-    rounding of A, shrinks with the curvature-radius contrast on eccentric
-    bodies, and never falls below the parabolic bound stable_dt.  Since z
-    and A move by whole rungs, consecutive steps mostly share the diagonal
-    dt * L and with it the phi-weights.  An accepted step costs 8 FFTs:
-    the remainder at its start, two per stage and the new radius.  A step
-    whose stages or result leave the convex cone is halved and retried.
-    On the rescaled flow no step exceeds MAX_RESCALED_STEP.
-    ConvexityLostError is raised after MAX_STEP_HALVINGS halvings, once
-    r_min is so small that the linear part overflows or so large that the
-    step does, once a step is too short to change t, and on the rescaled
-    flow once r_min has left
-    [STOP_INRADIUS, 1 / STOP_INRADIUS] times its starting value: the body
-    has collapsed, and dt, which follows r_min^(alpha+1), would only shrink
-    from there, or it has blown up.  y is never written to.
+    The march starts from s_hat = y / R_0, R_0 = sqrt(A_0 / pi).  Each step
+    is ETDRK4 on the coefficients v of s_hat about its Steiner point, with
+    the linear part L_k = A(1 - k^2) + 1, A the largest local diffusivity
+    of s_hat on its ladder (_etd_diffusivity), and the remainder of
+    _remainder.  The step dtau = z / A, z from _etd_step_size, is
+    ETD_STEP_SCALE * CFL on the unit circle; since z and A move by whole
+    rungs, consecutive steps mostly share the diagonal dtau * L and its
+    weights.  An accepted step costs 8 FFTs: the remainder at its start,
+    two per stage and the new radius.  ln R and t advance by classical RK4
+    on the lambdas of the same four stages, t through
+    E = t + R^(1+alpha)/(1+alpha), which is constant on a circle.  The step
+    that would pass t_end takes the dtau at which t reaches t_end with
+    lambda frozen, and ends at t_end.  Mode 1, the translation, grows like
+    e^tau in v unseen by the rest; after each step R times it moves to w's
+    mode 1, the body's position, exactly, since R falls as it grows.  A
+    step that leaves the convex cone is halved and retried.
+    ConvexityLostError is raised after MAX_STEP_HALVINGS halvings and once
+    A (1 - k^2) overflows, OverflowError where R_0^(1+alpha) does.  y is
+    never written to.
     """
     if stats is None:
         stats = MarchStats()
-    m = y.size
+    m, alpha, a1 = y.size, p.alpha, 1.0 + p.alpha
     symbol = _radius_symbol(m)
-    stiffest = float(symbol[-1])
-    shift = 1.0 if rescaled else 0.0
+    # By Parseval A_hat = (pi / m^2) gram . |v|^2, on v's (real, imaginary) pairs.
+    gram = np.repeat(2.0 * symbol, 2)
+    gram[:2], gram[-2:] = symbol[0], symbol[-1]
     v = np.fft.rfft(y)
-    radius = curvature_radius_samples(y)
+    mean = float(v[0].real) / m  # of s, positive; dividing by it first keeps |v|^2 finite
+    v = v / mean
+    r = mean * math.sqrt(float(gram @ np.square(v.view(float)))) / m
+    v = v * (mean / r)
+    position, v[1] = r * v[1], 0.0  # the body's mode 1, which v leaves out
+    try:
+        rpow = r**a1  # R^(1+alpha)
+    except OverflowError:
+        raise OverflowError(f"R^(1+alpha) overflows at R = {r:.3e}") from None
+    radius = curvature_radius_samples(y) / r  # as SupportFunction checked it
     r_min, r_max = float(radius.min()), float(radius.max())
-    stats.r_min, stats.r_max = r_min, r_max
-    floor, ceiling, max_dt = ((STOP_INRADIUS * r_min, r_min / STOP_INRADIUS, MAX_RESCALED_STEP)
-                              if rescaled else (0.0, math.inf, math.inf))
-    t = 0.0
-    # The weights depend on the diagonal dt * L = z * symbol + shift * dt
-    # alone, and z and A take few distinct values.
-    weights_key = None
-    weights = None
-    yield t, v
-    while t < t_end:
-        if not floor <= r_min <= ceiling:
-            change = "collapsed" if r_min < floor else "blew up"
-            raise ConvexityLostError(f"body {change}: r_min = {r_min:.3e} at t = {t:.6f}")
-        a_max = _etd_diffusivity(r_min, p.alpha)
-        if not math.isfinite(a_max * stiffest):
+    stats.r_min, stats.r_max = r * r_min, r * r_max
+    t = tau = 0.0
+    # The weights depend on the diagonal dt * L = z * symbol + dt alone, and
+    # z and A take few distinct values.
+    weights_key = weights = None
+    while True:
+        w = r * v
+        w[1] = position
+        yield t, tau, r, w
+        if t >= t_end or tau >= tau_end:
+            return
+        a_max = _etd_diffusivity(r_min, alpha)
+        if not math.isfinite(a_max * symbol[-1]):
             raise ConvexityLostError(
-                f"curvature radius {r_min:.3e} too small to step at t = {t:.6f}")
-        z = _etd_step_size(r_min, r_max, m, p)
-        if not (a_max > 0.0 and z / a_max < math.inf):
-            raise ConvexityLostError(
-                f"curvature radius {r_min:.3e} too large to step at t = {t:.6f}")
-        dt = z / a_max
-        room = min(t_end - t, max_dt)
-        if dt > room:
-            dt = room
-            z = dt * a_max
+                f"curvature radius {r_min:.3e} too small to step at tau = {tau:.6f}")
         lin = a_max * symbol
-        n_v = np.fft.rfft(-np.power(radius, -p.alpha)) - lin * v
+        n_v, lam = _remainder(v, radius, lin, gram, alpha)
         stats.remainder_evals += 1
+        # Where t reaches t_end with lambda frozen: t grows by
+        # R^(1+alpha) (1 - exp(-(1+alpha) lambda dtau)) / ((1+alpha) lambda).
+        room = a1 * lam * (t_end - t)
+        reach = -math.log1p(-room / rpow) / (a1 * lam) if room < rpow else math.inf
+        z = _etd_step_size(r_min, r_max, m, p)
+        dt = min(z / a_max, tau_end - tau, reach)
+        landing = dt == reach
+        if dt < z / a_max:
+            z = dt * a_max
         for _ in range(MAX_STEP_HALVINGS):
-            key = (z, shift * dt)
+            key = (z, dt)
             if key != weights_key:
-                weights_key, weights = key, _etd_weights(z * symbol + key[1])
+                e, e2, q, f1, f2, f3 = _etd_weights(z * symbol + dt)
+                weights_key = key
+                weights = (e, e2, dt * q, dt * f1, 2.0 * dt * f2, dt * f3)
                 stats.weight_evals += 1
             try:
-                v, radius, r_min, r_max = _etdrk4_step(v, n_v, lin, weights, dt, p.alpha,
-                                                       stats)
+                v, radius, r_min, r_max, stage_lams = _etdrk4_step(
+                    v, n_v, lin, gram, weights, alpha, stats)
                 break
             except _StageFailure:
                 stats.halved_trials += 1
                 dt *= 0.5
                 z *= 0.5
+                landing = False
         else:
-            raise ConvexityLostError(f"flow lost convexity at t = {t:.6f}")
-        if t + dt == t:
-            raise ConvexityLostError(f"step {dt:.3e} too short to advance t = {t:.6e}")
-        t += dt
+            raise ConvexityLostError(f"flow lost convexity at tau = {tau:.6f}")
+        lam_a, lam_b, lam_c = stage_lams
+        decay = -dt * (lam + 2.0 * (lam_a + lam_b) + lam_c) / 6.0  # of ln R over the step
+        # E = t + R^(1+alpha)/(1+alpha) grows at (1 - lambda) R^(1+alpha),
+        # taken at each stage with ln R where RK4 puts it.
+        gain = dt / 6.0 * rpow * (1.0 - lam + 2.0 * (1.0 - lam_a) * math.exp(-0.5 * a1 * dt * lam)
+                                  + 2.0 * (1.0 - lam_b) * math.exp(-0.5 * a1 * dt * lam_a)
+                                  + (1.0 - lam_c) * math.exp(-a1 * dt * lam_b))
+        t = t_end if landing else t + gain - rpow * math.expm1(a1 * decay) / a1
+        tau += dt
+        r *= math.exp(decay)
+        rpow *= math.exp(a1 * decay)
+        position, v[1] = position + r * v[1], 0.0
         stats.accepted_steps += 1
         stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
         stats.dt_max = dt if stats.dt_max is None else max(stats.dt_max, dt)
-        stats.r_min = min(stats.r_min, r_min)
-        if r_max > stats.r_max:
-            stats.r_max = r_max
-        yield t, v
+        stats.r_min = min(stats.r_min, r * r_min)
+        stats.r_max = max(stats.r_max, r * r_max)
 
 
 def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
@@ -477,55 +491,39 @@ def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
 
 
-def _may_be_extinct(v: np.ndarray, m: int) -> bool:
-    """False when the rfft coefficients v of a state on m points prove it
-    far from extinct.
-
-    The distances from the Steiner point to the supporting lines are the
-    samples of s without its first harmonic, so each is at least
-    (v_0 - 2 sum_{2 <= k < m/2} |v_k| - |v_{m/2}|) / m.  While that bound
-    exceeds 2 * STOP_INRADIUS, far above the rounding of the samples, the
-    inradius is above STOP_INRADIUS.
-    """
-    tail = np.abs(v[2:])
-    return v[0].real - 2.0 * tail[:-1].sum() - tail[-1] <= 2.0 * STOP_INRADIUS * m
-
-
-def _record(start: np.ndarray, march, store_every: int, settled=None):
+def _record(start: np.ndarray, march, store_every: int, scaled: bool, stop=None):
     """Run a march from _etd_march, begun at the samples start, until it
     ends; keep every store_every-th state and the last one, once.
 
-    The first row is start itself; every other kept row, and every state
-    tested against the floor, is np.fft.irfft(v, n=m) of the coefficients
-    the march yielded.  Returns (times, list of sample rows).  A run to
-    extinction passes settled(times, rows), asked after each kept row past
-    the start, and ends once it is true, at the first state whose inradius
-    (from its Steiner point, as trace.csv has it) is below STOP_INRADIUS,
-    or at the last state accepted before a ConvexityLostError past the
-    first step.  Any other ConvexityLostError propagates.
+    A row is the body s at its time t when scaled, else the normalized
+    state s_hat = s / R at tau: one inverse transform of the yielded
+    coefficients, but for the body's first row, which is start itself.
+    Returns (clocks, rows), the clocks t or tau.  The record ends with the
+    march; at the last state whose clock advanced, since near extinction
+    the steps of t fall below its rounding; once stop(clocks, rows), asked
+    after each kept row past the start, is true; or at the last state
+    accepted before a ConvexityLostError past the first step.
     """
     m = start.size
-    times, rows, accepted = [], [], 0
+    clocks, rows, last, accepted = [], [], None, 0
     try:
-        for accepted, (t, v) in enumerate(march):
-            y = None if accepted else start
+        for accepted, (t, tau, r, w) in enumerate(march):
+            clock, coefficients = (t, w) if scaled else (tau, w / r)
+            if accepted and clock <= last[0]:
+                break
+            last = clock, coefficients
             if accepted % store_every == 0:
-                y = np.fft.irfft(v, n=m) if y is None else y
-                times.append(t)
-                rows.append(y)
-                if settled is not None and accepted and settled(times, rows):
-                    break
-            if settled is not None and _may_be_extinct(v, m):
-                y = np.fft.irfft(v, n=m) if y is None else y
-                if _steiner(y)[2].min() < STOP_INRADIUS:
+                clocks.append(clock)
+                rows.append(start if scaled and not accepted else np.fft.irfft(coefficients, n=m))
+                if stop is not None and accepted and stop(clocks, rows):
                     break
     except ConvexityLostError:
-        if not (settled is not None and accepted):  # a rescaled march, or no run to record
+        if not accepted:  # no step taken: no run to record
             raise
-    if times[-1] != t:
-        times.append(t)
-        rows.append(np.fft.irfft(v, n=m) if y is None else y)
-    return times, rows
+    if clocks[-1] != last[0]:
+        clocks.append(last[0])
+        rows.append(np.fft.irfft(last[1], n=m))
+    return clocks, rows
 
 
 def run_to_extinction(
@@ -535,42 +533,42 @@ def run_to_extinction(
     store_every: int = 1,
     stats: MarchStats | None = None,
 ) -> FlowTrace:
-    """March the unnormalized flow until its extinction time has converged.
+    """March the flow until its extinction time has converged, recording
+    the body's states.
 
-    The march is _etd_march without the rescaling term.  It stops at the
-    first stored row whose estimate of T has settled, or below the floor
-    STOP_INRADIUS (stop_reason extinct), at t_max (time_limit), or when no
-    acceptable step exists (convexity_lost), as trace_outcome reads off the
-    trace; a march that cannot take its first step, a curvature radius
-    beyond the range its step can represent, say, raises
-    ConvexityLostError.  Every store_every-th accepted step is recorded,
-    plus the final state; the default of every step keeps the area series
-    fine enough for area_defect.  A MarchStats passed as stats receives
-    the march's counts.  Each row's area and kappa_integral are computed
-    once, as it is kept, and the stop test reads those values.
+    The march is _etd_march to t_max, if given.  It stops at the first
+    stored row whose estimate of T has settled before t_max or whose
+    inradius is below the floor STOP_INRADIUS (stop_reason extinct), at
+    t_max (time_limit), or when no acceptable step exists or t no longer
+    advances (convexity_lost), as trace_outcome reads off the trace; a
+    march that cannot take its first step raises ConvexityLostError.
+    Every store_every-th accepted step is recorded, plus the final state;
+    the default of every step keeps the area series fine enough for
+    area_defect.  A MarchStats passed as stats receives the march's counts.
+    Each row's area and kappa_integral are computed once, as it is kept,
+    and the stop test reads those values.
     """
     _check_start(s0, p, store_every)
-    if t_max is None:
-        t_max = default_time_limit(circumradius(s0), p)
+    t_max = math.inf if t_max is None else t_max
     y = np.array(s0.samples, dtype=float)
     areas, kappas = [], []
 
-    def settled(times, rows):  # also fills in the columns of rows kept since the last call
+    def stop(times, rows):  # also fills in the columns of rows kept since the last call
         with np.errstate(over="raise"):  # a body whose area overflows ends the run
             for row in rows[len(areas):]:
                 areas.append(_areas(row))
                 kappas.append(_curvature_integrals(row, p.alpha))
-        return _settled(times, areas, kappas, p.alpha)
+        return (_steiner(rows[-1])[2].min() < STOP_INRADIUS
+                or _settled(times, areas, kappas, p.alpha, t_max))
 
-    times, rows = _record(y, _etd_march(y, p, t_max, rescaled=False, stats=stats),
-                          store_every, settled)
-    settled(times, rows)
+    times, rows = _record(y, _etd_march(y, p, t_max, math.inf, stats), store_every, True, stop)
+    stop(times, rows)
     samples = np.array(rows)
     del rows
     columns = dict(zip(TRACE_COLUMNS, (np.array(times), np.array(areas),
                                        *_shape_columns(samples), np.array(kappas))))
-    stop, extinction = trace_outcome(columns, p, t_max)
-    return FlowTrace(samples, columns, extinction, stop)
+    outcome, extinction = trace_outcome(columns, p, t_max)
+    return FlowTrace(samples, columns, extinction, outcome)
 
 
 def _estimate(times, areas, kappas, alpha: float, i: int) -> float:
@@ -578,15 +576,17 @@ def _estimate(times, areas, kappas, alpha: float, i: int) -> float:
     return float(times[i]) + 2.0 * float(areas[i]) / ((1.0 + alpha) * float(kappas[i]))
 
 
-def _settled(times, areas, kappas, alpha: float) -> bool:
-    """Whether the last row's estimate agrees to STOP_TOL, relative, with
-    that of the last row whose area is at least e^2 times its own, one unit
-    of rescaled time earlier, found by bisection as areas fall."""
+def _settled(times, areas, kappas, alpha: float, t_max: float = math.inf) -> bool:
+    """Whether the last row's estimate lies at or before t_max, so that a
+    run asked to stop sooner goes on to t_max, and agrees to STOP_TOL,
+    relative, with that of the last row whose area is at least e^2 times
+    its own, one unit of normalized time earlier, found by bisection as
+    areas fall."""
     i = len(times) - 1
     j = bisect.bisect_right(areas, -math.exp(2.0) * areas[i], hi=i, key=lambda a: -a) - 1
-    if j < 0:
-        return False
     now = _estimate(times, areas, kappas, alpha, i)
+    if j < 0 or now > t_max:
+        return False
     return abs(now - _estimate(times, areas, kappas, alpha, j)) <= STOP_TOL * abs(now)
 
 
@@ -594,14 +594,13 @@ def trace_outcome(columns, p: FlowParams,
                   t_max: float | None = None) -> tuple[StopReason, float | None]:
     """(stop reason, extinction time or None) of a flow run from its trace
     columns (FlowTrace.columns, or trace.csv's): extinct, at the last row's
-    estimate, once it has settled or the last inradius is below the floor;
-    else time_limit if the last t has reached t_max (None: the default
-    horizon of the first row's circumradius); else convexity_lost."""
+    estimate, once it has settled before t_max or the last inradius is
+    below the floor; else time_limit if the last t has reached t_max, if
+    given; else convexity_lost."""
     times, areas, kappas = columns["t"], columns["area"], columns["kappa_integral"]
-    if columns["inradius"][-1] < STOP_INRADIUS or _settled(times, areas, kappas, p.alpha):
+    t_max = math.inf if t_max is None else t_max
+    if columns["inradius"][-1] < STOP_INRADIUS or _settled(times, areas, kappas, p.alpha, t_max):
         return StopReason.EXTINCT, _estimate(times, areas, kappas, p.alpha, -1)
-    if t_max is None:
-        t_max = default_time_limit(columns["circumradius"][0], p)
     return (StopReason.TIME_LIMIT if times[-1] >= t_max else StopReason.CONVEXITY_LOST), None
 
 
@@ -630,26 +629,26 @@ def run_normalized(
     store_every: int = 1,
     stats: MarchStats | None = None,
 ) -> tuple[np.ndarray, list[SupportFunction]]:
-    """Integrate the rescaled flow to tau_end, recording every
-    store_every-th accepted step and the final state.
+    """March the flow to tau_end, recording the normalized states
+    s_hat = s / R at every store_every-th accepted step and the final state.
 
-    The march is _etd_march with the rescaling term in its linear part.
-    ConvexityLostError is raised when no acceptable step exists or the
-    body has collapsed.  A MarchStats passed as stats receives its counts.
+    The march is _etd_march to tau_end; where no acceptable step exists the
+    record ends at the last accepted state, before tau_end.  A MarchStats
+    passed as stats receives its counts.
     """
     _check_start(s0, p, store_every)
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
     y = np.array(s0.samples, dtype=float)
-    taus, rows = _record(y, _etd_march(y, p, tau_end, rescaled=True, stats=stats), store_every)
+    taus, rows = _record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False)
     return np.array(taus), [SupportFunction(row) for row in rows]
 
 
 def linearized_mode_rate(alpha: float, mode: int) -> float:
-    """Decay rate 1 + alpha(1 - mode^2) of one harmonic of the rescaled flow.
+    """Rate 1 + alpha(1 - mode^2) of one harmonic of the normalized flow.
 
-    Translations (mode 1) are neutral; the leading shape mode cos(2 theta)
-    decays at 1 - 3 alpha, negative exactly when alpha > 1/3.
+    Translations (mode 1) grow at 1, as R falls; the leading shape mode
+    cos(2 theta) decays at 1 - 3 alpha, negative exactly when alpha > 1/3.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -686,8 +685,8 @@ def fit_decay_rate(taus, deltas, window: tuple[float, float]) -> RateFit:
 
 def mode_decay_series(s0: SupportFunction, p: FlowParams, tau_end: float, mode: int,
                       stats: MarchStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, amplitudes) of harmonic mode along the rescaled flow from s0,
-    at every accepted step (see run_normalized)."""
+    """(taus, amplitudes) of harmonic mode along the normalized flow from
+    s0, at every accepted step (see run_normalized)."""
     taus, states = run_normalized(s0, p, tau_end, stats=stats)
     return taus, _mode_amplitudes(np.array([state.samples for state in states]), mode)
 

@@ -37,6 +37,7 @@ DELTAS = "0.001,0.0001,1e-05,1e-06,1e-07,1e-08"
 # Each committed config's sweep as (param, values); None runs it once.
 RUNS = {
     "01-extinction-time": ("alpha", "0.6,1.0,2.0"),
+    **{f"02-shrinking-circle-law-alpha{a}": None for a in ("0.6", "1", "2")},
     "03-linearized-rate": ("alpha", "0.6,1.0,1.5"),
     "04-translator-dichotomy": ("alpha", "1.0,0.5,0.4,0.3"),
     "05-blow-down": ("alpha", "0.8,1.0,1.5"),
@@ -97,6 +98,11 @@ def _passed(manifests):
     return all(m["pass"] for m in manifests)
 
 
+def _trace(manifest):
+    """The trace a flow run wrote."""
+    return tables.read_columns(os.path.join(manifest["config"]["output_dir"], "trace.csv"))
+
+
 def _profile(manifest):
     """The radial profile a run wrote."""
     path = os.path.join(manifest["config"]["output_dir"], "profile.csv")
@@ -125,11 +131,17 @@ def test_criterion_01_extinction_time(runs):
 
 
 def test_criterion_02_shrinking_circle_law(runs):
-    manifests = runs("01-extinction-time")
+    # The runs of 01 stop once T has converged, before 0.9 T at a = 0.6
+    # and 1; those of 02 are cut by t_max at 0.9 T and must end there.
+    cut = runs(*_configs("02"))
+    manifests = runs("01-extinction-time") + cut
     worst = max(_check(m, "circle-law") for m in manifests)
-    _report(2, "shrinking-circle-law", _passed(manifests) and worst <= 1e-6,
+    landed = all(_scalar(m, "stop_reason") == "time_limit"
+                 and _trace(m)["t"][-1] == m["config"]["t_max"]
+                 for m in cut)
+    _report(2, "shrinking-circle-law", _passed(manifests) and worst <= 1e-6 and landed,
             f"worst relative radius error {worst:.3e} <= 1e-6 on the rows up to "
-            f"t = 0.9/(1+a) or the run's stop, whichever comes first")
+            f"t = 0.9/(1+a), the runs cut there ending at it: {landed}")
 
 
 def test_criterion_03_linearized_rate(runs):

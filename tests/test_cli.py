@@ -118,32 +118,38 @@ def test_run_records_overflow_in_manifest(tmp_path, capsys):
     assert "error:" in capsys.readouterr().out
 
 
-def test_collapsed_rescaled_flow_ends_with_its_counts_recorded(tmp_path):
-    # The circle is an unstable state of the rescaled flow: roundoff in
-    # mode 0 grows like e^(2 tau) until the body collapses near tau = 6.7.
-    # The march must stop once its smallest curvature radius has fallen
-    # below STOP_INRADIUS times the starting one (1 - 3 eps), with no
-    # floating-point warning, and the manifest must keep the counts of the
-    # steps it took.
+@pytest.mark.parametrize("radius", [1.0, 1.001])
+def test_normalized_rate_runs_to_the_longest_tau_end(tmp_path, radius):
+    # The area-normalized flow has no unstable mode: the default body, and
+    # its perturbation on a circle just larger than the unit one, both
+    # march to MAX_TAU_END, in about 100 steps per unit of tau, with no
+    # floating-point warning, while their physical size falls like e^-tau.
+    # So does the bare circle, whose mode 2 is 0, too small to fit a rate.
+    body = {"kind": "fourier", "cos": [radius, 0.0, 1e-3]}
+    taus, _ = cli.fl.run_normalized(cli.geo.make_circle(radius, m=64),
+                                    cli.fl.FlowParams(alpha=1.0, m=64), cli.MAX_TAU_END)
+    assert taus[-1] == cli.MAX_TAU_END
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
-                       m=64, tau_end=cli.MAX_TAU_END)
+                       m=64, tau_end=cli.MAX_TAU_END, initial_body=body)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["run", cfg]) == 2
-    manifest = read_manifest(out)
-    assert manifest["error"].startswith("ConvexityLostError: body collapsed")
-    assert 0 < manifest["solver"]["accepted_steps"] < 2000
-    assert manifest["solver"]["halved_trials"] == 0
-    assert 0.0 < manifest["solver"]["r_min"] < cli.fl.STOP_INRADIUS * (1.0 - 3e-3)
+        assert cli.main(["run", cfg]) == 0
+    assert tables.read_columns(out / "rate.csv")["tau"][-1] == cli.MAX_TAU_END
+    solver = read_manifest(out)["solver"]
+    assert 5000 < solver["accepted_steps"] < 5200
+    assert solver["halved_trials"] == 0
+    assert solver["r_min"] == pytest.approx(radius * math.exp(-cli.MAX_TAU_END), rel=0.01)
+    assert cli.main(["verify", str(out)]) == 0
 
 
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
-def test_expanding_rescaled_flow_is_stopped(tmp_path, alpha):
-    # A circle just larger than the fixed point grows like e^((1+alpha) tau),
-    # and its step with it.  The march caps the step and stops once r_min
-    # has grown past its start divided by STOP_INRADIUS, with no
-    # floating-point warning on the way.
+def test_circle_larger_than_the_unit_one_is_marched_to_tau_end(tmp_path, alpha):
+    # A circle just larger than the unit one is seen at unit area, so it
+    # neither grows nor blows up: the march reaches MAX_TAU_END with no
+    # floating-point warning and no step longer than the unit circle's,
+    # while its physical radius falls like e^-tau.  Its mode 2 is 0, so
+    # the rate fit alone fails, and the manifest records that error.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
                        m=64, alpha=alpha, tau_end=cli.MAX_TAU_END,
@@ -152,22 +158,41 @@ def test_expanding_rescaled_flow_is_stopped(tmp_path, alpha):
         warnings.simplefilter("error")
         assert cli.main(["run", cfg]) == 2
     manifest = read_manifest(out)
-    assert manifest["error"].startswith("ConvexityLostError: body blew up")
-    assert manifest["solver"]["dt_max"] <= cli.fl.MAX_RESCALED_STEP
+    assert manifest["error"].startswith("ValueError: deltas must be positive")
+    assert tables.read_columns(out / "rate.csv")["tau"][-1] == cli.MAX_TAU_END
+    solver = manifest["solver"]
+    assert solver["halved_trials"] == 0
+    assert solver["dt_max"] <= cli.fl.ETD_STEP_SCALE * cli.fl.CFL
+    assert solver["r_max"] == pytest.approx(1.001, rel=1e-12)
+    assert solver["r_min"] == pytest.approx(1.001 * math.exp(-cli.MAX_TAU_END), rel=0.01)
 
 
-def test_tiny_rescaled_body_ends_at_the_linear_part_guard(tmp_path):
-    # r_min^-(alpha+1) is 1e330 here, past the float range: the guard must
-    # see it as infinite rather than Python's float power raising.
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
+def test_normalized_rate_fits_the_linearized_rate_to_1e_6(tmp_path, alpha):
+    # At its defaults (356 to 358 steps) normalized-rate fits the decay rate
+    # 1 - 3 alpha of mode 2 to within 1e-6: the area-normalized flow has no
+    # unstable mode 0 whose growth could enter the fitted amplitude.
     out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
-                       m=64, alpha=2.0, initial_body={"kind": "circle", "radius": 1e-110})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["run", cfg]) == 2
-    error = read_manifest(out)["error"]
-    assert error.startswith("ConvexityLostError: curvature radius 1.000e-110")
-    assert "too small to step" in error
+    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out), alpha=alpha)
+    assert cli.main(["run", cfg]) == 0
+    fitted = read_manifest(out)["scalars"]["fitted_rate"]["value"]
+    assert abs(fitted - (1.0 - 3.0 * alpha)) <= 1e-6
+
+
+def test_tiny_body_is_marched_at_unit_size(tmp_path):
+    # The default body scaled by 1e-110: its curvature radius to the power
+    # -(alpha+1) is 1e330, past the float range, but the march sees the
+    # body at unit area and reads the rate 1 - 3 alpha = -5 as well as on
+    # the unscaled body.
+    for scale in (1.0, 1e-110):
+        out = tmp_path / f"run{scale}"
+        cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
+                           m=64, alpha=2.0,
+                           initial_body={"kind": "fourier", "cos": [scale, 0.0, 1e-3 * scale]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", cfg]) == 0
+        assert abs(read_manifest(out)["scalars"]["fitted_rate"]["value"] + 5.0) <= 1e-6
 
 
 @pytest.mark.parametrize("body", [{"kind": "circle", "radius": 1e308},
@@ -201,7 +226,7 @@ def test_flow_body_whose_area_overflows_ends_in_a_recorded_error(tmp_path):
 
 def test_circle_whose_extinction_time_underflows_is_a_usage_error(tmp_path, capsys):
     # radius^3 / 3 = 3e-331 underflows, and the circle law would divide by
-    # it; the same body on the rescaled flow stops at the step guard.
+    # it.
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(tmp_path / "r"),
                        alpha=2.0, m=64, initial_body={"kind": "circle", "radius": 1e-110})
     with warnings.catch_warnings():
@@ -247,8 +272,8 @@ def test_flow_body_extinct_at_its_start_is_a_usage_error(tmp_path, capsys, body,
 
 
 def test_flow_extinct_after_its_first_step_has_no_area_defect(tmp_path):
-    # Just above STOP_INRADIUS one step ends the run, and a trace of two
-    # rows has no area identity to check.
+    # Just above STOP_INRADIUS the first stored row, eight steps in, ends
+    # the run, and a trace of two rows has no area identity to check.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64,
                        initial_body={"kind": "circle", "radius": 1.001e-3})
@@ -269,31 +294,16 @@ def test_retired_area_identity_experiment_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("experiment, fields", [
     ("flow", {"t_max": 1.0}), ("flow", {}), ("normalized-rate", {})])
-def test_huge_body_ends_at_the_step_guard(tmp_path, experiment, fields):
-    # alpha * r^-(alpha+1) underflows to 0, so the step would be infinite;
-    # without t_max the default horizon overflows and is infinite too.
+def test_huge_body_ends_in_a_recorded_overflow(tmp_path, experiment, fields):
+    # Time advances at R^(1+alpha) = 1e600 per unit of tau, past the float
+    # range, so the march does not start.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment=experiment, output_dir=str(out),
                        initial_body={"kind": "circle", "radius": 1e300}, **fields)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", cfg]) == 2
-    error = read_manifest(out)["error"]
-    assert error.startswith("ConvexityLostError: curvature radius 1.000e+300")
-    assert "too large to step" in error
-
-
-def test_blown_up_rescaled_flow_shows_its_largest_radius(tmp_path):
-    # solver alone tells the blow-up: r_max has left 1/STOP_INRADIUS times
-    # the starting radius, while r_min is still the start.
-    out = tmp_path / "run"
-    cfg = write_config(tmp_path, experiment="normalized-rate", output_dir=str(out),
-                       m=64, tau_end=cli.MAX_TAU_END,
-                       initial_body={"kind": "circle", "radius": 1.001})
-    assert cli.main(["run", cfg]) == 2
-    solver = read_manifest(out)["solver"]
-    assert solver["r_min"] == pytest.approx(1.001, rel=1e-12)
-    assert solver["r_max"] > 1.001 / cli.fl.STOP_INRADIUS
+    assert read_manifest(out)["error"] == "OverflowError: R^(1+alpha) overflows at R = 1.000e+300"
 
 
 def test_flow_run_is_deterministic(tmp_path):
@@ -317,6 +327,8 @@ def test_flow_run_is_deterministic(tmp_path):
 @pytest.mark.parametrize("entries", [
     {"alpha": 0.6},
     {"alpha": 2.0, "m": 128, "seed": 7, "initial_body": {"kind": "random"}},
+    *({"alpha": alpha, "snapshot_every": 1,
+       "initial_body": {"kind": "circle", "center": [0.5, -0.3]}} for alpha in (0.6, 2.0)),
 ])
 def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
     out = tmp_path / "run"
@@ -324,11 +336,22 @@ def test_extinction_time_is_the_one_its_trace_gives(tmp_path, entries):
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     trace = tables.read_columns(out / "trace.csv")
-    alpha = cli.config_from_dict(manifest["config"]).alpha
+    cfg = cli.config_from_dict(manifest["config"])
     # The last row's estimate by the area law, in plain floats.
     t, area, kappa = (float(trace[name][-1]) for name in ("t", "area", "kappa_integral"))
-    assert manifest["scalars"]["extinction_time"]["value"] == \
-        t + 2.0 * area / ((1.0 + alpha) * kappa)
+    extinction = manifest["scalars"]["extinction_time"]["value"]
+    assert extinction == t + 2.0 * area / ((1.0 + cfg.alpha) * kappa)
+    if cfg.initial_body["kind"] != "circle":
+        return
+    # A circle vanishes at R^(1+alpha)/(1+alpha) wherever it sits, and each
+    # stored state keeps the circle's centre as its Steiner point.
+    assert extinction == pytest.approx(1.0 / (1.0 + cfg.alpha), rel=1e-10, abs=0.0)
+    if cfg.snapshot_every:
+        states = tables.read_columns(out / "snapshots.csv")["s"].reshape(-1, cfg.m)
+        x, y, _ = cli.geo._steiner(states)
+        cx, cy = cfg.initial_body["center"]
+        assert len(states) == len(trace["t"])
+        assert np.max(np.abs(x - cx)) <= 1e-10 and np.max(np.abs(y - cy)) <= 1e-10
 
 
 def test_flow_circle_checks_and_snapshots(tmp_path):
@@ -390,21 +413,27 @@ def test_flow_checks_on_other_bodies_can_fail(tmp_path):
     assert failed("area", 2.0 * math.pi * (T + slack)) == ["area-identity", "extinction-time"]
     assert failed("inradius", math.sqrt(2.0 * (T + slack))) == ["inscribed-disc-first"]
     assert failed("circumradius", math.sqrt(2.0 * (T - slack))) == ["circumscribed-disc-last"]
-    kappa = trace["kappa_integral"][1] + 2.0 * cli.AREA_IDENTITY_TOL
-    assert failed("kappa_integral", kappa, row=1) == ["area-identity"]
+    # Row 1 is the row one unit of normalized time before the last, which
+    # the stop rule reads; row 2 enters the identity alone.
+    kappa = trace["kappa_integral"][2] + 2.0 * cli.AREA_IDENTITY_TOL
+    assert failed("kappa_integral", kappa, row=2) == ["area-identity"]
 
 
 @pytest.mark.parametrize("body", [{"kind": "circle"},
                                   {"kind": "ellipse", "a": 1.3, "b": 1.0}])
 def test_flow_run_cut_short_by_t_max_passes(tmp_path, body):
-    # Only the area identity can be judged on a trace that stops short.
+    # Only the area identity, and on a circle the circle law against the
+    # closed-form T, can be judged on a trace that stops short; it ends at
+    # t_max exactly.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), m=64, t_max=0.1,
                        initial_body=body)
     assert cli.main(["run", cfg]) == 0
     manifest = read_manifest(out)
     assert manifest["scalars"]["stop_reason"]["value"] == "time_limit"
-    assert [c["name"] for c in manifest["checks"]] == ["area-identity"]
+    assert tables.read_columns(out / "trace.csv")["t"][-1] == 0.1
+    checks = ["area-identity"] + (["circle-law"] if body["kind"] == "circle" else [])
+    assert [c["name"] for c in manifest["checks"]] == checks
 
 
 # Runs in a fresh interpreter: the test modules load scipy themselves.

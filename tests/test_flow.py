@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 
 from gcsf import flow as fl
 from gcsf import geometry as geo
@@ -104,48 +103,55 @@ def test_circle_extinction_time(alpha):
 
 def test_extinction_march_has_no_collapse_floor():
     # A circle of radius 2 falls below STOP_INRADIUS times its starting
-    # curvature radius at radius 2e-3, before the inradius stop; only the
-    # rescaled march treats that as a collapse.
+    # curvature radius at radius 2e-3, and no march stops there: the
+    # normalized state stays the unit circle, and the run ends once its
+    # estimate of T has settled.
     trace = fl.run_to_extinction(circle(2.0), P64)
     assert trace.stop_reason is StopReason.EXTINCT
     assert abs(trace.extinction_time - 2.0) <= 1e-6
 
 
 def test_march_stops_where_the_linear_part_overflows():
-    # r_min^-(alpha+1) = 1e308 is finite; A (1 - k^2) on the top mode is not.
-    march = fl._etd_march(np.full(64, 1e-154), P64, 1.0, rescaled=False)
+    # The march sees the body at unit area, whatever its size, so only its
+    # shape can make A = alpha r_min^-(alpha+1) large: the normalized
+    # curvature radius of 1 + 0.3 cos(2 theta) falls to about 0.1, and at
+    # alpha = 400 A (1 - k^2) on the top mode overflows.
+    y = geo.make_fourier_body([1.0, 0.0, 0.3], m=64).samples
+    march = fl._etd_march(y, FlowParams(alpha=400.0, m=64), math.inf, math.inf)
     next(march)
     with pytest.raises(geo.ConvexityLostError, match="too small to step"):
         next(march)
 
 
-def test_march_stops_where_the_step_overflows():
-    # alpha * r^-(alpha+1) = 1e-600 underflows to 0: the step z / A would
-    # be infinite.  The default horizon of such a body is infinite too.
+def test_march_of_a_body_whose_scale_power_overflows_raises():
+    # t advances at R^(1+alpha), which is 1e600 here; the march refuses to
+    # start rather than carry infinities.
     y = np.full(64, 1e300)
-    assert fl.default_time_limit(geo.circumradius(geo.SupportFunction(y)), P64) == math.inf
-    march = fl._etd_march(y, P64, math.inf, rescaled=False)
-    next(march)
-    with pytest.raises(geo.ConvexityLostError,
-                       match="curvature radius 1.000e[+]300 too large to step"):
-        next(march)
+    with pytest.raises(OverflowError, match="R\\^\\(1\\+alpha\\) overflows at R = 1.000e[+]300"):
+        next(fl._etd_march(y, P64, math.inf, math.inf))
 
 
-def test_march_stops_where_the_step_no_longer_advances_time():
-    # On a circle of radius 1e150 the step, 0.01 r^2, falls below half the
-    # spacing of floats at t long before extinction: t + dt == t.  The
-    # march must stop there rather than repeat the time.  A run to
-    # extinction stops well before, once its estimate has settled, at the
-    # circle's own extinction time r^2 / 2.
+def test_march_stops_where_the_step_no_longer_advances_time(monkeypatch):
+    # On a circle of radius 1e150 the step of t, 0.01 r^2, falls below half
+    # the spacing of floats at t long before extinction, near tau = 16:
+    # t + dt == t.  A run to extinction stops well before, once its
+    # estimate has settled, at the circle's own extinction time r^2 / 2.
+    # Under a rule that never settles the record must stop at the last
+    # state whose t advanced rather than repeat the time, while the march
+    # itself goes on in tau.
     s0 = circle(1e150)
     trace = fl.run_to_extinction(s0, P64)
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.extinction_time == pytest.approx(0.5e300, rel=1e-7, abs=0.0)
     assert np.all(np.diff(trace.columns["t"]) > 0.0)
-    march = fl._etd_march(s0.samples, P64, math.inf, rescaled=False)
-    with pytest.raises(geo.ConvexityLostError, match="too short to advance t"):
-        for _ in march:
-            pass
+    monkeypatch.setattr(fl, "STOP_TOL", -1.0)
+    trace = fl.run_to_extinction(s0, P64)
+    assert trace.stop_reason is StopReason.CONVEXITY_LOST
+    assert np.all(np.diff(trace.columns["t"]) > 0.0)
+    assert trace.columns["inradius"][-1] > fl.STOP_INRADIUS
+    stalled = [state for state in fl._etd_march(s0.samples, P64, math.inf, 20.0)
+               if state[0] == trace.columns["t"][-1]]
+    assert len(stalled) > 1
 
 
 def test_circle_radius_follows_power_law():
@@ -168,7 +174,7 @@ def test_time_limit_stop():
 
 def test_a_zero_time_limit_is_not_the_default_horizon():
     # t_max = 0.0 is a limit of its own: the run stops at its start row.
-    # The same row judged against the default horizon has stopped short.
+    # The same row judged with no time limit has stopped short.
     trace = fl.run_to_extinction(circle(), P64, t_max=0.0)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     np.testing.assert_array_equal(trace.columns["t"], [0.0])
@@ -199,7 +205,7 @@ def test_ellipse_at_alpha_0_6_goes_extinct_at_the_converged_time():
 def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
     # At alpha = 1/3 every ellipse shrinks homothetically, and vanishes at
     # (3/4)(ab)^(2/3); the estimate is exact on every row and settles one
-    # unit of rescaled time in; a march to the floor takes about 10,100 steps.
+    # unit of normalized time in.
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=128),
                                  FlowParams(alpha=1.0 / 3.0, m=128), store_every=8, stats=stats)
@@ -213,12 +219,12 @@ def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
 # and A are rounded onto ladders of BANDS rungs per octave, so that steps
 # share their phi-weights.  The march must reproduce them to 1e-12
 # relative in the same number of steps.
-FROZEN_BENCHMARK_BODIES = {1: (0.4987698226132664, 136),
-                           2: (0.4992551597159419, 129),
-                           3: (0.49880081918972646, 134)}
-FROZEN_ELLIPSE = {0.6: (0.6846528434670774, 20837),
-                  1.0: (0.4999999931578301, 18513),
-                  2.0: (0.19168186375372692, 29934)}
+FROZEN_BENCHMARK_BODIES = {1: (0.4987698226496343, 136),
+                           2: (0.49925515976147455, 130),
+                           3: (0.49880081921955055, 135)}
+FROZEN_ELLIPSE = {0.6: (0.6846528446994831, 20845),
+                  1.0: (0.5000000143226513, 18291),
+                  2.0: (0.19168233734001788, 29939)}
 
 
 def _assert_frozen_march(s0, p, frozen):
@@ -257,7 +263,7 @@ def test_march_keeps_frozen_times_on_the_eccentric_ellipse(alpha):
 
 # |T - A0/2 pi| and accepted steps on the benchmark bodies at m = 256 when
 # the phi-weights were evaluated afresh on every step.
-UNBANDED_BENCHMARK_BODIES = {1: (9.62e-10, 134), 2: (7.85e-10, 128), 3: (4.84e-10, 133)}
+UNBANDED_BENCHMARK_BODIES = {1: (9.24e-10, 135), 2: (7.39e-10, 128), 3: (4.53e-10, 133)}
 
 
 @pytest.mark.parametrize("seed", sorted(UNBANDED_BENCHMARK_BODIES))
@@ -294,7 +300,7 @@ def test_extinction_estimate_exact_on_synthetic_shrinker():
     # A circle whose radius follows its law r^(1+alpha) = (1+alpha)(T - t)
     # has area pi r^2 and kappa_integral 2 pi r^(1-alpha); every row's
     # estimate is T to roundoff.  The rule settles on the first row one
-    # unit of rescaled time past the start, the first whose area is below
+    # unit of normalized time past the start, the first whose area is below
     # e^-2 of the first row's, and not before.
     p = FlowParams(alpha=1.5)
     T = 0.4
@@ -333,20 +339,21 @@ def _stub_coefficients(i):
 
 
 def _stub_march(n, lose_convexity):
-    # Yields the coefficients of n shrinking circles on 64 points; then, if
-    # asked, raises as a march does when no acceptable step exists.
-    def march(y, p, t_end, rescaled, stats=None):
+    # Yields n shrinking circles on 64 points, the same as body and as
+    # normalized state, with t = tau; then, if asked,
+    # raises as a march does when no acceptable step exists.
+    def march(y, p, t_end, tau_end, stats=None):
         for i in range(n):
-            yield 0.01 * i, _stub_coefficients(i)
+            yield 0.01 * i, 0.01 * i, 1.0, _stub_coefficients(i)
         if lose_convexity:
             raise geo.ConvexityLostError("no acceptable step")
     return march
 
 
-def _stub_rows(s0, stored):
-    # The start row is the input samples; every other stored row is the
-    # inverse transform of what the march yielded.
-    return [s0.samples if i == 0 else np.fft.irfft(_stub_coefficients(i), n=64)
+def _stub_rows(s0, stored, scaled=True):
+    # The physical start row is the input samples; every other stored row
+    # is the inverse transform of what the march yielded.
+    return [s0.samples if i == 0 and scaled else np.fft.irfft(_stub_coefficients(i), n=64)
             for i in stored]
 
 
@@ -358,8 +365,10 @@ def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
     assert trace.extinction_time is None
     np.testing.assert_array_equal(trace.columns["t"], [0.0, 0.03, 0.04])
     np.testing.assert_array_equal(trace.samples, _stub_rows(s0, [0, 3, 4]))
-    with pytest.raises(geo.ConvexityLostError):
-        fl.run_normalized(s0, P64, 1.0, store_every=3)
+    taus, states = fl.run_normalized(s0, P64, 1.0, store_every=3)
+    np.testing.assert_array_equal(taus, [0.0, 0.03, 0.04])
+    np.testing.assert_array_equal([s.samples for s in states],
+                                  _stub_rows(s0, [0, 3, 4], scaled=False))
 
 
 def test_march_that_cannot_take_its_first_step_raises(monkeypatch):
@@ -381,9 +390,9 @@ def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store
     expected = [0.01 * i for i in stored]
     np.testing.assert_array_equal(trace.columns["t"], expected)
     np.testing.assert_array_equal(taus, expected)
-    rows = _stub_rows(s0, stored)
-    np.testing.assert_array_equal(trace.samples, rows)
-    np.testing.assert_array_equal([s.samples for s in states], rows)
+    np.testing.assert_array_equal(trace.samples, _stub_rows(s0, stored))
+    np.testing.assert_array_equal([s.samples for s in states],
+                                  _stub_rows(s0, stored, scaled=False))
 
 
 # -- the ETD step --------------------------------------------------------------
@@ -447,15 +456,24 @@ def test_nan_coefficient_rejects_the_stage():
 
 
 def test_oversized_steps_are_halved_and_the_run_still_goes_extinct(monkeypatch):
-    # At 100 times its size a step leaves the convex cone; each rejected
-    # trial is retried at half the step, and the 2:1 ellipse still vanishes
-    # at A_0 / 2 pi = 1.
-    step_size = fl._etd_step_size
-    monkeypatch.setattr(fl, "_etd_step_size", lambda *args: 100.0 * step_size(*args))
+    # A trial step that leaves the convex cone is retried at half the step.
+    # The normalized march stays convex even at 100 times its step, so
+    # every other trial is made to fail: each step is then taken at half
+    # its size, and the 2:1 ellipse still vanishes at A_0 / 2 pi = 1.
+    etdrk4_step = fl._etdrk4_step
+    trials = []
+
+    def every_other_trial_fails(*args):
+        trials.append(args)
+        if len(trials) % 2:
+            raise fl._StageFailure
+        return etdrk4_step(*args)
+
+    monkeypatch.setattr(fl, "_etdrk4_step", every_other_trial_fails)
     body = geo.make_ellipse(2.0, 1.0, m=64)
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(body, P64, stats=stats)
-    assert stats.halved_trials > 0
+    assert stats.halved_trials == stats.accepted_steps > 0
     assert trace.stop_reason is StopReason.EXTINCT
     assert abs(trace.extinction_time - geo.area(body) / (2.0 * math.pi)) <= 1e-3
 
@@ -472,9 +490,10 @@ def test_step_that_never_stays_convex_raises_after_the_last_halving(monkeypatch)
     assert stats.accepted_steps == 0
 
 
-@pytest.mark.parametrize("rescaled", [False, True])
-def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
-    # Eight inside the march and one for the stored row.
+@pytest.mark.parametrize("scaled", [False, True])
+def test_etd_step_takes_nine_ffts(monkeypatch, scaled):
+    # Eight inside the march and one for the stored row, physical (scaled)
+    # or normalized.
     calls = []
 
     def counted(transform):
@@ -487,7 +506,7 @@ def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     stats = fl.MarchStats()
-    states = list(fl._etd_march(y, P64, 0.05, rescaled, stats))
+    states = list(fl._etd_march(y, P64, math.inf, 0.05, stats))
     steps = stats.accepted_steps
     assert steps == len(states) - 1 > 0
     assert stats.halved_trials == 0
@@ -496,44 +515,22 @@ def test_etd_step_takes_nine_ffts(monkeypatch, rescaled):
     assert stats.remainder_evals == 4 * steps
     assert 0 < stats.weight_evals <= steps
     assert 0.0 < stats.dt_min <= stats.dt_max
-    # Storing every state adds one inverse transform per step; the start
-    # row is y itself.
+    # Storing every state adds one inverse transform per step; the
+    # physical start row is y itself, the normalized one a transform.
+    start = y if scaled else np.fft.irfft(states[0][3] / states[0][2], n=64)
     calls.clear()
-    times, rows = fl._record(y, fl._etd_march(y, P64, 0.05, rescaled), 1)
+    clocks, rows = fl._record(y, fl._etd_march(y, P64, math.inf, 0.05), 1, scaled)
     assert len(rows) == steps + 1
-    assert rows[0] is y
-    assert len(calls) == 3 + 9 * steps
-
-
-@given(seed=st.integers(0, 2**32 - 1), m=st.sampled_from([64, 256]),
-       aspect=st.floats(1.0, 8.0), wobble=st.floats(0.0, 1.0), inradius=st.floats(0.2, 4.0),
-       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
-@example(seed=0, m=256, aspect=8.0, wobble=0.0, inradius=0.9, shift=(0.5, -0.5))
-def test_coefficient_bound_never_misses_an_extinct_state(seed, m, aspect, wobble, inradius,
-                                                         shift):
-    # The Minkowski sum of an ellipse and a shrunken random body, scaled to
-    # an inradius near STOP_INRADIUS and moved off the origin: whenever the
-    # inradius of its samples is below STOP_INRADIUS, the bound must leave
-    # the state to the exact test.  On long ellipses the bound is tight
-    # and half the tail would exceed it by a factor of 3.
-    rng = np.random.default_rng(seed)
-    body = geo.SupportFunction(
-        geo.make_ellipse(aspect, 1.0, m=m).samples
-        + wobble * geo.random_convex_body(rng, m=m, scale=1.0).samples)
-    scale = inradius * fl.STOP_INRADIUS / geo.inradius(body)
-    s = geo.translate(geo.SupportFunction(scale * body.samples),
-                      (shift[0] * fl.STOP_INRADIUS, shift[1] * fl.STOP_INRADIUS))
-    v = np.fft.rfft(s.samples)
-    if geo._steiner(np.fft.irfft(v, n=m))[2].min() < fl.STOP_INRADIUS:
-        assert fl._may_be_extinct(v, m)
+    np.testing.assert_array_equal(rows[0], start)
+    assert len(calls) == (3 if scaled else 4) + 9 * steps
 
 
 def _march_states(s0):
+    # The physical states s = R s_hat of the march, at their times t.
     y0 = np.array(s0.samples)
-    march = fl._etd_march(y0, P64, fl.default_time_limit(geo.circumradius(s0), P64),
-                          rescaled=False)
-    for accepted, (t, v) in enumerate(march):
-        yield accepted, t, y0 if accepted == 0 else np.fft.irfft(v, n=64)
+    march = fl._etd_march(y0, P64, math.inf, math.inf)
+    for accepted, (t, tau, r, w) in enumerate(march):
+        yield accepted, t, y0 if accepted == 0 else np.fft.irfft(w, n=64)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -561,12 +558,12 @@ def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_ev
     np.testing.assert_array_equal(trace.samples[-1], y)
     assert trace.extinction_time == estimates[-1]
     assert trace.columns["inradius"][-1] > 100.0 * fl.STOP_INRADIUS
-    # With a rule that never settles, testing every state's samples
-    # against the floor, with no bound first, stops on the same state.
+    # With a rule that never settles, testing each stored state's samples
+    # against the floor stops on the same state.
     monkeypatch.setattr(fl, "STOP_TOL", -1.0)
     trace = fl.run_to_extinction(s0, P64, store_every=store_every)
     for accepted, t, y in _march_states(s0):
-        if geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
+        if accepted % store_every == 0 and geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
             break
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.columns["t"][-1] == t
@@ -631,11 +628,13 @@ def test_normalized_circle_is_a_fixed_point():
 
 
 def _rk4_normalized(s, p, tau_end):
-    # The Runge-Kutta reference: classical RK4 under the parabolic bound.
+    # The Runge-Kutta reference: classical RK4 under the parabolic bound,
+    # from the body scaled to the area pi that the march starts from.
+    s = geo.SupportFunction(s.samples / math.sqrt(geo.area(s) / math.pi))
     tau = 0.0
     while tau < tau_end:
         dt = min(fl.stable_dt(s, p), tau_end - tau)
-        s = fl.step(s, p, dt, rescaled=True)
+        s = fl.step(s, p, dt, normalized=True)
         tau += dt
     return s
 
@@ -708,8 +707,8 @@ def test_perturbation_modes_stay_decoupled():
 
 
 def test_delta_to_circle_contracts_for_near_circle():
-    # delta_to_circle is scale free, so it is the distance of the rescaled
-    # state to the unit circle.  The run stops about one unit of rescaled
+    # delta_to_circle is scale free, so it is the distance of the normalized
+    # state to the unit circle.  The run stops about one unit of normalized
     # time tau = -log(2 (T - t)) / 2 after its start; delta falls on every
     # row, and over the trace by the decay e^(-2 tau) of the cos(2 theta)
     # mode, whose linearized rate is 1 - 3 alpha = -2.
