@@ -103,10 +103,6 @@ MAX_R_MAX = 20000.0
 #: about 100 steps per unit of tau near the unit circle, 5,000 to the cap.
 MAX_TAU_END = 50.0
 
-#: An extinction run stores every 8th accepted state and the last: enough
-#: for its stop rule and the area identity, at an eighth of the rows.
-EXTINCTION_STORE_EVERY = 8
-
 
 def _is_num(x) -> bool:
     """A finite JSON number; JSON's Infinity and NaN parse but are rejected,
@@ -311,8 +307,7 @@ def _check_flow_body(cfg: SimpleNamespace) -> None:
 
 
 def _run_flow(cfg: SimpleNamespace, stats: fl.MarchStats):
-    trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
-                                 store_every=EXTINCTION_STORE_EVERY, stats=stats)
+    trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max, stats=stats)
     columns = {"trace.csv": fl.trace_summary_rows(trace)}
     if cfg.snapshot_every > 0:
         columns["snapshots.csv"] = fl.snapshot_columns(trace, cfg.snapshot_every)

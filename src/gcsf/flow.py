@@ -48,6 +48,15 @@ from gcsf.geometry import (
 #: Steps are rejected and halved at most this many times before giving up.
 MAX_STEP_HALVINGS = 60
 
+#: A march takes at most this many accepted steps, then raises
+#: RuntimeError.  The longest march of the tests, the CI runs, the
+#: acceptance configs and the benchmark takes 29,944 steps (the 6:1
+#: ellipse at m = 128, alpha = 2), and the 6:1 ellipse at m = 256 and 512,
+#: alpha = 1, 53,272 and 62,088: the cap is over 3 times the longest.  An
+#: eccentric body at alpha < 1/3, whose steps fall to the parabolic floor
+#: and stay there, ends at the cap instead of marching on without end.
+MAX_STEPS = 200_000
+
 #: The step constant: each step is a fraction of the fastest diffusive
 #: time, CFL * dtheta^2 of it or more (stable_dt, _etd_step_size).
 CFL = 0.2
@@ -62,6 +71,11 @@ STOP_TOL = 1e-10
 
 #: It also stops at the first stored row whose inradius is below this floor.
 STOP_INRADIUS = 1e-3
+
+#: A run to extinction keeps every STORE_EVERY-th accepted state and the
+#: last: enough for its stop rule and the area identity, at an eighth of
+#: the rows.
+STORE_EVERY = 8
 
 #: Rungs per factor of 2 of the ladders that z = A * dt and A are rounded
 #: onto (_etd_step_size, _etd_diffusivity); each rounding shortens a step
@@ -398,8 +412,8 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
     mode 1, the body's position, exactly, since R falls as it grows.  A
     step that leaves the convex cone is halved and retried.
     ConvexityLostError is raised after MAX_STEP_HALVINGS halvings and once
-    A (1 - k^2) overflows, OverflowError where R_0^(1+alpha) does.  y is
-    never written to.
+    A (1 - k^2) overflows, OverflowError where R_0^(1+alpha) does, and
+    RuntimeError in place of a step past MAX_STEPS.  y is never written to.
     """
     if stats is None:
         stats = MarchStats()
@@ -422,6 +436,7 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
     r_min, r_max = float(radius.min()), float(radius.max())
     stats.r_min, stats.r_max = r * r_min, r * r_max
     t = tau = 0.0
+    steps = 0
     # The weights depend on the diagonal dt * L = z * symbol + dt alone, and
     # z and A take few distinct values.
     weights_key = weights = None
@@ -431,6 +446,9 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
         yield t, tau, r, w
         if t >= t_end or tau >= tau_end:
             return
+        if steps == MAX_STEPS:
+            raise RuntimeError(f"flow march took MAX_STEPS = {MAX_STEPS} steps "
+                               f"without ending, at t = {t:.6g}, tau = {tau:.6f}")
         a_max = _etd_diffusivity(r_min, alpha)
         if not math.isfinite(a_max * symbol[-1]):
             raise ConvexityLostError(
@@ -477,6 +495,7 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
         r *= math.exp(decay)
         rpow *= math.exp(a1 * decay)
         position, v[1] = position + r * v[1], 0.0
+        steps += 1
         stats.accepted_steps += 1
         stats.dt_min = dt if stats.dt_min is None else min(stats.dt_min, dt)
         stats.dt_max = dt if stats.dt_max is None else max(stats.dt_max, dt)
@@ -484,28 +503,25 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
         stats.r_max = max(stats.r_max, r * r_max)
 
 
-def _check_start(s0: SupportFunction, p: FlowParams, store_every: int) -> None:
+def _check_start(s0: SupportFunction, p: FlowParams) -> None:
     if s0.m != p.m:
         raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
-    if store_every < 1:
-        raise ValueError(f"store_every must be >= 1, got {store_every}")
 
 
-def _record(start: np.ndarray, march, store_every: int, scaled: bool, stop=None):
-    """Run a march from _etd_march, begun at the samples start, until it
-    ends; keep every store_every-th state and the last one, once.
+def _record(start: np.ndarray, march, store_every: int, scaled: bool):
+    """Yield (clock, row) for every store_every-th state of a march from
+    _etd_march, begun at the samples start, and for its last state, once.
 
     A row is the body s at its time t when scaled, else the normalized
     state s_hat = s / R at tau: one inverse transform of the yielded
     coefficients, but for the body's first row, which is start itself.
-    Returns (clocks, rows), the clocks t or tau.  The record ends with the
-    march; at the last state whose clock advanced, since near extinction
-    the steps of t fall below its rounding; once stop(clocks, rows), asked
-    after each kept row past the start, is true; or at the last state
-    accepted before a ConvexityLostError past the first step.
+    The clock is t or tau.  The record ends with the march; at the last
+    state whose clock advanced, since near extinction the steps of t fall
+    below its rounding; at the last state accepted before a
+    ConvexityLostError past the first step; or where the consumer stops.
     """
     m = start.size
-    clocks, rows, last, accepted = [], [], None, 0
+    kept, last, accepted = None, None, 0
     try:
         for accepted, (t, tau, r, w) in enumerate(march):
             clock, coefficients = (t, w) if scaled else (tau, w / r)
@@ -513,62 +529,58 @@ def _record(start: np.ndarray, march, store_every: int, scaled: bool, stop=None)
                 break
             last = clock, coefficients
             if accepted % store_every == 0:
-                clocks.append(clock)
-                rows.append(start if scaled and not accepted else np.fft.irfft(coefficients, n=m))
-                if stop is not None and accepted and stop(clocks, rows):
-                    break
+                kept = clock
+                yield clock, start if scaled and not accepted else np.fft.irfft(coefficients, n=m)
     except ConvexityLostError:
         if not accepted:  # no step taken: no run to record
             raise
-    if clocks[-1] != last[0]:
-        clocks.append(last[0])
-        rows.append(np.fft.irfft(last[1], n=m))
-    return clocks, rows
+    if kept != last[0]:
+        yield last[0], np.fft.irfft(last[1], n=m)
+
+
+def _trace_row(row: np.ndarray, alpha: float) -> tuple:
+    """trace.csv's columns area to kappa_integral of one row, with
+    geometry's arithmetic; distances are seen from the Steiner point."""
+    with np.errstate(over="raise"):  # a body whose area overflows ends the run
+        area, kappa = _areas(row), _curvature_integrals(row, alpha)
+    d = _steiner(row)[2]
+    mean = np.mean(d)
+    return area, _lengths(row), d.min(), d.max(), np.max(np.abs(d - mean)) / mean, kappa
 
 
 def run_to_extinction(
     s0: SupportFunction,
     p: FlowParams,
     t_max: float | None = None,
-    store_every: int = 1,
     stats: MarchStats | None = None,
 ) -> FlowTrace:
     """March the flow until its extinction time has converged, recording
     the body's states.
 
-    The march is _etd_march to t_max, if given.  It stops at the first
-    stored row whose estimate of T has settled before t_max or whose
-    inradius is below the floor STOP_INRADIUS (stop_reason extinct), at
-    t_max (time_limit), or when no acceptable step exists or t no longer
-    advances (convexity_lost), as trace_outcome reads off the trace; a
-    march that cannot take its first step raises ConvexityLostError.
-    Every store_every-th accepted step is recorded, plus the final state;
-    the default of every step keeps the area series fine enough for
-    area_defect.  A MarchStats passed as stats receives the march's counts.
-    Each row's area and kappa_integral are computed once, as it is kept,
-    and the stop test reads those values.
+    The march is _etd_march to t_max, if given.  It keeps every
+    STORE_EVERY-th accepted state and the last one, once, and measures
+    each kept row's trace columns as it keeps it.  It stops at the first
+    kept row past the start at which trace_outcome of the rows so far
+    reads extinct: the row's estimate of T has settled before t_max or its
+    inradius is below the floor STOP_INRADIUS.  Else it ends at t_max
+    (time_limit), or when no acceptable step exists or t no longer
+    advances (convexity_lost); a march that cannot take its first step
+    raises ConvexityLostError.  A MarchStats passed as stats receives the
+    march's counts.
     """
-    _check_start(s0, p, store_every)
+    _check_start(s0, p)
     t_max = math.inf if t_max is None else t_max
     y = np.array(s0.samples, dtype=float)
-    areas, kappas = [], []
-
-    def stop(times, rows):  # also fills in the columns of rows kept since the last call
-        with np.errstate(over="raise"):  # a body whose area overflows ends the run
-            for row in rows[len(areas):]:
-                areas.append(_areas(row))
-                kappas.append(_curvature_integrals(row, p.alpha))
-        return (_steiner(rows[-1])[2].min() < STOP_INRADIUS
-                or _settled(times, areas, kappas, p.alpha, t_max))
-
-    times, rows = _record(y, _etd_march(y, p, t_max, math.inf, stats), store_every, True, stop)
-    stop(times, rows)
-    samples = np.array(rows)
-    del rows
-    columns = dict(zip(TRACE_COLUMNS, (np.array(times), np.array(areas),
-                                       *_shape_columns(samples), np.array(kappas))))
+    rows, columns = [], {name: [] for name in TRACE_COLUMNS}
+    for t, row in _record(y, _etd_march(y, p, t_max, math.inf, stats), STORE_EVERY, True):
+        rows.append(row)
+        for name, value in zip(TRACE_COLUMNS, (t, *_trace_row(row, p.alpha))):
+            columns[name].append(value)
+        if len(rows) > 1 and trace_outcome(columns, p, t_max)[0] is StopReason.EXTINCT:
+            break
+    columns = {name: np.array(values) for name, values in columns.items()}
     outcome, extinction = trace_outcome(columns, p, t_max)
-    return FlowTrace(samples, columns, extinction, outcome)
+    return FlowTrace(np.array(rows), columns, extinction, outcome)
 
 
 def _estimate(times, areas, kappas, alpha: float, i: int) -> float:
@@ -604,24 +616,6 @@ def trace_outcome(columns, p: FlowParams,
     return (StopReason.TIME_LIMIT if times[-1] >= t_max else StopReason.CONVEXITY_LOST), None
 
 
-#: Values of a trace post-processed together.  The transforms and products
-#: on a block need a few copies of it, which stay small next to a long trace.
-ROW_BLOCK_VALUES = 2**17
-
-
-def _shape_columns(samples: np.ndarray) -> list[np.ndarray]:
-    """Columns length to delta_to_circle, a block of rows at a time."""
-    rows = max(1, ROW_BLOCK_VALUES // samples.shape[1])
-    blocks = []
-    for lo in range(0, len(samples), rows):
-        y = samples[lo:lo + rows]
-        d = _steiner(y)[2]
-        mean_radius = np.mean(d, axis=1)
-        blocks.append((_lengths(y), np.min(d, axis=1), np.max(d, axis=1),
-                       np.max(np.abs(d - mean_radius[:, None]), axis=1) / mean_radius))
-    return [np.concatenate(column) for column in zip(*blocks)]
-
-
 def run_normalized(
     s0: SupportFunction,
     p: FlowParams,
@@ -636,11 +630,13 @@ def run_normalized(
     record ends at the last accepted state, before tau_end.  A MarchStats
     passed as stats receives its counts.
     """
-    _check_start(s0, p, store_every)
+    _check_start(s0, p)
+    if store_every < 1:
+        raise ValueError(f"store_every must be >= 1, got {store_every}")
     if tau_end < 0.0:
         raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
     y = np.array(s0.samples, dtype=float)
-    taus, rows = _record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False)
+    taus, rows = zip(*_record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False))
     return np.array(taus), [SupportFunction(row) for row in rows]
 
 

@@ -211,8 +211,8 @@ def test_body_beyond_the_float_range_is_a_usage_error_without_warning(tmp_path, 
 def test_flow_body_whose_area_overflows_ends_in_a_recorded_error(tmp_path):
     # At alpha = 0.1 a circle of radius 1e200 can step, but its area, a
     # column of trace.csv and the stop rule's input, overflows the float
-    # range: the run ends at its first stored row past the start, with the
-    # error recorded and no floating-point warning.
+    # range: the run ends at its start row, measured before any step, with
+    # the error recorded and no floating-point warning.
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="flow", output_dir=str(out), alpha=0.1, m=64,
                        initial_body={"kind": "circle", "radius": 1e200})
@@ -221,7 +221,25 @@ def test_flow_body_whose_area_overflows_ends_in_a_recorded_error(tmp_path):
         assert cli.main(["run", cfg]) == 2
     manifest = read_manifest(out)
     assert manifest["error"] == "FloatingPointError: overflow encountered in square"
-    assert manifest["solver"]["accepted_steps"] == cli.EXTINCTION_STORE_EVERY
+    assert manifest["solver"]["accepted_steps"] == 0
+
+
+def test_flow_march_past_max_steps_ends_in_a_recorded_error(tmp_path, monkeypatch):
+    # At alpha < 1/3 the steps on an eccentric body fall to the parabolic
+    # floor and stay there; this ellipse had not ended after 256,531
+    # steps.  The march stops at the cap, here lowered, with the error
+    # recorded and the solver's counts kept.
+    monkeypatch.setattr(cli.fl, "MAX_STEPS", 2000)
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, experiment="flow", output_dir=str(out),
+                       alpha=0.17626850072780334, m=128,
+                       initial_body={"kind": "ellipse", "a": 0.23843868228834736,
+                                     "b": 0.7219814563996415})
+    assert cli.main(["run", cfg]) == 2
+    manifest = read_manifest(out)
+    assert manifest["error"].startswith("RuntimeError: flow march took MAX_STEPS = 2000 steps")
+    assert manifest["solver"]["accepted_steps"] == 2000
+    assert cli.main(["verify", str(out)]) == 2
 
 
 def test_circle_whose_extinction_time_underflows_is_a_usage_error(tmp_path, capsys):
@@ -370,8 +388,7 @@ def test_flow_circle_checks_and_snapshots(tmp_path):
     # row per sample, bit for bit as the march stored them.
     assert sorted(os.listdir(out)) == ["manifest.json", "snapshots.csv", "trace.csv"]
     config = cli.config_from_dict(manifest["config"])
-    trace = cli.fl.run_to_extinction(cli._build_body(config), cli._flow_params(config),
-                                     store_every=cli.EXTINCTION_STORE_EVERY)
+    trace = cli.fl.run_to_extinction(cli._build_body(config), cli._flow_params(config))
     n = len(trace.samples)
     rows = sorted(set(range(0, n, 10)) | {n - 1})
     snapshots = tables.read_columns(out / "snapshots.csv")
@@ -813,7 +830,7 @@ def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, monkeypat
                                     t_max=entries.get("t_max")))
     vars(cfg).update(entries)
     trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
-                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
+                                     t_max=cfg.t_max)
     assert trace.stop_reason.value == reason
     cli.tables.write_columns(tmp_path / "trace.csv", cli.fl.trace_summary_rows(trace))
     judged, _ = cli._flow_judge(cfg, tables.read_columns(tmp_path / "trace.csv"))
@@ -1225,7 +1242,7 @@ def test_flow_whose_last_steps_time_cannot_resolve_goes_extinct(tmp_path, capsys
 def test_flow_that_time_resolves_validates_and_reaches_its_end(entries, reason):
     cfg = cli.config_from_dict(dict(experiment="flow", output_dir="out", m=64, **entries))
     trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
-                                     t_max=cfg.t_max, store_every=cli.EXTINCTION_STORE_EVERY)
+                                     t_max=cfg.t_max)
     assert trace.stop_reason.value == reason
 
 

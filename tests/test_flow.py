@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -86,8 +87,6 @@ def test_grid_mismatch_is_rejected():
     with pytest.raises(ValueError):
         fl.run_to_extinction(circle(m=128), P64)
     with pytest.raises(ValueError):
-        fl.run_to_extinction(circle(), P64, store_every=0)
-    with pytest.raises(ValueError):
         fl.run_normalized(circle(), P64, 1.0, store_every=0)
 
 
@@ -99,6 +98,16 @@ def test_circle_extinction_time(alpha):
     trace = fl.run_to_extinction(circle(), p)
     assert trace.stop_reason is StopReason.EXTINCT
     assert abs(trace.extinction_time - 1.0 / (1.0 + alpha)) <= 1e-6
+    _assert_stops_on_its_first_extinct_row(trace, p)
+
+
+def _assert_stops_on_its_first_extinct_row(trace, p):
+    # The march stops by trace_outcome, the rule verify applies to
+    # trace.csv: no shorter trace of two rows or more reads extinct.
+    for n in range(2, len(trace.columns["t"])):
+        prefix = {name: column[:n] for name, column in trace.columns.items()}
+        assert fl.trace_outcome(prefix, p)[0] is not StopReason.EXTINCT
+    assert fl.trace_outcome(trace.columns, p) == (StopReason.EXTINCT, trace.extinction_time)
 
 
 def test_extinction_march_has_no_collapse_floor():
@@ -196,10 +205,12 @@ def test_ellipse_at_alpha_0_6_goes_extinct_at_the_converged_time():
     # so its estimate settles only at the floor.  The reference is the
     # inradius-stopped march with the circle-law fit, at stop radius 1e-5,
     # where the fit's bias has gone; at 1e-3 that march gave 0.3641343143565.
-    trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=256), FlowParams(alpha=0.6),
-                                 store_every=8)
+    p = FlowParams(alpha=0.6)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=256), p)
     assert trace.stop_reason is StopReason.EXTINCT
     assert abs(trace.extinction_time - 0.3641338335873) <= 1e-9
+    assert trace.columns["inradius"][-1] < fl.STOP_INRADIUS
+    _assert_stops_on_its_first_extinct_row(trace, p)
 
 
 def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
@@ -208,7 +219,7 @@ def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
     # unit of normalized time in.
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(geo.make_ellipse(1.0, 0.5, m=128),
-                                 FlowParams(alpha=1.0 / 3.0, m=128), store_every=8, stats=stats)
+                                 FlowParams(alpha=1.0 / 3.0, m=128), stats=stats)
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.extinction_time == pytest.approx(0.75 * 0.5 ** (2.0 / 3.0), rel=1e-9, abs=0.0)
     assert trace.columns["inradius"][-1] > 100.0 * fl.STOP_INRADIUS
@@ -217,14 +228,15 @@ def test_ellipse_at_alpha_one_third_settles_at_its_shrinker_time():
 
 # Extinction times and accepted step counts of the ETD march whose z = A dt
 # and A are rounded onto ladders of BANDS rungs per octave, so that steps
-# share their phi-weights.  The march must reproduce them to 1e-12
-# relative in the same number of steps.
-FROZEN_BENCHMARK_BODIES = {1: (0.4987698226496343, 136),
-                           2: (0.49925515976147455, 130),
-                           3: (0.49880081921955055, 135)}
-FROZEN_ELLIPSE = {0.6: (0.6846528446994831, 20845),
-                  1.0: (0.5000000143226513, 18291),
-                  2.0: (0.19168233734001788, 29939)}
+# share their phi-weights, and whose run to extinction tests its stop rule
+# on every STORE_EVERY-th state.  The march must reproduce them to 1e-12
+# relative in the same number of steps, and stop on a kept state.
+FROZEN_BENCHMARK_BODIES = {1: (0.49876982264963304, 144),
+                           2: (0.4992551597614741, 136),
+                           3: (0.49880081921954883, 144)}
+FROZEN_ELLIPSE = {0.6: (0.6846528446977659, 20848),
+                  1.0: (0.5000000143090954, 18520),
+                  2.0: (0.19168233734001994, 29944)}
 
 
 def _assert_frozen_march(s0, p, frozen):
@@ -232,7 +244,8 @@ def _assert_frozen_march(s0, p, frozen):
     trace = fl.run_to_extinction(s0, p, stats=stats)
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.extinction_time == pytest.approx(frozen[0], rel=1e-12, abs=0.0)
-    assert stats.accepted_steps == len(trace.columns["t"]) - 1 == frozen[1]
+    assert stats.accepted_steps == fl.STORE_EVERY * (len(trace.columns["t"]) - 1) == frozen[1]
+    _assert_stops_on_its_first_extinct_row(trace, p)
     return trace
 
 
@@ -261,19 +274,27 @@ def test_march_keeps_frozen_times_on_the_eccentric_ellipse(alpha):
     _assert_frozen_march(s0, FlowParams(alpha=alpha, m=128), FROZEN_ELLIPSE[alpha])
 
 
-# |T - A0/2 pi| and accepted steps on the benchmark bodies at m = 256 when
-# the phi-weights were evaluated afresh on every step.
-UNBANDED_BENCHMARK_BODIES = {1: (9.24e-10, 135), 2: (7.39e-10, 128), 3: (4.53e-10, 133)}
+# |T - A0/2 pi|, accepted steps and the normalized time tau reached on the
+# benchmark bodies at m = 256 when the phi-weights were evaluated afresh on
+# every step and the stop rule tested on every state.  The taus were
+# measured with BANDS = 2^40, which reproduces those steps and errors.
+UNBANDED_BENCHMARK_BODIES = {1: (9.24e-10, 135, 1.0507124244071475),
+                             2: (7.39e-10, 128, 1.0597932756426003),
+                             3: (4.53e-10, 133, 1.0489645872339841)}
 
 
 @pytest.mark.parametrize("seed", sorted(UNBANDED_BENCHMARK_BODIES))
 def test_ladders_share_weights_on_benchmark_bodies(seed):
-    s0 = _benchmark_body(seed)
+    # The banded march to the unbanded one's tau, so that the step count
+    # measures the ladders and not where a run to extinction stops.
+    s0, p = _benchmark_body(seed), FlowParams(alpha=1.0, m=256)
+    error, steps, tau = UNBANDED_BENCHMARK_BODIES[seed]
     stats = fl.MarchStats()
-    trace = fl.run_to_extinction(s0, FlowParams(alpha=1.0, m=256), stats=stats)
-    error, steps = UNBANDED_BENCHMARK_BODIES[seed]
+    for _ in fl._etd_march(s0.samples, p, math.inf, tau, stats):
+        pass
     assert stats.weight_evals <= 64
     assert stats.accepted_steps <= 1.02 * steps
+    trace = fl.run_to_extinction(s0, p)
     assert abs(trace.extinction_time - geo.area(s0) / (2.0 * math.pi)) <= error
 
 
@@ -359,8 +380,9 @@ def _stub_rows(s0, stored, scaled=True):
 
 def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(5, lose_convexity=True))
+    monkeypatch.setattr(fl, "STORE_EVERY", 3)
     s0 = circle()
-    trace = fl.run_to_extinction(s0, P64, store_every=3)
+    trace = fl.run_to_extinction(s0, P64)
     assert trace.stop_reason is StopReason.CONVEXITY_LOST
     assert trace.extinction_time is None
     np.testing.assert_array_equal(trace.columns["t"], [0.0, 0.03, 0.04])
@@ -383,8 +405,9 @@ def test_march_that_cannot_take_its_first_step_raises(monkeypatch):
 def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store_every,
                                                               n, stored):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(n, lose_convexity=False))
+    monkeypatch.setattr(fl, "STORE_EVERY", store_every)
     s0 = circle()
-    trace = fl.run_to_extinction(s0, P64, t_max=0.01 * (n - 1), store_every=store_every)
+    trace = fl.run_to_extinction(s0, P64, t_max=0.01 * (n - 1))
     taus, states = fl.run_normalized(s0, P64, 1.0, store_every=store_every)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     expected = [0.01 * i for i in stored]
@@ -519,28 +542,30 @@ def test_etd_step_takes_nine_ffts(monkeypatch, scaled):
     # physical start row is y itself, the normalized one a transform.
     start = y if scaled else np.fft.irfft(states[0][3] / states[0][2], n=64)
     calls.clear()
-    clocks, rows = fl._record(y, fl._etd_march(y, P64, math.inf, 0.05), 1, scaled)
+    rows = [row for _, row in fl._record(y, fl._etd_march(y, P64, math.inf, 0.05), 1, scaled)]
     assert len(rows) == steps + 1
     np.testing.assert_array_equal(rows[0], start)
     assert len(calls) == (3 if scaled else 4) + 9 * steps
 
 
-def _march_states(s0):
-    # The physical states s = R s_hat of the march, at their times t.
+def _march_states(s0, p=P64):
+    # Every physical state s = R s_hat of the march, at its time t.
     y0 = np.array(s0.samples)
-    march = fl._etd_march(y0, P64, math.inf, math.inf)
+    march = fl._etd_march(y0, p, math.inf, math.inf)
     for accepted, (t, tau, r, w) in enumerate(march):
-        yield accepted, t, y0 if accepted == 0 else np.fft.irfft(w, n=64)
+        yield accepted, t, y0 if accepted == 0 else np.fft.irfft(w, n=p.m)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("store_every", [1, 8])
 def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_every):
-    # The rule applied to the geometry functions of every stored state, row
+    # The rule applied to the geometry functions of every kept state, row
     # by row, with the earlier row found by a plain search, stops on the
-    # same state as run_to_extinction, well above the floor.
+    # same state as run_to_extinction, well above the floor, whether it
+    # keeps every state or every 8th.
+    monkeypatch.setattr(fl, "STORE_EVERY", store_every)
     s0 = _benchmark_body(seed, m=64)
-    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    trace = fl.run_to_extinction(s0, P64)
     times, estimates, areas = [], [], []
     for accepted, t, y in _march_states(s0):
         if accepted % store_every:
@@ -561,7 +586,7 @@ def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_ev
     # With a rule that never settles, testing each stored state's samples
     # against the floor stops on the same state.
     monkeypatch.setattr(fl, "STOP_TOL", -1.0)
-    trace = fl.run_to_extinction(s0, P64, store_every=store_every)
+    trace = fl.run_to_extinction(s0, P64)
     for accepted, t, y in _march_states(s0):
         if accepted % store_every == 0 and geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
             break
@@ -572,20 +597,23 @@ def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_ev
     assert np.all(trace.columns["inradius"][:-1] >= fl.STOP_INRADIUS)
 
 
-def test_march_records_the_largest_curvature_radius():
+def _radii_of_every_state(s0, extremum):
+    # The extremum of the curvature radius of every state a run to
+    # extinction accepted, the start included, and that run's MarchStats.
     stats = fl.MarchStats()
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
-                                 stats=stats)
-    radii = [float(np.max(geo.curvature_radius_samples(row))) for row in trace.samples]
+    fl.run_to_extinction(s0, P64, stats=stats)
+    states = itertools.islice(_march_states(s0), stats.accepted_steps + 1)
+    return stats, [float(extremum(geo.curvature_radius_samples(y))) for _, _, y in states]
+
+
+def test_march_records_the_largest_curvature_radius():
+    stats, radii = _radii_of_every_state(geo.make_ellipse(1.3, 1.0, m=64), np.max)
     assert stats.r_max == pytest.approx(max(radii), rel=1e-12)
     assert stats.r_max > radii[-1]
 
 
 def test_march_records_the_smallest_curvature_radius():
-    stats = fl.MarchStats()
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=1,
-                                 stats=stats)
-    radii = [float(np.min(geo.curvature_radius_samples(row))) for row in trace.samples]
+    stats, radii = _radii_of_every_state(geo.make_ellipse(1.3, 1.0, m=64), np.min)
     # The march takes each radius from the coefficients, the geometry
     # function from the samples; the two routes agree to rounding.
     assert stats.r_min == pytest.approx(min(radii), rel=1e-12)
@@ -607,7 +635,7 @@ def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
     monkeypatch.setattr(fl, "curvature_radius_samples", counted("flow"))
     monkeypatch.setattr(geo, "curvature_radius_samples", counted("geometry"))
     stats = fl.MarchStats()
-    trace = fl.run_to_extinction(s0, P64, store_every=8, stats=stats)
+    trace = fl.run_to_extinction(s0, P64, stats=stats)
     fl.trace_summary_rows(trace)
     # One radius for the start, then three stages and the new radius per
     # step; the stored states are never rebuilt as SupportFunctions.  The
@@ -762,7 +790,7 @@ def test_trace_integrals_and_defect_match_the_per_state_arithmetic():
     # Both run on the whole trace at once; each must equal the per-state
     # curvature integral and a row-by-row three-point stencil bit for bit.
     p = FlowParams(alpha=2.0, m=128)
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, store_every=8)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
     integrals = fl._curvature_integrals(trace.samples, p.alpha)
     np.testing.assert_array_equal(
         integrals, [fl.curvature_integral(geo.SupportFunction(row), p.alpha)
@@ -817,17 +845,15 @@ def test_trace_csv_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize("body", ["ellipse", "benchmark"])
-def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
-    # The trace is post-processed on its (n, m) samples array, a block of
-    # rows at a time; each row must equal the geometry functions applied to
-    # its state, bit for bit.  Small blocks leave a ragged last one.
-    monkeypatch.setattr(fl, "ROW_BLOCK_VALUES", 1000)
+def test_trace_columns_match_the_per_state_functions(body):
+    # Each row is measured as the march keeps it, with geometry's own
+    # arithmetic; it must equal the geometry functions applied to its
+    # state, bit for bit.
     if body == "ellipse":
         s0, p = geo.make_ellipse(3.0, 1.0, m=128), FlowParams(alpha=1.0, m=128)
-        trace = fl.run_to_extinction(s0, p, t_max=0.2, store_every=8)
+        trace = fl.run_to_extinction(s0, p, t_max=0.2)
     else:
-        trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256),
-                                     store_every=8)
+        trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256))
     states = [geo.SupportFunction(row) for row in trace.samples]
     assert len(states) == len(trace.columns["t"]) > 10
     np.testing.assert_array_equal(trace.columns["area"], [geo.area(s) for s in states])
@@ -846,13 +872,12 @@ def test_trace_columns_match_the_per_state_functions(monkeypatch, body):
 
 
 @pytest.mark.parametrize("alpha", [0.6, 2.0])
-def test_kappa_integral_column_matches_the_per_state_integral(monkeypatch, alpha):
-    # Computed a block of rows at a time, with a ragged last block; each
-    # row must equal curvature_integral of its state bit for bit.
-    monkeypatch.setattr(fl, "ROW_BLOCK_VALUES", 1000)
+def test_kappa_integral_column_matches_the_per_state_integral(alpha):
+    # Computed once per row as the march keeps it; each row must equal
+    # curvature_integral of its state bit for bit.
     p = FlowParams(alpha=alpha, m=128)
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, store_every=8)
-    assert len(trace.columns["t"]) > 2 * 1000 // 128
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
+    assert len(trace.columns["t"]) > 15
     np.testing.assert_array_equal(
         trace.columns["kappa_integral"],
         [fl.curvature_integral(geo.SupportFunction(row), alpha) for row in trace.samples])
@@ -870,7 +895,7 @@ def test_trace_summary_rows_fields():
 
 @pytest.mark.parametrize("every", [1, 3, 50])
 def test_snapshot_columns_hold_every_kth_state_and_the_last(every):
-    trace = fl.run_to_extinction(circle(), P64, store_every=8)
+    trace = fl.run_to_extinction(circle(), P64)
     columns = fl.snapshot_columns(trace, every)
     assert tuple(columns) == ("t", "theta", "s")
     n, m = trace.samples.shape
@@ -884,7 +909,7 @@ def test_snapshot_columns_hold_every_kth_state_and_the_last(every):
 
 
 def test_snapshot_table_reads_back_bit_for_bit(tmp_path):
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, store_every=8)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64)
     columns = fl.snapshot_columns(trace, 3)
     tables.write_columns(tmp_path / "snapshots.csv", columns)
     back = tables.read_columns(tmp_path / "snapshots.csv")
