@@ -34,7 +34,7 @@ from gcsf import __version__, tables
 from gcsf import flow as fl
 from gcsf import geometry as geo
 from gcsf import solitons as so
-from gcsf.geometry import PlanePoint, SupportFunction
+from gcsf.geometry import SupportFunction
 
 # Declared tolerances of the experiments' built-in checks.  verify applies
 # the same table, so a manifest's decisions can always be reproduced.
@@ -143,8 +143,8 @@ _FIELD_RULES = {
                 f"a finite number in [0, {MAX_TAU_END:g}]"),
     "sigma": (lambda v: _is_num(v) and 0.0 < v <= 1.0, "a finite number in (0, 1]"),
     "seed": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
-    "m": (lambda v: _is_int(v) and 64 <= v <= MAX_GRID and v % 2 == 0,
-          f"an even integer in [64, {MAX_GRID}]"),
+    "m": (lambda v: _is_int(v) and geo.MIN_GRID <= v <= MAX_GRID and v % 2 == 0,
+          f"an even integer in [{geo.MIN_GRID}, {MAX_GRID}]"),
     "initial_body": (lambda v: isinstance(v, dict), "an object"),
     "t_max": (lambda v: v is None or _is_positive(v), "a positive finite number or null"),
     "snapshot_every": (lambda v: _is_int(v) and v >= 0, "a nonnegative integer"),
@@ -257,8 +257,7 @@ def _build_body(cfg: SimpleNamespace) -> SupportFunction:
             _require(_is_num(radius), "initial_body.radius must be a finite number")
             _require(_numbers(center) and len(center) == 2,
                      "initial_body.center must be a finite [x, y] pair")
-            return geo.make_circle(radius, PlanePoint(float(center[0]), float(center[1])),
-                                   m=cfg.m)
+            return geo.make_circle(radius, center, m=cfg.m)
         if kind == "ellipse":
             for name in ("a", "b"):
                 _require(_is_num(desc.get(name)),
@@ -308,7 +307,7 @@ def _check_flow_body(cfg: SimpleNamespace) -> None:
 
 def _run_flow(cfg: SimpleNamespace, stats: fl.MarchStats):
     trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max, stats=stats)
-    columns = {"trace.csv": fl.trace_summary_rows(trace)}
+    columns = {"trace.csv": trace.columns}
     if cfg.snapshot_every > 0:
         columns["snapshots.csv"] = fl.snapshot_columns(trace, cfg.snapshot_every)
     return columns
@@ -539,7 +538,7 @@ def _check_reach(cfg: SimpleNamespace) -> None:
              f"field 'r_max' must reach the largest rescaling, >= {needed:.6g}")
 
 
-_GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": 256}
+_GRID_FIELDS = {"seed": 0, "alpha": 1.0, "m": geo.DEFAULT_GRID}
 _UNIT_CIRCLE = {"kind": "circle", "radius": 1.0, "center": [0.0, 0.0]}
 
 EXPERIMENTS = {

@@ -33,13 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from gcsf.geometry import (
+    DEFAULT_GRID,
+    MIN_GRID,
     ConvexityLostError,
     SupportFunction,
+    _angles,
     _areas,
     _curvature_integrals,
     _lengths,
     _mode_amplitudes,
     _radius_symbol,
+    _require_above,
     _steiner,
     curvature_radius_samples,
     length,
@@ -132,13 +136,12 @@ class FlowParams:
     and the grid size m.  Every step is set by the step constant CFL."""
 
     alpha: float
-    m: int = 256
+    m: int = DEFAULT_GRID
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.m < 64 or self.m % 2 != 0:
-            raise ValueError(f"grid size must be even and >= 64, got {self.m}")
+        _require_above("alpha", self.alpha)
+        if self.m < MIN_GRID or self.m % 2 != 0:
+            raise ValueError(f"grid size must be even and >= {MIN_GRID}, got {self.m}")
 
 
 TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_circle",
@@ -219,8 +222,7 @@ def step(s: SupportFunction, p: FlowParams, dt: float,
     the convex cone raises StepRejectedError; the caller is expected to halve
     dt and retry.
     """
-    if dt < 0.0:
-        raise ValueError(f"dt must be nonnegative, got {dt}")
+    _require_above("dt", dt, at_floor=True)
     if dt == 0.0:
         return s
     y, alpha = s.samples, p.alpha
@@ -633,8 +635,7 @@ def run_normalized(
     _check_start(s0, p)
     if store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
-    if tau_end < 0.0:
-        raise ValueError(f"tau_end must be nonnegative, got {tau_end}")
+    _require_above("tau_end", tau_end, at_floor=True)
     y = np.array(s0.samples, dtype=float)
     taus, rows = zip(*_record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False))
     return np.array(taus), [SupportFunction(row) for row in rows]
@@ -646,8 +647,7 @@ def linearized_mode_rate(alpha: float, mode: int) -> float:
     Translations (mode 1) grow at 1, as R falls; the leading shape mode
     cos(2 theta) decays at 1 - 3 alpha, negative exactly when alpha > 1/3.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("alpha", alpha)
     if mode < 0 or mode != int(mode):
         raise ValueError(f"mode must be a nonnegative integer, got {mode}")
     return 1.0 + alpha * (1.0 - float(mode) ** 2)
@@ -751,8 +751,7 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
     The first dominates the second for alpha >= 1 by the power mean
     inequality with respect to arc length; alpha < 1 is rejected.
     """
-    if p.alpha < 1.0:
-        raise ValueError(f"bound requires alpha >= 1, got {p.alpha}")
+    _require_above("alpha", p.alpha, 1.0, at_floor=True)
     lhs = curvature_integral(s, p.alpha)
     rhs = length(s) ** (1.0 - p.alpha) * (2.0 * np.pi) ** p.alpha
     return lhs, rhs
@@ -761,10 +760,9 @@ def jensen_bound_check(s: SupportFunction, p: FlowParams) -> tuple[float, float]
 # -- trace exports ----------------------------------------------------------
 
 def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
-    """trace.csv's columns, keyed by TRACE_COLUMNS: t, area, length, the
-    inradius, circumradius and relative sup distance to its mean circle of
-    each state seen from its Steiner point, and curvature_integral.  Each
-    row matches those functions applied to its state bit for bit."""
+    """A copy of trace.columns, trace.csv's columns keyed by TRACE_COLUMNS.
+    Kept only for perfbench, which times it as trace post-processing; gcsf
+    itself reads trace.columns."""
     return dict(trace.columns)
 
 
@@ -775,5 +773,5 @@ def snapshot_columns(trace: FlowTrace, every: int) -> dict[str, np.ndarray]:
     n, m = trace.samples.shape
     rows = [*range(0, n - 1, every), n - 1]
     return {"t": np.repeat(trace.columns["t"][rows], m),
-            "theta": np.tile(np.arange(m) * (2.0 * np.pi / m), len(rows)),
+            "theta": np.tile(_angles(m), len(rows)),
             "s": trace.samples[rows].ravel()}

@@ -23,26 +23,45 @@ class ConvexityLostError(ValueError):
     """Raised when a support function fails the positivity test s'' + s > 0."""
 
 
+def _require_above(name: str, value: float, floor: float = 0.0, at_floor: bool = False) -> None:
+    """Raise ValueError unless value is a finite number above floor, or at
+    it where at_floor allows; NaN and the infinities fail.  Every floor on
+    a float argument of geometry, flow and solitons is checked here."""
+    if not (math.isfinite(value) and (value >= floor if at_floor else value > floor)):
+        raise ValueError(f"{name} must be a finite number {'at or ' if at_floor else ''}"
+                         f"above {floor:g}, got {value}")
+
+
 # The arrays below depend on the grid size alone and are computed once per
-# size; callers must not write to them.
+# size and shared by every caller, so each is read-only.
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
 
 @functools.cache
 def _wavenumbers(m: int) -> np.ndarray:
     """Wavenumbers 0 .. m/2 of the rfft layout."""
-    return np.arange(m // 2 + 1, dtype=float)
+    return _read_only(np.arange(m // 2 + 1, dtype=float))
+
+
+@functools.cache
+def _angles(m: int) -> np.ndarray:
+    """The angular grid theta_k = 2 pi k / m, k = 0 .. m - 1."""
+    return _read_only(np.arange(m) * (2.0 * np.pi / m))
 
 
 @functools.cache
 def _basis(m: int) -> tuple[np.ndarray, np.ndarray]:
     """(cos theta, sin theta) on the angular grid."""
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    return np.cos(theta), np.sin(theta)
+    return _read_only(np.cos(_angles(m))), _read_only(np.sin(_angles(m)))
 
 
 @functools.cache
 def _radius_symbol(m: int) -> np.ndarray:
     """Symbol 1 - k^2 of s'' + s in the rfft layout."""
-    return 1.0 - _wavenumbers(m) ** 2
+    return _read_only(1.0 - _wavenumbers(m) ** 2)
 
 
 def trig_derivative(values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -81,25 +100,6 @@ def curvature_radius_samples(values: np.ndarray | None = None, *,
 
 
 @dataclass(frozen=True)
-class PlanePoint:
-    """A point of the plane with finite coordinates."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("plane point coordinates must be finite")
-
-
-def _as_xy(point) -> tuple[float, float]:
-    if isinstance(point, PlanePoint):
-        return point.x, point.y
-    x, y = point
-    return float(x), float(y)
-
-
-@dataclass(frozen=True)
 class SupportFunction:
     """Support function of a convex body on the uniform angular grid.
 
@@ -135,27 +135,25 @@ class SupportFunction:
     def m(self) -> int:
         return self.samples.size
 
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.arange(self.m) * (2.0 * np.pi / self.m)
 
-
-def make_circle(radius: float, center=PlanePoint(0.0, 0.0), m: int = DEFAULT_GRID) -> SupportFunction:
-    """Circle of given radius: s(theta) = R + cx*cos(theta) + cy*sin(theta)."""
-    if radius <= 0.0:
-        raise ValueError(f"circle radius must be positive, got {radius}")
-    cx, cy = _as_xy(center)
-    theta = np.arange(m) * (2.0 * np.pi / m)
-    return SupportFunction(radius + cx * np.cos(theta) + cy * np.sin(theta))
+def make_circle(radius: float, center=(0.0, 0.0), m: int = DEFAULT_GRID) -> SupportFunction:
+    """Circle of given radius about center = (x, y):
+    s(theta) = radius + x cos(theta) + y sin(theta)."""
+    _require_above("circle radius", radius)
+    cx, cy = center
+    cos_t, sin_t = _basis(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite samples fail SupportFunction
+        samples = radius + cx * cos_t + cy * sin_t
+    return SupportFunction(samples)
 
 
 def make_ellipse(a: float, b: float, m: int = DEFAULT_GRID) -> SupportFunction:
     """Origin-centred axis-aligned ellipse with semi-axes a, b."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"ellipse semi-axes must be positive, got ({a}, {b})")
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    _require_above("ellipse semi-axis a", a)
+    _require_above("ellipse semi-axis b", b)
+    cos_t, sin_t = _basis(m)
     with np.errstate(over="ignore"):  # infinite samples fail SupportFunction
-        samples = np.sqrt((a * np.cos(theta)) ** 2 + (b * np.sin(theta)) ** 2)
+        samples = np.sqrt((a * cos_t) ** 2 + (b * sin_t) ** 2)
     return SupportFunction(samples)
 
 
@@ -165,7 +163,7 @@ def make_fourier_body(cos_coeffs, sin_coeffs=(), m: int = DEFAULT_GRID) -> Suppo
     cos_coeffs[j] multiplies cos(j*theta) starting at j = 0; sin_coeffs[j]
     multiplies sin((j+1)*theta).  Convexity of the result is still required.
     """
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    theta = _angles(m)
     values = np.zeros(m)
     for j, c in enumerate(cos_coeffs):
         values += c * np.cos(j * theta)
@@ -174,23 +172,28 @@ def make_fourier_body(cos_coeffs, sin_coeffs=(), m: int = DEFAULT_GRID) -> Suppo
     return SupportFunction(values)
 
 
-def random_convex_body(rng: np.random.Generator, m: int = DEFAULT_GRID,
-                       scale: float = 0.3) -> SupportFunction:
+#: A random body's harmonic k has amplitudes up to RANDOM_SCALE / k^3.
+RANDOM_SCALE = 0.3
+
+
+def random_convex_body(rng: np.random.Generator, m: int = DEFAULT_GRID) -> SupportFunction:
     """Draw a random convex body near the unit circle.
 
-    Harmonic amplitudes are uniform in [-scale/k^3, scale/k^3] for modes
-    k = 2..8; draws that break convexity are rejected and redrawn.
+    Harmonic amplitudes are uniform in [-RANDOM_SCALE/k^3, RANDOM_SCALE/k^3]
+    for modes k = 2..8; draws that break convexity are rejected and redrawn.
     """
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    theta = _angles(m)
     while True:
         values = np.ones(m)
         for k in range(2, 9):
-            bound = scale / k**3
+            bound = RANDOM_SCALE / k**3
             a = rng.uniform(-bound, bound)
             b = rng.uniform(-bound, bound)
             values += a * np.cos(k * theta) + b * np.sin(k * theta)
-        if np.min(curvature_radius_samples(values)) > 0.0:
+        try:
             return SupportFunction(values)
+        except ConvexityLostError:
+            pass
 
 
 # The arithmetic below works on each support function along the last axis
@@ -248,15 +251,15 @@ def length(s: SupportFunction) -> float:
     return float(_lengths(s.samples))
 
 
-def steiner_point(s: SupportFunction) -> PlanePoint:
-    """Curvature-weighted centroid; the first harmonic of s times (1/pi)."""
+def steiner_point(s: SupportFunction) -> tuple[float, float]:
+    """Curvature-weighted centroid (x, y); the first harmonic of s times (1/pi)."""
     x, y, _ = _steiner(s.samples)
-    return PlanePoint(float(x), float(y))
+    return float(x), float(y)
 
 
 def translate(s: SupportFunction, vector) -> SupportFunction:
-    """Support function of the body translated by the given vector."""
-    vx, vy = _as_xy(vector)
+    """Support function of the body translated by the vector (vx, vy)."""
+    vx, vy = vector
     cos_t, sin_t = _basis(s.m)
     return SupportFunction(s.samples + vx * cos_t + vy * sin_t)
 

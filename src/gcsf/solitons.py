@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gcsf.geometry import _require_above
+
 #: Forward integration of the 1-D translator hands over to the inverse
 #: variable once the slope exceeds this.
 SLOPE_SWITCH = 1e3
@@ -126,11 +128,6 @@ class OdeSolution:
     drho: np.ndarray
 
 
-def _require_length(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 def _dop853(rhs, t_end, y0, atol, stats, level=None, terminal=False):
     """DOP853 on a 2-D system from t = 0 to t_end, every accepted step a row.
 
@@ -219,9 +216,8 @@ def translator_1d(alpha: float, x_max: float, stats: OdeStats | None = None) -> 
     far, as always for alpha <= 1/2.  stats, if given, receives DOP853's
     counts.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    _require_length("x_max", x_max)
+    _require_above("alpha", alpha)
+    _require_above("x_max", x_max)
     q = 1.5 - 0.5 / alpha
 
     def rhs(_x, y):
@@ -259,8 +255,7 @@ def strip_half_width(alpha: float, x: float = 0.0, slope: float = 0.0) -> float:
     state at large slope it does not depend on where the march stopped."""
     from scipy.special import beta, betainc
 
-    if alpha <= 0.5:
-        raise ValueError(f"the profile is entire for alpha <= 1/2, got {alpha}")
+    _require_above("alpha", alpha, 0.5)  # the profile is entire for alpha <= 1/2
     a = 1.0 - 0.5 / alpha
     return float(x + 0.5 * betainc(a, 0.5, 1.0 / (1.0 + slope * slope)) * beta(a, 0.5))
 
@@ -317,13 +312,10 @@ def radial_translator(alpha: float, sigma: float, r_max: float,
     each node.  A failed march or a non-finite node is a RuntimeError
     naming where it stopped; stats, if given, receives LSODA's counts.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("alpha", alpha)
     if not 0.0 < sigma <= 1.0:
         raise ValueError(f"sigma must lie in (0, 1], got {sigma}")
-    _require_length("r_max", r_max)
-    if r_max <= _SERIES_RADIUS:
-        raise ValueError(f"r_max must exceed the series radius {_SERIES_RADIUS}")
+    _require_above("r_max", r_max, _SERIES_RADIUS)
     if not all(_SERIES_RADIUS < radius <= r_max for radius in radii):
         raise ValueError(f"extra radii must lie in ({_SERIES_RADIUS}, r_max]")
     # scipy is imported where it is called, never at module level: loading
@@ -381,8 +373,8 @@ def cone_profile(alpha: float, r_max: float) -> RadialProfile:
 
     Restricted to alpha >= 1 so the second derivative stays finite at 0.
     """
-    if alpha < 1.0:
-        raise ValueError(f"cone profile needs alpha >= 1, got {alpha}")
+    _require_above("alpha", alpha, 1.0, at_floor=True)
+    _require_above("r_max", r_max)
     r = np.linspace(0.0, r_max, 2001)
     d2 = np.zeros_like(r)
     d2[1:] = alpha * r[1:] ** (alpha - 1.0)
@@ -403,8 +395,7 @@ def l_sigma_residual(profile: RadialProfile, alpha: float, sigma: float) -> floa
     series limit 2 u''(0) sigma^(1/(2*alpha) - 1/2) replaces the formula;
     for sigma = 0 the origin is excluded instead.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("alpha", alpha)
     if not 0.0 <= sigma <= 1.0:
         raise ValueError(f"sigma must lie in [0, 1], got {sigma}")
     worst = float(np.max(np.abs(_l_sigma_off_origin(profile, alpha, sigma) - 1.0)))
@@ -447,8 +438,7 @@ def l0_vs_lsigma(profile: RadialProfile, alpha: float, sigma: float) -> float:
     L_0 = u'^(1/alpha) / r.  The gradient must be positive away from the
     origin, which is excluded.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("alpha", alpha)
     du = profile.du[1:]
     if np.any(du <= 0.0):
         raise ValueError("gradient must be positive away from the origin")
@@ -470,10 +460,8 @@ def blow_down(profile: RadialProfile, alpha: float, h: float) -> tuple[RadialPro
     among its radii has a node at x = 1.  Returns the rescaled profile and
     its sup distance to the cone x^(1+alpha)/(1+alpha).
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if h <= 0.0:
-        raise ValueError(f"blow-down scale must be positive, got {h}")
+    _require_above("alpha", alpha)
+    _require_above("blow-down scale h", h)
     lam = blow_down_radius(alpha, h)
     if lam > profile.r[-1] * (1.0 + 1e-9):
         raise ValueError(
@@ -492,8 +480,7 @@ def blow_down(profile: RadialProfile, alpha: float, h: float) -> tuple[RadialPro
 
 def growth_bound_check(profile: RadialProfile, alpha: float) -> float:
     """Smallest C with u(r) <= C (1 + r^(1+alpha)) on the grid."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("alpha", alpha)
     return float(np.max(profile.u / (1.0 + profile.r ** (1.0 + alpha))))
 
 
@@ -585,11 +572,9 @@ def comparison_ode(alpha: float, delta: float, t_max: float,
     off the rows.  The solution scales with delta, so the absolute
     tolerance does too.  stats, if given, receives DOP853's counts.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    _require_length("t_max", t_max)
+    _require_above("alpha", alpha)
+    _require_above("delta", delta)
+    _require_above("t_max", t_max)
     inv_alpha = 1.0 / alpha
 
     def rhs(t, y):
@@ -643,10 +628,8 @@ def log_convexity_grid(
     one phi_r / r.  Returns (r, phi_rr, phi_r / r) on a grid that stays a
     factor 1e-3 away from the singular endpoints.
     """
-    if R <= 0.0:
-        raise ValueError(f"R must be positive, got {R}")
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _require_above("R", R)
+    _require_above("alpha", alpha)
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
     r = R * np.linspace(1e-3, 1.0 - 1e-3, n_points)

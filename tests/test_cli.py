@@ -832,7 +832,7 @@ def test_flow_judge_reads_the_stop_reason_the_march_recorded(tmp_path, monkeypat
     trace = cli.fl.run_to_extinction(cli._build_body(cfg), cli._flow_params(cfg),
                                      t_max=cfg.t_max)
     assert trace.stop_reason.value == reason
-    cli.tables.write_columns(tmp_path / "trace.csv", cli.fl.trace_summary_rows(trace))
+    cli.tables.write_columns(tmp_path / "trace.csv", trace.columns)
     judged, _ = cli._flow_judge(cfg, tables.read_columns(tmp_path / "trace.csv"))
     assert judged["stop_reason"] == reason
 

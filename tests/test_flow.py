@@ -457,7 +457,7 @@ def test_stage_radius_is_one_transform_of_the_coefficients(seed, m):
     v = np.fft.rfft(geo.random_convex_body(np.random.default_rng(seed), m=m).samples)
     v[9:] = 0.0
     k = np.arange(9)
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    theta = geo._angles(m)
     scale = np.where(k == 0, 1.0, 2.0) * (1.0 - k**2) / m
     exact = (np.cos(np.outer(theta, k)) @ (scale * v[:9].real)
              - np.sin(np.outer(theta, k)) @ (scale * v[:9].imag))
@@ -674,7 +674,7 @@ def _sup_rel(a, b):
 @pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
 def test_normalized_march_matches_rk4_near_the_circle(alpha):
     p = FlowParams(alpha=alpha, m=64)
-    theta = np.arange(64) * (2.0 * np.pi / 64)
+    theta = geo._angles(64)
     s0 = geo.SupportFunction(1.0 + 1e-3 * np.cos(2.0 * theta))
     taus, states = fl.run_normalized(s0, p, 0.5)
     assert taus[-1] == pytest.approx(0.5, abs=1e-12)
@@ -725,7 +725,7 @@ def test_perturbation_modes_stay_decoupled():
     # Starting from circle + eps*cos(3 theta), other modes are excited only
     # at second order in eps.
     eps = 1e-3
-    theta = np.arange(128) * (2.0 * np.pi / 128)
+    theta = geo._angles(128)
     s0 = geo.SupportFunction(1.0 + eps * np.cos(3.0 * theta))
     p = FlowParams(alpha=1.0, m=128)
     _, states = fl.run_normalized(s0, p, 1.0)
@@ -837,7 +837,7 @@ def test_jensen_bound_rejects_small_alpha():
 def test_trace_csv_round_trip(tmp_path):
     trace = fl.run_to_extinction(circle(), P64)
     path = tmp_path / "trace.csv"
-    tables.write_columns(path, fl.trace_summary_rows(trace))
+    tables.write_columns(path, trace.columns)
     back = tables.read_columns(path)
     assert list(back) == list(fl.TRACE_COLUMNS)
     for name in fl.TRACE_COLUMNS:
@@ -860,14 +860,14 @@ def test_trace_columns_match_the_per_state_functions(body):
     np.testing.assert_array_equal(trace.columns["length"], [geo.length(s) for s in states])
     expected = []
     for t, s in zip(trace.columns["t"], states):
-        center = geo.steiner_point(s)
-        rec = geo.translate(s, (-center.x, -center.y)).samples
+        cx, cy = geo.steiner_point(s)
+        rec = geo.translate(s, (-cx, -cy)).samples
         mean_radius = float(np.mean(rec))
         expected.append([t, geo.area(s), geo.length(s), geo.inradius(s),
                          geo.circumradius(s),
                          float(np.max(np.abs(rec - mean_radius))) / mean_radius,
                          fl.curvature_integral(s, 1.0)])
-    columns = fl.trace_summary_rows(trace)
+    columns = trace.columns
     np.testing.assert_array_equal(np.column_stack(list(columns.values())), expected)
 
 
@@ -903,9 +903,8 @@ def test_snapshot_columns_hold_every_kth_state_and_the_last(every):
     np.testing.assert_array_equal(columns["s"].reshape(-1, m), trace.samples[rows])
     np.testing.assert_array_equal(columns["t"].reshape(-1, m),
                                   np.repeat(trace.columns["t"][rows, None], m, axis=1))
-    thetas = geo.SupportFunction(trace.samples[0]).thetas
     np.testing.assert_array_equal(columns["theta"].reshape(-1, m),
-                                  np.broadcast_to(thetas, (len(rows), m)))
+                                  np.broadcast_to(geo._angles(m), (len(rows), m)))
 
 
 def test_snapshot_table_reads_back_bit_for_bit(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ellipe
 
+from gcsf import flow as fl
 from gcsf import geometry as geo
-from gcsf.geometry import ConvexityLostError, PlanePoint, SupportFunction
+from gcsf import solitons as so
+from gcsf.geometry import ConvexityLostError, SupportFunction
 
 
 def unit_circle(m=256):
@@ -37,8 +40,7 @@ vectors = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 # -- spectral differentiation ----------------------------------------------
 
 def test_trig_derivative_exact_on_harmonics():
-    m = 256
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    theta = geo._angles(256)
     values = np.cos(3.0 * theta)
     np.testing.assert_allclose(
         geo.trig_derivative(values, 1), -3.0 * np.sin(3.0 * theta), atol=1e-12)
@@ -48,7 +50,7 @@ def test_trig_derivative_exact_on_harmonics():
 
 def test_trig_derivative_nyquist_mode():
     m = 256
-    theta = np.arange(m) * (2.0 * np.pi / m)
+    theta = geo._angles(m)
     values = np.cos((m // 2) * theta)
     # The Nyquist cosine has no resolvable odd derivative on this grid.
     np.testing.assert_allclose(geo.trig_derivative(values, 1), 0.0, atol=1e-12)
@@ -86,7 +88,7 @@ def test_support_function_rejects_bad_grids():
 
 
 def test_support_function_rejects_nonconvex():
-    theta = np.arange(256) * (2.0 * np.pi / 256)
+    theta = geo._angles(256)
     # mode-2 amplitude 0.9 drives s'' + s to 1 - 3*0.9 < 0
     with pytest.raises(ConvexityLostError):
         SupportFunction(1.0 + 0.9 * np.cos(2.0 * theta))
@@ -103,6 +105,89 @@ def test_maker_argument_validation():
         geo.make_circle(0.0)
     with pytest.raises(ValueError):
         geo.make_ellipse(1.0, -1.0)
+
+
+@pytest.mark.parametrize("center", [(math.nan, 0.0), (0.0, math.inf), (math.inf, -math.inf)])
+def test_circle_about_a_non_finite_center_is_rejected_without_warning(center):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            geo.make_circle(1.0, center)
+
+
+@pytest.mark.parametrize("cached", [geo._wavenumbers, geo._angles, geo._radius_symbol,
+                                    lambda m: geo._basis(m)[0], lambda m: geo._basis(m)[1]])
+def test_cached_grid_arrays_are_read_only(cached):
+    # Every caller shares one array per grid size, so a write must fail.
+    array = cached(64)
+    before = array.copy()
+    with pytest.raises(ValueError):
+        array[0] = 2.0
+    np.testing.assert_array_equal(cached(64), before)
+
+
+def test_angles_are_the_uniform_grid():
+    np.testing.assert_array_equal(geo._angles(64), np.arange(64) * (2.0 * np.pi / 64))
+    cos_t, sin_t = geo._basis(64)
+    np.testing.assert_array_equal(cos_t, np.cos(geo._angles(64)))
+    np.testing.assert_array_equal(sin_t, np.sin(geo._angles(64)))
+
+
+# Every scalar argument guarded by geometry's one guard, as a call that
+# passes the value given to it; the cheap profile is exact.
+_CONE = so.cone_profile(1.0, 2.0)
+_GUARDED = {
+    "FlowParams.alpha": lambda v: fl.FlowParams(alpha=v, m=64),
+    "step.dt": lambda v: fl.step(geo.make_circle(1.0, m=64), fl.FlowParams(1.0, 64), v),
+    "run_normalized.tau_end": lambda v: fl.run_normalized(
+        geo.make_circle(1.0, m=64), fl.FlowParams(1.0, 64), v),
+    "linearized_mode_rate.alpha": lambda v: fl.linearized_mode_rate(v, 2),
+    "make_circle.radius": lambda v: geo.make_circle(v, m=64),
+    "make_ellipse.a": lambda v: geo.make_ellipse(v, 1.0, m=64),
+    "make_ellipse.b": lambda v: geo.make_ellipse(1.0, v, m=64),
+    "translator_1d.alpha": lambda v: so.translator_1d(v, 1.0),
+    "translator_1d.x_max": lambda v: so.translator_1d(1.0, v),
+    "strip_half_width.alpha": lambda v: so.strip_half_width(v),
+    "radial_translator.alpha": lambda v: so.radial_translator(v, 1.0, 1.0),
+    "radial_translator.r_max": lambda v: so.radial_translator(1.0, 1.0, v),
+    "cone_profile.alpha": lambda v: so.cone_profile(v, 1.0),
+    "cone_profile.r_max": lambda v: so.cone_profile(1.0, v),
+    "l_sigma_residual.alpha": lambda v: so.l_sigma_residual(_CONE, v, 1.0),
+    "l0_vs_lsigma.alpha": lambda v: so.l0_vs_lsigma(_CONE, v, 1.0),
+    "blow_down.alpha": lambda v: so.blow_down(_CONE, v, 1.0),
+    "blow_down.h": lambda v: so.blow_down(_CONE, 1.0, v),
+    "growth_bound_check.alpha": lambda v: so.growth_bound_check(_CONE, v),
+    "comparison_ode.alpha": lambda v: so.comparison_ode(v, 1.0, 1.0),
+    "comparison_ode.delta": lambda v: so.comparison_ode(1.0, v, 1.0),
+    "comparison_ode.t_max": lambda v: so.comparison_ode(1.0, 1.0, v),
+    "log_convexity_grid.R": lambda v: so.log_convexity_grid(v, 1.0, 11),
+    "log_convexity_grid.alpha": lambda v: so.log_convexity_grid(1.0, v, 11),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("argument", sorted(_GUARDED))
+def test_guarded_arguments_reject_nan_and_infinity(argument, value):
+    # NaN passes every comparison guard such as "x <= 0"; the one guard
+    # rejects it, and both infinities, before any arithmetic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="must be a finite number"):
+            _GUARDED[argument](value)
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argument, value", [
+    ("step.dt", 0.0), ("run_normalized.tau_end", 0.0), ("strip_half_width.alpha", 0.5000001),
+    ("cone_profile.alpha", 1.0), ("make_circle.radius", 1e-300), ("FlowParams.alpha", 1e-300)])
+def test_guards_keep_their_floors(argument, value):
+    _GUARDED[argument](value)
+    below = {"step.dt": -1e-300, "run_normalized.tau_end": -1e-300,
+             "strip_half_width.alpha": 0.5, "cone_profile.alpha": 1.0 - 1e-16,
+             "make_circle.radius": 0.0, "FlowParams.alpha": 0.0}[argument]
+    with pytest.raises(ValueError, match="must be a finite number"):
+        _GUARDED[argument](below)
 
 
 def test_ellipse_beyond_the_float_range_is_rejected_without_warning():
@@ -124,12 +209,12 @@ def test_circle_measures_exact():
 
 
 def test_offcenter_circle_measures():
-    s = geo.make_circle(1.0, center=PlanePoint(0.3, -0.4))
+    s = geo.make_circle(1.0, center=(0.3, -0.4))
     assert math.isclose(geo.area(s), math.pi, rel_tol=1e-12)
     assert math.isclose(geo.length(s), 2.0 * math.pi, rel_tol=1e-12)
-    p = geo.steiner_point(s)
-    assert math.isclose(p.x, 0.3, abs_tol=1e-13)
-    assert math.isclose(p.y, -0.4, abs_tol=1e-13)
+    x, y = geo.steiner_point(s)
+    assert math.isclose(x, 0.3, abs_tol=1e-13)
+    assert math.isclose(y, -0.4, abs_tol=1e-13)
 
 
 def test_ellipse_area_and_length():
@@ -164,7 +249,7 @@ def test_mode_amplitude_reads_coefficients():
     assert math.isclose(geo._mode_amplitudes(s.samples, 2), 0.05, rel_tol=1e-12)
     assert geo._mode_amplitudes(s.samples, 3) <= 1e-14
 
-    nyq = SupportFunction(1.0 + 1e-5 * np.cos(128 * unit_circle().thetas))
+    nyq = SupportFunction(1.0 + 1e-5 * np.cos(128 * geo._angles(256)))
     assert math.isclose(geo._mode_amplitudes(nyq.samples, 128), 1e-5, rel_tol=1e-10)
 
 
@@ -198,10 +283,10 @@ def test_measures_are_translation_invariant(s, v):
 
 @given(convex_bodies(), vectors)
 def test_steiner_point_is_translation_equivariant(s, v):
-    p = geo.steiner_point(s)
-    q = geo.steiner_point(geo.translate(s, v))
-    assert math.isclose(q.x, p.x + v[0], abs_tol=1e-10)
-    assert math.isclose(q.y, p.y + v[1], abs_tol=1e-10)
+    px, py = geo.steiner_point(s)
+    qx, qy = geo.steiner_point(geo.translate(s, v))
+    assert math.isclose(qx, px + v[0], abs_tol=1e-10)
+    assert math.isclose(qy, py + v[1], abs_tol=1e-10)
 
 
 @given(convex_bodies(), vectors)
@@ -209,8 +294,8 @@ def test_recenter_moves_steiner_to_origin(s, v):
     # The distances to the supporting lines from the Steiner point, which
     # inradius and circumradius read, are the body moved to the origin.
     centered = SupportFunction(geo._steiner(geo.translate(s, v).samples)[2])
-    p = geo.steiner_point(centered)
-    assert abs(p.x) <= 1e-10 and abs(p.y) <= 1e-10
+    x, y = geo.steiner_point(centered)
+    assert abs(x) <= 1e-10 and abs(y) <= 1e-10
     again = geo._steiner(centered.samples)[2]
     np.testing.assert_allclose(again, centered.samples, atol=1e-12)
 

@@ -212,16 +212,6 @@ def test_radial_translator_validation():
         so.radial_translator(1.0, 1.0, 1e-4)
 
 
-@pytest.mark.parametrize("length", [math.inf, math.nan])
-def test_marchers_reject_non_finite_lengths(length):
-    with pytest.raises(ValueError):
-        so.translator_1d(0.4, length)
-    with pytest.raises(ValueError):
-        so.radial_translator(1.0, 1.0, length)
-    with pytest.raises(ValueError):
-        so.comparison_ode(1.0, 1e-6, length)
-
-
 def test_growth_constant_of_the_cone():
     cone = so.cone_profile(1.0, 10.0)
     c = so.growth_bound_check(cone, 1.0)
