@@ -361,9 +361,10 @@ def _flow_judge(cfg: SimpleNamespace, trace):
 
 def _run_normalized_rate(cfg: SimpleNamespace, stats: fl.MarchStats):
     # The normalized march takes a few hundred ETD steps; its rate fit wants
-    # every one of them, as mode_decay_series keeps.
-    tau, amplitude = fl.mode_decay_series(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
-                                          cfg.mode, stats=stats)
+    # every one of them, the default store_every, and only the mode's
+    # amplitude of each, which run_normalized reads off its coefficients.
+    tau, amplitude = fl.run_normalized(_build_body(cfg), _flow_params(cfg), cfg.tau_end,
+                                       stats=stats, mode=cfg.mode)
     inside = int(np.count_nonzero((tau >= cfg.fit_window[0]) & (tau <= cfg.fit_window[1])))
     _require(inside >= fl.FIT_MIN_POINTS,
              f"field 'fit_window' holds {inside} of the march's {tau.size} steps, "
@@ -611,18 +612,30 @@ def run_config(cfg: SimpleNamespace) -> dict:
     """Execute one experiment, write its CSVs, then its manifest, and return
     the manifest; nothing else writes a run directory.  A run that raises
     writes no CSV, nor a manifest on UsageError.  The source table just
-    written is judged, as verify judges it read back."""
+    written is judged, as verify judges it read back.  The manifest's
+    timings hold the seconds of each phase that finished, solve, write and
+    judge, inside wall_time_s; verify ignores both."""
     _make_dir(cfg.output_dir)
     experiment = EXPERIMENTS[cfg.experiment]
-    started = time.perf_counter()
+    started = mark = time.perf_counter()
+    timings = {}
+
+    def finished(phase: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        timings[phase], mark = now - mark, now
+
     error = None
     judged = {"scalars": {}, "checks": [], "pass": False}
     stats = experiment.solver() if experiment.solver else None
     try:
         columns = experiment.run(cfg, stats)
+        finished("solve")
         for name, table in columns.items():
             tables.write_columns(os.path.join(cfg.output_dir, name), table)
+        finished("write")
         judged = _judged(experiment, cfg, columns[experiment.source])
+        finished("judge")
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     payload = {
@@ -630,6 +643,7 @@ def run_config(cfg: SimpleNamespace) -> dict:
         "version": __version__,
         "config": vars(cfg),
         "wall_time_s": time.perf_counter() - started,
+        "timings": timings,
         "scalars": judged["scalars"],
         "checks": judged["checks"],
         "solver": asdict(stats) if stats is not None else None,

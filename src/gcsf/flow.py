@@ -7,7 +7,9 @@ ds_hat/dtau = -(s_hat'' + s_hat)^(-alpha) + lambda s_hat, where lambda,
 the integral of r_hat^(1-alpha) over twice the area, holds the area of
 s_hat at pi.  As the body shrinks to a round point R falls to 0 and s_hat
 tends to the unit circle.  Both flow experiments record this one march,
-_etd_march: run_to_extinction the body s at t, run_normalized s_hat at tau.
+_etd_march: run_to_extinction the body s at t, run_normalized s_hat at tau,
+or, given a mode, that harmonic's amplitude of s_hat, read off the march's
+own Fourier coefficients without a transform.
 
 The march is exponential time differencing (ETDRK4, Cox & Matthews,
 J. Comput. Phys. 176, 2002) on the Fourier coefficients of s_hat.  The
@@ -41,9 +43,9 @@ from gcsf.geometry import (
     _areas,
     _curvature_integrals,
     _lengths,
-    _mode_amplitudes,
     _radius_symbol,
     _require_above,
+    _spectrum_amplitudes,
     _steiner,
     curvature_radius_samples,
     length,
@@ -510,13 +512,14 @@ def _check_start(s0: SupportFunction, p: FlowParams) -> None:
         raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
 
 
-def _record(start: np.ndarray, march, store_every: int, scaled: bool):
+def _record(start: np.ndarray, march, store_every: int, scaled: bool, spectral: bool = False):
     """Yield (clock, row) for every store_every-th state of a march from
     _etd_march, begun at the samples start, and for its last state, once.
 
     A row is the body s at its time t when scaled, else the normalized
     state s_hat = s / R at tau: one inverse transform of the yielded
     coefficients, but for the body's first row, which is start itself.
+    With spectral a row is those coefficients, w or w / R, untransformed.
     The clock is t or tau.  The record ends with the march; at the last
     state whose clock advanced, since near extinction the steps of t fall
     below its rounding; at the last state accepted before a
@@ -532,12 +535,13 @@ def _record(start: np.ndarray, march, store_every: int, scaled: bool):
             last = clock, coefficients
             if accepted % store_every == 0:
                 kept = clock
-                yield clock, start if scaled and not accepted else np.fft.irfft(coefficients, n=m)
+                yield clock, (coefficients if spectral else start if scaled and not accepted
+                              else np.fft.irfft(coefficients, n=m))
     except ConvexityLostError:
         if not accepted:  # no step taken: no run to record
             raise
     if kept != last[0]:
-        yield last[0], np.fft.irfft(last[1], n=m)
+        yield last[0], last[1] if spectral else np.fft.irfft(last[1], n=m)
 
 
 def _trace_row(row: np.ndarray, alpha: float) -> tuple:
@@ -624,21 +628,34 @@ def run_normalized(
     tau_end: float,
     store_every: int = 1,
     stats: MarchStats | None = None,
-) -> tuple[np.ndarray, list[SupportFunction]]:
-    """March the flow to tau_end, recording the normalized states
+    mode: int | None = None,
+) -> tuple[np.ndarray, list[SupportFunction] | np.ndarray]:
+    """March the flow to tau_end, recording the normalized state
     s_hat = s / R at every store_every-th accepted step and the final state.
 
-    The march is _etd_march to tau_end; where no acceptable step exists the
-    record ends at the last accepted state, before tau_end.  A MarchStats
-    passed as stats receives its counts.
+    Returns (taus, states), or, with mode, (taus, amplitudes): the
+    amplitude of harmonic mode of each kept s_hat, read by
+    geometry's amplitude rule off the coefficients w / R the march already
+    holds, with no transform and no SupportFunction per state.  A mode off
+    the grid raises ValueError before the first step.  The states are kept
+    for perfbench, which counts and re-validates them; gcsf itself asks for
+    amplitudes.  The march is _etd_march to tau_end; where no acceptable
+    step exists the record ends at the last accepted state, before tau_end.
+    A MarchStats passed as stats receives its counts.
     """
     _check_start(s0, p)
     if store_every < 1:
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     _require_above("tau_end", tau_end, at_floor=True)
     y = np.array(s0.samples, dtype=float)
-    taus, rows = zip(*_record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False))
-    return np.array(taus), [SupportFunction(row) for row in rows]
+    records = _record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False,
+                      spectral=mode is not None)
+    if mode is None:
+        taus, rows = zip(*records)
+        return np.array(taus), [SupportFunction(row) for row in rows]
+    # The march yields its start before any step, so a bad mode fails at once.
+    taus, amplitudes = zip(*((tau, _spectrum_amplitudes(w, mode)) for tau, w in records))
+    return np.array(taus), np.array(amplitudes)
 
 
 def linearized_mode_rate(alpha: float, mode: int) -> float:
@@ -677,14 +694,6 @@ def fit_decay_rate(taus, deltas, window: tuple[float, float]) -> RateFit:
     rate, intercept = np.polyfit(taus, logs, 1)
     resid = logs - (rate * taus + intercept)
     return RateFit(float(rate), float(np.sqrt(np.mean(resid**2))))
-
-
-def mode_decay_series(s0: SupportFunction, p: FlowParams, tau_end: float, mode: int,
-                      stats: MarchStats | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(taus, amplitudes) of harmonic mode along the normalized flow from
-    s0, at every accepted step (see run_normalized)."""
-    taus, states = run_normalized(s0, p, tau_end, stats=stats)
-    return taus, _mode_amplitudes(np.array([state.samples for state in states]), mode)
 
 
 def curvature_integral(s: SupportFunction, alpha: float) -> float:

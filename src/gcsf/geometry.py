@@ -216,13 +216,20 @@ def _curvature_integrals(values: np.ndarray, alpha: float) -> np.ndarray:
                                                       axis=-1)
 
 
-def _mode_amplitudes(values: np.ndarray, mode: int) -> np.ndarray:
-    """Amplitude sqrt(a_k^2 + b_k^2) of harmonic k = mode."""
-    m = values.shape[-1]
+def _spectrum_amplitudes(spectra: np.ndarray, mode: int) -> np.ndarray:
+    """Amplitude sqrt(a_k^2 + b_k^2) = weight * |c_k| / m of harmonic
+    k = mode, from the rfft coefficients c of samples on an even grid of m
+    points, along the last axis; weight is 1 at k = 0 and m/2, else 2."""
+    m = 2 * (spectra.shape[-1] - 1)
     if not 0 <= mode <= m // 2:
         raise ValueError(f"mode must lie in [0, {m // 2}], got {mode}")
     weight = 1.0 if mode in (0, m // 2) else 2.0
-    return weight * np.abs(np.fft.rfft(values)[..., mode]) / m
+    return weight * np.abs(spectra[..., mode]) / m
+
+
+def _mode_amplitudes(values: np.ndarray, mode: int) -> np.ndarray:
+    """_spectrum_amplitudes of the samples values, along the last axis."""
+    return _spectrum_amplitudes(np.fft.rfft(values), mode)
 
 
 def _steiner(values: np.ndarray) -> tuple:

@@ -54,6 +54,26 @@ def test_run_log_convexity_passes(tmp_path, capsys):
     assert (out / "margins.csv").exists()
 
 
+@pytest.mark.parametrize("entries, phases", [
+    ({"experiment": "log-convexity"}, ["solve", "write", "judge"]),
+    ({"experiment": "normalized-rate", "m": 64}, ["solve", "write", "judge"]),
+    # A run that raises while it solves times no phase.
+    ({"experiment": "radial-translator", "alpha": 0.01, "sigma": 1e-9}, [])])
+def test_manifest_times_each_phase_inside_the_wall_time(tmp_path, entries, phases):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, output_dir=str(out), **entries)
+    status = cli.main(["run", cfg])
+    manifest = read_manifest(out)
+    timings = manifest["timings"]
+    assert list(timings) == phases
+    assert all(seconds >= 0.0 for seconds in timings.values())
+    assert sum(timings.values()) <= manifest["wall_time_s"]
+    # verify ignores the timings, as it ignores wall_time_s.
+    manifest["timings"] = {"solve": -1.0}
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert cli.main(["verify", str(out)]) == status
+
+
 def test_run_resolves_experiment_defaults(tmp_path):
     out = tmp_path / "run"
     cfg = write_config(tmp_path, experiment="radial-translator",
@@ -1029,6 +1049,21 @@ def test_parallel_sweep_matches_serial(tmp_path, monkeypatch):
         assert cli.main(["sweep", cfg, "--param", "alpha",
                          "--values", "0.7,1,2"]) == 0
         results[label] = (base / "summary.csv").read_bytes()
+    assert results["serial"] == results["parallel"]
+
+
+def test_parallel_rate_sweep_matches_serial(tmp_path, monkeypatch):
+    # A sweep that marches: each worker's normalized-rate runs write the
+    # same summary and rate tables as the serial runs, byte for byte.
+    results = {}
+    for label, threads in (("serial", "1"), ("parallel", "2")):
+        base = tmp_path / label
+        cfg = write_config(tmp_path, name=f"{label}.json", experiment="normalized-rate",
+                           output_dir=str(base), m=64, tau_end=1.5, fit_window=[1.0, 1.5])
+        monkeypatch.setenv("GCSF_THREADS", threads)
+        assert cli.main(["sweep", cfg, "--param", "alpha", "--values", "0.6,1,2"]) == 0
+        results[label] = [(base / "summary.csv").read_bytes()] + [
+            (base / f"alpha={value}" / "rate.csv").read_bytes() for value in ("0.6", "1", "2")]
     assert results["serial"] == results["parallel"]
 
 

@@ -620,20 +620,26 @@ def test_march_records_the_smallest_curvature_radius():
     assert stats.r_min < radii[0]
 
 
-def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
+def _count_kernel_calls(monkeypatch):
+    # Calls of the kernel curvature_radius_samples at the flow module's
+    # binding and at geometry's, from here on.
     calls = {"flow": 0, "geometry": 0}
+    kernel = geo.curvature_radius_samples
 
     def counted(binding):
-        kernel = geo.curvature_radius_samples
-
         def wrapper(*args, **kwargs):
             calls[binding] += 1
             return kernel(*args, **kwargs)
         return wrapper
 
-    s0 = _benchmark_body(1, m=64)
     monkeypatch.setattr(fl, "curvature_radius_samples", counted("flow"))
     monkeypatch.setattr(geo, "curvature_radius_samples", counted("geometry"))
+    return calls
+
+
+def test_extinction_run_calls_the_kernel_only_from_the_march(monkeypatch):
+    s0 = _benchmark_body(1, m=64)
+    calls = _count_kernel_calls(monkeypatch)
     stats = fl.MarchStats()
     trace = fl.run_to_extinction(s0, P64, stats=stats)
     fl.trace_summary_rows(trace)
@@ -692,6 +698,35 @@ def test_normalized_march_matches_rk4_on_random_bodies(seed, alpha):
     assert _sup_rel(states[-1].samples, reference.samples) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_mode_amplitudes_are_read_off_the_march(monkeypatch, seed, alpha):
+    # Given a mode, run_normalized keeps the march's own coefficients of
+    # each state: the same taus as the states, bit for bit, their
+    # amplitudes to rounding, and no kernel call but the march's, since no
+    # state is rebuilt as a SupportFunction.
+    p = FlowParams(alpha=alpha, m=64)
+    s0 = geo.random_convex_body(np.random.default_rng(seed), m=64)
+    taus, states = fl.run_normalized(s0, p, 0.5)
+    rows = np.array([s.samples for s in states])
+    calls = _count_kernel_calls(monkeypatch)
+    for mode in (0, 1, 2, 32):
+        calls.update(flow=0, geometry=0)
+        stats = fl.MarchStats()
+        mode_taus, amplitudes = fl.run_normalized(s0, p, 0.5, stats=stats, mode=mode)
+        assert mode_taus.tobytes() == taus.tobytes()
+        np.testing.assert_allclose(amplitudes, geo._mode_amplitudes(rows, mode),
+                                   rtol=0.0, atol=1e-15)
+        assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 0}
+
+
+def test_a_mode_off_the_grid_fails_before_the_march():
+    stats = fl.MarchStats()
+    with pytest.raises(ValueError, match="mode must lie in"):
+        fl.run_normalized(circle(), P64, 1.0, stats=stats, mode=33)
+    assert stats.accepted_steps == 0
+
+
 def test_linearized_mode_rate_values():
     assert fl.linearized_mode_rate(1.0, 2) == pytest.approx(-2.0)
     assert fl.linearized_mode_rate(1.0, 3) == pytest.approx(-7.0)
@@ -715,7 +750,7 @@ def test_fit_decay_rate_needs_enough_points():
 
 def test_mode_three_decays_at_its_own_rate():
     body = geo.make_fourier_body([1.0, 0.0, 0.0, 1e-3], m=128)
-    taus, amplitudes = fl.mode_decay_series(body, FlowParams(alpha=1.0, m=128), 2.0, 3)
+    taus, amplitudes = fl.run_normalized(body, FlowParams(alpha=1.0, m=128), 2.0, mode=3)
     fit = fl.fit_decay_rate(taus, amplitudes, (0.5, 1.5))
     expected = fl.linearized_mode_rate(1.0, 3)
     assert abs(fit.rate - expected) / abs(expected) <= 5e-3
