@@ -306,11 +306,10 @@ def _check_flow_body(cfg: SimpleNamespace) -> None:
 
 
 def _run_flow(cfg: SimpleNamespace, stats: fl.MarchStats):
-    trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max, stats=stats)
-    columns = {"trace.csv": trace.columns}
-    if cfg.snapshot_every > 0:
-        columns["snapshots.csv"] = fl.snapshot_columns(trace, cfg.snapshot_every)
-    return columns
+    trace = fl.run_to_extinction(_build_body(cfg), _flow_params(cfg), t_max=cfg.t_max,
+                                 stats=stats, snapshot_every=cfg.snapshot_every)
+    columns = {"trace.csv": trace.columns, "snapshots.csv": trace.snapshots}
+    return {name: table for name, table in columns.items() if table is not None}
 
 
 def _flow_judge(cfg: SimpleNamespace, trace):

@@ -152,15 +152,16 @@ TRACE_COLUMNS = ("t", "area", "length", "inradius", "circumradius", "delta_to_ci
 
 @dataclass
 class FlowTrace:
-    """Snapshots of one flow run; times are strictly increasing.
+    """The record of one flow run; times are strictly increasing.
 
-    samples is the (n, m) array of the stored support functions, one row
-    per time, each checked finite and convex by the march that stored it.
-    columns holds trace.csv's columns of those rows, keyed by TRACE_COLUMNS.
+    columns holds trace.csv's columns of the kept rows, keyed by
+    TRACE_COLUMNS.  snapshots holds snapshots.csv's columns t, theta and s
+    of the kept rows the run held (run_to_extinction's snapshot_every),
+    one row per sample, or None where it held none.
     """
 
-    samples: np.ndarray
     columns: dict[str, np.ndarray]
+    snapshots: dict[str, np.ndarray] | None
     extinction_time: float | None
     stop_reason: StopReason
 
@@ -559,34 +560,46 @@ def run_to_extinction(
     p: FlowParams,
     t_max: float | None = None,
     stats: MarchStats | None = None,
+    snapshot_every: int = 0,
 ) -> FlowTrace:
     """March the flow until its extinction time has converged, recording
     the body's states.
 
     The march is _etd_march to t_max, if given.  It keeps every
     STORE_EVERY-th accepted state and the last one, once, and measures
-    each kept row's trace columns as it keeps it.  It stops at the first
-    kept row past the start at which trace_outcome of the rows so far
-    reads extinct: the row's estimate of T has settled before t_max or its
-    inradius is below the floor STOP_INRADIUS.  Else it ends at t_max
-    (time_limit), or when no acceptable step exists or t no longer
-    advances (convexity_lost); a march that cannot take its first step
-    raises ConvexityLostError.  A MarchStats passed as stats receives the
-    march's counts.
+    each kept row's trace columns as it keeps it.  Of those rows it holds
+    rows 0, k, 2k, ... and the last, once, for k = snapshot_every > 0, and
+    none for k = 0, so a run without snapshots holds O(m) samples however
+    long it marches.  It stops at the first kept row past the start at
+    which trace_outcome of the rows so far reads extinct: the row's
+    estimate of T has settled before t_max or its inradius is below the
+    floor STOP_INRADIUS.  Else it ends at t_max (time_limit), or when no
+    acceptable step exists or t no longer advances (convexity_lost); a
+    march that cannot take its first step raises ConvexityLostError.  A
+    MarchStats passed as stats receives the march's counts.
     """
     _check_start(s0, p)
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     t_max = math.inf if t_max is None else t_max
     y = np.array(s0.samples, dtype=float)
-    rows, columns = [], {name: [] for name in TRACE_COLUMNS}
-    for t, row in _record(y, _etd_march(y, p, t_max, math.inf, stats), STORE_EVERY, True):
-        rows.append(row)
+    columns, held = {name: [] for name in TRACE_COLUMNS}, []
+    for kept, (t, row) in enumerate(_record(y, _etd_march(y, p, t_max, math.inf, stats),
+                                            STORE_EVERY, True)):
         for name, value in zip(TRACE_COLUMNS, (t, *_trace_row(row, p.alpha))):
             columns[name].append(value)
-        if len(rows) > 1 and trace_outcome(columns, p, t_max)[0] is StopReason.EXTINCT:
+        if snapshot_every and kept % snapshot_every == 0:
+            held.append((t, row))
+        if kept and trace_outcome(columns, p, t_max)[0] is StopReason.EXTINCT:
             break
+    if snapshot_every and kept % snapshot_every:
+        held.append((t, row))
     columns = {name: np.array(values) for name, values in columns.items()}
     outcome, extinction = trace_outcome(columns, p, t_max)
-    return FlowTrace(np.array(rows), columns, extinction, outcome)
+    snapshots = {"t": np.repeat([t for t, _ in held], p.m),
+                 "theta": np.tile(_angles(p.m), len(held)),
+                 "s": np.concatenate([row for _, row in held])} if held else None
+    return FlowTrace(columns, snapshots, extinction, outcome)
 
 
 def _estimate(times, areas, kappas, alpha: float, i: int) -> float:
@@ -773,14 +786,3 @@ def trace_summary_rows(trace: FlowTrace) -> dict[str, np.ndarray]:
     Kept only for perfbench, which times it as trace post-processing; gcsf
     itself reads trace.columns."""
     return dict(trace.columns)
-
-
-def snapshot_columns(trace: FlowTrace, every: int) -> dict[str, np.ndarray]:
-    """snapshots.csv's columns: every every-th stored state of trace and the
-    last, once, one row per sample: the state's time t, the grid angle theta
-    and the support value s.  Read back, s.reshape(-1, m) is those states."""
-    n, m = trace.samples.shape
-    rows = [*range(0, n - 1, every), n - 1]
-    return {"t": np.repeat(trace.columns["t"][rows], m),
-            "theta": np.tile(_angles(m), len(rows)),
-            "s": trace.samples[rows].ravel()}

@@ -227,11 +227,6 @@ def _spectrum_amplitudes(spectra: np.ndarray, mode: int) -> np.ndarray:
     return weight * np.abs(spectra[..., mode]) / m
 
 
-def _mode_amplitudes(values: np.ndarray, mode: int) -> np.ndarray:
-    """_spectrum_amplitudes of the samples values, along the last axis."""
-    return _spectrum_amplitudes(np.fft.rfft(values), mode)
-
-
 def _steiner(values: np.ndarray) -> tuple:
     """The Steiner point (x, y) and the distances from it to the supporting
     lines; x and y are scalars for one support function, columns for rows."""

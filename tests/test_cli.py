@@ -408,11 +408,13 @@ def test_flow_circle_checks_and_snapshots(tmp_path):
     # row per sample, bit for bit as the march stored them.
     assert sorted(os.listdir(out)) == ["manifest.json", "snapshots.csv", "trace.csv"]
     config = cli.config_from_dict(manifest["config"])
-    trace = cli.fl.run_to_extinction(cli._build_body(config), cli._flow_params(config))
-    n = len(trace.samples)
+    trace = cli.fl.run_to_extinction(cli._build_body(config), cli._flow_params(config),
+                                     snapshot_every=1)
+    n = len(trace.columns["t"])
     rows = sorted(set(range(0, n, 10)) | {n - 1})
+    samples = trace.snapshots["s"].reshape(n, 64)
     snapshots = tables.read_columns(out / "snapshots.csv")
-    assert snapshots["s"].reshape(-1, 64).tobytes() == trace.samples[rows].tobytes()
+    assert snapshots["s"].reshape(-1, 64).tobytes() == samples[rows].tobytes()
     assert snapshots["t"][::64].tobytes() == trace.columns["t"][rows].tobytes()
     assert cli.main(["verify", str(out)]) == 0
 

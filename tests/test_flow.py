@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,12 @@ def circle(radius=1.0, m=64):
 # Small grids keep the marches cheap; the circle is band-limited so the
 # spatial error is at roundoff no matter the grid.
 P64 = FlowParams(alpha=1.0, m=64)
+
+
+def _kept_states(trace):
+    # The samples of every kept row of a run with snapshot_every=1, one row
+    # per state, read off its snapshots table.
+    return trace.snapshots["s"].reshape(len(trace.columns["t"]), -1)
 
 
 # -- parameters and stepping ------------------------------------------------
@@ -165,9 +172,9 @@ def test_march_stops_where_the_step_no_longer_advances_time(monkeypatch):
 
 def test_circle_radius_follows_power_law():
     p = FlowParams(alpha=1.0, m=64)
-    trace = fl.run_to_extinction(circle(), p)
+    trace = fl.run_to_extinction(circle(), p, snapshot_every=1)
     T = 0.5
-    for t, row in zip(trace.columns["t"], trace.samples):
+    for t, row in zip(trace.columns["t"], _kept_states(trace)):
         if t > 0.9 * T:
             break
         expected = math.sqrt(max(1.0 - 2.0 * t, 0.0))
@@ -382,11 +389,11 @@ def test_lost_convexity_keeps_the_last_accepted_state_once(monkeypatch):
     monkeypatch.setattr(fl, "_etd_march", _stub_march(5, lose_convexity=True))
     monkeypatch.setattr(fl, "STORE_EVERY", 3)
     s0 = circle()
-    trace = fl.run_to_extinction(s0, P64)
+    trace = fl.run_to_extinction(s0, P64, snapshot_every=1)
     assert trace.stop_reason is StopReason.CONVEXITY_LOST
     assert trace.extinction_time is None
     np.testing.assert_array_equal(trace.columns["t"], [0.0, 0.03, 0.04])
-    np.testing.assert_array_equal(trace.samples, _stub_rows(s0, [0, 3, 4]))
+    np.testing.assert_array_equal(_kept_states(trace), _stub_rows(s0, [0, 3, 4]))
     taus, states = fl.run_normalized(s0, P64, 1.0, store_every=3)
     np.testing.assert_array_equal(taus, [0.0, 0.03, 0.04])
     np.testing.assert_array_equal([s.samples for s in states],
@@ -407,15 +414,34 @@ def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store
     monkeypatch.setattr(fl, "_etd_march", _stub_march(n, lose_convexity=False))
     monkeypatch.setattr(fl, "STORE_EVERY", store_every)
     s0 = circle()
-    trace = fl.run_to_extinction(s0, P64, t_max=0.01 * (n - 1))
+    trace = fl.run_to_extinction(s0, P64, t_max=0.01 * (n - 1), snapshot_every=1)
     taus, states = fl.run_normalized(s0, P64, 1.0, store_every=store_every)
     assert trace.stop_reason is StopReason.TIME_LIMIT
     expected = [0.01 * i for i in stored]
     np.testing.assert_array_equal(trace.columns["t"], expected)
     np.testing.assert_array_equal(taus, expected)
-    np.testing.assert_array_equal(trace.samples, _stub_rows(s0, stored))
+    np.testing.assert_array_equal(_kept_states(trace), _stub_rows(s0, stored))
     np.testing.assert_array_equal([s.samples for s in states],
                                   _stub_rows(s0, stored, scaled=False))
+
+
+def test_a_run_without_snapshots_holds_flat_memory(monkeypatch):
+    # The 2:1 ellipse at alpha = 0.2 never settles: each run ends at the
+    # step cap.  From n to 4n steps the traced peak may grow by trace.csv's
+    # rows alone, far less than a quarter of the samples of the rows added.
+    s0, p = geo.make_ellipse(1.0, 0.5, m=256), FlowParams(alpha=0.2, m=256)
+    n, peaks = 200, []
+    for steps in (n, 4 * n):
+        monkeypatch.setattr(fl, "MAX_STEPS", steps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="MAX_STEPS"):
+                fl.run_to_extinction(s0, p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    rows_added = 3 * n / fl.STORE_EVERY
+    assert peaks[1] - peaks[0] < 0.25 * rows_added * p.m * 8
 
 
 # -- the ETD step --------------------------------------------------------------
@@ -434,6 +460,32 @@ def _phi_weights_60_digits(z):
                  (2 + z + e * (z - 2)) / z**3,
                  (-4 - 3 * z - z * z + e * (4 - z)) / z**3]
         return [float(w) for w in exact]
+
+
+def _state_at(y, p, t_end):
+    # The body's samples where the march lands on t_end.
+    *_, (t, _, _, w) = fl._etd_march(y, p, t_end, math.inf)
+    assert t == t_end
+    return np.fft.irfft(w, n=y.size)
+
+
+@pytest.mark.parametrize("alpha, t_end", [(0.6, 0.1), (1.0, 0.05), (2.0, 0.03)])
+@pytest.mark.parametrize("body", ["ellipse", "random"])
+def test_etd_march_converges_at_fourth_order(monkeypatch, body, alpha, t_end):
+    # CFL scales every step, the parabolic floor included: halving it
+    # twice, the state's max-norm differences fall by 2^4 = 16 on an
+    # order-4 march, about 7 if the third stage reads n_a for n_b, and
+    # about 2 if the f2 weight is off by 1e-3.
+    if body == "ellipse":
+        s0 = geo.make_ellipse(1.0, 0.5, m=64)
+    else:
+        s0 = geo.random_convex_body(np.random.default_rng(3), m=64)
+    p, cfl, states = FlowParams(alpha=alpha, m=64), fl.CFL, []
+    for scale in (1.0, 0.5, 0.25):
+        monkeypatch.setattr(fl, "CFL", cfl * scale)
+        states.append(_state_at(s0.samples, p, t_end))
+    coarse, fine = (np.max(np.abs(a - b)) for a, b in itertools.pairwise(states))
+    assert 10.0 <= coarse / fine <= 22.0
 
 
 def test_etd_weights_match_60_digit_values():
@@ -565,7 +617,7 @@ def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_ev
     # keeps every state or every 8th.
     monkeypatch.setattr(fl, "STORE_EVERY", store_every)
     s0 = _benchmark_body(seed, m=64)
-    trace = fl.run_to_extinction(s0, P64)
+    trace = fl.run_to_extinction(s0, P64, snapshot_every=1)
     times, estimates, areas = [], [], []
     for accepted, t, y in _march_states(s0):
         if accepted % store_every:
@@ -580,19 +632,19 @@ def test_march_stops_on_the_row_the_exact_test_picks(monkeypatch, seed, store_ev
             break
     assert trace.stop_reason is StopReason.EXTINCT
     np.testing.assert_array_equal(trace.columns["t"], times)
-    np.testing.assert_array_equal(trace.samples[-1], y)
+    np.testing.assert_array_equal(_kept_states(trace)[-1], y)
     assert trace.extinction_time == estimates[-1]
     assert trace.columns["inradius"][-1] > 100.0 * fl.STOP_INRADIUS
     # With a rule that never settles, testing each stored state's samples
     # against the floor stops on the same state.
     monkeypatch.setattr(fl, "STOP_TOL", -1.0)
-    trace = fl.run_to_extinction(s0, P64)
+    trace = fl.run_to_extinction(s0, P64, snapshot_every=1)
     for accepted, t, y in _march_states(s0):
         if accepted % store_every == 0 and geo._steiner(y)[2].min() < fl.STOP_INRADIUS:
             break
     assert trace.stop_reason is StopReason.EXTINCT
     assert trace.columns["t"][-1] == t
-    np.testing.assert_array_equal(trace.samples[-1], y)
+    np.testing.assert_array_equal(_kept_states(trace)[-1], y)
     assert trace.columns["inradius"][-1] < fl.STOP_INRADIUS
     assert np.all(trace.columns["inradius"][:-1] >= fl.STOP_INRADIUS)
 
@@ -715,7 +767,8 @@ def test_mode_amplitudes_are_read_off_the_march(monkeypatch, seed, alpha):
         stats = fl.MarchStats()
         mode_taus, amplitudes = fl.run_normalized(s0, p, 0.5, stats=stats, mode=mode)
         assert mode_taus.tobytes() == taus.tobytes()
-        np.testing.assert_allclose(amplitudes, geo._mode_amplitudes(rows, mode),
+        np.testing.assert_allclose(amplitudes,
+                                   geo._spectrum_amplitudes(np.fft.rfft(rows), mode),
                                    rtol=0.0, atol=1e-15)
         assert calls == {"flow": 1 + 4 * stats.accepted_steps, "geometry": 0}
 
@@ -765,8 +818,9 @@ def test_perturbation_modes_stay_decoupled():
     p = FlowParams(alpha=1.0, m=128)
     _, states = fl.run_normalized(s0, p, 1.0)
     for s in states:
-        assert geo._mode_amplitudes(s.samples, 2) <= 10.0 * eps**2
-        assert geo._mode_amplitudes(s.samples, 4) <= 10.0 * eps**2
+        spectrum = np.fft.rfft(s.samples)
+        assert geo._spectrum_amplitudes(spectrum, 2) <= 10.0 * eps**2
+        assert geo._spectrum_amplitudes(spectrum, 4) <= 10.0 * eps**2
 
 
 def test_delta_to_circle_contracts_for_near_circle():
@@ -825,11 +879,11 @@ def test_trace_integrals_and_defect_match_the_per_state_arithmetic():
     # Both run on the whole trace at once; each must equal the per-state
     # curvature integral and a row-by-row three-point stencil bit for bit.
     p = FlowParams(alpha=2.0, m=128)
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
-    integrals = fl._curvature_integrals(trace.samples, p.alpha)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, snapshot_every=1)
+    integrals = fl._curvature_integrals(_kept_states(trace), p.alpha)
     np.testing.assert_array_equal(
         integrals, [fl.curvature_integral(geo.SupportFunction(row), p.alpha)
-                    for row in trace.samples])
+                    for row in _kept_states(trace)])
     t, a = trace.columns["t"], trace.columns["area"]
     worst = 0.0
     for i in range(1, len(t) - 1):
@@ -886,10 +940,11 @@ def test_trace_columns_match_the_per_state_functions(body):
     # state, bit for bit.
     if body == "ellipse":
         s0, p = geo.make_ellipse(3.0, 1.0, m=128), FlowParams(alpha=1.0, m=128)
-        trace = fl.run_to_extinction(s0, p, t_max=0.2)
+        trace = fl.run_to_extinction(s0, p, t_max=0.2, snapshot_every=1)
     else:
-        trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256))
-    states = [geo.SupportFunction(row) for row in trace.samples]
+        trace = fl.run_to_extinction(_benchmark_body(2), FlowParams(alpha=1.0, m=256),
+                                     snapshot_every=1)
+    states = [geo.SupportFunction(row) for row in _kept_states(trace)]
     assert len(states) == len(trace.columns["t"]) > 10
     np.testing.assert_array_equal(trace.columns["area"], [geo.area(s) for s in states])
     np.testing.assert_array_equal(trace.columns["length"], [geo.length(s) for s in states])
@@ -911,11 +966,11 @@ def test_kappa_integral_column_matches_the_per_state_integral(alpha):
     # Computed once per row as the march keeps it; each row must equal
     # curvature_integral of its state bit for bit.
     p = FlowParams(alpha=alpha, m=128)
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=128), p, snapshot_every=1)
     assert len(trace.columns["t"]) > 15
     np.testing.assert_array_equal(
         trace.columns["kappa_integral"],
-        [fl.curvature_integral(geo.SupportFunction(row), alpha) for row in trace.samples])
+        [fl.curvature_integral(geo.SupportFunction(row), alpha) for row in _kept_states(trace)])
 
 
 def test_trace_summary_rows_fields():
@@ -930,21 +985,34 @@ def test_trace_summary_rows_fields():
 
 @pytest.mark.parametrize("every", [1, 3, 50])
 def test_snapshot_columns_hold_every_kth_state_and_the_last(every):
-    trace = fl.run_to_extinction(circle(), P64)
-    columns = fl.snapshot_columns(trace, every)
+    # A run holds kept rows 0, k, 2k, ... and the last of the rows a run
+    # with k = 1 holds; k changes neither the march nor trace.csv, and a
+    # run with k = 0 holds none.
+    trace = fl.run_to_extinction(circle(), P64, snapshot_every=1)
+    held = fl.run_to_extinction(circle(), P64, snapshot_every=every)
+    columns = held.snapshots
     assert tuple(columns) == ("t", "theta", "s")
-    n, m = trace.samples.shape
+    for name in fl.TRACE_COLUMNS:
+        assert held.columns[name].tobytes() == trace.columns[name].tobytes()
+    assert fl.run_to_extinction(circle(), P64).snapshots is None
+    samples = _kept_states(trace)
+    n, m = samples.shape
     rows = sorted({i for i in range(n) if i % every == 0} | {n - 1})
-    np.testing.assert_array_equal(columns["s"].reshape(-1, m), trace.samples[rows])
+    np.testing.assert_array_equal(columns["s"].reshape(-1, m), samples[rows])
     np.testing.assert_array_equal(columns["t"].reshape(-1, m),
                                   np.repeat(trace.columns["t"][rows, None], m, axis=1))
     np.testing.assert_array_equal(columns["theta"].reshape(-1, m),
                                   np.broadcast_to(geo._angles(m), (len(rows), m)))
 
 
+def test_negative_snapshot_every_is_rejected():
+    with pytest.raises(ValueError, match="snapshot_every"):
+        fl.run_to_extinction(circle(), P64, snapshot_every=-1)
+
+
 def test_snapshot_table_reads_back_bit_for_bit(tmp_path):
-    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64)
-    columns = fl.snapshot_columns(trace, 3)
+    trace = fl.run_to_extinction(geo.make_ellipse(1.3, 1.0, m=64), P64, snapshot_every=3)
+    columns = trace.snapshots
     tables.write_columns(tmp_path / "snapshots.csv", columns)
     back = tables.read_columns(tmp_path / "snapshots.csv")
     assert list(back) == ["t", "theta", "s"]

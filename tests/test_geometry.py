@@ -245,22 +245,26 @@ def test_spectral_accuracy_of_area():
 
 def test_mode_amplitude_reads_coefficients():
     s = geo.make_fourier_body([1.0, 0.0, 0.03], [0.0, 0.04], m=256)
-    assert math.isclose(geo._mode_amplitudes(s.samples, 0), 1.0, rel_tol=1e-12)
-    assert math.isclose(geo._mode_amplitudes(s.samples, 2), 0.05, rel_tol=1e-12)
-    assert geo._mode_amplitudes(s.samples, 3) <= 1e-14
+    spectrum = np.fft.rfft(s.samples)
+    assert math.isclose(geo._spectrum_amplitudes(spectrum, 0), 1.0, rel_tol=1e-12)
+    assert math.isclose(geo._spectrum_amplitudes(spectrum, 2), 0.05, rel_tol=1e-12)
+    assert geo._spectrum_amplitudes(spectrum, 3) <= 1e-14
 
     nyq = SupportFunction(1.0 + 1e-5 * np.cos(128 * geo._angles(256)))
-    assert math.isclose(geo._mode_amplitudes(nyq.samples, 128), 1e-5, rel_tol=1e-10)
+    assert math.isclose(geo._spectrum_amplitudes(np.fft.rfft(nyq.samples), 128), 1e-5,
+                        rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("mode", [0, 2, 5, 32])
 def test_mode_amplitudes_of_stacked_rows_match_each_state(mode):
     rng = np.random.default_rng(11)
     rows = np.array([geo.random_convex_body(rng, m=64).samples for _ in range(5)])
+    spectra = np.fft.rfft(rows)
     np.testing.assert_array_equal(
-        geo._mode_amplitudes(rows, mode), [geo._mode_amplitudes(row, mode) for row in rows])
+        geo._spectrum_amplitudes(spectra, mode),
+        [geo._spectrum_amplitudes(np.fft.rfft(row), mode) for row in rows])
     with pytest.raises(ValueError, match="mode must lie in"):
-        geo._mode_amplitudes(rows, 33)
+        geo._spectrum_amplitudes(spectra, 33)
 
 
 def test_random_convex_body_is_deterministic_and_convex():
