@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,22 +237,18 @@ def step(s: SupportFunction, p: FlowParams, dt: float,
         k4 = _rhs_array(y + dt * k3, alpha, normalized)
         # SupportFunction rejects a nonconvex or non-finite result.
         return SupportFunction(y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-    except (_StageFailure, ValueError) as exc:
+    except (StepRejectedError, ValueError) as exc:
         raise StepRejectedError(f"step of size {dt:.3e} left the convex cone") from exc
 
 
-class _StageFailure(Exception):
-    pass
-
-
 def _rhs_array(y: np.ndarray, alpha: float, normalized: bool) -> np.ndarray:
-    """Speed of a Runge-Kutta stage; raises _StageFailure unless the stage
+    """Speed of a Runge-Kutta stage; raises StepRejectedError unless the stage
     keeps a positive curvature radius (NaN included).  On the normalized
     flow lambda = K / (2 A) comes from the stage's samples: K by the
     trapezoid rule on r * r^-alpha, A by geometry's area."""
     radius = curvature_radius_samples(y)
     if not (radius.min() > 0.0):
-        raise _StageFailure
+        raise StepRejectedError
     power = np.power(radius, -alpha)
     if not normalized:
         return -power
@@ -339,11 +336,11 @@ def _etd_weights(z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _etd_radius(w: np.ndarray) -> np.ndarray:
     """Curvature radius s'' + s on the grid of the rfft coefficients w, in
-    one inverse transform; raises _StageFailure unless it is positive (NaN
-    included)."""
+    one inverse transform; raises StepRejectedError unless it is positive
+    (NaN included)."""
     radius = curvature_radius_samples(spectrum=w)
     if not (radius.min() > 0.0):
-        raise _StageFailure
+        raise StepRejectedError
     return radius
 
 
@@ -366,7 +363,7 @@ def _etdrk4_step(v, n_v, lin, gram, weights, alpha, stats):
     f1, 2 f2 and f3 of _etd_weights for dt times the linear part lin + 1.
     Each stage costs two transforms, its radius and its remainder.  Stages
     must stay convex, and the result convex with a finite radius, or
-    _StageFailure is raised.
+    StepRejectedError is raised.
     """
     e, e2, dt_q, dt_f1, dt_f2, dt_f3 = weights
     e2_v = e2 * v
@@ -388,7 +385,7 @@ def _etdrk4_step(v, n_v, lin, gram, weights, alpha, stats):
     radius = curvature_radius_samples(spectrum=v_new)
     r_min, r_max = float(radius.min()), float(radius.max())
     if not (r_min > 0.0 and r_max < math.inf):
-        raise _StageFailure
+        raise StepRejectedError
     return v_new, radius, r_min, r_max, lams
 
 
@@ -481,7 +478,7 @@ def _etd_march(y: np.ndarray, p: FlowParams, t_end: float, tau_end: float,
                 v, radius, r_min, r_max, stage_lams = _etdrk4_step(
                     v, n_v, lin, gram, weights, alpha, stats)
                 break
-            except _StageFailure:
+            except StepRejectedError:
                 stats.halved_trials += 1
                 dt *= 0.5
                 z *= 0.5
@@ -513,36 +510,31 @@ def _check_start(s0: SupportFunction, p: FlowParams) -> None:
         raise ValueError(f"state grid {s0.m} does not match params grid {p.m}")
 
 
-def _record(start: np.ndarray, march, store_every: int, scaled: bool, spectral: bool = False):
-    """Yield (clock, row) for every store_every-th state of a march from
-    _etd_march, begun at the samples start, and for its last state, once.
+def _record(march, store_every: int, clock: int):
+    """Yield (accepted, state) for the accepted states 0, k, 2k, ... of a
+    march from _etd_march, k = store_every, and for its last state, once:
+    each state (t, tau, R, w) as the march yielded it.
 
-    A row is the body s at its time t when scaled, else the normalized
-    state s_hat = s / R at tau: one inverse transform of the yielded
-    coefficients, but for the body's first row, which is start itself.
-    With spectral a row is those coefficients, w or w / R, untransformed.
-    The clock is t or tau.  The record ends with the march; at the last
-    state whose clock advanced, since near extinction the steps of t fall
-    below its rounding; at the last state accepted before a
-    ConvexityLostError past the first step; or where the consumer stops.
+    clock is the index of the state's clock: 0 for t, 1 for tau.  The
+    record ends with the march; at the last state whose clock advanced,
+    since near extinction the steps of t fall below its rounding; at the
+    last state accepted before a ConvexityLostError past the first step;
+    or where the consumer stops.
     """
-    m = start.size
     kept, last, accepted = None, None, 0
     try:
-        for accepted, (t, tau, r, w) in enumerate(march):
-            clock, coefficients = (t, w) if scaled else (tau, w / r)
-            if accepted and clock <= last[0]:
+        for accepted, state in enumerate(march):
+            if accepted and state[clock] <= last[1][clock]:
                 break
-            last = clock, coefficients
+            last = accepted, state
             if accepted % store_every == 0:
-                kept = clock
-                yield clock, (coefficients if spectral else start if scaled and not accepted
-                              else np.fft.irfft(coefficients, n=m))
+                kept = accepted
+                yield last
     except ConvexityLostError:
         if not accepted:  # no step taken: no run to record
             raise
     if kept != last[0]:
-        yield last[0], last[1] if spectral else np.fft.irfft(last[1], n=m)
+        yield last
 
 
 def _trace_row(row: np.ndarray, alpha: float) -> tuple:
@@ -566,8 +558,10 @@ def run_to_extinction(
     the body's states.
 
     The march is _etd_march to t_max, if given.  It keeps every
-    STORE_EVERY-th accepted state and the last one, once, and measures
-    each kept row's trace columns as it keeps it.  Of those rows it holds
+    STORE_EVERY-th accepted state and the last one, once (_record): the
+    input samples for the start, one inverse transform of the march's
+    coefficients for every other row.  It measures each kept row's trace
+    columns as it keeps it, into float buffers.  Of those rows it holds
     rows 0, k, 2k, ... and the last, once, for k = snapshot_every > 0, and
     none for k = 0, so a run without snapshots holds O(m) samples however
     long it marches.  It stops at the first kept row past the start at
@@ -583,9 +577,10 @@ def run_to_extinction(
         raise ValueError(f"snapshot_every must be >= 0, got {snapshot_every}")
     t_max = math.inf if t_max is None else t_max
     y = np.array(s0.samples, dtype=float)
-    columns, held = {name: [] for name in TRACE_COLUMNS}, []
-    for kept, (t, row) in enumerate(_record(y, _etd_march(y, p, t_max, math.inf, stats),
-                                            STORE_EVERY, True)):
+    columns, held = {name: array("d") for name in TRACE_COLUMNS}, []
+    march = _etd_march(y, p, t_max, math.inf, stats)
+    for kept, (accepted, (t, _, _, w)) in enumerate(_record(march, STORE_EVERY, clock=0)):
+        row = np.fft.irfft(w, n=p.m) if accepted else y
         for name, value in zip(TRACE_COLUMNS, (t, *_trace_row(row, p.alpha))):
             columns[name].append(value)
         if snapshot_every and kept % snapshot_every == 0:
@@ -661,10 +656,10 @@ def run_normalized(
         raise ValueError(f"store_every must be >= 1, got {store_every}")
     _require_above("tau_end", tau_end, at_floor=True)
     y = np.array(s0.samples, dtype=float)
-    records = _record(y, _etd_march(y, p, math.inf, tau_end, stats), store_every, False,
-                      spectral=mode is not None)
+    march = _etd_march(y, p, math.inf, tau_end, stats)
+    records = ((tau, w / r) for _, (_, tau, r, w) in _record(march, store_every, clock=1))
     if mode is None:
-        taus, rows = zip(*records)
+        taus, rows = zip(*((tau, np.fft.irfft(w, n=p.m)) for tau, w in records))
         return np.array(taus), [SupportFunction(row) for row in rows]
     # The march yields its start before any step, so a bad mode fails at once.
     taus, amplitudes = zip(*((tau, _spectrum_amplitudes(w, mode)) for tau, w in records))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,6 +76,21 @@ class OdeStats:
     jacobian_evals: int | None = None
 
 
+def _profile_columns(profile, min_nodes: int) -> list[np.ndarray]:
+    """Set each field of a profile to a float array and return them, once
+    they share one length and the first, the grid, increases strictly from
+    0 over at least min_nodes nodes."""
+    names = [field.name for field in fields(profile)]
+    for name in names:
+        setattr(profile, name, np.asarray(getattr(profile, name), dtype=float))
+    grid, *columns = (getattr(profile, name) for name in names)
+    if any(column.size != grid.size for column in columns):
+        raise ValueError("profile arrays must share one length")
+    if grid.size < min_nodes or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError(f"{names[0]} grid must increase strictly from 0")
+    return [grid, *columns]
+
+
 @dataclass
 class Profile1D:
     """Graph of the 1-D translator on x >= 0."""
@@ -85,12 +100,7 @@ class Profile1D:
     dv: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("x", "v", "dv"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (self.x.size == self.v.size == self.dv.size):
-            raise ValueError("profile arrays must share one length")
-        if self.x[0] != 0.0 or np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("x grid must increase strictly from 0")
+        _profile_columns(self, min_nodes=1)
 
 
 @dataclass
@@ -103,14 +113,7 @@ class RadialProfile:
     d2u: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("r", "u", "du", "d2u"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        n = self.r.size
-        if not (self.u.size == n and self.du.size == n and self.d2u.size == n):
-            raise ValueError("profile arrays must share one length")
-        if n < 2 or self.r[0] != 0.0 or np.any(np.diff(self.r) <= 0.0):
-            raise ValueError("r grid must increase strictly from 0")
-        if not all(np.isfinite(getattr(self, name)).all() for name in ("r", "u", "du", "d2u")):
+        if not all(np.isfinite(column).all() for column in _profile_columns(self, min_nodes=2)):
             raise ValueError("profile arrays must be finite")
 
     def check_convex(self) -> None:

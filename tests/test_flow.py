@@ -427,10 +427,13 @@ def test_both_marches_store_every_kth_state_and_the_last_once(monkeypatch, store
 
 def test_a_run_without_snapshots_holds_flat_memory(monkeypatch):
     # The 2:1 ellipse at alpha = 0.2 never settles: each run ends at the
-    # step cap.  From n to 4n steps the traced peak may grow by trace.csv's
-    # rows alone, far less than a quarter of the samples of the rows added.
+    # step cap.  Kept at every step, from n to 4n steps, the traced peak
+    # may grow by trace.csv's rows alone: its seven floats, 56 B a row,
+    # in float buffers, at most 100 B per row added.  Python lists of
+    # numpy scalars take over 200 B, a row's samples 2 KB.
     s0, p = geo.make_ellipse(1.0, 0.5, m=256), FlowParams(alpha=0.2, m=256)
-    n, peaks = 200, []
+    monkeypatch.setattr(fl, "STORE_EVERY", 1)
+    n, peaks = 125, []
     for steps in (n, 4 * n):
         monkeypatch.setattr(fl, "MAX_STEPS", steps)
         tracemalloc.start()
@@ -440,8 +443,8 @@ def test_a_run_without_snapshots_holds_flat_memory(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    rows_added = 3 * n / fl.STORE_EVERY
-    assert peaks[1] - peaks[0] < 0.25 * rows_added * p.m * 8
+    rows_added = 3 * n
+    assert peaks[1] - peaks[0] <= 100 * rows_added
 
 
 # -- the ETD step --------------------------------------------------------------
@@ -526,7 +529,7 @@ def test_nan_coefficient_rejects_the_stage():
     m = 64
     v = np.fft.rfft(circle(m=m).samples)
     v[3] = np.nan
-    with pytest.raises(fl._StageFailure):
+    with pytest.raises(StepRejectedError):
         fl._etd_radius(v)
 
 
@@ -541,7 +544,7 @@ def test_oversized_steps_are_halved_and_the_run_still_goes_extinct(monkeypatch):
     def every_other_trial_fails(*args):
         trials.append(args)
         if len(trials) % 2:
-            raise fl._StageFailure
+            raise StepRejectedError
         return etdrk4_step(*args)
 
     monkeypatch.setattr(fl, "_etdrk4_step", every_other_trial_fails)
@@ -555,7 +558,7 @@ def test_oversized_steps_are_halved_and_the_run_still_goes_extinct(monkeypatch):
 
 def test_step_that_never_stays_convex_raises_after_the_last_halving(monkeypatch):
     def rejected(*args):
-        raise fl._StageFailure
+        raise StepRejectedError
 
     monkeypatch.setattr(fl, "_etdrk4_step", rejected)
     stats = fl.MarchStats()
@@ -577,11 +580,13 @@ def test_etd_step_takes_nine_ffts(monkeypatch, scaled):
             return transform(*args, **kwargs)
         return wrapper
 
-    y = geo.random_convex_body(np.random.default_rng(3), m=64).samples
+    s0 = geo.random_convex_body(np.random.default_rng(3), m=64)
+    y = s0.samples
+    t_end, tau_end = (0.05, math.inf) if scaled else (math.inf, 0.05)
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     stats = fl.MarchStats()
-    states = list(fl._etd_march(y, P64, math.inf, 0.05, stats))
+    states = list(fl._etd_march(y, P64, t_end, tau_end, stats))
     steps = stats.accepted_steps
     assert steps == len(states) - 1 > 0
     assert stats.halved_trials == 0
@@ -590,11 +595,24 @@ def test_etd_step_takes_nine_ffts(monkeypatch, scaled):
     assert stats.remainder_evals == 4 * steps
     assert 0 < stats.weight_evals <= steps
     assert 0.0 < stats.dt_min <= stats.dt_max
-    # Storing every state adds one inverse transform per step; the
-    # physical start row is y itself, the normalized one a transform.
+    # Recording every state adds one inverse transform per step, made by
+    # each record from the states the recorder hands on; the physical
+    # start row is y itself, the normalized one a transform.  The rows
+    # are caught where each record measures or rebuilds them, and those
+    # transform nothing here.
     start = y if scaled else np.fft.irfft(states[0][3] / states[0][2], n=64)
+    rows = []
+    monkeypatch.setattr(fl, "STORE_EVERY", 1)
+    monkeypatch.setattr(fl, "_trace_row", lambda row, alpha: rows.append(row) or (1.0,) * 6)
+    monkeypatch.setattr(fl, "SupportFunction", rows.append)
     calls.clear()
-    rows = [row for _, row in fl._record(y, fl._etd_march(y, P64, math.inf, 0.05), 1, scaled)]
+    stats = fl.MarchStats()
+    if scaled:
+        trace = fl.run_to_extinction(s0, P64, t_max=t_end, stats=stats)
+        assert trace.stop_reason is StopReason.TIME_LIMIT
+    else:
+        fl.run_normalized(s0, P64, tau_end, stats=stats)
+    assert stats.accepted_steps == steps
     assert len(rows) == steps + 1
     np.testing.assert_array_equal(rows[0], start)
     assert len(calls) == (3 if scaled else 4) + 9 * steps
