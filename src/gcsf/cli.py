@@ -17,13 +17,12 @@ seed give byte-identical outputs, and verify demands exact agreement.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib.util
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -33,8 +32,25 @@ import numpy as np
 from gcsf import __version__, tables
 from gcsf import flow as fl
 from gcsf import geometry as geo
-from gcsf import solitons as so
 from gcsf.geometry import SupportFunction
+
+
+def _lazy(name: str):
+    """The module name, bound now but run at its first attribute access,
+    so a process that never reads it never compiles it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# Only the soliton experiments read gcsf.solitons; a flow process never runs it.
+so = _lazy("gcsf.solitons")
 
 # Declared tolerances of the experiments' built-in checks.  verify applies
 # the same table, so a manifest's decisions can always be reproduced.
@@ -177,9 +193,10 @@ class Experiment:
     from the table of the file named source alone: for run_config from the
     columns just written, for verify from the same file read back.
     headline names and orders those scalars.  An experiment that marches
-    an ODE or the flow names its solver's stats record, fl.MarchStats or
-    so.OdeStats; run_config hands a fresh one to run and writes what the
-    run filled in to the manifest as solver, also when the run fails.
+    an ODE or the flow names the factory of its solver's stats record,
+    fl.MarchStats or _ode_stats; run_config hands a fresh one to run and
+    writes what the run filled in to the manifest as solver, also when the
+    run fails.
     """
 
     fields: dict
@@ -188,7 +205,7 @@ class Experiment:
     source: str
     headline: tuple[str, ...]
     validate: Callable = lambda cfg: None
-    solver: type | None = None
+    solver: Callable | None = None
 
 
 def _experiment(raw) -> Experiment:
@@ -386,6 +403,12 @@ def _rate_judge(cfg: SimpleNamespace, rate):
             [check("decay-rate", abs(fit.rate - expected), tol, "le")])
 
 
+def _ode_stats() -> so.OdeStats:
+    """A fresh ODE stats record; the registry names this factory, not the
+    class, so that building it does not run gcsf.solitons."""
+    return so.OdeStats()
+
+
 def _run_translator1d(cfg: SimpleNamespace, stats: so.OdeStats):
     return {"profile1d.csv": vars(so.translator_1d(cfg.alpha, cfg.x_max, stats))}
 
@@ -558,17 +581,17 @@ EXPERIMENTS = {
     "translator1d": Experiment(
         {"alpha": 1.0, "x_max": 20.0},
         _run_translator1d, _translator_judge,
-        "profile1d.csv", ("half_width", "slope_end"), solver=so.OdeStats),
+        "profile1d.csv", ("half_width", "slope_end"), solver=_ode_stats),
     "radial-translator": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "r_max": 20.0},
         _run_radial_translator, _radial_judge,
         "profile.csv", ("origin_curvature", "operator_residual", "growth_const"),
-        solver=so.OdeStats),
+        solver=_ode_stats),
     "blowdown": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "scales": (10.0, 100.0, 1000.0, 10000.0),
          "r_max": lambda c: 1.02 * so.blow_down_radius(c["alpha"], max(c["scales"]))},
         _run_blowdown, _blowdown_judge,
-        "blowdown.csv", ("sup_dist",), _check_reach, solver=so.OdeStats),
+        "blowdown.csv", ("sup_dist",), _check_reach, solver=_ode_stats),
     "legendre": Experiment(
         {"alpha": 1.0, "sigma": 1.0, "p_lo": 50.0, "p_hi": 100.0,
          "r_max": lambda c: max(6.0, (1.15 * c["p_hi"]) ** (1.0 / c["alpha"]))},
@@ -576,12 +599,12 @@ EXPERIMENTS = {
         "dual.csv", ("exponent", "coefficient", "offset"),
         lambda cfg: _require(cfg.p_lo < cfg.p_hi,
                              "fields 'p_lo' and 'p_hi' must satisfy 0 < p_lo < p_hi"),
-        solver=so.OdeStats),
+        solver=_ode_stats),
     "comparison-ode": Experiment(
         {"alpha": 1.0, "delta": 1e-6, "t_max": 3.0},
         _run_comparison_ode, _ode_judge,
         "ode.csv", ("a_cross", "crossing_ratio", "max_rel_err"), _check_ode_horizon,
-        solver=so.OdeStats),
+        solver=_ode_stats),
     "log-convexity": Experiment(
         {"alpha": 1.0, "radius": 1.0, "n_points": 2001},
         _run_log_convexity, _logconv_judge, "margins.csv", ("margin",),
@@ -754,13 +777,18 @@ def cmd_sweep(config_path: str, param: str, values_text: str,
                for value, label in zip(values, labels)]
 
     # The pool forks all its workers up front, so never ask for more than
-    # there are values or cores.
+    # there are values or cores.  Its module pulls in multiprocessing, so
+    # only a parallel sweep imports it.
     workers = min(_thread_cap(), len(configs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, configs))
     else:
         results = [_sweep_entry(entry) for entry in configs]
+
+    import csv
 
     headline = experiment.headline
     summary_path = os.path.join(base_dir, "summary.csv")

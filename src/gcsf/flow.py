@@ -696,7 +696,7 @@ def fit_decay_rate(taus, deltas, window: tuple[float, float]) -> RateFit:
                          f"got {np.count_nonzero(mask)}")
     taus = taus[mask]
     deltas = deltas[mask]
-    if np.min(deltas) <= 0.0:
+    if not np.all(deltas > 0.0):  # NaN fails this too
         raise ValueError("deltas must be positive inside the fit window")
     logs = np.log(deltas)
     rate, intercept = np.polyfit(taus, logs, 1)

@@ -165,10 +165,13 @@ def make_fourier_body(cos_coeffs, sin_coeffs=(), m: int = DEFAULT_GRID) -> Suppo
     """
     theta = _angles(m)
     values = np.zeros(m)
-    for j, c in enumerate(cos_coeffs):
-        values += c * np.cos(j * theta)
-    for j, c in enumerate(sin_coeffs):
-        values += c * np.sin((j + 1) * theta)
+    # Finite coefficients near the float range can sum past it; the
+    # samples' finiteness check rejects the result.
+    with np.errstate(over="ignore"):
+        for j, c in enumerate(cos_coeffs):
+            values += c * np.cos(j * theta)
+        for j, c in enumerate(sin_coeffs):
+            values += c * np.sin((j + 1) * theta)
     return SupportFunction(values)
 
 

@@ -475,33 +475,45 @@ def test_flow_run_cut_short_by_t_max_passes(tmp_path, body):
     assert [c["name"] for c in manifest["checks"]] == checks
 
 
-# Runs in a fresh interpreter: the test modules load scipy themselves.
+# Runs in a fresh interpreter: the test modules load scipy themselves.  It
+# prints the scipy, mpmath and process-pool modules loaded, then whether the
+# body of gcsf.solitons ran: read without an attribute access, which would
+# run a lazily bound module.
 COLD_START = """
 import sys
 import warnings
 import gcsf
 from gcsf.cli import main
-for config, run_dir in zip(sys.argv[1::2], sys.argv[2::2]):
+*runs, sweep = sys.argv[1:]
+for config, run_dir in zip(runs[::2], runs[1::2]):
     assert main(["run", config]) == 0
     assert main(["verify", run_dir]) == 0
-print(sorted(name for name in sys.modules if name.split(".")[0] in ("scipy", "mpmath")))
+assert main(["sweep", sweep, "--param=alpha", "--values=1,1.5"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0]
+             in ("scipy", "mpmath", "concurrent", "multiprocessing")))
+solitons = sys.modules.get("gcsf.solitons")
+print(solitons is not None and "OdeStats" in object.__getattribute__(solitons, "__dict__"))
 """
 
 
 def test_flow_experiments_load_no_scipy(tmp_path):
+    # Nor does a serial sweep load the process pool, and no command of a
+    # flow experiment runs the soliton module.
     args = []
     for name, entries in [("flow", dict(experiment="flow", alpha=1.0, m=64)),
                           ("rate", dict(experiment="normalized-rate", alpha=1.0, m=64))]:
         out = tmp_path / name
         args += [write_config(tmp_path, f"{name}.json", output_dir=str(out), **entries),
                  str(out)]
+    args.append(write_config(tmp_path, "sweep.json", experiment="normalized-rate", m=64,
+                             output_dir=str(tmp_path / "sweep")))
     src = os.path.dirname(os.path.dirname(gcsf.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, GCSF_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", COLD_START, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "False"]
 
 
 # -- verify ------------------------------------------------------------------
@@ -519,7 +531,14 @@ def test_verify_round_trip(tmp_path, capsys):
 
 
 ODE_EXPERIMENTS = sorted(name for name, experiment in cli.EXPERIMENTS.items()
-                         if experiment.solver is cli.so.OdeStats)
+                         if experiment.solver is cli._ode_stats)
+
+
+def test_the_ode_experiments_are_the_soliton_marches():
+    assert ODE_EXPERIMENTS == sorted(["translator1d", "radial-translator", "blowdown",
+                                      "legendre", "comparison-ode"])
+    assert all(isinstance(cli.EXPERIMENTS[name].solver(), so.OdeStats)
+               for name in ODE_EXPERIMENTS)
 
 
 @pytest.mark.parametrize("experiment", ODE_EXPERIMENTS)
@@ -1101,7 +1120,8 @@ def test_sweep_worker_count_is_clamped(tmp_path, monkeypatch, cores, values, exp
             return map(fn, items)
 
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cmd_sweep imports the pool class only for a parallel sweep.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("GCSF_THREADS", "1000")
     cfg = write_config(tmp_path, experiment="log-convexity",
                        output_dir=str(tmp_path / "s"))
@@ -1407,6 +1427,8 @@ def raw_configs(draw):
               "initial_body": {"kind": "circle", "radius": 1e308}})
 @example(raw={"experiment": "flow", "output_dir": "out", "alpha": 2.0,
               "initial_body": {"kind": "circle", "radius": 1e-110}})
+@example(raw={"experiment": "flow", "output_dir": "out",
+              "initial_body": {"kind": "fourier", "cos": [1e308, 1e308]}})
 def test_config_from_dict_raises_only_usage_errors(raw):
     try:
         cfg = cli.config_from_dict(raw)

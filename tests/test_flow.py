@@ -819,6 +819,14 @@ def test_fit_decay_rate_needs_enough_points():
         fl.fit_decay_rate(taus, np.exp(-taus), (3.99, 4.0))
 
 
+def test_fit_decay_rate_rejects_a_nan_delta_in_its_window():
+    taus = np.linspace(0.0, 4.0, 200)
+    deltas = np.exp(-taus)
+    deltas[100] = np.nan  # tau = 2.01, inside the window
+    with pytest.raises(ValueError, match="deltas must be positive"):
+        fl.fit_decay_rate(taus, deltas, (1.0, 3.0))
+
+
 def test_mode_three_decays_at_its_own_rate():
     body = geo.make_fourier_body([1.0, 0.0, 0.0, 1e-3], m=128)
     taus, amplitudes = fl.run_normalized(body, FlowParams(alpha=1.0, m=128), 2.0, mode=3)

@@ -107,6 +107,11 @@ def test_profile1d_validation():
         Profile1D(np.array([0.5, 1.0]), np.zeros(2), np.zeros(2))
 
 
+def test_profile_grid_rejects_nan():
+    with pytest.raises(ValueError, match="grid must increase strictly from 0"):
+        Profile1D(np.array([0.0, np.nan, 2.0]), np.zeros(3), np.zeros(3))
+
+
 # -- radial translator -------------------------------------------------------
 
 def test_origin_curvature_matches_series():
